@@ -1,7 +1,8 @@
 """Command-line entry points for runs, studies, and trace checks.
 
 Exit codes: 0 on success, 2 on configuration problems, 3 on numerical
-failures (plant divergence or a failed trace verification).
+failures (plant divergence, an SoC box violation, an ill-conditioned
+surrogate, or a failed trace verification).
 """
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import argparse
 import json
 import sys
 
+from .aie import IllConditioningError
+from .bess import SocViolationError
 from .grid import GridInstabilityError
 from .oracle import InfeasibleTargetError
 from .scenario import ConfigError, ScenarioConfig, run_scenario
@@ -175,8 +178,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GridInstabilityError, InfeasibleTargetError,
-            FloatingPointError) as err:
+    except (GridInstabilityError, InfeasibleTargetError, SocViolationError,
+            IllConditioningError, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

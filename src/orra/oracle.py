@@ -5,8 +5,10 @@ distributed algorithm approaches online: minimize the summed interval
 costs subject to the signed fleet power matching the negated aggregate
 injection error, with every agent confined to its mode box. Strict
 convexity of the wear term makes the best response to the equality
-multiplier unique, so the solve is a scalar bisection wrapped around a
-vectorized monotone derivative inversion per agent.
+multiplier unique and monotone, so the solve is a safeguarded Newton search
+on the multiplier around a vectorized safeguarded Newton inversion of each
+agent's marginal cost; both fall back to bisecting a bracket whenever a
+Newton step would leave it.
 """
 from __future__ import annotations
 
@@ -56,25 +58,45 @@ def _cost_arrays(models, modes):
 
 
 def _marginal(arrays, q):
+    """marginal(q) and its derivative wear + aging*g^2*(b-1)*mu^(b-2)."""
     wear, g, aging, mu0, bm1 = arrays
     mu = mu0 + g * q
-    slope = np.where(mu > 0, aging * g * np.maximum(mu, 0.0) ** bm1, 0.0)
-    return wear * q + slope
+    pos = mu > 0
+    mu_pos = np.where(pos, mu, 1.0)
+    rise = np.where(pos, aging * g * mu_pos**bm1, 0.0)
+    curve = np.where(pos, aging * g * g * bm1 * mu_pos ** (bm1 - 1.0), 0.0)
+    return wear * q + rise, wear + curve
 
 
-def _best_response(arrays, lo, hi, slope_target, iters=50):
-    """q per agent with marginal(q) = slope_target, clamped to [lo, hi]."""
-    at_lo = _marginal(arrays, lo) >= slope_target
-    at_hi = _marginal(arrays, hi) <= slope_target
-    q_lo = lo.copy()
-    q_hi = hi.copy()
-    for _ in range(iters):
-        mid = 0.5 * (q_lo + q_hi)
-        high = _marginal(arrays, mid) > slope_target
-        q_hi = np.where(high, mid, q_hi)
-        q_lo = np.where(high, q_lo, mid)
-    q = 0.5 * (q_lo + q_hi)
-    return np.where(at_lo, lo, np.where(at_hi, hi, q))
+def _best_response(arrays, lo, hi, m_lo, m_hi, slope_target, q, xtol=1e-12):
+    """q per agent with marginal(q) = slope_target, clamped to [lo, hi].
+
+    Safeguarded Newton from the start q: each agent keeps a bracket on its
+    root and bisects it whenever the Newton step would leave the bracket or
+    is not finite. An agent whose target lies beyond a box end starts with
+    its bracket shut on that end. Since marginal' >= wear, a marginal gap
+    under xtol*wear puts q within xtol of the root. Returns q, the
+    marginal slope at q and the mask of agents more than xtol inside their
+    boxes.
+    """
+    wear = arrays[0]
+    at_lo = m_lo >= slope_target
+    at_hi = m_hi <= slope_target
+    a = np.where(at_hi, hi, lo)
+    b = np.where(at_lo, lo, hi)
+    q = np.clip(q, a, b)
+    for _ in range(100):
+        m, dm = _marginal(arrays, q)
+        gap = m - slope_target
+        if ((np.abs(gap) <= xtol * wear) | (b - a <= xtol)).all():
+            break
+        high = gap > 0
+        b = np.where(high, q, b)
+        a = np.where(high, a, q)
+        step = q - gap / dm
+        inside = (step >= a) & (step <= b)  # false on nan
+        q = np.where(inside, step, 0.5 * (a + b))
+    return q, dm, (q > lo + xtol) & (q < hi - xtol)
 
 
 def centralized_solve(
@@ -93,7 +115,9 @@ def centralized_solve(
     discharge (+q aggregate), 0 for charge (-q); boxes: per-agent [lo, hi]
     on the active coordinate; target: required signed aggregate in MW.
     on_infeasible: "raise" (default) or "clamp" to the achievable range.
-    nu_hint: previous step's multiplier, used to start with a tight bracket.
+    nu_hint: previous step's multiplier, where the multiplier search starts.
+    The search stops once the aggregate is within 0.1*tol of the target,
+    or after `iters` multiplier steps.
     """
     modes = [int(m) for m in modes]
     lo = np.array([b[0] for b in boxes], dtype=float)
@@ -115,45 +139,45 @@ def centralized_solve(
             raise InfeasibleTargetError(want, (agg_lo, agg_hi))
     want = float(np.clip(want, agg_lo, agg_hi))
 
-    def aggregate(nu):
-        # stationarity of the per-agent Lagrangian: marginal(q) = -nu*sign
-        q = _best_response(arrays, lo, hi, -nu * sign)
-        return float((sign * q).sum()), q
-
-    corner = np.maximum(
-        np.abs(_marginal(arrays, lo)), np.abs(_marginal(arrays, hi))
-    )
+    # Stationarity of the per-agent Lagrangian: marginal(q) = -nu*sign. The
+    # wear term makes every marginal strictly increasing, so the aggregate
+    # best response falls monotonically in nu; at +-nu_max every agent sits
+    # at the box end that gives agg_lo or agg_hi, which brackets the root.
+    m_lo = _marginal(arrays, lo)[0]
+    m_hi = _marginal(arrays, hi)[0]
+    corner = np.maximum(np.abs(m_lo), np.abs(m_hi))
     nu_max = max(2.0 * float(corner.max()), 1e-6)
+    nu_lo, nu_hi = -nu_max, nu_max  # agg(nu_lo) >= want >= agg(nu_hi)
+    nu = 0.0 if nu_hint is None else min(max(float(nu_hint), -nu_max), nu_max)
 
-    nu_lo, nu_hi = -nu_max, nu_max
-    if nu_hint is not None and abs(nu_hint) <= nu_max:
-        width = max(1e-3, 0.05 * nu_max)
-        cand_lo, cand_hi = nu_hint - width, nu_hint + width
-        while cand_lo > -nu_max or cand_hi < nu_max:
-            cand_lo = max(cand_lo, -nu_max)
-            cand_hi = min(cand_hi, nu_max)
-            if aggregate(cand_lo)[0] >= want >= aggregate(cand_hi)[0]:
-                nu_lo, nu_hi = cand_lo, cand_hi
-                break
-            width *= 4.0
-            cand_lo, cand_hi = nu_hint - width, nu_hint + width
+    def aggregate(nu, q):
+        q, slope, free = _best_response(
+            arrays, lo, hi, m_lo, m_hi, -nu * sign, q
+        )
+        # d agg / d nu = -(sum over free agents of 1/marginal'(q))
+        rate = float((1.0 / slope[free]).sum())
+        return float((sign * q).sum()) - want, rate, q
 
-    a_lo, _ = aggregate(nu_lo)
-    a_hi, _ = aggregate(nu_hi)
-    # the aggregate best response must be non-increasing in the multiplier
-    assert a_lo >= a_hi - 1e-9, "aggregate response not monotone"
-    nu = 0.5 * (nu_lo + nu_hi)
-    agg, q = aggregate(nu)
+    gap, rate, q = aggregate(nu, 0.5 * (lo + hi))
+    # safeguarded Newton on nu, as in rtsafe: bisect the bracket when the
+    # step would leave it or would not halve the step before last
+    dx_old = dx = 2.0 * nu_max
     for _ in range(iters):
-        if abs(agg - want) <= 0.1 * tol:
+        if abs(gap) <= 0.1 * tol:
             break
-        if agg > want:
+        if gap > 0:
             nu_lo = nu
         else:
             nu_hi = nu
-        nu = 0.5 * (nu_lo + nu_hi)
-        agg, q = aggregate(nu)
-    residual = abs(agg - want)
+        newton = nu + gap / rate if rate > 0 else np.nan
+        if nu_lo < newton < nu_hi and 2.0 * abs(newton - nu) <= dx_old:
+            dx_old, dx = dx, abs(newton - nu)
+            nu = newton
+        else:
+            dx_old, dx = dx, 0.5 * (nu_hi - nu_lo)
+            nu = nu_lo + dx
+        gap, rate, q = aggregate(nu, q)
+    residual = abs(gap)
     modes_arr = np.array(modes)
     return CentralizedSolution(
         q=q,
@@ -161,7 +185,7 @@ def centralized_solve(
         c=np.where(modes_arr == 0, q, 0.0),
         nu=nu,
         residual=residual,
-        marginals=_marginal(arrays, q),
+        marginals=_marginal(arrays, q)[0],
         target=want,
         clamped=clamped,
     )

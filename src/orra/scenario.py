@@ -300,12 +300,17 @@ class ScenarioRunner:
             self.disturbance = disturbance
         n = config.fleet.n
         self.n = n
-        self.fleet = build_fleet(config.fleet)
-        if config.topology_edges is None:
-            topo = default_topology(n)
-        else:
-            topo = Topology(n, tuple(tuple(e) for e in config.topology_edges))
-        self.weights = build_metropolis_weights(topo)
+        try:
+            self.fleet = build_fleet(config.fleet)
+            if config.topology_edges is None:
+                topo = default_topology(n)
+            else:
+                topo = Topology(
+                    n, tuple(tuple(e) for e in config.topology_edges)
+                )
+            self.weights = build_metropolis_weights(topo)
+        except ValueError as err:  # battery parameters or TopologyError
+            raise ConfigError(str(err)) from err
         self.optimizer = OrraOptimizer(
             self.weights, config.learning_schedule(), gamma=config.optimizer.gamma
         )

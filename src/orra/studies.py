@@ -577,7 +577,7 @@ def verify_trace(
         "" if both[0].size == 0 else f"first violation at row {both[0][0]}",
     )
     modes = data[:, [col[f"mode_{i}"] for i in range(n)]]
-    record("mode_codes", bool(np.isin(modes, (-1.0, 0.0, 1.0)).all()))
+    record("mode_codes", bool(np.isin(modes, (0.0, 1.0)).all()))
     lam = np.abs(data[:, [col[f"lam_{i}"] for i in range(n)]]).max(axis=1)
     bound = data[:, col["dual_bound"]]
     active = bound > 0

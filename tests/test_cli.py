@@ -94,3 +94,36 @@ def test_regret_cli(cfg_path, tmp_path, capsys):
     assert main(
         ["regret", cfg_path, "--horizons", "20", "5", "--out", str(out)]
     ) == 2
+
+
+def test_run_rejects_bad_topology_and_capacity(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"topology_edges": [[0, 1], [1, 7]]}))
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+    bad.write_text(json.dumps({"fleet": {"capacity": -2.0}}))
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
+    assert "capacity must be positive" in capsys.readouterr().err
+
+
+def test_run_ill_conditioned_surrogate_exits_numeric(tmp_path, capsys):
+    cfg = tmp_path / "ill.json"
+    cfg.write_text(json.dumps({
+        "duration": 12.0, "aie": {"rbf_xi": 1.0, "rbf_d_min": 1e-5},
+    }))
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "gram condition number" in capsys.readouterr().err
+
+
+def test_run_soc_violation_exits_numeric(cfg_path, tmp_path, monkeypatch,
+                                         capsys):
+    from orra import cli
+    from orra.bess import SocViolationError
+
+    def broken(*args, **kwargs):
+        raise SocViolationError("soc 0.812000000 outside [0.2, 0.8]")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    assert main(["run", cfg_path, "--out", str(tmp_path)]) == 3
+    assert "outside [0.2, 0.8]" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from orra.oracle import (
     lemma2_check,
     regret_slope,
 )
-from oracle_reference import brute_force_solve
+from oracle_reference import bisection_solve, brute_force_solve
 
 
 def quad(theta_b):
@@ -129,11 +129,52 @@ def test_warm_start_agrees_with_cold():
     warm = centralized_solve(
         models, [1] * 4, boxes, 1.5, nu_hint=cold.nu * 1.01
     )
-    # bisection stops on the aggregate residual, so different bracket
-    # paths may disagree per coordinate up to the solve tolerance
+    # the search stops on the aggregate residual, so different start
+    # points may disagree per coordinate up to the solve tolerance
     assert np.abs(cold.q - warm.q).max() <= 1e-6
     far = centralized_solve(models, [1] * 4, boxes, 1.5, nu_hint=-50.0)
     assert np.abs(cold.q - far.q).max() <= 1e-6
+
+
+def fresh_model(rng):
+    """Fresh-start cost: no open half cycle, either move opens one, and
+    b in (1, 2), so marginal' grows without bound as mu approaches 0."""
+    g = rng.uniform(0.05, 0.6)
+    return IntervalCost(
+        mu0=0.0, g_d=g, g_c=g, theta_b=rng.uniform(0.05, 0.5),
+        big_theta=rng.uniform(0.5, 3.0), b=rng.uniform(1.05, 1.95),
+    )
+
+
+def test_newton_solve_matches_nested_bisection():
+    rng = np.random.default_rng(41)
+    for k in range(120):
+        n = int(rng.integers(2, 7))
+        modes = [int(m) for m in rng.integers(0, 2, size=n)]
+        models = [
+            fresh_model(rng) if rng.random() < 0.5 else aging_model(rng, m)
+            for m in modes
+        ]
+        boxes = [(0.0, float(rng.uniform(0.05, 1.2))) for _ in range(n)]
+        signs = np.array([1.0 if m == 1 else -1.0 for m in modes])
+        his = np.array([b[1] for b in boxes])
+        agg_lo = float(-his[signs < 0].sum())
+        agg_hi = float(his[signs > 0].sum())
+        if k % 4 == 0:  # beyond the achievable range on either side
+            target = agg_hi + 0.3 if k % 8 == 0 else agg_lo - 0.3
+        else:
+            target = float(rng.uniform(agg_lo, agg_hi))
+        q_ref, nu_ref, clamped_ref = bisection_solve(
+            models, modes, boxes, target, on_infeasible="clamp"
+        )
+        for hint in (None, nu_ref * 1.02 + 1e-3, -50.0, 80.0):
+            sol = centralized_solve(
+                models, modes, boxes, target, on_infeasible="clamp",
+                nu_hint=hint,
+            )
+            assert sol.clamped == clamped_ref
+            assert np.abs(sol.q - q_ref).max() <= 1e-6
+            assert sol.residual <= 1e-7
 
 
 def test_infeasible_target_raises_with_range():

@@ -199,3 +199,14 @@ def test_verify_trace_passes_and_catches_corruption(short_oracle_run, tmp_path):
     p = tmp_path / "bad_dc.csv"
     p.write_text("\n".join(bad) + "\n")
     assert not verify_trace(str(p))["checks"]["one_sided_dispatch"]["ok"]
+
+    # the runner writes 1 (discharge) or 0 (charge, or fleet off), never -1
+    bad = lines[:]
+    cells = bad[30].split(",")
+    cells[header.index("mode_1")] = "-1"
+    bad[30] = ",".join(cells)
+    p = tmp_path / "bad_mode.csv"
+    p.write_text("\n".join(bad) + "\n")
+    rep = verify_trace(str(p))
+    assert not rep["passed"]
+    assert not rep["checks"]["mode_codes"]["ok"]
