@@ -14,7 +14,7 @@ from .aie import IllConditioningError
 from .bess import SocViolationError
 from .grid import GridInstabilityError
 from .oracle import InfeasibleTargetError
-from .scenario import ConfigError, ScenarioConfig, run_scenario
+from .scenario import ConfigError, ScenarioConfig, run_scenario, verify_trace
 from .studies import (
     export_ablation_curves,
     export_fluctuation_curves,
@@ -23,7 +23,6 @@ from .studies import (
     run_ablation,
     run_regret_study,
     settle_time,
-    verify_trace,
 )
 
 EXIT_CONFIG = 2
@@ -151,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("config")
     p.add_argument("--horizons", type=int, nargs="+",
-                   default=[50, 100, 200, 400])
+                   default=[10, 20, 50, 100])
     p.add_argument("--out", default=None)
     p.add_argument("--curves", action="store_true")
     p.set_defaults(func=cmd_regret)

@@ -5,13 +5,17 @@ grid over the interval, measures the area signals (injection error with
 the learned responsive-load correction, or the classic control error),
 refreshes modes, feasible boxes, and wear-cost models, then advances the
 distributed optimizer one iteration to produce the next decision. Every
-interval is logged as one flat trace row.
+interval is recorded in place into a preallocated RunResult; one column
+spec (TRACE_SPEC) lays that record out as the trace file and tells the
+trace verifier where to look.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +33,6 @@ from .grid import (
     frr_response,
     grid_step,
     scenario_fluctuation,
-    scenario_step_load,
     zero_state,
 )
 from .optimizer import LearningSchedule, OrraOptimizer
@@ -138,10 +141,13 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.signal not in ("AIE", "ACE"):
             raise ConfigError(f"unknown signal mode {self.signal!r}")
-        if self.duration <= 0 or self.tau <= 0 or self.dt_inner <= 0:
+        if not all(math.isfinite(v) and v > 0
+                   for v in (self.duration, self.tau, self.dt_inner)):
             raise ConfigError("duration, tau, and dt_inner must be positive")
-        if self.dt_inner > self.tau:
-            raise ConfigError("dt_inner must not exceed the control interval")
+        if abs(self.inner_steps * self.dt_inner - self.tau) > 1e-9 * self.tau:
+            raise ConfigError(
+                f"dt_inner {self.dt_inner} does not divide tau {self.tau}"
+            )
         f = self.fleet
         for s in f.initial_soc:
             if not f.soc_min <= s <= f.soc_max:
@@ -150,10 +156,38 @@ class ScenarioConfig:
                 )
         if self.aie.mode_direction not in (-1, 1):
             raise ConfigError("mode_direction must be +1 or -1")
-        try:
+        try:  # the checks the fleet, graph, plant and schedule make
+            build_fleet(f)
+            build_metropolis_weights(self.topology())
+            self.areas()
             self.learning_schedule()
         except ValueError as err:
             raise ConfigError(str(err)) from err
+
+    @property
+    def inner_steps(self) -> int:
+        """Plant integration steps per control interval."""
+        return int(round(self.tau / self.dt_inner))
+
+    def topology(self) -> Topology:
+        n = self.fleet.n
+        if self.topology_edges is None:
+            return default_topology(n)
+        return Topology(n, tuple(tuple(e) for e in self.topology_edges))
+
+    def areas(self) -> tuple:
+        """The disturbed area, carrying the responsive-load droop, and its
+        neighbor."""
+        g = self.grid
+        kw = dict(
+            inertia=g.inertia, damping=g.damping, inv_droops=g.inv_droops,
+            t_gov=g.t_gov, t_turb=g.t_turb, ramp_limit=g.ramp_limit,
+            saturation=g.saturation, k_i=g.k_i, t_sync=g.t_sync,
+        )
+        return (
+            AreaParams(frr=SectionalDroop(g.frr_deadband, g.frr_slope), **kw),
+            AreaParams(**{**kw, "k_i": g.k_i_area2}),
+        )
 
     def learning_schedule(self) -> LearningSchedule:
         o = self.optimizer
@@ -175,6 +209,8 @@ class ScenarioConfig:
         kwargs = {}
         for key, value in data.items():
             if key in nested:
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{key} must be an object")
                 sub = nested[key]
                 allowed = set(sub.__dataclass_fields__)
                 unknown = set(value) - allowed
@@ -239,34 +275,108 @@ def build_fleet(cfg: FleetConfig) -> Fleet:
     return Fleet(batteries)
 
 
-@dataclass
-class RunResult:
-    """In-memory view of one scenario run plus its trace location."""
+class TraceField(NamedTuple):
+    """One group of trace columns and the record it is written from.
 
-    config: ScenarioConfig
-    trace_path: str | None
-    time: np.ndarray
-    df: np.ndarray  # (T, 2)
-    p_tie: np.ndarray
-    dist: np.ndarray
-    p_bess: np.ndarray
-    p_m_total: np.ndarray
-    p_m_cg: np.ndarray  # (T, n_cg) area-1 generators
-    signal_total: np.ndarray
-    aie_shares: np.ndarray  # (T, n)
-    d: np.ndarray  # (T, n)
-    c: np.ndarray
-    soc: np.ndarray
-    modes: np.ndarray
-    marginals: np.ndarray  # active-coordinate cost slope at the applied u
-    interior: np.ndarray  # (T, n) bool, strictly inside the mode box
-    f_dist: np.ndarray
-    infos: list
-    fleet: Fleet
-    surrogate: RbfSurrogate | None
-    f_oracle: np.ndarray | None = None
-    u_star: np.ndarray | None = None
-    oracle_clamped: int = 0
+    `source` names a RunResult array, or with `info` a key of the optimizer
+    log. `per` makes one column per area or generator, numbered from 1
+    (`df1`, `p_m_cg1`), or per agent, numbered from 0 (`soc_0`).
+    """
+
+    column: str
+    source: str
+    per: str = ""  # "" | "area" | "cg" | "agent"
+    integer: bool = False
+    info: bool = False
+
+
+# The trace layout, in file order. The per-agent groups form one block that
+# is written agent by agent: aie_0, mode_0, ..., h_0, aie_1, ...
+TRACE_SPEC = (
+    TraceField("time", "time"),
+    TraceField("df", "df", per="area"),
+    TraceField("p_tie", "p_tie"),
+    TraceField("dist", "dist"),
+    TraceField("p_bess", "p_bess"),
+    TraceField("p_m_total", "p_m_total"),
+    TraceField("p_m_cg", "p_m_cg", per="cg"),
+    TraceField("signal_total", "signal_total"),
+    TraceField("surrogate_m", "surrogate_m", integer=True),
+    TraceField("aie", "aie_shares", per="agent"),
+    TraceField("mode", "modes", per="agent", integer=True),
+    TraceField("d", "d", per="agent"),
+    TraceField("c", "c", per="agent"),
+    TraceField("soc", "soc", per="agent"),
+    TraceField("marg", "marginals", per="agent"),
+    TraceField("lam", "lam", per="agent", info=True),
+    TraceField("lam_mix", "lam_mixed", per="agent", info=True),
+    TraceField("y", "y", per="agent", info=True),
+    TraceField("y_mix", "y_mixed", per="agent", info=True),
+    TraceField("h", "h", per="agent", info=True),
+    TraceField("kappa", "kappa", info=True),
+    TraceField("eps", "eps", info=True),
+    TraceField("reset", "reset", integer=True, info=True),
+    TraceField("stage", "stage", integer=True, info=True),
+    TraceField("t_opt", "t", integer=True, info=True),
+    TraceField("dual_bound", "bound", info=True),
+    TraceField("f_dist", "f_dist"),
+)
+
+
+def _width(f: TraceField, n_agents: int, n_cg: int) -> int:
+    return {"": 1, "area": 2, "cg": n_cg, "agent": n_agents}[f.per]
+
+
+def trace_columns(n_agents: int, n_cg: int) -> tuple:
+    """(header, column stem -> its column indices) of a trace."""
+    header, where = [], {}
+
+    def add(f, name):
+        where.setdefault(f.column, []).append(len(header))
+        header.append(name)
+
+    agent_block = [f for f in TRACE_SPEC if f.per == "agent"]
+    for f in TRACE_SPEC:
+        if f.per == "agent":
+            if f is agent_block[0]:
+                for i in range(n_agents):
+                    for g in agent_block:
+                        add(g, f"{g.column}_{i}")
+        elif f.per:
+            for j in range(_width(f, n_agents, n_cg)):
+                add(f, f"{f.column}{j + 1}")
+        else:
+            add(f, f.column)
+    return header, where
+
+
+class RunResult:
+    """One scenario run, recorded in place one control interval per row.
+
+    Each TRACE_SPEC field not read from the optimizer log is an array named
+    by its source (`marginals` is the active-coordinate cost slope at the
+    applied u). Beside them: `interior` (T, n), dispatch strictly inside
+    its mode box; `infos`, the optimizer log, one dict per interval when
+    the fleet takes part; `f_oracle` and `u_star` (T, n, 2), the reference
+    solution when it is solved.
+    """
+
+    def __init__(self, config: ScenarioConfig, fleet: Fleet, surrogate,
+                 oracle: bool):
+        rows = int(round(config.duration / config.tau))
+        n, n_cg = config.fleet.n, len(config.grid.inv_droops)
+        self.config, self.fleet, self.surrogate = config, fleet, surrogate
+        for f in TRACE_SPEC:
+            if not f.info:
+                shape = (rows, _width(f, n, n_cg)) if f.per else rows
+                setattr(self, f.source,
+                        np.zeros(shape, dtype=int if f.integer else float))
+        self.interior = np.zeros((rows, n), dtype=bool)
+        self.infos = []
+        self.trace_path = None
+        self.f_oracle = np.zeros(rows) if oracle else None
+        self.u_star = np.zeros((rows, n, 2)) if oracle else None
+        self.oracle_clamped = 0
 
     @property
     def stages(self) -> list:
@@ -300,34 +410,13 @@ class ScenarioRunner:
             self.disturbance = disturbance
         n = config.fleet.n
         self.n = n
-        try:
-            self.fleet = build_fleet(config.fleet)
-            if config.topology_edges is None:
-                topo = default_topology(n)
-            else:
-                topo = Topology(
-                    n, tuple(tuple(e) for e in config.topology_edges)
-                )
-            self.weights = build_metropolis_weights(topo)
-        except ValueError as err:  # battery parameters or TopologyError
-            raise ConfigError(str(err)) from err
+        self.fleet = build_fleet(config.fleet)
+        self.weights = build_metropolis_weights(config.topology())
         self.optimizer = OrraOptimizer(
             self.weights, config.learning_schedule(), gamma=config.optimizer.gamma
         )
-        g = config.grid
-        self.droop = SectionalDroop(g.frr_deadband, g.frr_slope)
-        area_kw = dict(
-            inertia=g.inertia, damping=g.damping, inv_droops=g.inv_droops,
-            t_gov=g.t_gov, t_turb=g.t_turb, ramp_limit=g.ramp_limit,
-            saturation=g.saturation, k_i=g.k_i, t_sync=g.t_sync,
-        )
-        try:
-            self.areas = (
-                AreaParams(frr=self.droop, **area_kw),
-                AreaParams(**{**area_kw, "k_i": g.k_i_area2}),
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        self.areas = config.areas()
+        self.droop = self.areas[0].frr
         self.state = zero_state(self.areas)
         self.sigma = np.full(n, 1.0 / n)
         self.sigma /= self.sigma.sum()
@@ -343,7 +432,10 @@ class ScenarioRunner:
         self.u = np.zeros((n, 2))
         self.agc1 = 0.0
         self.nu_hint = None
-        self.rows = []
+        self.result = RunResult(
+            config, self.fleet, self.surrogate,
+            oracle=oracle_every and config.bess_enabled,
+        )
 
     def disturbance(self, t: float) -> float:
         cfg = self.config
@@ -353,20 +445,21 @@ class ScenarioRunner:
             t, cfg.seed, cfg.fluct_hold, cfg.fluct_low, cfg.fluct_high
         )
 
-    def step(self, k: int) -> dict:
+    def step(self, k: int) -> None:
+        """Run control interval k and record it as row k of the result."""
         cfg = self.config
         tau = cfg.tau
         t0 = k * tau
         enabled = cfg.bess_enabled
+        rec = self.result
 
         # apply the pending decision, then run the plant over the interval
         if enabled:
             self.fleet.apply_all(self.u[:, 0], self.u[:, 1], tau)
         p_bess = float((self.u[:, 0] - self.u[:, 1]).sum()) if enabled else 0.0
-        inner = int(round(tau / cfg.dt_inner))
         agc2 = compute_ace(-self.state.p_tie, self.areas[1].bias,
                            self.state.df[1])
-        for j in range(inner):
+        for j in range(cfg.inner_steps):
             dist = self.disturbance(t0 + j * cfg.dt_inner)
             self.state = grid_step(
                 self.state, np.array([p_bess, 0.0]),
@@ -396,191 +489,180 @@ class ScenarioRunner:
                         df1, -frr_response(df1, self.droop)
                     )
                 shares = shares + self.sigma * self.surrogate.evaluate(df1)
+                rec.surrogate_m[k] = self.surrogate.m
             self.agc1 = float(shares.sum())
         else:
             ace = compute_ace(p_tie, self.areas[0].bias, df1)
             shares = self.sigma * ace
             self.agc1 = float(ace)
 
-        # the row describes the interval starting at this boundary: the
-        # state just sampled plus the dispatch that covers [t, t+tau)
-        row = {
-            "time": t0 + tau,
-            "df1": df1,
-            "df2": float(self.state.df[1]),
-            "p_tie": p_tie,
-            "dist": self.disturbance(t0 + tau),
-            "p_bess": 0.0,
-            "p_m_total": pm_cg,
-            "p_m_cg": self.state.p_m[0].copy(),
-            "signal_total": self.agc1,
-            "surrogate_m": self.surrogate.m if self.surrogate else 0,
-            "aie": shares.copy(),
-            "soc": self.fleet.soc,
-        }
+        # row k describes the interval starting at this boundary: the state
+        # just sampled plus the dispatch that covers [t, t+tau); a fleet
+        # that sits out leaves its columns at zero
+        rec.time[k] = t0 + tau
+        rec.df[k] = self.state.df
+        rec.p_tie[k] = p_tie
+        rec.dist[k] = self.disturbance(t0 + tau)
+        rec.p_m_total[k] = pm_cg
+        rec.p_m_cg[k] = self.state.p_m[0]
+        rec.signal_total[k] = self.agc1
+        rec.aie_shares[k] = shares
+        rec.soc[k] = self.fleet.soc
+        if not enabled:
+            return
 
-        if enabled:
-            self.fleet.set_modes(shares, cfg.aie.mode_direction)
-            modes = self.fleet.modes
-            intervals = np.array(self.fleet.feasible_intervals(tau))
-            models = self.fleet.cost_models(tau)
-            grads = np.array(
-                [
-                    m.gradient(di, ci)
-                    for m, di, ci in zip(models, self.u[:, 0], self.u[:, 1])
-                ]
+        self.fleet.set_modes(shares, cfg.aie.mode_direction)
+        modes = self.fleet.modes
+        intervals = np.array(self.fleet.feasible_intervals(tau))
+        models = self.fleet.cost_models(tau)
+        grad = lambda d, c: np.array(
+            [m.gradient(di, ci) for m, di, ci in zip(models, d, c)]
+        )
+        cost = lambda d, c: sum(
+            m.value(di, ci) for m, di, ci in zip(models, d, c)
+        )
+        u_next, info = self.optimizer.iterate(
+            self.u, grad(self.u[:, 0], self.u[:, 1]), shares, df1, intervals,
+            modes,
+        )
+        d_new, c_new = u_next[:, 0], u_next[:, 1]
+        rec.f_dist[k] = cost(d_new, c_new)
+        grads_new = grad(d_new, c_new)
+        rec.marginals[k] = [
+            g[0] if mo == 1 else g[1] for g, mo in zip(grads_new, modes)
+        ]
+        active = np.where(modes == 1, d_new, c_new)
+        rec.interior[k] = (active > intervals[:, 0] + 1e-9) & (
+            active < intervals[:, 1] - 1e-9
+        )
+        rec.modes[k] = modes
+        rec.d[k] = d_new
+        rec.c[k] = c_new
+        rec.p_bess[k] = (d_new - c_new).sum()
+        rec.infos.append(info)
+        if self.oracle_every:
+            sol = centralized_solve(
+                models, modes, intervals, -float(shares.sum()),
+                on_infeasible="clamp", nu_hint=self.nu_hint,
             )
-            u_next, info = self.optimizer.iterate(
-                self.u, grads, shares, df1, intervals, modes
-            )
-            d_new, c_new = u_next[:, 0], u_next[:, 1]
-            f_dist = float(
-                sum(m.value(di, ci) for m, di, ci in zip(models, d_new, c_new))
-            )
-            grads_new = np.array(
-                [m.gradient(di, ci) for m, di, ci in zip(models, d_new, c_new)]
-            )
-            marg = np.array(
-                [g[0] if mo == 1 else g[1] for g, mo in zip(grads_new, modes)]
-            )
-            active = np.where(modes == 1, d_new, c_new)
-            interior = (active > intervals[:, 0] + 1e-9) & (
-                active < intervals[:, 1] - 1e-9
-            )
-            row.update(
-                modes=modes.copy(), f_dist=f_dist, marg=marg,
-                interior=interior, d=d_new.copy(), c=c_new.copy(),
-                p_bess=float((d_new - c_new).sum()), info=info,
-            )
-            if self.oracle_every:
-                sol = centralized_solve(
-                    models, modes, intervals, -float(shares.sum()),
-                    on_infeasible="clamp", nu_hint=self.nu_hint,
-                )
-                self.nu_hint = sol.nu
-                row["f_oracle"] = float(
-                    sum(
-                        m.value(di, ci)
-                        for m, di, ci in zip(models, sol.d, sol.c)
-                    )
-                )
-                row["u_star"] = np.stack([sol.d, sol.c], axis=1)
-                row["oracle_clamped"] = bool(sol.clamped)
-            self.u = u_next
-        else:
-            row.update(
-                modes=np.zeros(self.n, dtype=int),
-                f_dist=0.0,
-                marg=np.zeros(self.n),
-                interior=np.zeros(self.n, dtype=bool),
-                d=np.zeros(self.n),
-                c=np.zeros(self.n),
-            )
-        self.rows.append(row)
-        return row
+            self.nu_hint = sol.nu
+            rec.f_oracle[k] = cost(sol.d, sol.c)
+            rec.u_star[k] = np.stack([sol.d, sol.c], axis=1)
+            rec.oracle_clamped += int(sol.clamped)
+        self.u = u_next
 
     def run(self, out_dir: str | None = None, write_trace: bool = True):
-        n_intervals = int(round(self.config.duration / self.config.tau))
-        for k in range(n_intervals):
+        rec = self.result
+        for k in range(len(rec.time)):
             self.step(k)
-        trace_path = None
         if write_trace:
-            trace_path = write_trace_csv(
-                self.rows, self.config, resolve_out_dir(out_dir)
-            )
-        return self._result(trace_path)
-
-    def _result(self, trace_path) -> RunResult:
-        rows = self.rows
-        stack = lambda key: np.array([r[key] for r in rows])
-        infos = [r["info"] for r in rows if "info" in r]
-        has_oracle = self.oracle_every and rows and "f_oracle" in rows[0]
-        return RunResult(
-            config=self.config,
-            trace_path=trace_path,
-            time=stack("time"),
-            df=np.stack([stack("df1"), stack("df2")], axis=1),
-            p_tie=stack("p_tie"),
-            dist=stack("dist"),
-            p_bess=stack("p_bess"),
-            p_m_total=stack("p_m_total"),
-            p_m_cg=stack("p_m_cg"),
-            signal_total=stack("signal_total"),
-            aie_shares=stack("aie"),
-            d=stack("d"),
-            c=stack("c"),
-            soc=stack("soc"),
-            modes=stack("modes"),
-            marginals=stack("marg"),
-            interior=stack("interior"),
-            f_dist=stack("f_dist"),
-            infos=infos,
-            fleet=self.fleet,
-            surrogate=self.surrogate,
-            f_oracle=stack("f_oracle") if has_oracle else None,
-            u_star=stack("u_star") if has_oracle else None,
-            oracle_clamped=(
-                int(sum(r["oracle_clamped"] for r in rows)) if has_oracle else 0
-            ),
-        )
+            rec.trace_path = write_trace_csv(rec, resolve_out_dir(out_dir))
+        return rec
 
 
-def trace_columns(n_agents: int, n_cg: int) -> list:
-    cols = [
-        "time", "df1", "df2", "p_tie", "dist", "p_bess", "p_m_total",
-    ]
-    cols += [f"p_m_cg{j + 1}" for j in range(n_cg)]
-    cols += ["signal_total", "surrogate_m"]
-    for i in range(n_agents):
-        cols += [
-            f"aie_{i}", f"mode_{i}", f"d_{i}", f"c_{i}", f"soc_{i}",
-            f"marg_{i}", f"lam_{i}", f"lam_mix_{i}", f"y_{i}", f"y_mix_{i}",
-            f"h_{i}",
-        ]
-    cols += [
-        "kappa", "eps", "reset", "stage", "t_opt", "dual_bound", "f_dist",
-    ]
-    return cols
-
-
-def write_trace_csv(rows, config: ScenarioConfig, out_dir: str) -> str:
-    n = config.fleet.n
-    n_cg = len(config.grid.inv_droops)
-    path = os.path.join(out_dir, f"{config.name}.csv")
-    cols = trace_columns(n, n_cg)
-    fmt = lambda v: f"{v:.12g}"
+def write_trace_csv(result: RunResult, out_dir: str) -> str:
+    """Write a run as `<name>.csv` in the layout of TRACE_SPEC."""
+    cfg = result.config
+    header, where = trace_columns(cfg.fleet.n, len(cfg.grid.inv_droops))
+    rows = len(result.time)
+    table = np.zeros((rows, len(header)))
+    fmt = [""] * len(header)
+    for f in TRACE_SPEC:
+        cols = where[f.column]
+        for j in cols:
+            fmt[j] = "%d" if f.integer else "%.12g"
+        if not f.info:
+            values = getattr(result, f.source)
+        elif result.infos:
+            values = [info[f.source] for info in result.infos]
+        else:  # no optimizer log without the fleet: the columns stay zero
+            continue
+        table[:, cols] = np.reshape(values, (rows, len(cols)))
+    path = os.path.join(out_dir, f"{cfg.name}.csv")
     with open(path, "w") as fh:
-        fh.write(f"# schema: {TRACE_SCHEMA}\n")
-        fh.write(",".join(cols) + "\n")
-        zero_info = {
-            "kappa": 0.0, "eps": 0.0, "reset": False, "stage": 0, "t": 0,
-            "bound": 0.0, "lam": np.zeros(n), "lam_mixed": np.zeros(n),
-            "y": np.zeros(n), "y_mixed": np.zeros(n), "h": np.zeros(n),
-        }
-        for row in rows:
-            info = row.get("info", zero_info)
-            vals = [
-                fmt(row["time"]), fmt(row["df1"]), fmt(row["df2"]),
-                fmt(row["p_tie"]), fmt(row["dist"]), fmt(row["p_bess"]),
-                fmt(row["p_m_total"]),
-            ]
-            vals += [fmt(v) for v in row["p_m_cg"]]
-            vals += [fmt(row["signal_total"]), str(row["surrogate_m"])]
-            for i in range(n):
-                vals += [
-                    fmt(row["aie"][i]), str(int(row["modes"][i])),
-                    fmt(row["d"][i]), fmt(row["c"][i]), fmt(row["soc"][i]),
-                    fmt(row["marg"][i]), fmt(info["lam"][i]),
-                    fmt(info["lam_mixed"][i]), fmt(info["y"][i]),
-                    fmt(info["y_mixed"][i]), fmt(info["h"][i]),
-                ]
-            vals += [
-                fmt(info["kappa"]), fmt(info["eps"]),
-                str(int(bool(info["reset"]))), str(info["stage"]),
-                str(info["t"]), fmt(info["bound"]), fmt(row["f_dist"]),
-            ]
-            fh.write(",".join(vals) + "\n")
+        fh.write(f"# schema: {TRACE_SCHEMA}\n" + ",".join(header) + "\n")
+        np.savetxt(fh, table, fmt=fmt, delimiter=",")
     return path
+
+
+def verify_trace(
+    path: str, soc_min: float = 0.2, soc_max: float = 0.8
+) -> dict:
+    """Check a written trace against the row-level invariants.
+
+    Validates that the file parses as numbers, the schema line, the column
+    layout, uniform time steps, finite values, SoC bounds, one-sided
+    battery dispatch, mode codes, and the logged multiplier-bound column.
+    Returns a report dict with `passed` plus one entry per check.
+    """
+    report = {"trace": path, "rows": 0, "checks": {}, "passed": True}
+
+    def record(name, ok, detail=""):
+        report["checks"][name] = {"ok": bool(ok), "detail": detail}
+        if not ok:
+            report["passed"] = False
+
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        if len(lines) < 2:
+            raise ValueError("no schema and header lines")
+        header = lines[1].split(",")
+        data = np.array(
+            [[float(v) for v in line.split(",")] for line in lines[2:]]
+        )
+        if data.size and data.shape[1] != len(header):
+            raise ValueError(f"{data.shape[1]} cells a row, {len(header)} names")
+    except ValueError as err:
+        record("parse", False, str(err))
+        return report
+    record("parse", True)
+    report["rows"] = len(data)
+    record("schema", lines[0] == f"# schema: {TRACE_SCHEMA}", lines[0])
+    n = sum(1 for c in header if c.startswith("soc_"))
+    n_cg = sum(1 for c in header if c.startswith("p_m_cg"))
+    expected, where = trace_columns(n, n_cg)
+    record(
+        "columns",
+        header == expected,
+        f"{len(header)} columns, {n} agents, {n_cg} generators",
+    )
+    if not report["checks"]["columns"]["ok"] or not len(data):
+        record("rows_present", bool(len(data)))
+        return report
+    col = lambda stem: data[:, where[stem]]
+    record("finite", bool(np.isfinite(data).all()))
+    t = col("time")[:, 0]
+    steps = np.diff(t)
+    record(
+        "uniform_time",
+        bool(len(t) == 1 or (steps > 0).all()
+             and np.allclose(steps, steps[0], rtol=0, atol=1e-9)),
+        f"step {steps[0]:.6g} s" if len(t) > 1 else "single row",
+    )
+    soc = col("soc")
+    bad = np.nonzero((soc < soc_min - 1e-9) | (soc > soc_max + 1e-9))
+    record(
+        "soc_bounds",
+        bad[0].size == 0,
+        "" if bad[0].size == 0 else f"first violation at row {bad[0][0]}",
+    )
+    both = np.nonzero((col("d") > 0) & (col("c") > 0))
+    record(
+        "one_sided_dispatch",
+        both[0].size == 0,
+        "" if both[0].size == 0 else f"first violation at row {both[0][0]}",
+    )
+    record("mode_codes", bool(np.isin(col("mode"), (0.0, 1.0)).all()))
+    lam = np.abs(col("lam")).max(axis=1)
+    bound = col("dual_bound")[:, 0]
+    active = bound > 0
+    record(
+        "multiplier_bound",
+        bool((lam[active] <= bound[active] + 1e-9).all()),
+        f"{int(active.sum())} bounded rows",
+    )
+    return report
 
 
 def run_scenario(

@@ -19,9 +19,7 @@ from .scenario import (
     RunResult,
     ScenarioConfig,
     ScenarioRunner,
-    TRACE_SCHEMA,
     resolve_out_dir,
-    trace_columns,
 )
 
 # the four comparison arms: signal choice crossed with fleet participation
@@ -506,84 +504,3 @@ def export_fluctuation_curves(
         ),
     ]
     return paths
-
-
-# ---------------------------------------------------------------------------
-# post-run trace validation
-# ---------------------------------------------------------------------------
-
-
-def verify_trace(
-    path: str, soc_min: float = 0.2, soc_max: float = 0.8
-) -> dict:
-    """Check a written trace against the row-level invariants.
-
-    Validates the schema line, the column layout, uniform time steps,
-    finite values, SoC bounds, one-sided battery dispatch, mode codes,
-    and the logged multiplier-bound column.  Returns a report dict with
-    `passed` plus one entry per check.
-    """
-    with open(path) as fh:
-        schema_line = fh.readline().strip()
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [list(map(float, row)) for row in reader]
-    report = {"trace": path, "rows": len(rows), "checks": {}, "passed": True}
-
-    def record(name, ok, detail=""):
-        report["checks"][name] = {"ok": bool(ok), "detail": detail}
-        if not ok:
-            report["passed"] = False
-
-    record(
-        "schema",
-        schema_line == f"# schema: {TRACE_SCHEMA}",
-        schema_line,
-    )
-    n = sum(1 for c in header if c.startswith("soc_"))
-    n_cg = sum(1 for c in header if c.startswith("p_m_cg"))
-    record(
-        "columns",
-        header == trace_columns(n, n_cg),
-        f"{len(header)} columns, {n} agents, {n_cg} generators",
-    )
-    if not report["checks"]["columns"]["ok"] or not rows:
-        record("rows_present", bool(rows))
-        return report
-    data = np.array(rows)
-    col = {name: k for k, name in enumerate(header)}
-    record("finite", bool(np.isfinite(data).all()))
-    t = data[:, col["time"]]
-    steps = np.diff(t)
-    record(
-        "uniform_time",
-        bool(len(t) == 1 or (steps > 0).all()
-             and np.allclose(steps, steps[0], rtol=0, atol=1e-9)),
-        f"step {steps[0]:.6g} s" if len(t) > 1 else "single row",
-    )
-    soc = data[:, [col[f"soc_{i}"] for i in range(n)]]
-    bad = np.nonzero((soc < soc_min - 1e-9) | (soc > soc_max + 1e-9))
-    record(
-        "soc_bounds",
-        bad[0].size == 0,
-        "" if bad[0].size == 0 else f"first violation at row {bad[0][0]}",
-    )
-    d = data[:, [col[f"d_{i}"] for i in range(n)]]
-    c = data[:, [col[f"c_{i}"] for i in range(n)]]
-    both = np.nonzero((d > 0) & (c > 0))
-    record(
-        "one_sided_dispatch",
-        both[0].size == 0,
-        "" if both[0].size == 0 else f"first violation at row {both[0][0]}",
-    )
-    modes = data[:, [col[f"mode_{i}"] for i in range(n)]]
-    record("mode_codes", bool(np.isin(modes, (0.0, 1.0)).all()))
-    lam = np.abs(data[:, [col[f"lam_{i}"] for i in range(n)]]).max(axis=1)
-    bound = data[:, col["dual_bound"]]
-    active = bound > 0
-    record(
-        "multiplier_bound",
-        bool((lam[active] <= bound[active] + 1e-9).all()),
-        f"{int(active.sum())} bounded rows",
-    )
-    return report

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from orra.cli import main
+from orra.cli import build_parser, main
 from orra.scenario import ScenarioConfig
 
 
@@ -29,6 +29,28 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
 
     bad.write_text(json.dumps({"optimizer": {"alpha": 1.5}}))
     assert main(["validate", str(bad)]) == 2
+    capsys.readouterr()
+
+    # each is rejected when the config loads, before a run could start
+    for data in (
+        {"duration": float("nan")},
+        {"dt_inner": 0.03},  # 3 steps would cover 0.09 s of each 0.1 s
+        {"fleet": {"initial_soc": []}},
+        {"topology_edges": [[0, 1], [1, 7]]},
+        {"fleet": {"capacity": -2.0}},
+        {"fleet": 5},
+    ):
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2, data
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert "config ok" not in captured.out
+
+
+def test_regret_default_horizons_span_a_decade():
+    args = build_parser().parse_args(["regret", "cfg.json"])
+    assert args.horizons == sorted(args.horizons)
+    assert args.horizons[-1] >= 10 * args.horizons[0]
 
 
 def test_run_writes_trace_and_curves(cfg_path, tmp_path, capsys):
@@ -64,6 +86,10 @@ def test_verify_cli(cfg_path, tmp_path, capsys):
     lines[5] = ",".join(cells)
     broken = tmp_path / "broken.csv"
     broken.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(broken)]) == 3
+
+    # unparsable traces are reported, not raised
+    broken.write_text("")
     assert main(["verify", str(broken)]) == 3
 
 

@@ -6,7 +6,12 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
-from orra.scenario import ConfigError, ScenarioConfig, ScenarioRunner
+from orra.scenario import (
+    ConfigError,
+    ScenarioConfig,
+    ScenarioRunner,
+    verify_trace,
+)
 from orra.studies import (
     arm_label,
     export_ablation_curves,
@@ -18,7 +23,6 @@ from orra.studies import (
     settle_time,
     stage_cost_gaps,
     stage_lemma_checks,
-    verify_trace,
 )
 
 
@@ -210,3 +214,31 @@ def test_verify_trace_passes_and_catches_corruption(short_oracle_run, tmp_path):
     rep = verify_trace(str(p))
     assert not rep["passed"]
     assert not rep["checks"]["mode_codes"]["ok"]
+
+    # unparsable files are reported as a failed parse check, not raised
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    rep = verify_trace(str(empty))
+    assert not rep["passed"]
+    assert not rep["checks"]["parse"]["ok"]
+
+    bad = lines[:]
+    cells = bad[7].split(",")
+    cells[3] = "abc"
+    bad[7] = ",".join(cells)
+    p = tmp_path / "non_numeric.csv"
+    p.write_text("\n".join(bad) + "\n")
+    rep = verify_trace(str(p))
+    assert not rep["passed"]
+    assert not rep["checks"]["parse"]["ok"]
+    assert "abc" in rep["checks"]["parse"]["detail"]
+
+    bad = lines[:]
+    bad[7] = bad[7].rsplit(",", 1)[0]
+    p = tmp_path / "short_row.csv"
+    p.write_text("\n".join(bad) + "\n")
+    assert not verify_trace(str(p))["checks"]["parse"]["ok"]
+
+    p = tmp_path / "binary.csv"
+    p.write_bytes(b"\xff\xfe\x00garbage")
+    assert not verify_trace(str(p))["checks"]["parse"]["ok"]
