@@ -8,6 +8,7 @@ area injection error.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,12 +38,15 @@ class BessParams:
     def __post_init__(self) -> None:
         if not 0 <= self.soc_min < self.soc_max <= 1:
             raise ValueError("need 0 <= soc_min < soc_max <= 1")
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if self.charge_limit < 0 or self.discharge_limit < 0:
-            raise ValueError("power limits must be nonnegative")
+        if not 0 < self.capacity < math.inf:
+            raise ValueError("capacity must be positive and finite")
+        if not (0 <= self.charge_limit < math.inf
+                and 0 <= self.discharge_limit < math.inf):
+            raise ValueError("power limits must be nonnegative and finite")
         if not (0 < self.eta_c <= 1 and 0 < self.eta_d <= 1):
             raise ValueError("efficiencies must lie in (0, 1]")
+        if not (math.isfinite(self.theta_a) and math.isfinite(self.theta_b)):
+            raise ValueError("cost weights must be finite")
 
 
 @dataclass

@@ -4,12 +4,14 @@ Aggregated swing model per area, three conventional generators apiece with
 first-order governor and turbine lags behind droop feedback, rate and
 magnitude limits on mechanical power, a synchronizing tie line, and a
 sectional-droop frequency-responsive load in area 1. Forward Euler at a
-fixed inner step; the agent layer reads the state once per control
-interval.
+fixed inner step on plain floats; one call advances one control interval,
+and the agent layer reads the state between calls.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -30,21 +32,17 @@ class SectionalDroop:
     slope: float = 40.0  # MW/Hz beyond the deadband
 
     def __post_init__(self):
-        if self.deadband < 0:
-            raise ValueError("deadband must be nonnegative")
-        if self.slope < 0:
-            raise ValueError("slope must be nonnegative")
+        if not 0 <= self.deadband < math.inf:
+            raise ValueError("deadband must be nonnegative and finite")
+        if not 0 <= self.slope < math.inf:
+            raise ValueError("slope must be nonnegative and finite")
 
     def response(self, df: float) -> float:
+        """Injection, MW, opposing the deviation beyond the deadband."""
         mag = abs(df) - self.deadband
         if mag <= 0:
             return 0.0
-        return -np.sign(df) * self.slope * mag
-
-
-def frr_response(df: float, droop: SectionalDroop) -> float:
-    """Frequency-responsive reserve injection for one deviation sample."""
-    return droop.response(df)
+        return -self.slope * mag if df > 0 else self.slope * mag
 
 
 @dataclass(frozen=True)
@@ -66,15 +64,16 @@ class AreaParams:
     def __post_init__(self):
         for name in ("inertia", "damping", "t_gov", "t_turb", "ramp_limit",
                      "saturation", "t_sync"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.k_i < 0:
-            raise ValueError("k_i must be nonnegative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.k_i < math.inf:
+            raise ValueError("k_i must be nonnegative and finite")
         if len(self.inv_droops) != len(self.sigma):
             raise ValueError("one participation factor per generator")
-        if any(r <= 0 for r in self.inv_droops):
-            raise ValueError("droop slopes must be positive")
-        if any(s < 0 for s in self.sigma) or abs(sum(self.sigma) - 1) > 1e-12:
+        if not all(0 < r < math.inf for r in self.inv_droops):
+            raise ValueError("droop slopes must be positive and finite")
+        if (not all(s >= 0 for s in self.sigma)
+                or not abs(sum(self.sigma) - 1) <= 1e-12):
             raise ValueError("participation factors must be >= 0 and sum to 1")
 
     @property
@@ -87,58 +86,26 @@ class AreaParams:
         return self.damping + float(sum(self.inv_droops))
 
 
-def default_areas() -> tuple[AreaParams, AreaParams]:
-    """Area 1 carries the responsive-load droop; area 2 is plain."""
-    return AreaParams(frr=SectionalDroop()), AreaParams()
-
-
-@dataclass
+@dataclass(frozen=True)
 class GridState:
-    df: np.ndarray  # (2,) Hz
-    du_gov: np.ndarray  # (2, n_cg) MW, AGC command integrators
-    gov: np.ndarray  # (2, n_cg) MW, governor valve states
-    p_m: np.ndarray  # (2, n_cg) MW, mechanical power deviations
-    p_tie: float  # MW, positive from area 1 into area 2
-    p_fr: np.ndarray  # (2,) MW, responsive-load injections
-    disturbance: np.ndarray  # (2,) MW, net-load increase
+    """Plant state at a control-interval boundary, as plain floats."""
 
-    def copy(self) -> "GridState":
-        return GridState(
-            self.df.copy(), self.du_gov.copy(), self.gov.copy(),
-            self.p_m.copy(), self.p_tie, self.p_fr.copy(),
-            self.disturbance.copy(),
-        )
+    df: tuple  # (2,) Hz
+    du_gov: tuple  # per area, one AGC command integrator per generator, MW
+    gov: tuple  # per area, governor valve states, MW
+    p_m: tuple  # per area, mechanical power deviations, MW
+    p_tie: float  # MW, positive from area 1 into area 2
+    p_fr: tuple  # (2,) MW, responsive-load injections
 
 
 def zero_state(areas) -> GridState:
-    n = max(a.n_cg for a in areas)
-    return GridState(
-        df=np.zeros(2),
-        du_gov=np.zeros((2, n)),
-        gov=np.zeros((2, n)),
-        p_m=np.zeros((2, n)),
-        p_tie=0.0,
-        p_fr=np.zeros(2),
-        disturbance=np.zeros(2),
-    )
+    zeros = tuple((0.0,) * a.n_cg for a in areas)
+    return GridState((0.0, 0.0), zeros, zeros, zeros, 0.0, (0.0, 0.0))
 
 
-def governor_turbine_step(gov, p_m, commands, df, area: AreaParams, dt):
-    """Advance one area's generator lags one explicit-Euler step.
-
-    gov, p_m, commands: (n_cg,) arrays; returns the new (gov, p_m). The
-    turbine output rate is clamped to the ramp limit and its magnitude to
-    the saturation band.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    inv_r = np.asarray(area.inv_droops, dtype=float)
-    valve_target = np.asarray(commands, dtype=float) - df * inv_r
-    gov_next = gov + dt * (valve_target - gov) / area.t_gov
-    rate = (gov - p_m) / area.t_turb
-    rate = np.clip(rate, -area.ramp_limit, area.ramp_limit)
-    p_m_next = np.clip(p_m + dt * rate, -area.saturation, area.saturation)
-    return gov_next, p_m_next
+def _clamp(x: float, bound: float) -> float:
+    """x limited to [-bound, bound]; NaN passes through."""
+    return -bound if x < -bound else bound if x > bound else x
 
 
 def grid_step(
@@ -149,59 +116,65 @@ def grid_step(
     areas,
     dt: float = 0.01,
 ) -> GridState:
-    """One explicit-Euler step of the coupled two-area dynamics.
+    """Advance the coupled two-area dynamics over one control interval.
 
-    p_bess: (2,) storage injection per area, MW; agc_errors: (2,) regulation
-    signals integrated into the generator commands (negative error raises
-    generation); disturbances: (2,) net-load increases, MW. Dispatch
-    commands slew no faster than each unit's ramp limit and wind up no
+    One explicit-Euler step of dt per row of disturbances, the (2,) net-load
+    increases of that step, MW. p_bess: (2,) storage injection per area, MW,
+    and agc_errors: (2,) regulation signals integrated into the generator
+    commands (negative error raises generation) hold over the interval.
+    Commands slew no faster than each unit's ramp limit and wind up no
     further than its saturation band, so the commands stay followable.
+
+    Finiteness is checked once, at the end: a NaN passes every clamp and an
+    infinity in an unclamped integrator (df, gov, p_tie) stays non-finite,
+    so a blow-up inside the interval still shows.
     """
-    p_bess = np.asarray(p_bess, dtype=float)
-    agc_errors = np.asarray(agc_errors, dtype=float)
-    disturbances = np.asarray(disturbances, dtype=float)
-    df = state.df
-    new = state.copy()
-    new.disturbance = disturbances.copy()
-    tie_sign = (-1.0, 1.0)  # tie power leaves area 1, enters area 2
-    for a, area in enumerate(areas):
-        k = area.n_cg
-        sigma = np.asarray(area.sigma, dtype=float)
-        delta = -dt * area.k_i * sigma * agc_errors[a]
-        step = area.ramp_limit * dt
-        new.du_gov[a, :k] = np.clip(
-            state.du_gov[a, :k] + np.clip(delta, -step, step),
-            -area.saturation, area.saturation,
-        )
-        gov_next, p_m_next = governor_turbine_step(
-            state.gov[a, :k], state.p_m[a, :k], state.du_gov[a, :k],
-            df[a], area, dt,
-        )
-        new.gov[a, :k] = gov_next
-        new.p_m[a, :k] = p_m_next
-        frr = area.frr.response(df[a]) if area.frr is not None else 0.0
-        new.p_fr[a] = frr
-        accel = (
-            state.p_m[a, :k].sum()
-            + p_bess[a]
-            + frr
-            - disturbances[a]
-            - area.damping * df[a]
-            + tie_sign[a] * state.p_tie
-        )
-        new.df[a] = df[a] + dt * accel / area.inertia
-    new.p_tie = state.p_tie + dt * areas[0].t_sync * (df[0] - df[1])
-    for name in ("df", "du_gov", "gov", "p_m", "p_fr"):
-        if not np.isfinite(getattr(new, name)).all():
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    # each generator's command slew is fixed while the error is held
+    slews = [
+        [_clamp(-dt * area.k_i * s * e, area.ramp_limit * dt)
+         for s in area.sigma]
+        for area, e in zip(areas, map(float, agc_errors))
+    ]
+    bess = [float(p) for p in p_bess]
+    tie_gain = dt * areas[0].t_sync
+    df, p_tie, p_fr = state.df, state.p_tie, state.p_fr
+    du_gov, gov, p_m = state.du_gov, state.gov, state.p_m
+    for dist in disturbances:
+        after = []  # per area: (df, du_gov, gov, p_m, p_fr) after the step
+        for a, area in enumerate(areas):
+            f, sat, ramp = df[a], area.saturation, area.ramp_limit
+            du_a, gov_a, pm_a = [], [], []
+            pm_sum = 0.0  # from 0.0 in generator order, as numpy sums
+            for u, g, p, slew, r in zip(du_gov[a], gov[a], p_m[a], slews[a],
+                                        area.inv_droops):
+                pm_sum += p
+                du_a.append(_clamp(u + slew, sat))
+                gov_a.append(g + dt * ((u - f * r) - g) / area.t_gov)
+                rate = _clamp((g - p) / area.t_turb, ramp)
+                pm_a.append(_clamp(p + dt * rate, sat))
+            frr = area.frr.response(f) if area.frr is not None else 0.0
+            accel = (
+                pm_sum + bess[a] + frr - dist[a] - area.damping * f
+                + (-1.0, 1.0)[a] * p_tie  # tie power leaves area 1
+            )
+            after.append((f + dt * accel / area.inertia, du_a, gov_a, pm_a,
+                          frr))
+        p_tie = p_tie + tie_gain * (df[0] - df[1])
+        df, du_gov, gov, p_m, p_fr = zip(*after)
+    new = GridState(
+        df, tuple(map(tuple, du_gov)), tuple(map(tuple, gov)),
+        tuple(map(tuple, p_m)), p_tie, p_fr,
+    )
+    for name, values in (
+        ("df", new.df), ("du_gov", chain(*new.du_gov)),
+        ("gov", chain(*new.gov)), ("p_m", chain(*new.p_m)),
+        ("p_fr", new.p_fr), ("p_tie", (new.p_tie,)),
+    ):
+        if not all(map(math.isfinite, values)):
             raise GridInstabilityError(name)
-    if not np.isfinite(new.p_tie):
-        raise GridInstabilityError("p_tie")
     return new
-
-
-def scenario_step_load(t: float) -> float:
-    """Case-study step: nothing before 10 s, then a 5 MW load increase."""
-    return 5.0 if t >= 10.0 else 0.0
 
 
 def scenario_fluctuation(

@@ -30,7 +30,6 @@ from .comm_graph import Topology, build_metropolis_weights, default_topology
 from .grid import (
     AreaParams,
     SectionalDroop,
-    frr_response,
     grid_step,
     scenario_fluctuation,
     zero_state,
@@ -141,13 +140,21 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.signal not in ("AIE", "ACE"):
             raise ConfigError(f"unknown signal mode {self.signal!r}")
-        if not all(math.isfinite(v) and v > 0
-                   for v in (self.duration, self.tau, self.dt_inner)):
-            raise ConfigError("duration, tau, and dt_inner must be positive")
+        if not all(0 < v < math.inf for v in (
+                self.duration, self.tau, self.dt_inner, self.fluct_hold)):
+            raise ConfigError(
+                "duration, tau, dt_inner, and fluct_hold must be positive"
+            )
         if abs(self.inner_steps * self.dt_inner - self.tau) > 1e-9 * self.tau:
             raise ConfigError(
                 f"dt_inner {self.dt_inner} does not divide tau {self.tau}"
             )
+        if self.intervals < 1:
+            raise ConfigError("duration is shorter than one control interval")
+        if not -math.inf < self.fluct_low <= self.fluct_high < math.inf:
+            raise ConfigError("need finite fluct_low <= fluct_high")
+        if not all(map(math.isfinite, (self.step_time, self.step_mw))):
+            raise ConfigError("step_time and step_mw must be finite")
         f = self.fleet
         for s in f.initial_soc:
             if not f.soc_min <= s <= f.soc_max:
@@ -168,6 +175,11 @@ class ScenarioConfig:
     def inner_steps(self) -> int:
         """Plant integration steps per control interval."""
         return int(round(self.tau / self.dt_inner))
+
+    @property
+    def intervals(self) -> int:
+        """Control intervals in the run, one trace row each."""
+        return int(round(self.duration / self.tau))
 
     def topology(self) -> Topology:
         n = self.fleet.n
@@ -363,7 +375,7 @@ class RunResult:
 
     def __init__(self, config: ScenarioConfig, fleet: Fleet, surrogate,
                  oracle: bool):
-        rows = int(round(config.duration / config.tau))
+        rows = config.intervals
         n, n_cg = config.fleet.n, len(config.grid.inv_droops)
         self.config, self.fleet, self.surrogate = config, fleet, surrogate
         for f in TRACE_SPEC:
@@ -418,6 +430,7 @@ class ScenarioRunner:
         self.areas = config.areas()
         self.droop = self.areas[0].frr
         self.state = zero_state(self.areas)
+        self.window = None  # last (hold window, value) of the fluctuation
         self.sigma = np.full(n, 1.0 / n)
         self.sigma /= self.sigma.sum()
         self.surrogate = (
@@ -438,12 +451,16 @@ class ScenarioRunner:
         )
 
     def disturbance(self, t: float) -> float:
+        """Net-load increase in area 1 at time t, MW."""
         cfg = self.config
         if cfg.kind == "step":
             return cfg.step_mw if t >= cfg.step_time else 0.0
-        return scenario_fluctuation(
-            t, cfg.seed, cfg.fluct_hold, cfg.fluct_low, cfg.fluct_high
-        )
+        k = int(t // cfg.fluct_hold)  # the profile holds one draw a window
+        if self.window is None or self.window[0] != k:
+            self.window = (k, scenario_fluctuation(
+                t, cfg.seed, cfg.fluct_hold, cfg.fluct_low, cfg.fluct_high
+            ))
+        return self.window[1]
 
     def step(self, k: int) -> None:
         """Run control interval k and record it as row k of the result."""
@@ -459,19 +476,18 @@ class ScenarioRunner:
         p_bess = float((self.u[:, 0] - self.u[:, 1]).sum()) if enabled else 0.0
         agc2 = compute_ace(-self.state.p_tie, self.areas[1].bias,
                            self.state.df[1])
-        for j in range(cfg.inner_steps):
-            dist = self.disturbance(t0 + j * cfg.dt_inner)
-            self.state = grid_step(
-                self.state, np.array([p_bess, 0.0]),
-                np.array([self.agc1, agc2]), np.array([dist, 0.0]),
-                self.areas, cfg.dt_inner,
-            )
+        dists = [(self.disturbance(t0 + j * cfg.dt_inner), 0.0)
+                 for j in range(cfg.inner_steps)]
+        self.state = grid_step(
+            self.state, (p_bess, 0.0), (self.agc1, agc2), dists, self.areas,
+            cfg.dt_inner,
+        )
 
         # measure the area signals at the interval boundary
-        df1 = float(self.state.df[0])
-        p_tie = float(self.state.p_tie)
-        du_cg = float(self.state.du_gov[0].sum())
-        pm_cg = float(self.state.p_m[0].sum())
+        df1 = self.state.df[0]
+        p_tie = self.state.p_tie
+        du_cg = float(np.sum(self.state.du_gov[0]))
+        pm_cg = float(np.sum(self.state.p_m[0]))
         if cfg.signal == "AIE":
             inputs = AieInputs(
                 dPtie=p_tie, df=df1, D_prime=cfg.aie.d_prime,
@@ -486,7 +502,7 @@ class ScenarioRunner:
                     # responsive loads report in load convention: an
                     # injection shows up as a negative load deviation
                     self.surrogate.add_sample(
-                        df1, -frr_response(df1, self.droop)
+                        df1, -self.droop.response(df1)
                     )
                 shares = shares + self.sigma * self.surrogate.evaluate(df1)
                 rec.surrogate_m[k] = self.surrogate.m

@@ -12,7 +12,7 @@ import pytest
 
 from orra.aie import RbfSurrogate
 from orra.degradation import EMPTY_STACK, finalize, rainflow_step
-from orra.grid import SectionalDroop, frr_response
+from orra.grid import SectionalDroop
 from orra.optimizer import OrraOptimizer
 from orra.oracle import (
     centralized_solve,
@@ -275,7 +275,7 @@ def test_criterion_08_surrogate_exactness():
     droop = SectionalDroop()  # module-default deadband and slope
 
     def truth(df):
-        return -frr_response(df, droop)
+        return -droop.response(df)
 
     s = RbfSurrogate()
     worst_stored = 0.0

@@ -23,6 +23,11 @@ def test_params_validation():
         BessParams(capacity=0.0)
     with pytest.raises(ValueError):
         BessParams(eta_c=0.0)
+    for bad in (float("nan"), float("inf")):
+        for name in ("capacity", "charge_limit", "discharge_limit", "eta_c",
+                     "eta_d", "soc_min", "soc_max", "theta_a", "theta_b"):
+            with pytest.raises(ValueError):
+                BessParams(**{name: bad})
 
 
 def test_soc_step_no_power_no_change():

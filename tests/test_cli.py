@@ -39,6 +39,13 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
         {"topology_edges": [[0, 1], [1, 7]]},
         {"fleet": {"capacity": -2.0}},
         {"fleet": 5},
+        {"duration": 0.04},  # rounds to no control interval
+        {"kind": "fluctuation", "fluct_hold": 0},
+        {"kind": "fluctuation", "fluct_hold": float("inf")},
+        {"kind": "fluctuation", "fluct_low": 2.0, "fluct_high": -2.0},
+        {"fleet": {"capacity": float("nan")}},
+        {"grid": {"inertia": float("nan")}},
+        {"step_mw": float("nan")},
     ):
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == 2, data

@@ -1,19 +1,22 @@
 """Two-area plant: droop loads, generator limits, coupling, scenarios."""
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+import plant_reference as ref
 from orra.grid import (
     AreaParams,
     GridInstabilityError,
+    GridState,
     SectionalDroop,
-    default_areas,
-    frr_response,
-    governor_turbine_step,
     grid_step,
     scenario_fluctuation,
-    scenario_step_load,
     zero_state,
 )
+from plant_reference import default_areas, frr_response, scenario_step_load
+
+NAN, INF = float("nan"), float("inf")
 
 
 def test_sectional_droop_values():
@@ -30,6 +33,11 @@ def test_sectional_droop_validation():
         SectionalDroop(deadband=-0.01)
     with pytest.raises(ValueError):
         SectionalDroop(slope=-5.0)
+    for bad in (NAN, INF):
+        with pytest.raises(ValueError):
+            SectionalDroop(deadband=bad)
+        with pytest.raises(ValueError):
+            SectionalDroop(slope=bad)
 
 
 def test_area_params_validation():
@@ -39,40 +47,51 @@ def test_area_params_validation():
         AreaParams(sigma=(0.5, 0.5))  # length mismatch with generators
     with pytest.raises(ValueError):
         AreaParams(sigma=(0.9, 0.2, -0.1))
+    for bad in (NAN, INF, -INF):
+        for name in ("inertia", "damping", "t_gov", "t_turb", "ramp_limit",
+                     "saturation", "k_i", "t_sync"):
+            with pytest.raises(ValueError):
+                AreaParams(**{name: bad})
+        with pytest.raises(ValueError):
+            AreaParams(inv_droops=(20.0, bad, 20.0))
+        with pytest.raises(ValueError):
+            AreaParams(sigma=(0.5, 0.5, bad))
     assert AreaParams().bias == pytest.approx(61.0)
 
 
+def hold_frequency(area, command, steps, dt=0.01):
+    """Generator lags of `area` under a fixed command, frequency held at 0.
+
+    Both areas are `area`, their AGC commands set to `command` with a zero
+    error so the commands stay put. Each one-step interval's net load
+    matches the mechanical power the swing equation sees, so df, and with
+    it the tie flow, stays exactly zero. Returns area 1's (gov, p_m).
+    """
+    areas = (area, area)
+    cmd = tuple(float(c) for c in command)
+    state = replace(zero_state(areas), du_gov=(cmd, cmd))
+    for _ in range(steps):
+        load = [tuple(sum(p) for p in state.p_m)]
+        state = grid_step(state, (0.0, 0.0), (0.0, 0.0), load, areas, dt)
+        assert state.df == (0.0, 0.0) and state.du_gov == (cmd, cmd)
+    return np.array(state.gov[0]), np.array(state.p_m[0])
+
+
 def test_governor_rest_state():
-    area = AreaParams()
-    gov = np.zeros(3)
-    p_m = np.zeros(3)
-    for _ in range(100):
-        gov, p_m = governor_turbine_step(
-            gov, p_m, np.zeros(3), 0.0, area, 0.01
-        )
+    gov, p_m = hold_frequency(AreaParams(), np.zeros(3), 100)
     assert np.all(gov == 0.0) and np.all(p_m == 0.0)
 
 
 def test_governor_unity_dc_gain():
     # no limits active: 1 MW command settles at 1 MW output
     area = AreaParams(inv_droops=(20.0,), sigma=(1.0,), ramp_limit=1e3)
-    gov = np.zeros(1)
-    p_m = np.zeros(1)
-    for _ in range(1000):
-        gov, p_m = governor_turbine_step(
-            gov, p_m, np.array([1.0]), 0.0, area, 0.01
-        )
+    gov, p_m = hold_frequency(area, [1.0], 1000)
     assert p_m[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_ramp_limited_unit_takes_100s_for_2_7mw():
     area = AreaParams(inv_droops=(20.0,), sigma=(1.0,), ramp_limit=0.027)
-    gov = np.zeros(1)
-    p_m = np.zeros(1)
-    for _ in range(10000):  # 100 s at dt = 0.01
-        gov, p_m = governor_turbine_step(
-            gov, p_m, np.array([10.0]), 0.0, area, 0.01
-        )
+    gov, p_m = hold_frequency(area, [10.0], 10000)  # 100 s at dt = 0.01
     assert p_m[0] == pytest.approx(2.7, rel=0.02)
 
 
@@ -82,28 +101,22 @@ def test_nonlinearity_engages_on_large_command():
     free = AreaParams(
         inv_droops=(20.0,), sigma=(1.0,), ramp_limit=1e9, saturation=1e9
     )
-    gov = p_m = np.zeros(1)
-    gov_f = p_m_f = np.zeros(1)
-    cmd = np.array([10.0])
-    for _ in range(5000):
-        gov, p_m = governor_turbine_step(gov, p_m, cmd, 0.0, area, 0.01)
-        gov_f, p_m_f = governor_turbine_step(
-            gov_f, p_m_f, cmd, 0.0, free, 0.01
-        )
+    gov, p_m = hold_frequency(area, [10.0], 5000)
+    gov_f, p_m_f = hold_frequency(free, [10.0], 5000)
     assert abs(p_m[0] - p_m_f[0]) > 0.1 * abs(p_m_f[0])
 
 
 def test_zero_state_stays_zero():
     areas = default_areas()
     state = zero_state(areas)
-    for _ in range(200):
+    for _ in range(20):
         state = grid_step(
-            state, np.zeros(2), np.zeros(2), np.zeros(2), areas
+            state, (0.0, 0.0), (0.0, 0.0), [(0.0, 0.0)] * 10, areas
         )
-    assert np.all(state.df == 0.0)
+    assert np.all(np.array(state.df) == 0.0)
     assert state.p_tie == 0.0
-    assert np.all(state.p_m == 0.0)
-    assert np.all(state.p_fr == 0.0)
+    assert np.all(np.array(state.p_m) == 0.0)
+    assert np.all(np.array(state.p_fr) == 0.0)
 
 
 def test_steady_state_frequency_with_droop_load():
@@ -115,9 +128,9 @@ def test_steady_state_frequency_with_droop_load():
     area = AreaParams(k_i=0.0, frr=droop)
     areas = (area, area)
     state = zero_state(areas)
-    for _ in range(60000):  # 600 s, past the ramp-limited approach
+    for _ in range(6000):  # 600 s, past the ramp-limited approach
         state = grid_step(
-            state, np.zeros(2), np.zeros(2), np.array([5.0, 5.0]), areas
+            state, (0.0, 0.0), (0.0, 0.0), [(5.0, 5.0)] * 10, areas
         )
     expected = -(5.0 + 40.0 * 0.01) / (1.0 + 60.0 + 40.0)
     assert state.df[0] == pytest.approx(expected, abs=1e-4)
@@ -134,10 +147,9 @@ def test_small_signal_linearity():
         out = []
         for _ in range(2000):
             state = grid_step(
-                state, np.zeros(2), np.zeros(2),
-                np.array([0.002 * scale, 0.0]), areas,
+                state, (0.0, 0.0), (0.0, 0.0), [(0.002 * scale, 0.0)], areas,
             )
-            out.append(state.df.copy())
+            out.append(state.df)
         return np.array(out)
 
     one = run(1.0)
@@ -149,9 +161,9 @@ def test_small_signal_linearity():
 def test_tie_line_couples_areas():
     areas = default_areas()
     state = zero_state(areas)
-    for _ in range(1000):
+    for _ in range(100):
         state = grid_step(
-            state, np.zeros(2), np.zeros(2), np.array([5.0, 0.0]), areas
+            state, (0.0, 0.0), (0.0, 0.0), [(5.0, 0.0)] * 10, areas
         )
     # area-2 frequency is dragged down through the tie line
     assert state.df[1] < -1e-4
@@ -164,14 +176,14 @@ def test_swing_equation_bookkeeping():
     rng = np.random.default_rng(2)
     dt = 0.01
     for _ in range(500):
-        dist = np.array([rng.uniform(0, 5), 0.0])
-        bess = np.array([rng.uniform(-1, 1), 0.0])
-        agc = np.array([rng.uniform(-2, 2), 0.0])
-        nxt = grid_step(state, bess, agc, dist, areas, dt)
+        dist = (rng.uniform(0, 5), 0.0)
+        bess = (rng.uniform(-1, 1), 0.0)
+        agc = (rng.uniform(-2, 2), 0.0)
+        nxt = grid_step(state, bess, agc, [dist], areas, dt)
         for a, area in enumerate(areas):
             frr = area.frr.response(state.df[a]) if area.frr else 0.0
             accel = (
-                state.p_m[a].sum() + bess[a] + frr - dist[a]
+                sum(state.p_m[a]) + bess[a] + frr - dist[a]
                 - area.damping * state.df[a]
                 + (-1.0, 1.0)[a] * state.p_tie
             )
@@ -182,11 +194,140 @@ def test_swing_equation_bookkeeping():
 
 def test_instability_is_named():
     areas = default_areas()
-    state = zero_state(areas)
-    state.df[0] = np.nan
+    state = replace(zero_state(areas), df=(NAN, 0.0))
     with pytest.raises(GridInstabilityError) as err:
-        grid_step(state, np.zeros(2), np.zeros(2), np.zeros(2), areas)
+        grid_step(state, (0.0, 0.0), (0.0, 0.0), [(0.0, 0.0)] * 10, areas)
     assert "df" in str(err.value)
+
+
+def random_areas(rng):
+    """Two areas of one to four generators with limits that engage."""
+
+    def area(frr):
+        n = int(rng.integers(1, 5))
+        return AreaParams(
+            inertia=rng.uniform(5.0, 20.0), damping=rng.uniform(0.5, 2.0),
+            inv_droops=tuple(rng.uniform(5.0, 25.0, n).tolist()),
+            t_gov=rng.uniform(0.1, 0.4), t_turb=rng.uniform(0.3, 1.0),
+            ramp_limit=10.0 ** rng.uniform(-2.5, 1.0),
+            saturation=rng.uniform(0.3, 1.5), k_i=rng.uniform(0.0, 0.5),
+            sigma=tuple(rng.dirichlet(np.ones(n)).tolist()),
+            t_sync=rng.uniform(2.0, 20.0), frr=frr,
+        )
+
+    def droop():
+        return SectionalDroop(rng.uniform(0.002, 0.02),
+                              rng.uniform(10.0, 60.0))
+
+    return area(droop()), area(droop() if rng.random() < 0.5 else None)
+
+
+def random_state(rng, areas):
+    def rows(scale):
+        return tuple(
+            tuple((rng.uniform(-1.0, 1.0, a.n_cg) * scale(a)).tolist())
+            for a in areas
+        )
+
+    return GridState(
+        df=tuple(rng.uniform(-0.05, 0.05, 2).tolist()),
+        du_gov=rows(lambda a: a.saturation), gov=rows(lambda a: 3.0),
+        p_m=rows(lambda a: a.saturation), p_tie=rng.uniform(-1.0, 1.0),
+        p_fr=(0.0, 0.0),
+    )
+
+
+def engaged(state: ref.RefState, areas, agc_errors, dt) -> set:
+    """The nonlinearities and couplings the next reference step exercises."""
+    out = set()
+    if state.p_tie != 0.0 and state.df[0] != state.df[1]:
+        out.add("tie line")
+    for a, area in enumerate(areas):
+        k = area.n_cg
+        delta = -dt * area.k_i * np.asarray(area.sigma) * agc_errors[a]
+        step = area.ramp_limit * dt
+        if (np.abs(delta) > step).any():
+            out.add("command slew")
+        command = state.du_gov[a, :k] + np.clip(delta, -step, step)
+        rate = (state.gov[a, :k] - state.p_m[a, :k]) / area.t_turb
+        if (np.abs(rate) > area.ramp_limit).any():
+            out.add("ramp limit")
+        output = state.p_m[a, :k] + dt * np.clip(
+            rate, -area.ramp_limit, area.ramp_limit
+        )
+        if (np.abs(command) > area.saturation).any():
+            out.add("command saturation")
+        if (np.abs(output) > area.saturation).any():
+            out.add("output saturation")
+        if area.frr is not None:
+            df, band = state.df[a], area.frr.deadband
+            out.add("droop below" if df < -band else "droop above"
+                    if df > band else "inside deadband")
+    return out
+
+
+def test_kernel_matches_per_step_reference():
+    rng = np.random.default_rng(11)
+    seen = {}
+    for _ in range(40):
+        areas = random_areas(rng)
+        dt = float(rng.choice([0.005, 0.01, 0.02]))
+        state = random_state(rng, areas)
+        for _ in range(15):
+            steps = int(rng.integers(1, 13))
+            p_bess = tuple(rng.uniform(-2.0, 2.0, 2).tolist())
+            agc = tuple(rng.uniform(-5.0, 5.0, 2).tolist())
+            dists = [tuple(row) for row in rng.uniform(-8, 8, (steps, 2))
+                     .tolist()]
+            expect = ref.RefState.from_state(state)
+            for row in dists:
+                for name in engaged(expect, areas, agc, dt):
+                    seen[name] = seen.get(name, 0) + 1
+                expect = ref.grid_step(expect, p_bess, agc, row, areas, dt)
+            state = grid_step(state, p_bess, agc, dists, areas, dt)
+            expect = expect.to_state(areas)
+            for f in fields(GridState):
+                assert getattr(state, f.name) == getattr(expect, f.name), f
+    assert sorted(seen) == sorted([
+        "command saturation", "command slew", "droop above", "droop below",
+        "inside deadband", "output saturation", "ramp limit", "tie line",
+    ])
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("steps", [1, 10])
+@pytest.mark.parametrize("field,where,bad", [
+    ("agc", 0, NAN), ("agc", 1, NAN),
+    ("gov", 0, NAN), ("gov", 1, INF), ("gov", 0, -INF),
+    ("df", 0, NAN), ("df", 0, INF), ("df", 1, -INF),
+])
+def test_non_finite_values_raise_at_interval_end(steps, field, where, bad):
+    areas = default_areas()
+    state = zero_state(areas)
+    for _ in range(5):  # leave the rest state
+        state = grid_step(state, (0.3, 0.0), (-1.0, 0.2), [(5.0, 0.0)] * 10,
+                          areas)
+    agc = [-1.0, 0.2]
+    if field == "agc":
+        agc[where] = bad
+    elif field == "gov":
+        gov = [list(row) for row in state.gov]
+        gov[where][1] = bad
+        state = replace(state, gov=tuple(map(tuple, gov)))
+    else:
+        df = list(state.df)
+        df[where] = bad
+        state = replace(state, df=tuple(df))
+    dists = [(5.0, 0.0)] * steps
+    # the per-step reference stops somewhere inside the interval ...
+    with pytest.raises(GridInstabilityError), np.errstate(invalid="ignore"):
+        expect = ref.RefState.from_state(state)
+        for row in dists:
+            expect = ref.grid_step(expect, (0.3, 0.0), agc, row, areas)
+    # ... and the kernel at its end
+    with pytest.raises(GridInstabilityError) as err:
+        grid_step(state, (0.3, 0.0), agc, dists, areas)
+    assert err.value.name in ("df", "du_gov", "gov", "p_m", "p_fr", "p_tie")
 
 
 def test_step_load_scenario():

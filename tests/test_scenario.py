@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from orra import scenario
 from orra.grid import scenario_fluctuation
 from orra.scenario import (
     ConfigError,
@@ -115,6 +116,50 @@ def test_disturbance_override_is_used():
     k = np.searchsorted(r.time, 6.0)
     assert r.dist[k] == 1.5
     assert r.dist[0] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["step", "fluctuation"])
+def test_every_plant_step_sees_the_profile_at_its_time(kind, monkeypatch):
+    # a hold window that is not a whole number of intervals, and a step
+    # that lands inside an interval, so the load changes between plant
+    # steps of one interval
+    cfg = short_config(kind=kind, duration=11.0, fluct_hold=0.25,
+                       step_time=10.05, bess_enabled=False)
+    grid_calls, draws = [], []
+    real_grid, real_draw = scenario.grid_step, scenario.scenario_fluctuation
+
+    def spy_grid(state, p_bess, agc_errors, disturbances, areas, dt):
+        grid_calls.append(list(disturbances))
+        return real_grid(state, p_bess, agc_errors, disturbances, areas, dt)
+
+    def spy_draw(t, *args):
+        draws.append(t)
+        return real_draw(t, *args)
+
+    monkeypatch.setattr(scenario, "grid_step", spy_grid)
+    monkeypatch.setattr(scenario, "scenario_fluctuation", spy_draw)
+    r = ScenarioRunner(cfg).run(write_trace=False)
+
+    def direct(t):
+        if kind == "step":
+            return cfg.step_mw if t >= cfg.step_time else 0.0
+        return scenario_fluctuation(
+            t, cfg.seed, cfg.fluct_hold, cfg.fluct_low, cfg.fluct_high
+        )
+
+    assert len(grid_calls) == cfg.intervals == len(r.dist)
+    mixed = 0
+    for k, rows in enumerate(grid_calls):
+        t0 = k * cfg.tau
+        assert rows == [(direct(t0 + j * cfg.dt_inner), 0.0)
+                        for j in range(cfg.inner_steps)]
+        mixed += len({row[0] for row in rows}) > 1
+        assert r.dist[k] == direct(t0 + cfg.tau)
+    # the step, or each of the 22 odd quarter seconds, falls mid-interval
+    assert mixed == (1 if kind == "step" else 22)
+    if kind == "fluctuation":  # one draw per hold window, 0 s to 11 s
+        windows = [int(t // cfg.fluct_hold) for t in draws]
+        assert windows == list(range(45))
 
 
 def test_zero_mean_reserve_provision_over_30_minutes():
