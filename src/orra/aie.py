@@ -1,4 +1,4 @@
-"""Area control error, per-bus injection-error signals, and the RBF surrogate.
+"""Area control error, per-agent injection-error shares, and the RBF surrogate.
 
 The injection error refines the classic tie-line-plus-bias error with the
 measured gap between commanded and delivered generator power, which removes
@@ -8,6 +8,7 @@ RBF interpolant over sparsely infilled (frequency, response) samples.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,43 +31,25 @@ def compute_ace(dPtie, B, df):
     return dPtie + B * df
 
 
-@dataclass(frozen=True)
-class AieInputs:
-    """Area-level measurements needed to assign injection errors to buses."""
-
-    dPtie: float
-    df: float
-    D_prime: float
-    sigma: np.ndarray
-    du_gov: np.ndarray
-    dPm: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-        object.__setattr__(self, "du_gov", np.asarray(self.du_gov, dtype=float))
-        object.__setattr__(self, "dPm", np.asarray(self.dPm, dtype=float))
-        if (self.sigma < 0).any():
-            raise ValueError("participation factors must be nonnegative")
-        if abs(self.sigma.sum() - 1.0) > 1e-12:
-            raise ValueError("participation factors must sum to 1")
+def check_participation(sigma) -> np.ndarray:
+    """Participation factors as a float array: nonnegative, summing to 1."""
+    sigma = np.asarray(sigma, dtype=float)
+    if not (sigma >= 0).all():
+        raise ValueError("participation factors must be nonnegative")
+    if not abs(sigma.sum() - 1.0) <= 1e-12:
+        raise ValueError("participation factors must sum to 1")
+    return sigma
 
 
-def compute_aie_bus(inputs: AieInputs, bus: int, is_generator: bool = True):
-    """Injection error assigned to one bus; zero off the generator buses."""
-    if not is_generator:
-        return 0.0
-    share = inputs.sigma[bus] * (inputs.dPtie + inputs.D_prime * inputs.df)
-    return share + inputs.du_gov[bus] - inputs.dPm[bus]
+def aie_shares(sigma, p_tie, d_prime, df, du_cg, pm_cg) -> np.ndarray:
+    """Each agent's share of the area injection error.
 
-
-def compute_aie_total(inputs: AieInputs):
-    """Aggregate injection error: sum of the per-generator-bus assignments."""
-    return float(
-        inputs.dPtie
-        + inputs.D_prime * inputs.df
-        + inputs.du_gov.sum()
-        - inputs.dPm.sum()
-    )
+    share_i = sigma_i*(p_tie + D'*df) + sigma_i*du_cg - sigma_i*pm_cg: the
+    tie-line-plus-damping error and the gap between the generators'
+    summed governor command du_cg and mechanical power pm_cg, split by the
+    participation factors sigma (checked once, by `check_participation`).
+    """
+    return sigma * (p_tie + d_prime * df) + sigma * du_cg - sigma * pm_cg
 
 
 def gaussian_basis(x, xi):
@@ -104,7 +87,8 @@ class RbfSurrogate:
     Samples are admitted only when at least d_min away from every stored
     location, which keeps the kernel matrix well conditioned. When full,
     the oldest sample that is not a boundary point (min or max location)
-    is evicted so the covered span is preserved.
+    is evicted so the covered span is preserved, which takes room for
+    three samples.
     """
 
     xi: float = DEFAULT_XI
@@ -115,6 +99,12 @@ class RbfSurrogate:
     _order: list = field(default_factory=list)
     _counter: int = 0
     weights: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if not (0 < self.xi < math.inf and 0 < self.d_min < math.inf):
+            raise ValueError("rbf_xi and rbf_d_min must be positive and finite")
+        if type(self.max_samples) is not int or self.max_samples < 3:
+            raise ValueError("rbf_max_samples must be an integer of at least 3")
 
     @property
     def m(self) -> int:
@@ -150,17 +140,9 @@ class RbfSurrogate:
         gram = build_gram(self.sample_df, self.xi)
         self.weights = fit_weights(gram, self.sample_dP)
 
-    def gram(self) -> np.ndarray:
-        return build_gram(self.sample_df, self.xi)
-
     def evaluate(self, df):
         """Interpolated frequency-responsive correction at df (0 when empty)."""
         if not self.sample_df:
             return 0.0
         basis = gaussian_basis(df - np.asarray(self.sample_df), self.xi)
         return float(basis @ self.weights)
-
-
-def corrected_aie(aie_bus, surrogate: RbfSurrogate, df):
-    """Injection error with the learned frequency-responsive bias removed."""
-    return aie_bus + surrogate.evaluate(df)

@@ -1,10 +1,11 @@
-"""Battery models: SoC stepping, mode selection, feasible sets, projection.
+"""Battery models: SoC stepping, mode selection, and feasible boxes.
 
-Each battery carries its own rainflow residue stack so the per-interval
-usage cost can be rebuilt after every applied decision. Decisions are
-nonnegative (discharge, charge) pairs with at most one coordinate active,
-picked by a mode flag that follows the sign of the battery's share of the
-area injection error.
+Each battery carries its SoC, its mode and its own rainflow residue stack,
+so the per-interval usage cost can be rebuilt after every applied
+decision. Decisions are nonnegative (discharge, charge) pairs with at most
+one coordinate active, picked by a mode flag that follows the sign of the
+battery's share of the area injection error; the optimizer projects them
+onto the mode's box.
 """
 from __future__ import annotations
 
@@ -49,39 +50,14 @@ class BessParams:
             raise ValueError("cost weights must be finite")
 
 
-@dataclass
-class BessState:
-    soc: float
-    mode: int = 1  # 1 discharge, 0 charge
-    d: float = 0.0
-    c: float = 0.0
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Nonnegative (discharge, charge) power pair."""
-
-    d: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if self.d < 0 or self.c < 0:
-            raise ValueError("decision powers must be nonnegative")
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """The signed pair (d, -c) used by the optimizer algebra."""
-        return np.array([self.d, -self.c])
-
-
-def soc_step(state: BessState, c, d, params: BessParams, tau) -> float:
+def soc_step(soc: float, c, d, params: BessParams, tau) -> float:
     """Advance SoC by one interval of tau seconds at charge c / discharge d MW."""
     if c < 0 or d < 0:
         raise ValueError("powers must be nonnegative")
     if c > 0 and d > 0:
         raise ValueError("cannot charge and discharge simultaneously")
     tau_h = tau / 3600.0
-    x = state.soc + params.eta_c * tau_h / params.capacity * c
+    x = soc + params.eta_c * tau_h / params.capacity * c
     x -= tau_h / (params.eta_d * params.capacity) * d
     if x < params.soc_min - SOC_TOL or x > params.soc_max + SOC_TOL:
         raise SocViolationError(
@@ -90,28 +66,16 @@ def soc_step(state: BessState, c, d, params: BessParams, tau) -> float:
     return min(max(x, params.soc_min), params.soc_max)
 
 
-def mode_select(
-    aie_i,
-    neighbor_modes=(),
-    is_generator_bus: bool = True,
-    prev_mode: int = 1,
-    direction: int = 1,
-) -> int:
+def mode_select(aie_i, prev_mode: int = 1, direction: int = 1) -> int:
     """Pick the permitted power direction for the coming interval.
 
-    Generator buses follow the sign of their injection-error share;
+    The mode follows the sign of the agent's injection-error share;
     `direction=-1` flips the rule for deployments where a positive share
-    means surplus that the battery should absorb. Other buses copy the
-    delayed mode of the nearest generator bus (first entry), falling back
-    to the previous mode when no neighbor report is available.
+    means surplus that the battery should absorb. A zero share keeps the
+    previous mode.
     """
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
-    if not is_generator_bus:
-        for m in neighbor_modes:
-            if m is not None:
-                return int(m)
-        return int(prev_mode)
     signal = direction * aie_i
     if signal > 0:
         return 1
@@ -120,34 +84,27 @@ def mode_select(
     return int(prev_mode)
 
 
-def feasible_interval(state: BessState, mode: int, params: BessParams, tau):
+def feasible_interval(soc: float, mode: int, params: BessParams, tau):
     """Bounds [lo, hi] on the active power coordinate for one interval."""
     if mode not in (0, 1):
         raise ValueError("mode must be 0 or 1")
     tau_h = tau / 3600.0
     if mode == 1:
-        headroom = (state.soc - params.soc_min) * params.eta_d * params.capacity
+        headroom = (soc - params.soc_min) * params.eta_d * params.capacity
         hi = min(params.discharge_limit, headroom / tau_h)
     else:
-        headroom = (params.soc_max - state.soc) * params.capacity
+        headroom = (params.soc_max - soc) * params.capacity
         hi = min(params.charge_limit, headroom / (params.eta_c * tau_h))
     return 0.0, max(hi, 0.0)
 
 
-def project(u: Decision, interval, mode: int) -> Decision:
-    """Euclidean projection onto the mode-restricted box."""
-    lo, hi = interval
-    if mode == 1:
-        return Decision(min(max(u.d, lo), hi), 0.0)
-    return Decision(0.0, min(max(u.c, lo), hi))
-
-
 @dataclass
 class Battery:
-    """One battery with its rainflow bookkeeping and interval cost factory."""
+    """One battery: SoC, permitted direction, and rainflow bookkeeping."""
 
     params: BessParams
-    state: BessState
+    soc: float
+    mode: int = 1  # 1 discharge, 0 charge
     aging: AgingParams = field(default_factory=AgingParams)
     residues: ResidueStack = ()
     lifetime_loss: float = 0.0
@@ -156,37 +113,29 @@ class Battery:
     def __post_init__(self) -> None:
         if not self.residues:
             _, self.residues = degradation.rainflow_step(
-                self.state.soc, self.residues, self._k
+                self.soc, self.residues, self._k
             )
 
     def apply(self, d: float, c: float, tau: float):
         """Apply one interval's powers; returns the cycle events closed."""
-        x = soc_step(self.state, c, d, self.params, tau)
+        self.soc = soc_step(self.soc, c, d, self.params, tau)
         self._k += 1
-        events, self.residues = degradation.rainflow_step(x, self.residues, self._k)
-        self.state.soc = x
-        self.state.d, self.state.c = d, c
+        events, self.residues = degradation.rainflow_step(
+            self.soc, self.residues, self._k
+        )
         self.lifetime_loss += degradation.total_loss(events, self.aging)
         return events
 
     def cost_model(self, tau: float) -> degradation.IntervalCost:
+        p = self.params
         return degradation.interval_cost(
-            self.residues,
-            self.aging,
-            self.params.capacity,
-            self.params.eta_c,
-            self.params.eta_d,
-            self.params.theta_a,
-            self.params.theta_b,
-            tau,
+            self.residues, self.aging, p.capacity, p.eta_c, p.eta_d,
+            p.theta_a, p.theta_b, tau,
         )
-
-    def feasible(self, tau: float):
-        return feasible_interval(self.state, self.state.mode, self.params, tau)
 
 
 class Fleet:
-    """Convenience wrapper over a list of batteries."""
+    """The batteries of one run, in agent order."""
 
     def __init__(self, batteries) -> None:
         self.batteries = list(batteries)
@@ -199,37 +148,22 @@ class Fleet:
 
     @property
     def soc(self) -> np.ndarray:
-        return np.array([b.state.soc for b in self.batteries])
-
-    @property
-    def modes(self) -> np.ndarray:
-        return np.array([b.state.mode for b in self.batteries])
-
-    def set_modes(self, aie_shares, direction: int = 1) -> None:
-        for b, share in zip(self.batteries, aie_shares):
-            b.state.mode = mode_select(
-                share, prev_mode=b.state.mode, direction=direction
-            )
-
-    def feasible_intervals(self, tau: float):
-        return [b.feasible(tau) for b in self.batteries]
-
-    def cost_models(self, tau: float):
-        return [b.cost_model(tau) for b in self.batteries]
+        return np.array([b.soc for b in self.batteries])
 
     def apply_all(self, d, c, tau: float) -> None:
         for b, di, ci in zip(self.batteries, d, c):
             b.apply(float(di), float(ci), tau)
 
-    def project_all(self, d, c, tau: float):
-        """Project raw (d, c) vectors onto each battery's current mode box."""
-        out_d = np.zeros(self.n)
-        out_c = np.zeros(self.n)
-        for i, b in enumerate(self.batteries):
-            dec = project(
-                Decision(max(float(d[i]), 0.0), max(float(c[i]), 0.0)),
-                b.feasible(tau),
-                b.state.mode,
-            )
-            out_d[i], out_c[i] = dec.d, dec.c
-        return out_d, out_c
+    def plan(self, aie_shares, direction: int, tau: float):
+        """Set each battery's mode from its share for the coming interval.
+
+        Returns the interval's modes, (n, 2) boxes on the active power
+        coordinate, and frozen-residue cost models.
+        """
+        modes, boxes, models = [], [], []
+        for b, share in zip(self.batteries, aie_shares):
+            b.mode = mode_select(share, b.mode, direction)
+            modes.append(b.mode)
+            boxes.append(feasible_interval(b.soc, b.mode, b.params, tau))
+            models.append(b.cost_model(tau))
+        return np.array(modes), np.array(boxes), models

@@ -82,26 +82,3 @@ def build_metropolis_weights(topology: Topology) -> np.ndarray:
     for i in range(n):
         w[i, i] = 1.0 - w[i].sum()
     return w
-
-
-def check_doubly_stochastic(w: np.ndarray, tol: float = 1e-9) -> bool:
-    """True when w is square, nonnegative, and has unit row and column sums."""
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        return False
-    if (w < -tol).any():
-        return False
-    ones = np.ones(w.shape[0])
-    return bool(
-        np.abs(w.sum(axis=0) - ones).max() <= tol
-        and np.abs(w.sum(axis=1) - ones).max() <= tol
-    )
-
-
-def mix(values: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """One synchronous gossip round: each agent averages its neighborhood."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != w.shape[0]:
-        raise ValueError(
-            f"{values.shape[0]} values for a {w.shape[0]}-agent weight matrix"
-        )
-    return w @ values

@@ -112,20 +112,6 @@ def open_half(residues: ResidueStack):
     return abs(delta), (1 if delta > 0 else -1)
 
 
-def lifetime_loss(event: CycleEvent, params: AgingParams) -> float:
-    """Fractional lifetime consumed by one counted cycle."""
-    if event.depth < 0 or not 0 < event.n_cyc <= 1:
-        raise ValueError(f"malformed cycle event {event}")
-    return (event.n_cyc / 2.0) * params.a * event.depth**params.b
-
-
-def usage_cost(d, c, loss, theta_a, theta_b, tau) -> float:
-    """Battery usage cost in $/h: amortized aging loss plus power wear."""
-    if tau <= 0:
-        raise ValueError("interval length tau must be positive")
-    return theta_a * (3600.0 / tau) * loss + theta_b * (d - c) ** 2
-
-
 @dataclass(frozen=True)
 class IntervalCost:
     """Usage cost of one control interval with the residue stack frozen.
@@ -181,11 +167,6 @@ def interval_cost(
         g_d, g_c = g_discharge, g_charge  # fresh start: either move opens a half
     big_theta = theta_a * (3600.0 / tau) * (aging.a / 4.0)
     return IntervalCost(mu0, g_d, g_c, theta_b, big_theta, aging.b)
-
-
-def cost_gradient(d, c, model: IntervalCost):
-    """Subgradient of the frozen-residue interval cost at (d, c)."""
-    return model.gradient(d, c)
 
 
 def total_loss(events, params: AgingParams) -> float:

@@ -11,6 +11,7 @@ cap is hit or the frequency deviation spikes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,8 @@ class LearningSchedule:
     f_threshold: float = 0.05  # Hz
 
     def __post_init__(self):
-        if self.kappa0 <= 0:
-            raise ValueError("kappa0 must be positive")
+        if not 0 < self.kappa0 < math.inf:
+            raise ValueError("kappa0 must be positive and finite")
         if not 0 < self.eps0 <= 1:
             raise ValueError("eps0 must lie in (0, 1]")
         if not 0 < self.alpha <= self.beta < 1:
@@ -39,10 +40,10 @@ class LearningSchedule:
             raise ValueError("need 2*beta - 3*alpha <= 0")
         if 2 * self.beta - self.alpha - 1 > 1e-12:
             raise ValueError("need 2*beta - alpha - 1 <= 0")
-        if self.t_max < 1:
-            raise ValueError("t_max must be at least 1")
-        if self.f_threshold <= 0:
-            raise ValueError("f_threshold must be positive")
+        if not 1 <= self.t_max < math.inf:
+            raise ValueError("t_max must be finite and at least 1")
+        if not 0 < self.f_threshold < math.inf:
+            raise ValueError("f_threshold must be positive and finite")
 
     def rates(self, t: int) -> tuple[float, float]:
         if t <= 1:
@@ -139,8 +140,8 @@ class OrraOptimizer:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         n = self.weights.shape[0]
         self.n = n
         self.lam = np.zeros(n)

@@ -14,18 +14,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .aie import (
-    AieInputs,
-    RbfSurrogate,
-    compute_ace,
-    compute_aie_bus,
-)
-from .bess import Battery, BessParams, BessState, Fleet
+from .aie import RbfSurrogate, aie_shares, check_participation, compute_ace
+from .bess import Battery, BessParams, Fleet
 from .comm_graph import Topology, build_metropolis_weights, default_topology
 from .grid import (
     AreaParams,
@@ -155,19 +151,33 @@ class ScenarioConfig:
             raise ConfigError("need finite fluct_low <= fluct_high")
         if not all(map(math.isfinite, (self.step_time, self.step_mw))):
             raise ConfigError("step_time and step_mw must be finite")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError("seed must be a nonnegative integer")
+        if not all(type(v) is bool
+                   for v in (self.bess_enabled, self.aie.surrogate_enabled)):
+            raise ConfigError(
+                "bess_enabled and surrogate_enabled must be true or false"
+            )
+        a = self.aie
+        if not (0 < a.area_load < math.inf
+                and 0 <= a.d_prime_fraction < math.inf):
+            raise ConfigError(
+                "need finite area_load > 0 and d_prime_fraction >= 0"
+            )
         f = self.fleet
         for s in f.initial_soc:
             if not f.soc_min <= s <= f.soc_max:
                 raise ConfigError(
                     f"initial SoC {s} outside [{f.soc_min}, {f.soc_max}]"
                 )
-        if self.aie.mode_direction not in (-1, 1):
+        if a.mode_direction not in (-1, 1):
             raise ConfigError("mode_direction must be +1 or -1")
-        try:  # the checks the fleet, graph, plant and schedule make
+        # the checks the fleet, plant, surrogate, graph and schedule make
+        try:
             build_fleet(f)
-            build_metropolis_weights(self.topology())
             self.areas()
-            self.learning_schedule()
+            self.surrogate()
+            self.coordinator()
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
@@ -201,12 +211,20 @@ class ScenarioConfig:
             AreaParams(**{**kw, "k_i": g.k_i_area2}),
         )
 
-    def learning_schedule(self) -> LearningSchedule:
+    def surrogate(self) -> RbfSurrogate:
+        a = self.aie
+        return RbfSurrogate(xi=a.rbf_xi, d_min=a.rbf_d_min,
+                            max_samples=a.rbf_max_samples)
+
+    def coordinator(self) -> OrraOptimizer:
+        """A fresh distributed optimizer over the configured graph."""
         o = self.optimizer
-        return LearningSchedule(
+        schedule = LearningSchedule(
             kappa0=o.kappa0, eps0=o.eps0, alpha=o.alpha, beta=o.beta,
             t_max=o.t_max, f_threshold=o.f_threshold,
         )
+        return OrraOptimizer(build_metropolis_weights(self.topology()),
+                             schedule, gamma=o.gamma)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -283,23 +301,24 @@ def build_fleet(cfg: FleetConfig) -> Fleet:
             theta_a=ta,
             theta_b=tb,
         )
-        batteries.append(Battery(params=params, state=BessState(soc=float(soc))))
+        batteries.append(Battery(params=params, soc=float(soc)))
     return Fleet(batteries)
 
 
 class TraceField(NamedTuple):
-    """One group of trace columns and the record it is written from.
+    """One group of trace columns and the RunResult array it is written from.
 
-    `source` names a RunResult array, or with `info` a key of the optimizer
-    log. `per` makes one column per area or generator, numbered from 1
-    (`df1`, `p_m_cg1`), or per agent, numbered from 0 (`soc_0`).
+    `source` names the array; for the optimizer-log fields that is the
+    key `OrraOptimizer.iterate` logs it under. `per` makes one column per
+    area or generator, numbered from 1 (`df1`, `p_m_cg1`), or per agent,
+    numbered from 0 (`soc_0`). `dtype` is the array's element type; int
+    and bool columns are written as integers.
     """
 
     column: str
     source: str
     per: str = ""  # "" | "area" | "cg" | "agent"
-    integer: bool = False
-    info: bool = False
+    dtype: type = float
 
 
 # The trace layout, in file order. The per-agent groups form one block that
@@ -313,26 +332,31 @@ TRACE_SPEC = (
     TraceField("p_m_total", "p_m_total"),
     TraceField("p_m_cg", "p_m_cg", per="cg"),
     TraceField("signal_total", "signal_total"),
-    TraceField("surrogate_m", "surrogate_m", integer=True),
+    TraceField("surrogate_m", "surrogate_m", dtype=int),
     TraceField("aie", "aie_shares", per="agent"),
-    TraceField("mode", "modes", per="agent", integer=True),
+    TraceField("mode", "modes", per="agent", dtype=int),
     TraceField("d", "d", per="agent"),
     TraceField("c", "c", per="agent"),
     TraceField("soc", "soc", per="agent"),
     TraceField("marg", "marginals", per="agent"),
-    TraceField("lam", "lam", per="agent", info=True),
-    TraceField("lam_mix", "lam_mixed", per="agent", info=True),
-    TraceField("y", "y", per="agent", info=True),
-    TraceField("y_mix", "y_mixed", per="agent", info=True),
-    TraceField("h", "h", per="agent", info=True),
-    TraceField("kappa", "kappa", info=True),
-    TraceField("eps", "eps", info=True),
-    TraceField("reset", "reset", integer=True, info=True),
-    TraceField("stage", "stage", integer=True, info=True),
-    TraceField("t_opt", "t", integer=True, info=True),
-    TraceField("dual_bound", "bound", info=True),
+    TraceField("lam", "lam", per="agent"),
+    TraceField("lam_mix", "lam_mixed", per="agent"),
+    TraceField("y", "y", per="agent"),
+    TraceField("y_mix", "y_mixed", per="agent"),
+    TraceField("h", "h", per="agent"),
+    TraceField("kappa", "kappa"),
+    TraceField("eps", "eps"),
+    TraceField("reset", "reset", dtype=bool),
+    TraceField("stage", "stage", dtype=int),
+    TraceField("t_opt", "t", dtype=int),
+    TraceField("dual_bound", "bound"),
     TraceField("f_dist", "f_dist"),
 )
+
+# The keys of the optimizer log, in the order `OrraOptimizer.iterate`
+# returns them; each is also a RunResult array.
+OPTIMIZER_LOG = ("t", "stage", "reset", "kappa", "eps", "lam", "lam_mixed",
+                 "y", "y_mixed", "s", "h", "bound")
 
 
 def _width(f: TraceField, n_agents: int, n_cg: int) -> int:
@@ -362,15 +386,38 @@ def trace_columns(n_agents: int, n_cg: int) -> tuple:
     return header, where
 
 
+class OptimizerLog(Sequence):
+    """The optimizer log of a run, read back from its RunResult arrays.
+
+    Item k is the dict `OrraOptimizer.iterate` returned at interval k,
+    rebuilt on access (arrays copied, scalars as Python numbers). Empty
+    when the fleet sits out.
+    """
+
+    def __init__(self, result: "RunResult"):
+        self._columns = [(key, getattr(result, key)) for key in OPTIMIZER_LOG]
+        self._len = len(result.time) if result.config.bess_enabled else 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k):
+        rows = range(self._len)[k]
+        if isinstance(rows, range):
+            return [self[i] for i in rows]
+        return {key: col[rows].copy() if col.ndim > 1 else col[rows].item()
+                for key, col in self._columns}
+
+
 class RunResult:
     """One scenario run, recorded in place one control interval per row.
 
-    Each TRACE_SPEC field not read from the optimizer log is an array named
-    by its source (`marginals` is the active-coordinate cost slope at the
-    applied u). Beside them: `interior` (T, n), dispatch strictly inside
-    its mode box; `infos`, the optimizer log, one dict per interval when
-    the fleet takes part; `f_oracle` and `u_star` (T, n, 2), the reference
-    solution when it is solved.
+    Each TRACE_SPEC field is an array named by its source (`marginals` is
+    the active-coordinate cost slope at the applied u). Beside them: `s`
+    (T, n, 2), the optimizer's saddle direction; `interior` (T, n),
+    dispatch strictly inside its mode box; `f_oracle` and `u_star`
+    (T, n, 2), the reference solution when it is solved; and `infos`, the
+    optimizer log as one dict per interval when the fleet takes part.
     """
 
     def __init__(self, config: ScenarioConfig, fleet: Fleet, surrogate,
@@ -379,12 +426,11 @@ class RunResult:
         n, n_cg = config.fleet.n, len(config.grid.inv_droops)
         self.config, self.fleet, self.surrogate = config, fleet, surrogate
         for f in TRACE_SPEC:
-            if not f.info:
-                shape = (rows, _width(f, n, n_cg)) if f.per else rows
-                setattr(self, f.source,
-                        np.zeros(shape, dtype=int if f.integer else float))
+            shape = (rows, _width(f, n, n_cg)) if f.per else rows
+            setattr(self, f.source, np.zeros(shape, dtype=f.dtype))
+        self.s = np.zeros((rows, n, 2))
         self.interior = np.zeros((rows, n), dtype=bool)
-        self.infos = []
+        self.infos = OptimizerLog(self)
         self.trace_path = None
         self.f_oracle = np.zeros(rows) if oracle else None
         self.u_star = np.zeros((rows, n, 2)) if oracle else None
@@ -392,18 +438,13 @@ class RunResult:
 
     @property
     def stages(self) -> list:
-        """(stage_id, start_row, end_row_exclusive) over optimizer logs."""
+        """(stage_id, start_row, end_row_exclusive) over the optimizer log."""
         if not self.infos:
             return []
-        ids = [info["stage"] for info in self.infos]
-        out = []
-        start = 0
-        for k in range(1, len(ids)):
-            if ids[k] != ids[k - 1]:
-                out.append((ids[k - 1], start, k))
-                start = k
-        out.append((ids[-1], start, len(ids)))
-        return out
+        ids = self.stage
+        starts = [0] + (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
+        ends = starts[1:] + [len(ids)]
+        return [(int(ids[lo]), lo, hi) for lo, hi in zip(starts, ends)]
 
 
 class ScenarioRunner:
@@ -421,24 +462,16 @@ class ScenarioRunner:
             # caller-supplied net-load profile, replaces the configured kind
             self.disturbance = disturbance
         n = config.fleet.n
-        self.n = n
         self.fleet = build_fleet(config.fleet)
-        self.weights = build_metropolis_weights(config.topology())
-        self.optimizer = OrraOptimizer(
-            self.weights, config.learning_schedule(), gamma=config.optimizer.gamma
-        )
+        self.optimizer = config.coordinator()
         self.areas = config.areas()
         self.droop = self.areas[0].frr
         self.state = zero_state(self.areas)
         self.window = None  # last (hold window, value) of the fluctuation
-        self.sigma = np.full(n, 1.0 / n)
-        self.sigma /= self.sigma.sum()
+        sigma = np.full(n, 1.0 / n)
+        self.sigma = check_participation(sigma / sigma.sum())
         self.surrogate = (
-            RbfSurrogate(
-                xi=config.aie.rbf_xi,
-                d_min=config.aie.rbf_d_min,
-                max_samples=config.aie.rbf_max_samples,
-            )
+            config.surrogate()
             if config.signal == "AIE" and config.aie.surrogate_enabled
             else None
         )
@@ -489,14 +522,8 @@ class ScenarioRunner:
         du_cg = float(np.sum(self.state.du_gov[0]))
         pm_cg = float(np.sum(self.state.p_m[0]))
         if cfg.signal == "AIE":
-            inputs = AieInputs(
-                dPtie=p_tie, df=df1, D_prime=cfg.aie.d_prime,
-                sigma=self.sigma, du_gov=self.sigma * du_cg,
-                dPm=self.sigma * pm_cg,
-            )
-            shares = np.array(
-                [compute_aie_bus(inputs, i) for i in range(self.n)]
-            )
+            shares = aie_shares(self.sigma, p_tie, cfg.aie.d_prime, df1,
+                                du_cg, pm_cg)
             if self.surrogate is not None:
                 if self.surrogate.infill_decide(df1):
                     # responsive loads report in load convention: an
@@ -527,10 +554,9 @@ class ScenarioRunner:
         if not enabled:
             return
 
-        self.fleet.set_modes(shares, cfg.aie.mode_direction)
-        modes = self.fleet.modes
-        intervals = np.array(self.fleet.feasible_intervals(tau))
-        models = self.fleet.cost_models(tau)
+        modes, boxes, models = self.fleet.plan(
+            shares, cfg.aie.mode_direction, tau
+        )
         grad = lambda d, c: np.array(
             [m.gradient(di, ci) for m, di, ci in zip(models, d, c)]
         )
@@ -538,7 +564,7 @@ class ScenarioRunner:
             m.value(di, ci) for m, di, ci in zip(models, d, c)
         )
         u_next, info = self.optimizer.iterate(
-            self.u, grad(self.u[:, 0], self.u[:, 1]), shares, df1, intervals,
+            self.u, grad(self.u[:, 0], self.u[:, 1]), shares, df1, boxes,
             modes,
         )
         d_new, c_new = u_next[:, 0], u_next[:, 1]
@@ -548,17 +574,18 @@ class ScenarioRunner:
             g[0] if mo == 1 else g[1] for g, mo in zip(grads_new, modes)
         ]
         active = np.where(modes == 1, d_new, c_new)
-        rec.interior[k] = (active > intervals[:, 0] + 1e-9) & (
-            active < intervals[:, 1] - 1e-9
+        rec.interior[k] = (active > boxes[:, 0] + 1e-9) & (
+            active < boxes[:, 1] - 1e-9
         )
         rec.modes[k] = modes
         rec.d[k] = d_new
         rec.c[k] = c_new
         rec.p_bess[k] = (d_new - c_new).sum()
-        rec.infos.append(info)
+        for key in OPTIMIZER_LOG:
+            getattr(rec, key)[k] = info[key]
         if self.oracle_every:
             sol = centralized_solve(
-                models, modes, intervals, -float(shares.sum()),
+                models, modes, boxes, -float(shares.sum()),
                 on_infeasible="clamp", nu_hint=self.nu_hint,
             )
             self.nu_hint = sol.nu
@@ -586,14 +613,9 @@ def write_trace_csv(result: RunResult, out_dir: str) -> str:
     for f in TRACE_SPEC:
         cols = where[f.column]
         for j in cols:
-            fmt[j] = "%d" if f.integer else "%.12g"
-        if not f.info:
-            values = getattr(result, f.source)
-        elif result.infos:
-            values = [info[f.source] for info in result.infos]
-        else:  # no optimizer log without the fleet: the columns stay zero
-            continue
-        table[:, cols] = np.reshape(values, (rows, len(cols)))
+            fmt[j] = "%.12g" if f.dtype is float else "%d"
+        table[:, cols] = np.reshape(getattr(result, f.source),
+                                    (rows, len(cols)))
     path = os.path.join(out_dir, f"{cfg.name}.csv")
     with open(path, "w") as fh:
         fh.write(f"# schema: {TRACE_SCHEMA}\n" + ",".join(header) + "\n")

@@ -124,29 +124,23 @@ def stage_lemma_checks(result: RunResult, gamma: float) -> list:
     """
     if result.u_star is None:
         raise ValueError("run must log the per-interval reference solution")
-    if len(result.infos) != len(result.time):
-        raise ValueError("run must log optimizer state at every interval")
     u = np.stack([result.d, result.c], axis=2)
     out = []
     for sid, lo, hi in result.stages:
         if hi - lo < 2:
             continue
-        infos = result.infos[lo:hi]
-        kap = np.array([i["kappa"] for i in infos])
-        eps = np.array([i["eps"] for i in infos])
-        lam = np.stack([i["lam"] for i in infos])
-        lam_mixed = np.stack([i["lam_mixed"] for i in infos])
-        y = np.stack([i["y"] for i in infos])
-        y_mixed = np.stack([i["y_mixed"] for i in infos])
-        s = np.stack([i["s"] for i in infos])
+        rows = slice(lo, hi)
+        kappa = result.kappa[rows]
         chk1 = lemma1_check(
-            u[lo:hi], result.u_star[lo:hi], s, lam, lam_mixed, y, y_mixed,
-            kap, eps, gamma, result.f_dist[lo:hi], result.f_oracle[lo:hi],
+            u[rows], result.u_star[rows], result.s[rows], result.lam[rows],
+            result.lam_mixed[rows], result.y[rows], result.y_mixed[rows],
+            kappa, result.eps[rows], gamma, result.f_dist[rows],
+            result.f_oracle[rows],
         )
         b_u = float(
-            np.linalg.norm(u[lo:hi].reshape(hi - lo, -1), axis=1).max()
+            np.linalg.norm(u[rows].reshape(hi - lo, -1), axis=1).max()
         )
-        chk2 = lemma2_check(u[lo:hi], result.u_star[lo:hi], kap, b_u)
+        chk2 = lemma2_check(u[rows], result.u_star[rows], kappa, b_u)
         out.append(
             {
                 "stage": int(sid),

@@ -3,15 +3,13 @@ import numpy as np
 import pytest
 
 from orra.aie import (
-    AieInputs,
     IllConditioningError,
     InfillViolationError,
     RbfSurrogate,
+    aie_shares,
     build_gram,
+    check_participation,
     compute_ace,
-    compute_aie_bus,
-    compute_aie_total,
-    corrected_aie,
     fit_weights,
     gaussian_basis,
 )
@@ -25,30 +23,35 @@ def test_compute_ace_values():
 
 def test_aie_inputs_validation():
     with pytest.raises(ValueError):
-        AieInputs(0, 0, 10, [0.5, 0.4], [0, 0], [0, 0])
+        check_participation([0.5, 0.4])
     with pytest.raises(ValueError):
-        AieInputs(0, 0, 10, [1.5, -0.5], [0, 0], [0, 0])
+        check_participation([1.5, -0.5])
+    with pytest.raises(ValueError):
+        check_participation([float("nan"), 1.0])
+    assert check_participation([0.25, 0.75]).dtype == float
 
 
-def make_inputs(**kw):
-    defaults = dict(
-        dPtie=2.0, df=-0.1, D_prime=10.0, sigma=[1.0], du_gov=[0.5], dPm=[0.3]
-    )
-    defaults.update(kw)
-    return AieInputs(**defaults)
+def shares(sigma=(1.0,), p_tie=2.0, d_prime=10.0, df=-0.1, du_cg=0.5,
+           pm_cg=0.3):
+    return aie_shares(check_participation(sigma), p_tie, d_prime, df, du_cg,
+                      pm_cg)
 
 
 def test_aie_bus_hand_value():
-    assert compute_aie_bus(make_inputs(), 0) == pytest.approx(1.2)
+    assert shares() == pytest.approx([1.2])
 
 
 def test_aie_bus_non_generator_is_zero():
-    assert compute_aie_bus(make_inputs(), 0, is_generator=False) == 0.0
+    # an agent with no participation gets no share of the error
+    got = shares(sigma=(0.0, 1.0))
+    assert got[0] == 0.0
+    assert got[1] == pytest.approx(1.2)
 
 
 def test_aie_bus_cancellation():
-    inputs = make_inputs(dPtie=1.0, df=-0.1, du_gov=[0.3], dPm=[0.3])
-    assert compute_aie_bus(inputs, 0) == pytest.approx(0.0)
+    assert shares(p_tie=1.0, df=-0.1, du_cg=0.3, pm_cg=0.3) == pytest.approx(
+        [0.0]
+    )
 
 
 def test_aie_total_equals_bus_sum():
@@ -57,16 +60,12 @@ def test_aie_total_equals_bus_sum():
         n = int(rng.integers(1, 6))
         sigma = rng.uniform(0.1, 1, size=n)
         sigma /= sigma.sum()
-        inputs = AieInputs(
-            dPtie=float(rng.normal()),
-            df=float(rng.normal(0, 0.03)),
-            D_prime=float(rng.uniform(5, 20)),
-            sigma=sigma,
-            du_gov=rng.normal(size=n),
-            dPm=rng.normal(size=n),
-        )
-        total = sum(compute_aie_bus(inputs, i) for i in range(n))
-        assert total == pytest.approx(compute_aie_total(inputs), abs=1e-12)
+        p_tie, df = float(rng.normal()), float(rng.normal(0, 0.03))
+        d_prime = float(rng.uniform(5, 20))
+        du_cg, pm_cg = rng.normal(size=2)
+        got = shares(sigma, p_tie, d_prime, df, du_cg, pm_cg)
+        total = p_tie + d_prime * df + du_cg - pm_cg
+        assert got.sum() == pytest.approx(total, abs=1e-12)
 
 
 def test_gaussian_basis_values():
@@ -134,9 +133,9 @@ def test_add_sample_too_close_raises():
 
 def test_corrected_aie_empty_and_single():
     s = RbfSurrogate()
-    assert corrected_aie(2.5, s, 0.01) == 2.5
+    assert 2.5 + s.evaluate(0.01) == 2.5
     s.add_sample(0.02, 0.8)
-    assert corrected_aie(2.5, s, 0.02) == pytest.approx(3.3)
+    assert 2.5 + s.evaluate(0.02) == pytest.approx(3.3)
 
 
 def test_surrogate_exactness_after_every_refit():
@@ -152,7 +151,24 @@ def test_gram_stays_positive_definite_along_ladder():
     s = RbfSurrogate(max_samples=50)
     for i in range(50):
         s.add_sample(i * (s.d_min + 1e-5), float(np.sin(i)))
-        assert np.linalg.eigvalsh(s.gram()).min() > 0
+        gram = build_gram(s.sample_df, s.xi)
+        assert np.linalg.eigvalsh(gram).min() > 0
+
+
+def test_surrogate_settings_validation():
+    for bad in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError):
+            RbfSurrogate(xi=bad)
+        with pytest.raises(ValueError):
+            RbfSurrogate(d_min=bad)
+    # eviction keeps the two boundary samples, so a cap needs a third slot
+    for bad in (0, 2, 3.0, True):
+        with pytest.raises(ValueError):
+            RbfSurrogate(max_samples=bad)
+    s = RbfSurrogate(max_samples=3, d_min=0.005)
+    for x in (0.0, 0.01, 0.02, 0.03):
+        s.add_sample(x, x)
+    assert s.sample_df == [0.0, 0.02, 0.03]
 
 
 def test_eviction_keeps_boundary_points():

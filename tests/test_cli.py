@@ -46,6 +46,18 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
         {"fleet": {"capacity": float("nan")}},
         {"grid": {"inertia": float("nan")}},
         {"step_mw": float("nan")},
+        {"aie": {"rbf_xi": float("nan")}},
+        {"aie": {"rbf_d_min": float("nan")}},
+        {"aie": {"rbf_max_samples": 0}},
+        {"aie": {"rbf_max_samples": 2}},  # eviction keeps two boundary samples
+        {"seed": -1},
+        {"seed": 1.5},
+        {"optimizer": {"kappa0": float("nan")}},
+        {"optimizer": {"gamma": float("nan")}},
+        {"aie": {"area_load": float("nan")}},
+        {"aie": {"d_prime_fraction": float("nan")}},
+        {"optimizer": {"f_threshold": float("nan")}},
+        {"aie": {"surrogate_enabled": "no"}},
     ):
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == 2, data

