@@ -127,10 +127,15 @@ class Battery:
         return events
 
     def cost_model(self, tau: float) -> degradation.IntervalCost:
-        p = self.params
         return degradation.interval_cost(
-            self.residues, self.aging, p.capacity, p.eta_c, p.eta_d,
-            p.theta_a, p.theta_b, tau,
+            self.residues,
+            self.aging,
+            self.params.capacity,
+            self.params.eta_c,
+            self.params.eta_d,
+            self.params.theta_a,
+            self.params.theta_b,
+            tau,
         )
 
 

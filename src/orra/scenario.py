@@ -394,7 +394,7 @@ class OptimizerLog(Sequence):
     when the fleet sits out.
     """
 
-    def __init__(self, result: "RunResult"):
+    def __init__(self, result: RunResult):
         self._columns = [(key, getattr(result, key)) for key in OPTIMIZER_LOG]
         self._len = len(result.time) if result.config.bess_enabled else 0
 

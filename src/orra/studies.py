@@ -129,18 +129,17 @@ def stage_lemma_checks(result: RunResult, gamma: float) -> list:
     for sid, lo, hi in result.stages:
         if hi - lo < 2:
             continue
-        rows = slice(lo, hi)
-        kappa = result.kappa[rows]
+        kap = result.kappa[lo:hi]
         chk1 = lemma1_check(
-            u[rows], result.u_star[rows], result.s[rows], result.lam[rows],
-            result.lam_mixed[rows], result.y[rows], result.y_mixed[rows],
-            kappa, result.eps[rows], gamma, result.f_dist[rows],
-            result.f_oracle[rows],
+            u[lo:hi], result.u_star[lo:hi], result.s[lo:hi],
+            result.lam[lo:hi], result.lam_mixed[lo:hi], result.y[lo:hi],
+            result.y_mixed[lo:hi], kap, result.eps[lo:hi], gamma,
+            result.f_dist[lo:hi], result.f_oracle[lo:hi],
         )
         b_u = float(
-            np.linalg.norm(u[rows].reshape(hi - lo, -1), axis=1).max()
+            np.linalg.norm(u[lo:hi].reshape(hi - lo, -1), axis=1).max()
         )
-        chk2 = lemma2_check(u[rows], result.u_star[rows], kappa, b_u)
+        chk2 = lemma2_check(u[lo:hi], result.u_star[lo:hi], kap, b_u)
         out.append(
             {
                 "stage": int(sid),

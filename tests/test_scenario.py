@@ -132,6 +132,7 @@ def test_infos_rebuild_the_optimizer_log(monkeypatch):
             assert np.shape(got[key]) == np.shape(value)
     assert r.infos and r.infos[-1]["stage"] == logged[-1]["stage"]
     assert [info["t"] for info in r.infos] == [int(v["t"]) for v in logged]
+    assert [i["t"] for i in r.infos[-3:]] == [v["t"] for v in logged[-3:]]
     with pytest.raises(IndexError):
         r.infos[len(logged)]
     stages = r.stages
