@@ -16,6 +16,11 @@ import numpy as np
 DEFAULT_XI = 3000.0  # 1/Hz^2, kernel decays to 1/e over ~0.018 Hz
 DEFAULT_D_MIN = 0.007  # Hz, keeps neighbor correlation moderate
 DEFAULT_MAX_SAMPLES = 24
+COND_LIMIT = 1e12  # largest Gram condition number a fit accepts
+# The load-time probe packs at most this many samples. By eigenvalue
+# interlacing a larger packing is conditioned no better, so a probe that
+# fails on fewer samples than rbf_max_samples still rightly rejects.
+PROBE_MAX_SAMPLES = 128
 
 
 class InfillViolationError(ValueError):
@@ -68,7 +73,7 @@ def build_gram(sample_df, xi):
     return gaussian_basis(diff, xi)
 
 
-def fit_weights(gram, S, cond_limit=1e12):
+def fit_weights(gram, S, cond_limit=COND_LIMIT):
     """Solve the interpolation system; fails loudly when near-singular."""
     gram = np.asarray(gram, dtype=float)
     cond = np.linalg.cond(gram)
@@ -78,6 +83,12 @@ def fit_weights(gram, S, cond_limit=1e12):
             "infill distance too small for this kernel width"
         )
     return np.linalg.solve(gram.T, np.asarray(S, dtype=float))
+
+
+def packed_condition(xi, d_min, m) -> float:
+    """Condition number of the Gram matrix of m samples spaced d_min apart,
+    the tightest packing the infill rule admits."""
+    return float(np.linalg.cond(build_gram(d_min * np.arange(m), xi)))
 
 
 @dataclass
@@ -105,6 +116,15 @@ class RbfSurrogate:
             raise ValueError("rbf_xi and rbf_d_min must be positive and finite")
         if type(self.max_samples) is not int or self.max_samples < 3:
             raise ValueError("rbf_max_samples must be an integer of at least 3")
+        # a probe, not a proof: fit_weights still checks every refit
+        m = min(self.max_samples, PROBE_MAX_SAMPLES)
+        cond = packed_condition(self.xi, self.d_min, m)
+        if not cond <= COND_LIMIT:
+            raise ValueError(
+                f"rbf_xi {self.xi} with rbf_d_min {self.d_min}: {m} samples "
+                f"spaced rbf_d_min apart give a gram condition number of "
+                f"{cond:.3e}, above {COND_LIMIT:.0e}"
+            )
 
     @property
     def m(self) -> int:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import degradation
 from .degradation import AgingParams, ResidueStack
 
@@ -46,8 +44,9 @@ class BessParams:
             raise ValueError("power limits must be nonnegative and finite")
         if not (0 < self.eta_c <= 1 and 0 < self.eta_d <= 1):
             raise ValueError("efficiencies must lie in (0, 1]")
-        if not (math.isfinite(self.theta_a) and math.isfinite(self.theta_b)):
-            raise ValueError("cost weights must be finite")
+        if not (0 <= self.theta_a < math.inf and 0 <= self.theta_b < math.inf):
+            raise ValueError("cost weights theta_a and theta_b must be "
+                             "nonnegative and finite")
 
 
 def soc_step(soc: float, c, d, params: BessParams, tau) -> float:
@@ -152,23 +151,24 @@ class Fleet:
         return len(self.batteries)
 
     @property
-    def soc(self) -> np.ndarray:
-        return np.array([b.soc for b in self.batteries])
+    def soc(self) -> list:
+        return [b.soc for b in self.batteries]
 
-    def apply_all(self, d, c, tau: float) -> None:
-        for b, di, ci in zip(self.batteries, d, c):
-            b.apply(float(di), float(ci), tau)
+    def apply_all(self, u, tau: float) -> None:
+        """Apply one interval's (discharge, charge) pair to each battery."""
+        for b, (d, c) in zip(self.batteries, u):
+            b.apply(d, c, tau)
 
     def plan(self, aie_shares, direction: int, tau: float):
         """Set each battery's mode from its share for the coming interval.
 
-        Returns the interval's modes, (n, 2) boxes on the active power
-        coordinate, and frozen-residue cost models.
+        Returns lists of the interval's modes, (lo, hi) boxes on the active
+        power coordinate, and frozen-residue cost models.
         """
         modes, boxes, models = [], [], []
         for b, share in zip(self.batteries, aie_shares):
-            b.mode = mode_select(share, b.mode, direction)
-            modes.append(b.mode)
-            boxes.append(feasible_interval(b.soc, b.mode, b.params, tau))
+            b.mode = mode = mode_select(share, b.mode, direction)
+            modes.append(mode)
+            boxes.append(feasible_interval(b.soc, mode, b.params, tau))
             models.append(b.cost_model(tau))
-        return np.array(modes), np.array(boxes), models
+        return modes, boxes, models

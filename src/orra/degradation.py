@@ -12,6 +12,7 @@ frozen, which makes the cost convex in the power decision.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,16 +33,14 @@ class AgingParams:
             raise ValueError("aging exponent b must be >= 1 for convexity")
 
 
-@dataclass(frozen=True)
-class CycleEvent:
+class CycleEvent(NamedTuple):
     """One counted cycle: SoC depth and its count weight (0.5 half, 1.0 full)."""
 
     depth: float
     n_cyc: float
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(NamedTuple):
     """An extremum not yet cancelled: sample index and SoC value."""
 
     k: int
@@ -112,8 +111,7 @@ def open_half(residues: ResidueStack):
     return abs(delta), (1 if delta > 0 else -1)
 
 
-@dataclass(frozen=True)
-class IntervalCost:
+class IntervalCost(NamedTuple):
     """Usage cost of one control interval with the residue stack frozen.
 
     value(d, c) = theta_b*(d - c)**2 + big_theta*(mu0 + g_d*d + g_c*c)**b

@@ -64,70 +64,22 @@ def schedule_step(t: int, df: float, schedule: LearningSchedule):
     return kappa, eps, t + 1, reset
 
 
-def constraint_h(u: np.ndarray, aie_shares: np.ndarray) -> np.ndarray:
-    """Local power-balance violation: net injection plus the agent's share."""
-    u = np.asarray(u, dtype=float)
-    return u[:, 0] - u[:, 1] + np.asarray(aie_shares, dtype=float)
+def primal_step(d, c, s_d, s_c, kappa, box, mode):
+    """One agent's step against the saddle direction, projected onto its
+    mode box; the coordinate the mode forbids is zero.
 
-
-def gradient_s(grads: np.ndarray, lam_mixed: np.ndarray) -> np.ndarray:
-    """Saddle direction: cost slopes shifted by the mixed dual price."""
-    grads = np.asarray(grads, dtype=float)
-    lam_mixed = np.asarray(lam_mixed, dtype=float)
-    return np.stack(
-        [grads[:, 0] + lam_mixed, -grads[:, 1] + lam_mixed], axis=1
-    )
-
-
-def primal_update(u, s, kappa, intervals, modes) -> np.ndarray:
-    """Step against the saddle direction and project onto the mode boxes."""
-    u = np.asarray(u, dtype=float)
-    s = np.asarray(s, dtype=float)
-    intervals = np.asarray(intervals, dtype=float)
-    modes = np.asarray(modes)
-    d = u[:, 0] - kappa * s[:, 0]
-    c = u[:, 1] + kappa * s[:, 1]
-    lo, hi = intervals[:, 0], intervals[:, 1]
-    discharging = modes == 1
-    d = np.where(discharging, np.clip(d, lo, hi), 0.0)
-    c = np.where(discharging, 0.0, np.clip(c, lo, hi))
-    return np.stack([d, c], axis=1)
-
-
-def dual_update(lam_mixed, y_mixed, kappa, eps, gamma) -> np.ndarray:
-    """Leaky ascent of the local price against the mixed tracker."""
-    return (1.0 - eps) * np.asarray(lam_mixed, dtype=float) + (
-        gamma * kappa * np.asarray(y_mixed, dtype=float)
-    )
-
-
-def tracking_update(y_mixed, h_new, h_prev) -> np.ndarray:
-    """Dynamic average tracking of the network constraint violation."""
-    return (
-        np.asarray(y_mixed, dtype=float)
-        + np.asarray(h_new, dtype=float)
-        - np.asarray(h_prev, dtype=float)
-    )
-
-
-def orra_iteration(
-    u, grads, aie_shares, lam, y, h_prev, weights, kappa, eps, gamma,
-    intervals, modes,
-):
-    """One synchronized pass of every agent's update.
-
-    Pure function over explicit state; returns the new decisions plus the
-    advanced dual, tracker, and constraint memory.
+    As with numpy's clip on array bounds, a value tied with a box end
+    takes the end (-0.0 on a 0.0 bound comes out 0.0) and NaN passes
+    through.
     """
-    weights = np.asarray(weights, dtype=float)
-    lam_mixed = weights @ np.asarray(lam, dtype=float)
-    y_mixed = weights @ np.asarray(y, dtype=float)
-    s = gradient_s(grads, lam_mixed)
-    u_next = primal_update(u, s, kappa, intervals, modes)
-    lam_next = dual_update(lam_mixed, y_mixed, kappa, eps, gamma)
-    h_new = constraint_h(u_next, aie_shares)
-    y_next = tracking_update(y_mixed, h_new, h_prev)
-    return u_next, lam_next, y_next, h_new, lam_mixed, y_mixed, s
+    lo, hi = box
+    if mode == 1:
+        d = d - kappa * s_d
+        d = lo if d <= lo else d
+        return (hi if d >= hi else d), 0.0
+    c = c + kappa * s_c
+    c = lo if c <= lo else c
+    return 0.0, (hi if c >= hi else c)
 
 
 @dataclass
@@ -144,7 +96,7 @@ class OrraOptimizer:
             raise ValueError("gamma must be positive and finite")
         n = self.weights.shape[0]
         self.n = n
-        self.lam = np.zeros(n)
+        self.lam = [0.0] * n
         self.y = None
         self.h_prev = None
         self.t = 0
@@ -152,14 +104,18 @@ class OrraOptimizer:
         self.stage = 0
 
     def iterate(self, u, grads, aie_shares, df, intervals, modes):
-        """Advance every agent one control interval; returns (u_next, info)."""
-        u = np.asarray(u, dtype=float)
-        aie_shares = np.asarray(aie_shares, dtype=float)
+        """Advance every agent one control interval; returns (u_next, info).
+
+        u and grads hold one (discharge, charge) pair per agent, intervals
+        one (lo, hi) box. Each agent mixes its dual and tracker with its
+        neighbours', steps and projects, ascends its dual and refreshes its
+        tracker against its new constraint value. u_next and the per-agent
+        entries of info are lists.
+        """
         if self.y is None:
-            h0 = constraint_h(u, aie_shares)
-            self.y = h0.copy()
-            self.h_prev = h0.copy()
-            self.b_y = float(np.abs(h0).max(initial=0.0))
+            h0 = [d - c + a for (d, c), a in zip(u, aie_shares)]
+            self.y = self.h_prev = h0
+            self.b_y = max(0.0, *map(abs, h0))
 
         kappa, eps, t_next, reset = schedule_step(self.t, df, self.schedule)
         if reset:
@@ -167,26 +123,37 @@ class OrraOptimizer:
             # restart invalidates the accumulated decay headroom: pull the
             # price back inside the fresh-stage envelope
             cap = self.gamma * self.b_y * self.schedule.kappa0 / self.schedule.eps0
-            self.lam = np.clip(self.lam, -cap, cap)
+            self.lam = [-cap if v < -cap else cap if v > cap else v
+                        for v in self.lam]
         bound = self.gamma * self.b_y * kappa / eps
 
-        lam_t = self.lam.copy()
-        y_t = self.y.copy()
-        u_next, lam_next, y_next, h_new, lam_mixed, y_mixed, s = (
-            orra_iteration(
-                u, grads, aie_shares, lam_t, y_t, self.h_prev, self.weights,
-                kappa, eps, self.gamma, intervals, modes,
-            )
-        )
+        # numpy's matrix product, not a Python sum: the two round
+        # differently, and the product is what the trace was pinned with
+        lam_mixed = (self.weights @ self.lam).tolist()
+        y_mixed = (self.weights @ self.y).tolist()
+        leak, gk = 1.0 - eps, self.gamma * kappa
+        u_next, s, lam_next, h_new, y_next = [], [], [], [], []
+        for (d, c), (g_d, g_c), share, box, mode, lm, ym, hp in zip(
+            u, grads, aie_shares, intervals, modes, lam_mixed, y_mixed,
+            self.h_prev,
+        ):
+            s_d, s_c = g_d + lm, -g_c + lm
+            d, c = primal_step(d, c, s_d, s_c, kappa, box, mode)
+            h = d - c + share
+            u_next.append((d, c))
+            s.append((s_d, s_c))
+            lam_next.append(leak * lm + gk * ym)
+            h_new.append(h)
+            y_next.append(ym + h - hp)
         info = {
             "t": self.t if not reset else 0,
             "stage": self.stage,
             "reset": reset,
             "kappa": kappa,
             "eps": eps,
-            "lam": lam_t,
+            "lam": self.lam,
             "lam_mixed": lam_mixed,
-            "y": y_t,
+            "y": self.y,
             "y_mixed": y_mixed,
             "s": s,
             "h": h_new,
@@ -196,5 +163,5 @@ class OrraOptimizer:
         self.y = y_next
         self.h_prev = h_new
         self.t = t_next
-        self.b_y = max(self.b_y, float(np.abs(y_next).max(initial=0.0)))
+        self.b_y = max(self.b_y, *map(abs, y_next))
         return u_next, info

@@ -390,8 +390,8 @@ class OptimizerLog(Sequence):
     """The optimizer log of a run, read back from its RunResult arrays.
 
     Item k is the dict `OrraOptimizer.iterate` returned at interval k,
-    rebuilt on access (arrays copied, scalars as Python numbers). Empty
-    when the fleet sits out.
+    rebuilt on access (per-agent lists as array copies, scalars as Python
+    numbers). Empty when the fleet sits out.
     """
 
     def __init__(self, result: RunResult):
@@ -458,6 +458,12 @@ class ScenarioRunner:
     ):
         self.config = config
         self.oracle_every = oracle_every
+        if oracle_every and config.bess_enabled and min(
+                config.fleet.per_battery(config.fleet.theta_b)) <= 0:
+            raise ConfigError(
+                "the per-interval reference needs a strictly convex wear "
+                "term: every fleet.theta_b must be positive"
+            )
         if disturbance is not None:
             # caller-supplied net-load profile, replaces the configured kind
             self.disturbance = disturbance
@@ -475,7 +481,8 @@ class ScenarioRunner:
             if config.signal == "AIE" and config.aie.surrogate_enabled
             else None
         )
-        self.u = np.zeros((n, 2))
+        self.u = [(0.0, 0.0)] * n  # (discharge, charge) per agent
+        self.p_bess = 0.0  # the fleet's net injection under self.u
         self.agc1 = 0.0
         self.nu_hint = None
         self.result = RunResult(
@@ -505,15 +512,14 @@ class ScenarioRunner:
 
         # apply the pending decision, then run the plant over the interval
         if enabled:
-            self.fleet.apply_all(self.u[:, 0], self.u[:, 1], tau)
-        p_bess = float((self.u[:, 0] - self.u[:, 1]).sum()) if enabled else 0.0
+            self.fleet.apply_all(self.u, tau)
         agc2 = compute_ace(-self.state.p_tie, self.areas[1].bias,
                            self.state.df[1])
         dists = [(self.disturbance(t0 + j * cfg.dt_inner), 0.0)
                  for j in range(cfg.inner_steps)]
         self.state = grid_step(
-            self.state, (p_bess, 0.0), (self.agc1, agc2), dists, self.areas,
-            cfg.dt_inner,
+            self.state, (self.p_bess, 0.0), (self.agc1, agc2), dists,
+            self.areas, cfg.dt_inner,
         )
 
         # measure the area signals at the interval boundary
@@ -554,45 +560,46 @@ class ScenarioRunner:
         if not enabled:
             return
 
+        shares = shares.tolist()
         modes, boxes, models = self.fleet.plan(
             shares, cfg.aie.mode_direction, tau
         )
-        grad = lambda d, c: np.array(
-            [m.gradient(di, ci) for m, di, ci in zip(models, d, c)]
-        )
-        cost = lambda d, c: sum(
-            m.value(di, ci) for m, di, ci in zip(models, d, c)
-        )
+        grads = [m.gradient(d, c) for m, (d, c) in zip(models, self.u)]
         u_next, info = self.optimizer.iterate(
-            self.u, grad(self.u[:, 0], self.u[:, 1]), shares, df1, boxes,
-            modes,
+            self.u, grads, shares, df1, boxes, modes
         )
-        d_new, c_new = u_next[:, 0], u_next[:, 1]
-        rec.f_dist[k] = cost(d_new, c_new)
-        grads_new = grad(d_new, c_new)
-        rec.marginals[k] = [
-            g[0] if mo == 1 else g[1] for g, mo in zip(grads_new, modes)
-        ]
-        active = np.where(modes == 1, d_new, c_new)
-        rec.interior[k] = (active > boxes[:, 0] + 1e-9) & (
-            active < boxes[:, 1] - 1e-9
-        )
+        # agent by agent: the cost, the slope along the active coordinate,
+        # whether the dispatch sits strictly inside its box, and the net
+        # injection
+        f_dist = p_bess = 0.0
+        marginals, interior = [], []
+        for m, (d, c), mode, (lo, hi) in zip(models, u_next, modes, boxes):
+            f_dist += m.value(d, c)
+            g_d, g_c = m.gradient(d, c)
+            active = d if mode == 1 else c
+            marginals.append(g_d if mode == 1 else g_c)
+            interior.append(lo + 1e-9 < active < hi - 1e-9)
+            p_bess += d - c
+        rec.f_dist[k] = f_dist
+        rec.marginals[k] = marginals
+        rec.interior[k] = interior
         rec.modes[k] = modes
-        rec.d[k] = d_new
-        rec.c[k] = c_new
-        rec.p_bess[k] = (d_new - c_new).sum()
+        rec.d[k], rec.c[k] = zip(*u_next)
+        rec.p_bess[k] = p_bess
         for key in OPTIMIZER_LOG:
             getattr(rec, key)[k] = info[key]
         if self.oracle_every:
             sol = centralized_solve(
-                models, modes, boxes, -float(shares.sum()),
+                models, modes, boxes, -float(np.sum(shares)),
                 on_infeasible="clamp", nu_hint=self.nu_hint,
             )
             self.nu_hint = sol.nu
-            rec.f_oracle[k] = cost(sol.d, sol.c)
+            rec.f_oracle[k] = sum(
+                m.value(d, c) for m, d, c in zip(models, sol.d, sol.c)
+            )
             rec.u_star[k] = np.stack([sol.d, sol.c], axis=1)
             rec.oracle_clamped += int(sol.clamped)
-        self.u = u_next
+        self.u, self.p_bess = u_next, p_bess
 
     def run(self, out_dir: str | None = None, write_trace: bool = True):
         rec = self.result

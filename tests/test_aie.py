@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from orra.aie import (
+    COND_LIMIT,
     IllConditioningError,
     InfillViolationError,
     RbfSurrogate,
@@ -12,6 +13,7 @@ from orra.aie import (
     compute_ace,
     fit_weights,
     gaussian_basis,
+    packed_condition,
 )
 
 
@@ -169,6 +171,20 @@ def test_surrogate_settings_validation():
     for x in (0.0, 0.01, 0.02, 0.03):
         s.add_sample(x, x)
     assert s.sample_df == [0.0, 0.02, 0.03]
+
+
+def test_load_time_probe_rejects_unconditionable_settings():
+    # the shipped settings pack 24 samples into a well-conditioned Gram
+    assert packed_condition(3000.0, 0.007, 24) == pytest.approx(2.79e6,
+                                                                rel=0.01)
+    assert packed_condition(1.0, 1e-5, 24) > COND_LIMIT
+    with pytest.raises(ValueError, match="gram condition number"):
+        RbfSurrogate(xi=1.0, d_min=1e-5)
+    # a cap beyond the probe's packing is judged on that packing, which
+    # is cheap to build and conditioned no worse than the full one
+    RbfSurrogate(max_samples=10**9)
+    with pytest.raises(ValueError, match="128 samples"):
+        RbfSurrogate(xi=1.0, d_min=1e-5, max_samples=10**9)
 
 
 def test_eviction_keeps_boundary_points():

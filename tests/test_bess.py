@@ -12,14 +12,13 @@ from orra.bess import (
     mode_select,
     soc_step,
 )
-from orra.optimizer import primal_update
+from orra.optimizer import primal_step
 
 
 def project(u, box, mode):
     """The optimizer's projection of one agent's (d, c) onto its mode box:
-    a primal update with a zero saddle direction."""
-    out = primal_update([u], np.zeros((1, 2)), 0.0, [box], [mode])
-    return tuple(out[0])
+    a primal step with a zero saddle direction."""
+    return primal_step(u[0], u[1], 0.0, 0.0, 0.0, box, mode)
 
 
 def test_params_validation():
@@ -191,9 +190,9 @@ def test_fleet_wiring():
     for b, mode, box, model in zip(fleet.batteries, modes, boxes, models):
         assert tuple(box) == feasible_interval(b.soc, mode, p, 0.1)
         assert model == b.cost_model(0.1)
-    u = primal_update(np.array([[0.5, 0.2], [0.5, 0.4], [-0.2, 0.1]]),
-                      np.zeros((3, 2)), 0.0, boxes, modes)
-    d, c = u[:, 0], u[:, 1]
+    u = [project(ui, box, mode) for ui, box, mode
+         in zip([(0.5, 0.2), (0.5, 0.4), (-0.2, 0.1)], boxes, modes)]
+    d, c = np.array(u).T
     assert (d * c == 0).all()
-    fleet.apply_all(d, c, 0.1)
+    fleet.apply_all(u, 0.1)
     assert np.allclose(fleet.soc, 0.5, atol=1e-4)

@@ -58,6 +58,11 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
         {"aie": {"d_prime_fraction": float("nan")}},
         {"optimizer": {"f_threshold": float("nan")}},
         {"aie": {"surrogate_enabled": "no"}},
+        {"fleet": {"theta_a": -1.0}},
+        {"fleet": {"theta_b": -0.1}},
+        {"fleet": {"theta_b": [0.1, 0.1, -0.1, 0.1, 0.1]}},
+        # 24 samples spaced rbf_d_min apart: gram condition number 1e19
+        {"aie": {"rbf_xi": 1.0, "rbf_d_min": 1e-5}},
     ):
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == 2, data
@@ -152,13 +157,35 @@ def test_run_rejects_bad_topology_and_capacity(tmp_path, capsys):
     assert "capacity must be positive" in capsys.readouterr().err
 
 
-def test_run_ill_conditioned_surrogate_exits_numeric(tmp_path, capsys):
+def test_run_ill_conditioned_surrogate_exits_numeric(tmp_path, capsys,
+                                                   monkeypatch):
+    # the load-time probe rejects these settings; with it blinded, the
+    # refit in the run is the backstop
+    from orra import aie
+
+    monkeypatch.setattr(aie, "packed_condition", lambda *args: 1.0)
     cfg = tmp_path / "ill.json"
     cfg.write_text(json.dumps({
         "duration": 12.0, "aie": {"rbf_xi": 1.0, "rbf_d_min": 1e-5},
     }))
     assert main(["run", str(cfg), "--out", str(tmp_path)]) == 3
     assert "gram condition number" in capsys.readouterr().err
+
+
+def test_oracle_needs_positive_wear_weight(tmp_path, capsys):
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps({"duration": 2.0, "fleet": {"theta_b": 0.0}}))
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    for argv in (["run", str(cfg), "--oracle"], ["regret", str(cfg)]):
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert "theta_b must be positive" in err
+        assert "Traceback" not in err
+    # the refusal comes before the run: nothing is written
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_run_soc_violation_exits_numeric(cfg_path, tmp_path, monkeypatch,

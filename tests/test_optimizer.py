@@ -2,18 +2,25 @@
 import numpy as np
 import pytest
 
-from orra.comm_graph import build_metropolis_weights, default_topology
+from optimizer_reference import (
+    VectorOptimizer,
+    constraint_h,
+    dual_update,
+    gradient_s,
+    primal_update,
+    tracking_update,
+)
+from orra.comm_graph import (
+    Topology,
+    build_metropolis_weights,
+    default_topology,
+)
 from orra.degradation import IntervalCost
 from orra.optimizer import (
     LearningSchedule,
     OrraOptimizer,
-    constraint_h,
-    dual_update,
-    gradient_s,
-    orra_iteration,
-    primal_update,
+    primal_step,
     schedule_step,
-    tracking_update,
 )
 from orra.oracle import centralized_solve, lemma1_check, lemma2_check
 
@@ -40,18 +47,43 @@ def test_gradient_s_shifts_both_coordinates():
     assert np.allclose(s, [[1.2, 1.2]])
 
 
+def primal_steps(u, s, kappa, intervals, modes):
+    """primal_step for every agent."""
+    return np.array([
+        primal_step(d, c, s_d, s_c, kappa, box, mode)
+        for (d, c), (s_d, s_c), box, mode in zip(u, s, intervals, modes)
+    ])
+
+
 def test_primal_update_step_and_projection():
     u = np.array([[0.5, 0.0], [0.0, 0.2]])
     s = np.array([[1.2, 1.2], [-0.5, -2.5]])
     intervals = np.array([[0.0, 1.0], [0.0, 0.3]])
-    out = primal_update(u, s, 0.1, intervals, np.array([1, 0]))
+    out = primal_steps(u, s, 0.1, intervals, np.array([1, 0]))
     # discharge agent: d = 0.5 - 0.12, charge coordinate forced to zero
     assert out[0] == pytest.approx([0.38, 0.0])
     # charge agent: c = 0.2 - 0.25 clamps to the floor
     assert out[1] == pytest.approx([0.0, 0.0])
-    high = primal_update(u, -s, 1.0, intervals, np.array([1, 0]))
+    high = primal_steps(u, -s, 1.0, intervals, np.array([1, 0]))
     assert high[0, 0] == pytest.approx(1.0)  # ceiling clamp
     assert high[1, 1] == pytest.approx(0.3)
+
+
+def test_primal_step_ties_and_nan_follow_numpy_clip():
+    # signed zeros against 0.0 and -0.0 box ends, and NaN, in both modes
+    values = (-0.0, 0.0, 0.3, np.nan)
+    cases = [(x, lo, hi, mode) for x in values for lo in (-0.0, 0.0)
+             for hi in (-0.0, 0.0, 0.3) for mode in (0, 1)]
+    u = np.array([[x, x] for x, *_ in cases])
+    boxes = np.array([[lo, hi] for _, lo, hi, _ in cases])
+    modes = np.array([mode for *_, mode in cases])
+    s = np.zeros_like(u)
+    want = primal_update(u, s, 0.0, boxes, modes)
+    got = primal_steps(u, s, 0.0, boxes, modes)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert (np.signbit(got[finite]) == np.signbit(want[finite])).all()
+    assert (got[finite] == want[finite]).all()
 
 
 def test_dual_update_value():
@@ -106,8 +138,6 @@ def test_zero_aie_is_a_fixed_point():
 
 def test_identical_agents_stay_symmetric():
     # complete graph so the mixing cannot distinguish the two agents
-    from orra.comm_graph import Topology
-
     w = build_metropolis_weights(Topology(2, ((0, 1),)))
     opt = OrraOptimizer(w, LearningSchedule())
     models = [quad_aging(0.2), quad_aging(0.2)]
@@ -142,7 +172,7 @@ def run_static_stage(steps=600):
         grads = np.array([m.gradient(ui[0], ui[1]) for m, ui in zip(models, u)])
         u, info = opt.iterate(u, grads, aie, 0.0, intervals, modes)
         infos.append(info)
-    return u, infos, models, aie, intervals, modes
+    return np.array(u), infos, models, aie, intervals, modes
 
 
 def test_static_stage_converges_to_oracle():
@@ -151,7 +181,7 @@ def test_static_stage_converges_to_oracle():
     sol = centralized_solve(models, modes, intervals, target)
 
     # aggregate balance decays below 2% of the initial error within the stage
-    viol = [abs(i["h"].sum()) for i in infos]
+    viol = [abs(np.sum(i["h"])) for i in infos]
     assert min(viol) < 0.02 * abs(aie.sum())
     assert viol[-1] < 0.02 * abs(aie.sum())
     # allocation lands near the centralized optimum
@@ -164,7 +194,7 @@ def test_static_stage_converges_to_oracle():
     spread = marg[interior].max() - marg[interior].min()
     assert spread <= 0.05 * abs(marg[interior].mean())
     # dual consensus at stage end: agents quote near-identical prices
-    lam = infos[-1]["lam"]
+    lam = np.array(infos[-1]["lam"])
     dev = np.abs(lam - lam.mean()).max()
     assert dev <= 0.01 * max(np.abs(lam).mean(), 1e-12)
 
@@ -175,7 +205,8 @@ def test_dual_bound_and_tracking_every_iteration():
         assert np.abs(info["lam"]).max() <= info["bound"] + 1e-12
         if k > 0:
             # tracker mean equals the fleet-average constraint memory
-            assert abs(info["y"].mean() - infos[k - 1]["h"].mean()) <= 1e-9
+            drift = np.mean(info["y"]) - np.mean(infos[k - 1]["h"])
+            assert abs(drift) <= 1e-9
 
 
 def test_frequency_spike_restarts_stage_and_clips_dual():
@@ -202,8 +233,6 @@ def test_frequency_spike_restarts_stage_and_clips_dual():
 
 def random_instance(rng):
     """Small synthetic tracking problem with a slowly drifting error."""
-    from orra.comm_graph import Topology
-
     n = int(rng.integers(2, 5))
     edges = [(i, i + 1) for i in range(n - 1)]
     extra = [(i, j) for i in range(n) for j in range(i + 2, n)]
@@ -304,3 +333,56 @@ def test_regret_bounds_on_random_instances():
         if not (c1.holds and c2.holds):
             failures.append((trial, c1.lhs, c1.rhs, c2.lhs, c2.rhs))
     assert not failures, f"bound violations: {failures[:5]}"
+
+
+def bits(x) -> bytes:
+    """The float64 bytes of x, so that -0.0 and 0.0 differ."""
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_iterate_matches_vector_reference_bit_for_bit():
+    rng = np.random.default_rng(23)
+    resets = {"t_max": 0, "df": 0}
+    for case in range(150):
+        n = int(rng.integers(1, 9))
+        edges = [(i, i + 1) for i in range(n - 1)]
+        edges += [(i, j) for i in range(n) for j in range(i + 2, n)
+                  if rng.random() < 0.3]
+        w = build_metropolis_weights(Topology(n, tuple(edges)))
+        sched = LearningSchedule(t_max=int(rng.integers(1, 12)))
+        gamma = float(rng.uniform(0.5, 20.0))
+        opt = OrraOptimizer(w, sched, gamma=gamma)
+        ref = VectorOptimizer(w, sched, gamma)
+        # every fifth case has zero shares and starts at rest; half of
+        # those also have flat costs, so they sit at the origin and every
+        # reset clips the dual to a zero cap
+        zero_shares = case % 5 == 0
+        flat = case % 10 == 0
+        # the others' first call sets the tracker from a nonzero start
+        u = rng.uniform(0.0, 0.6, (n, 2)) * (not zero_shares)
+        u = [(float(d), float(c)) for d, c in u]
+        for _ in range(int(rng.integers(1, 40))):
+            modes = rng.integers(0, 2, n).tolist()
+            # boxes narrow enough, and steps long enough, that both ends clip
+            hi = rng.choice([0.0, 0.05, 0.3, 1.0], n).tolist()
+            boxes = [(0.0, h) for h in hi]
+            grads = rng.normal(0.0, 2.0, (n, 2)) * (not flat)
+            grads = [(float(g_d), float(g_c)) for g_d, g_c in grads]
+            shares = ([0.0] * n if zero_shares
+                      else (rng.normal(0.0, 0.3, n)
+                            * (rng.random(n) < 0.8)).tolist())
+            df = float(rng.choice([0.0, 0.01, -0.06, 0.2]))
+            stage_t = opt.t
+            u_ref, info_ref = ref.iterate(u, grads, shares, df, boxes, modes)
+            u, info = opt.iterate(u, grads, shares, df, boxes, modes)
+            if info["reset"]:
+                resets["t_max" if stage_t >= sched.t_max else "df"] += 1
+            assert bits(u) == bits(u_ref)
+            assert info.keys() == info_ref.keys()
+            for key, value in info.items():
+                assert bits(value) == bits(info_ref[key]), key
+            assert (opt.b_y, opt.t, opt.stage) == (ref.b_y, ref.t, ref.stage)
+            assert bits(opt.lam) == bits(ref.lam)
+            assert bits(opt.y) == bits(ref.y)
+    # the cases took both kinds of stage reset
+    assert min(resets.values()) > 20
