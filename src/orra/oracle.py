@@ -6,12 +6,13 @@ costs subject to the signed fleet power matching the negated aggregate
 injection error, with every agent confined to its mode box. Strict
 convexity of the wear term makes the best response to the equality
 multiplier unique and monotone, so the solve is a safeguarded Newton search
-on the multiplier around a vectorized safeguarded Newton inversion of each
-agent's marginal cost; both fall back to bisecting a bracket whenever a
-Newton step would leave it.
+on the multiplier around a scalar safeguarded Newton inversion of each
+agent's marginal cost, on Python floats; both fall back to bisecting a
+bracket whenever a Newton step would leave it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,58 +46,56 @@ class CentralizedSolution:
     clamped: bool = False
 
 
-def _cost_arrays(models, modes):
-    """Per-agent coefficient arrays along the active coordinate."""
-    wear = np.array([2.0 * m.theta_b for m in models])
-    g = np.array(
-        [m.g_d if mode == 1 else m.g_c for m, mode in zip(models, modes)]
-    )
-    aging = np.array([m.big_theta * m.b for m in models])
-    mu0 = np.array([m.mu0 for m in models])
-    bm1 = np.array([m.b - 1.0 for m in models])
-    return wear, g, aging, mu0, bm1
+XTOL = 1e-12  # MW: per-agent root tolerance, and the margin of "free"
 
 
-def _marginal(arrays, q):
+def _cost_coefs(models, modes):
+    """Per-agent (wear, g, aging, mu0, b-1) along the active coordinate."""
+    return [
+        (2.0 * m.theta_b, m.g_d if mode == 1 else m.g_c,
+         m.big_theta * m.b, m.mu0, m.b - 1.0)
+        for m, mode in zip(models, modes)
+    ]
+
+
+def _marginal(coef, q):
     """marginal(q) and its derivative wear + aging*g^2*(b-1)*mu^(b-2)."""
-    wear, g, aging, mu0, bm1 = arrays
+    wear, g, aging, mu0, bm1 = coef
     mu = mu0 + g * q
-    pos = mu > 0
-    mu_pos = np.where(pos, mu, 1.0)
-    rise = np.where(pos, aging * g * mu_pos**bm1, 0.0)
-    curve = np.where(pos, aging * g * g * bm1 * mu_pos ** (bm1 - 1.0), 0.0)
-    return wear * q + rise, wear + curve
+    if not mu > 0:
+        return wear * q, wear
+    try:
+        curve = mu ** (bm1 - 1.0)
+    except OverflowError:  # subnormal mu with b near 1: inf, as in numpy
+        curve = math.inf
+    return wear * q + aging * g * mu**bm1, wear + aging * g * g * bm1 * curve
 
 
-def _best_response(arrays, lo, hi, m_lo, m_hi, slope_target, q, xtol=1e-12):
-    """q per agent with marginal(q) = slope_target, clamped to [lo, hi].
+def _best_response(coef, lo, hi, m_lo, m_hi, slope_target, q):
+    """One agent's q with marginal(q) = slope_target, clamped to [lo, hi].
 
-    Safeguarded Newton from the start q: each agent keeps a bracket on its
-    root and bisects it whenever the Newton step would leave the bracket or
-    is not finite. An agent whose target lies beyond a box end starts with
-    its bracket shut on that end. Since marginal' >= wear, a marginal gap
-    under xtol*wear puts q within xtol of the root. Returns q, the
-    marginal slope at q and the mask of agents more than xtol inside their
-    boxes.
+    Safeguarded Newton from the start q inside a bracket on the root, which
+    is bisected whenever the Newton step would leave it or is not finite.
+    A target beyond a box end starts with the bracket shut on that end.
+    Since marginal' >= wear, a marginal gap under XTOL*wear puts q within
+    XTOL of the root. Returns q and the marginal slope at q.
     """
-    wear = arrays[0]
-    at_lo = m_lo >= slope_target
-    at_hi = m_hi <= slope_target
-    a = np.where(at_hi, hi, lo)
-    b = np.where(at_lo, lo, hi)
-    q = np.clip(q, a, b)
+    wear = coef[0]
+    a = hi if m_hi <= slope_target else lo
+    b = lo if m_lo >= slope_target else hi
+    q = min(max(q, a), b)
     for _ in range(100):
-        m, dm = _marginal(arrays, q)
+        m, dm = _marginal(coef, q)
         gap = m - slope_target
-        if ((np.abs(gap) <= xtol * wear) | (b - a <= xtol)).all():
+        if abs(gap) <= XTOL * wear or b - a <= XTOL:
             break
-        high = gap > 0
-        b = np.where(high, q, b)
-        a = np.where(high, a, q)
+        if gap > 0:
+            b = q
+        else:
+            a = q
         step = q - gap / dm
-        inside = (step >= a) & (step <= b)  # false on nan
-        q = np.where(inside, step, 0.5 * (a + b))
-    return q, dm, (q > lo + xtol) & (q < hi - xtol)
+        q = step if a <= step <= b else 0.5 * (a + b)  # false on nan
+    return q, dm
 
 
 def centralized_solve(
@@ -120,16 +119,18 @@ def centralized_solve(
     or after `iters` multiplier steps.
     """
     modes = [int(m) for m in modes]
-    lo = np.array([b[0] for b in boxes], dtype=float)
-    hi = np.array([b[1] for b in boxes], dtype=float)
-    sign = np.array([1.0 if m == 1 else -1.0 for m in modes])
+    lo = [float(b[0]) for b in boxes]
+    hi = [float(b[1]) for b in boxes]
+    sign = [1.0 if m == 1 else -1.0 for m in modes]
     for m in models:
         if m.theta_b <= 0:
             raise ValueError("oracle requires a strictly convex wear term")
-    arrays = _cost_arrays(models, modes)
+    coefs = _cost_coefs(models, modes)
 
-    agg_lo = float(np.where(sign > 0, lo, -hi).sum())
-    agg_hi = float(np.where(sign > 0, hi, -lo).sum())
+    agg_lo = agg_hi = 0.0
+    for s, l, h in zip(sign, lo, hi):
+        agg_lo += l if s > 0 else -h
+        agg_hi += h if s > 0 else -l
     clamped = False
     want = float(target)
     if not agg_lo - 1e-9 <= want <= agg_hi + 1e-9:
@@ -137,28 +138,33 @@ def centralized_solve(
             clamped = True
         else:
             raise InfeasibleTargetError(want, (agg_lo, agg_hi))
-    want = float(np.clip(want, agg_lo, agg_hi))
+    want = min(max(want, agg_lo), agg_hi)
 
     # Stationarity of the per-agent Lagrangian: marginal(q) = -nu*sign. The
     # wear term makes every marginal strictly increasing, so the aggregate
     # best response falls monotonically in nu; at +-nu_max every agent sits
     # at the box end that gives agg_lo or agg_hi, which brackets the root.
-    m_lo = _marginal(arrays, lo)[0]
-    m_hi = _marginal(arrays, hi)[0]
-    corner = np.maximum(np.abs(m_lo), np.abs(m_hi))
-    nu_max = max(2.0 * float(corner.max()), 1e-6)
+    m_lo = [_marginal(c, l)[0] for c, l in zip(coefs, lo)]
+    m_hi = [_marginal(c, h)[0] for c, h in zip(coefs, hi)]
+    corner = max(max(abs(a), abs(b)) for a, b in zip(m_lo, m_hi))
+    nu_max = max(2.0 * corner, 1e-6)
     nu_lo, nu_hi = -nu_max, nu_max  # agg(nu_lo) >= want >= agg(nu_hi)
     nu = 0.0 if nu_hint is None else min(max(float(nu_hint), -nu_max), nu_max)
+    agents = list(zip(coefs, sign, lo, hi, m_lo, m_hi))
 
-    def aggregate(nu, q):
-        q, slope, free = _best_response(
-            arrays, lo, hi, m_lo, m_hi, -nu * sign, q
-        )
+    def aggregate(nu, qs):
         # d agg / d nu = -(sum over free agents of 1/marginal'(q))
-        rate = float((1.0 / slope[free]).sum())
-        return float((sign * q).sum()) - want, rate, q
+        total = rate = 0.0
+        out = []
+        for (coef, s, l, h, ml, mh), q in zip(agents, qs):
+            q, dm = _best_response(coef, l, h, ml, mh, -nu * s, q)
+            out.append(q)
+            total += s * q
+            if l + XTOL < q < h - XTOL:
+                rate += 1.0 / dm
+        return total - want, rate, out
 
-    gap, rate, q = aggregate(nu, 0.5 * (lo + hi))
+    gap, rate, q = aggregate(nu, [0.5 * (l + h) for l, h in zip(lo, hi)])
     # safeguarded Newton on nu, as in rtsafe: bisect the bracket when the
     # step would leave it or would not halve the step before last
     dx_old = dx = 2.0 * nu_max
@@ -169,7 +175,7 @@ def centralized_solve(
             nu_lo = nu
         else:
             nu_hi = nu
-        newton = nu + gap / rate if rate > 0 else np.nan
+        newton = nu + gap / rate if rate > 0 else math.nan
         if nu_lo < newton < nu_hi and 2.0 * abs(newton - nu) <= dx_old:
             dx_old, dx = dx, abs(newton - nu)
             nu = newton
@@ -177,15 +183,13 @@ def centralized_solve(
             dx_old, dx = dx, 0.5 * (nu_hi - nu_lo)
             nu = nu_lo + dx
         gap, rate, q = aggregate(nu, q)
-    residual = abs(gap)
-    modes_arr = np.array(modes)
     return CentralizedSolution(
-        q=q,
-        d=np.where(modes_arr == 1, q, 0.0),
-        c=np.where(modes_arr == 0, q, 0.0),
+        q=np.array(q),
+        d=np.array([x if m == 1 else 0.0 for x, m in zip(q, modes)]),
+        c=np.array([x if m == 0 else 0.0 for x, m in zip(q, modes)]),
         nu=nu,
-        residual=residual,
-        marginals=_marginal(arrays, q)[0],
+        residual=abs(gap),
+        marginals=np.array([_marginal(c, x)[0] for c, x in zip(coefs, q)]),
         target=want,
         clamped=clamped,
     )

@@ -132,6 +132,14 @@ class ScenarioConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
+        # the name becomes the stem of every output file, so it must not
+        # leave the output directory
+        if (type(self.name) is not str or self.name in ("", ".", "..")
+                or any(ch in self.name for ch in "/\\\0")):
+            raise ConfigError(
+                f"name {self.name!r} must be a file name stem: non-empty, "
+                "not . or .., without /, \\ or NUL"
+            )
         if self.kind not in ("step", "fluctuation"):
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.signal not in ("AIE", "ACE"):
@@ -594,10 +602,11 @@ class ScenarioRunner:
                 on_infeasible="clamp", nu_hint=self.nu_hint,
             )
             self.nu_hint = sol.nu
+            d_star, c_star = sol.d.tolist(), sol.c.tolist()
             rec.f_oracle[k] = sum(
-                m.value(d, c) for m, d, c in zip(models, sol.d, sol.c)
+                m.value(d, c) for m, d, c in zip(models, d_star, c_star)
             )
-            rec.u_star[k] = np.stack([sol.d, sol.c], axis=1)
+            rec.u_star[k] = list(zip(d_star, c_star))
             rec.oracle_clamped += int(sol.clamped)
         self.u, self.p_bess = u_next, p_bess
 

@@ -63,6 +63,11 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
         {"fleet": {"theta_b": [0.1, 0.1, -0.1, 0.1, 0.1]}},
         # 24 samples spaced rbf_d_min apart: gram condition number 1e19
         {"aie": {"rbf_xi": 1.0, "rbf_d_min": 1e-5}},
+        # the name is the stem of every output file
+        {"name": "../x"},
+        {"name": "a/b"},
+        {"name": ""},
+        {"name": 5},
     ):
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == 2, data

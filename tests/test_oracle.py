@@ -177,6 +177,92 @@ def test_newton_solve_matches_nested_bisection():
             assert sol.residual <= 1e-7
 
 
+def branch_cases():
+    """Hand-built instances for each branch of the per-agent solve and the
+    multiplier search, as (models, modes, boxes, target)."""
+    rng = np.random.default_rng(59)
+
+    def pick(mode):
+        if rng.random() < 0.5:
+            return fresh_model(rng)
+        return aging_model(rng, mode)
+
+    cases = []
+    # zero-width boxes: batteries held at a SoC limit, hi = 0
+    modes = [1, 1, 0, 1]
+    models = [pick(m) for m in modes]
+    boxes = [(0.0, 0.0), (0.0, 0.8), (0.0, 0.0), (0.0, 0.5)]
+    cases += [(models, modes, boxes, t) for t in (0.0, 0.6, 1.3, 2.0)]
+    cases.append((models[:1], modes[:1], boxes[:1], 0.0))
+    cases.append((models[:3:2], [1, 0], [(0.0, 0.0)] * 2, 0.3))
+    # a hair from the limit: a subnormal mu with b near 1 overflows
+    # mu^(b-2), so marginal' is infinite there
+    near_one = IntervalCost(
+        mu0=0.0, g_d=1.0, g_c=1.0, theta_b=0.2, big_theta=2.0, b=1.01
+    )
+    cases.append(
+        ([near_one, models[1]], [1, 1], [(0.0, 1e-320), (0.0, 0.8)], 0.3)
+    )
+    # the target exactly at agg_lo or agg_hi: no agent ends up free, so
+    # the multiplier search can only bisect
+    modes = [1, 0, 1]
+    models = [pick(m) for m in modes]
+    boxes = [(0.0, 0.7), (0.0, 0.4), (0.0, 0.9)]
+    cases += [(models, modes, boxes, t) for t in (-0.4, 1.6)]
+    # a one-agent fleet, inside, on and beyond either box end
+    for mode in (1, 0):
+        sign = 1.0 if mode == 1 else -1.0
+        one = [pick(mode)]
+        cases += [
+            (one, [mode], [(0.0, 0.6)], sign * t)
+            for t in (0.0, 0.25, 0.6, 0.9)
+        ]
+    # fresh starts: mu0 = 0 with both g_d and g_c nonzero
+    modes = [1, 0, 1, 0]
+    models = [fresh_model(rng) for _ in modes]
+    assert all(m.mu0 == 0 and m.g_d and m.g_c for m in models)
+    boxes = [(0.0, float(rng.uniform(0.1, 1.0))) for _ in modes]
+    cases += [(models, modes, boxes, t) for t in (-0.3, 0.05, 0.4)]
+    # mixed modes with a zero target: idle at the origin, or, with boxes
+    # that exclude it, discharge and charge agents that must balance
+    for n in (2, 3, 5):
+        modes = [i % 2 for i in range(n)]
+        models = [pick(m) for m in modes]
+        his = rng.uniform(0.4, 1.0, size=n)
+        cases.append((models, modes, [(0.0, h) for h in his], 0.0))
+        cases.append((models, modes, [(0.1, h) for h in his], 0.0))
+    return cases
+
+
+def test_newton_solve_matches_bisection_on_branch_cases():
+    for models, modes, boxes, target in branch_cases():
+        q_ref, _, clamped_ref = bisection_solve(
+            models, modes, boxes, target, on_infeasible="clamp"
+        )
+        # hints far beyond +-nu_max are clipped into the bracket
+        for hint in (None, -1e6, 1e6):
+            sol = centralized_solve(
+                models, modes, boxes, target, on_infeasible="clamp",
+                nu_hint=hint,
+            )
+            assert sol.clamped == clamped_ref
+            assert np.abs(sol.q - q_ref).max() <= 1e-6
+            assert sol.residual <= 1e-7
+
+
+def test_inactive_coordinate_is_exact_zero():
+    # the benchmark's regret check tests the inactive coordinate with != 0
+    for models, modes, boxes, target in branch_cases():
+        sol = centralized_solve(
+            models, modes, boxes, target, on_infeasible="clamp"
+        )
+        discharge = np.array(modes) == 1
+        assert (sol.c[discharge] == 0.0).all()
+        assert (sol.d[~discharge] == 0.0).all()
+        assert (sol.d[discharge] == sol.q[discharge]).all()
+        assert (sol.c[~discharge] == sol.q[~discharge]).all()
+
+
 def test_infeasible_target_raises_with_range():
     models = [quad(0.1), quad(0.1)]
     boxes = [(0.0, 1.0)] * 2
