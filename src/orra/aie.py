@@ -36,25 +36,27 @@ def compute_ace(dPtie, B, df):
     return dPtie + B * df
 
 
-def check_participation(sigma) -> np.ndarray:
-    """Participation factors as a float array: nonnegative, summing to 1."""
+def check_participation(sigma) -> list:
+    """Participation factors as a list of floats: nonnegative, summing to 1."""
     sigma = np.asarray(sigma, dtype=float)
     if not (sigma >= 0).all():
         raise ValueError("participation factors must be nonnegative")
     if not abs(sigma.sum() - 1.0) <= 1e-12:
         raise ValueError("participation factors must sum to 1")
-    return sigma
+    return sigma.tolist()
 
 
-def aie_shares(sigma, p_tie, d_prime, df, du_cg, pm_cg) -> np.ndarray:
+def aie_shares(sigma, p_tie, d_prime, df, du_cg, pm_cg) -> list:
     """Each agent's share of the area injection error.
 
     share_i = sigma_i*(p_tie + D'*df) + sigma_i*du_cg - sigma_i*pm_cg: the
     tie-line-plus-damping error and the gap between the generators'
     summed governor command du_cg and mechanical power pm_cg, split by the
-    participation factors sigma (checked once, by `check_participation`).
+    participation factors sigma (a list, checked once, by
+    `check_participation`).
     """
-    return sigma * (p_tie + d_prime * df) + sigma * du_cg - sigma * pm_cg
+    error = p_tie + d_prime * df
+    return [s * error + s * du_cg - s * pm_cg for s in sigma]
 
 
 def gaussian_basis(x, xi):

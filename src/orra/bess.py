@@ -125,26 +125,27 @@ class Battery:
         self.lifetime_loss += degradation.total_loss(events, self.aging)
         return events
 
-    def cost_model(self, tau: float) -> degradation.IntervalCost:
-        return degradation.interval_cost(
-            self.residues,
-            self.aging,
-            self.params.capacity,
-            self.params.eta_c,
-            self.params.eta_d,
-            self.params.theta_a,
-            self.params.theta_b,
+    def cost_terms(self, tau: float) -> degradation.CostTerms:
+        """The constants of this battery's interval cost for tau-second
+        intervals."""
+        p = self.params
+        return degradation.cost_terms(
+            self.aging, p.capacity, p.eta_c, p.eta_d, p.theta_a, p.theta_b,
             tau,
         )
 
 
 class Fleet:
-    """The batteries of one run, in agent order."""
+    """The batteries of one run, in agent order, on control intervals of
+    tau seconds."""
 
-    def __init__(self, batteries) -> None:
+    def __init__(self, batteries, tau: float) -> None:
         self.batteries = list(batteries)
         if not self.batteries:
             raise ValueError("fleet needs at least one battery")
+        self.tau = tau
+        # each battery's cost constants, fixed for the run
+        self.cost_terms = [b.cost_terms(tau) for b in self.batteries]
 
     @property
     def n(self) -> int:
@@ -154,21 +155,24 @@ class Fleet:
     def soc(self) -> list:
         return [b.soc for b in self.batteries]
 
-    def apply_all(self, u, tau: float) -> None:
+    def apply_all(self, u) -> None:
         """Apply one interval's (discharge, charge) pair to each battery."""
+        tau = self.tau
         for b, (d, c) in zip(self.batteries, u):
             b.apply(d, c, tau)
 
-    def plan(self, aie_shares, direction: int, tau: float):
+    def plan(self, aie_shares, direction: int):
         """Set each battery's mode from its share for the coming interval.
 
         Returns lists of the interval's modes, (lo, hi) boxes on the active
         power coordinate, and frozen-residue cost models.
         """
+        tau = self.tau
         modes, boxes, models = [], [], []
-        for b, share in zip(self.batteries, aie_shares):
+        for b, terms, share in zip(self.batteries, self.cost_terms,
+                                   aie_shares):
             b.mode = mode = mode_select(share, b.mode, direction)
             modes.append(mode)
             boxes.append(feasible_interval(b.soc, mode, b.params, tau))
-            models.append(b.cost_model(tau))
+            models.append(degradation.interval_cost(b.residues, terms))
         return modes, boxes, models

@@ -140,8 +140,21 @@ class IntervalCost(NamedTuple):
         return wear + aging * self.g_d, -wear + aging * self.g_c
 
 
-def interval_cost(
-    residues: ResidueStack,
+class CostTerms(NamedTuple):
+    """A battery's interval-cost constants for intervals of a fixed length.
+
+    g_discharge and g_charge convert power into SoC deepening; theta_b and
+    big_theta weight the wear and aging terms; b is the aging exponent.
+    """
+
+    g_discharge: float
+    g_charge: float
+    theta_b: float
+    big_theta: float
+    b: float
+
+
+def cost_terms(
     aging: AgingParams,
     capacity,
     eta_c,
@@ -149,22 +162,29 @@ def interval_cost(
     theta_a,
     theta_b,
     tau,
-) -> IntervalCost:
-    """Build the frozen-residue cost for one interval of length tau seconds."""
+) -> CostTerms:
+    """The interval-cost constants of one battery for tau-second intervals."""
     if tau <= 0:
         raise ValueError("interval length tau must be positive")
     tau_h = tau * HOURS_PER_SECOND
-    mu0, direction = open_half(residues)
     g_discharge = tau_h / (eta_d * capacity)
     g_charge = eta_c * tau_h / capacity
+    big_theta = theta_a * (3600.0 / tau) * (aging.a / 4.0)
+    return CostTerms(g_discharge, g_charge, theta_b, big_theta, aging.b)
+
+
+def interval_cost(residues: ResidueStack, terms: CostTerms) -> IntervalCost:
+    """Build the frozen-residue cost for one interval from the battery's
+    constants."""
+    g_discharge, g_charge, theta_b, big_theta, b = terms
+    mu0, direction = open_half(residues)
     if direction < 0:
         g_d, g_c = g_discharge, 0.0
     elif direction > 0:
         g_d, g_c = 0.0, g_charge
     else:
         g_d, g_c = g_discharge, g_charge  # fresh start: either move opens a half
-    big_theta = theta_a * (3600.0 / tau) * (aging.a / 4.0)
-    return IntervalCost(mu0, g_d, g_c, theta_b, big_theta, aging.b)
+    return IntervalCost(mu0, g_d, g_c, theta_b, big_theta, b)
 
 
 def total_loss(events, params: AgingParams) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -103,9 +102,19 @@ def zero_state(areas) -> GridState:
     return GridState((0.0, 0.0), zeros, zeros, zeros, 0.0, (0.0, 0.0))
 
 
-def _clamp(x: float, bound: float) -> float:
-    """x limited to [-bound, bound]; NaN passes through."""
-    return -bound if x < -bound else bound if x > bound else x
+def _area_constants(area: AreaParams, error: float, dt: float) -> tuple:
+    """One area's constants over an interval: each generator's command slew
+    (fixed while the error is held), the droop slopes, the saturation
+    band, the ramp limit, the two lags, damping, inertia, and the
+    responsive-load droop response (None without one)."""
+    step = area.ramp_limit * dt
+    slews = []
+    for s in area.sigma:
+        x = -dt * area.k_i * s * error
+        slews.append(-step if x < -step else step if x > step else x)
+    frr = area.frr.response if area.frr is not None else None
+    return (slews, area.inv_droops, area.saturation, area.ramp_limit,
+            area.t_gov, area.t_turb, area.damping, area.inertia, frr)
 
 
 def grid_step(
@@ -124,6 +133,8 @@ def grid_step(
     commands (negative error raises generation) hold over the interval.
     Commands slew no faster than each unit's ramp limit and wind up no
     further than its saturation band, so the commands stay followable.
+    areas holds exactly two areas; each one's constants are read once per
+    call.
 
     Finiteness is checked once, at the end: a NaN passes every clamp and an
     infinity in an unclamped integrator (df, gov, p_tie) stays non-finite,
@@ -131,50 +142,65 @@ def grid_step(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    # each generator's command slew is fixed while the error is held
-    slews = [
-        [_clamp(-dt * area.k_i * s * e, area.ramp_limit * dt)
-         for s in area.sigma]
-        for area, e in zip(areas, map(float, agc_errors))
-    ]
-    bess = [float(p) for p in p_bess]
-    tie_gain = dt * areas[0].t_sync
-    df, p_tie, p_fr = state.df, state.p_tie, state.p_fr
-    du_gov, gov, p_m = state.du_gov, state.gov, state.p_m
-    for dist in disturbances:
-        after = []  # per area: (df, du_gov, gov, p_m, p_fr) after the step
-        for a, area in enumerate(areas):
-            f, sat, ramp = df[a], area.saturation, area.ramp_limit
-            du_a, gov_a, pm_a = [], [], []
-            pm_sum = 0.0  # from 0.0 in generator order, as numpy sums
-            for u, g, p, slew, r in zip(du_gov[a], gov[a], p_m[a], slews[a],
-                                        area.inv_droops):
-                pm_sum += p
-                du_a.append(_clamp(u + slew, sat))
-                gov_a.append(g + dt * ((u - f * r) - g) / area.t_gov)
-                rate = _clamp((g - p) / area.t_turb, ramp)
-                pm_a.append(_clamp(p + dt * rate, sat))
-            frr = area.frr.response(f) if area.frr is not None else 0.0
-            accel = (
-                pm_sum + bess[a] + frr - dist[a] - area.damping * f
-                + (-1.0, 1.0)[a] * p_tie  # tie power leaves area 1
-            )
-            after.append((f + dt * accel / area.inertia, du_a, gov_a, pm_a,
-                          frr))
-        p_tie = p_tie + tie_gain * (df[0] - df[1])
-        df, du_gov, gov, p_m, p_fr = zip(*after)
-    new = GridState(
-        df, tuple(map(tuple, du_gov)), tuple(map(tuple, gov)),
-        tuple(map(tuple, p_m)), p_tie, p_fr,
-    )
+    area1, area2 = areas
+    e1, e2 = map(float, agc_errors)
+    b1, b2 = map(float, p_bess)
+    (slews1, droops1, sat1, ramp1, t_gov1, t_turb1, damping1, inertia1,
+     frr1) = _area_constants(area1, e1, dt)
+    (slews2, droops2, sat2, ramp2, t_gov2, t_turb2, damping2, inertia2,
+     frr2) = _area_constants(area2, e2, dt)
+    tie_gain = dt * area1.t_sync
+    (f1, f2), p_tie, (fr1, fr2) = state.df, state.p_tie, state.p_fr
+    du1, du2 = map(list, state.du_gov)
+    gov1, gov2 = map(list, state.gov)
+    pm1, pm2 = map(list, state.p_m)
+    gens1, gens2 = range(len(du1)), range(len(du2))
+    nsat1, nramp1, nsat2, nramp2 = -sat1, -ramp1, -sat2, -ramp2
+    for d1, d2 in disturbances:
+        # Each generator reads only its own old values and its area's old
+        # df. The command slews within the saturation band, the valve
+        # follows the command less the droop, and the turbine follows the
+        # valve no faster than the ramp limit, within the saturation band.
+        # Mechanical power is summed before the step, from 0.0 in generator
+        # order as numpy sums; the clamps let NaN through.
+        pm_sum1 = 0.0
+        for i in gens1:
+            u, g, p = du1[i], gov1[i], pm1[i]
+            pm_sum1 += p
+            x = u + slews1[i]
+            du1[i] = nsat1 if x < nsat1 else sat1 if x > sat1 else x
+            gov1[i] = g + dt * ((u - f1 * droops1[i]) - g) / t_gov1
+            x = (g - p) / t_turb1
+            x = p + dt * (nramp1 if x < nramp1 else ramp1 if x > ramp1 else x)
+            pm1[i] = nsat1 if x < nsat1 else sat1 if x > sat1 else x
+        pm_sum2 = 0.0
+        for i in gens2:
+            u, g, p = du2[i], gov2[i], pm2[i]
+            pm_sum2 += p
+            x = u + slews2[i]
+            du2[i] = nsat2 if x < nsat2 else sat2 if x > sat2 else x
+            gov2[i] = g + dt * ((u - f2 * droops2[i]) - g) / t_gov2
+            x = (g - p) / t_turb2
+            x = p + dt * (nramp2 if x < nramp2 else ramp2 if x > ramp2 else x)
+            pm2[i] = nsat2 if x < nsat2 else sat2 if x > sat2 else x
+        fr1 = frr1(f1) if frr1 is not None else 0.0
+        fr2 = frr2(f2) if frr2 is not None else 0.0
+        # tie power leaves area 1 and enters area 2
+        accel1 = pm_sum1 + b1 + fr1 - d1 - damping1 * f1 + (-1.0) * p_tie
+        accel2 = pm_sum2 + b2 + fr2 - d2 - damping2 * f2 + 1.0 * p_tie
+        p_tie = p_tie + tie_gain * (f1 - f2)
+        f1 = f1 + dt * accel1 / inertia1
+        f2 = f2 + dt * accel2 / inertia2
     for name, values in (
-        ("df", new.df), ("du_gov", chain(*new.du_gov)),
-        ("gov", chain(*new.gov)), ("p_m", chain(*new.p_m)),
-        ("p_fr", new.p_fr), ("p_tie", (new.p_tie,)),
+        ("df", (f1, f2)), ("du_gov", du1 + du2), ("gov", gov1 + gov2),
+        ("p_m", pm1 + pm2), ("p_fr", (fr1, fr2)), ("p_tie", (p_tie,)),
     ):
         if not all(map(math.isfinite, values)):
             raise GridInstabilityError(name)
-    return new
+    return GridState(
+        (f1, f2), (tuple(du1), tuple(du2)), (tuple(gov1), tuple(gov2)),
+        (tuple(pm1), tuple(pm2)), p_tie, (fr1, fr2),
+    )
 
 
 def scenario_fluctuation(

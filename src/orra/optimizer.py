@@ -40,8 +40,9 @@ class LearningSchedule:
             raise ValueError("need 2*beta - 3*alpha <= 0")
         if 2 * self.beta - self.alpha - 1 > 1e-12:
             raise ValueError("need 2*beta - alpha - 1 <= 0")
-        if not 1 <= self.t_max < math.inf:
-            raise ValueError("t_max must be finite and at least 1")
+        # bool is an int subclass and 1.5 compares like one: check the type
+        if type(self.t_max) is not int or self.t_max < 1:
+            raise ValueError("t_max must be an integer of at least 1")
         if not 0 < self.f_threshold < math.inf:
             raise ValueError("f_threshold must be positive and finite")
 

@@ -182,7 +182,7 @@ class ScenarioConfig:
             raise ConfigError("mode_direction must be +1 or -1")
         # the checks the fleet, plant, surrogate, graph and schedule make
         try:
-            build_fleet(f)
+            build_fleet(f, self.tau)
             self.areas()
             self.surrogate()
             self.coordinator()
@@ -293,7 +293,7 @@ def resolve_out_dir(out_dir: str | None) -> str:
     return path
 
 
-def build_fleet(cfg: FleetConfig) -> Fleet:
+def build_fleet(cfg: FleetConfig, tau: float) -> Fleet:
     theta_a = cfg.per_battery(cfg.theta_a)
     theta_b = cfg.per_battery(cfg.theta_b)
     batteries = []
@@ -310,7 +310,7 @@ def build_fleet(cfg: FleetConfig) -> Fleet:
             theta_b=tb,
         )
         batteries.append(Battery(params=params, soc=float(soc)))
-    return Fleet(batteries)
+    return Fleet(batteries, tau)
 
 
 class TraceField(NamedTuple):
@@ -476,7 +476,7 @@ class ScenarioRunner:
             # caller-supplied net-load profile, replaces the configured kind
             self.disturbance = disturbance
         n = config.fleet.n
-        self.fleet = build_fleet(config.fleet)
+        self.fleet = build_fleet(config.fleet, config.tau)
         self.optimizer = config.coordinator()
         self.areas = config.areas()
         self.droop = self.areas[0].frr
@@ -520,7 +520,7 @@ class ScenarioRunner:
 
         # apply the pending decision, then run the plant over the interval
         if enabled:
-            self.fleet.apply_all(self.u, tau)
+            self.fleet.apply_all(self.u)
         agc2 = compute_ace(-self.state.p_tie, self.areas[1].bias,
                            self.state.df[1])
         dists = [(self.disturbance(t0 + j * cfg.dt_inner), 0.0)
@@ -533,8 +533,11 @@ class ScenarioRunner:
         # measure the area signals at the interval boundary
         df1 = self.state.df[0]
         p_tie = self.state.p_tie
-        du_cg = float(np.sum(self.state.du_gov[0]))
-        pm_cg = float(np.sum(self.state.p_m[0]))
+        # sequential sums from 0.0, as numpy sums fewer than 8 terms
+        du_cg = pm_cg = 0.0
+        for u, p in zip(self.state.du_gov[0], self.state.p_m[0]):
+            du_cg += u
+            pm_cg += p
         if cfg.signal == "AIE":
             shares = aie_shares(self.sigma, p_tie, cfg.aie.d_prime, df1,
                                 du_cg, pm_cg)
@@ -545,12 +548,17 @@ class ScenarioRunner:
                     self.surrogate.add_sample(
                         df1, -self.droop.response(df1)
                     )
-                shares = shares + self.sigma * self.surrogate.evaluate(df1)
+                correction = self.surrogate.evaluate(df1)
+                shares = [a + s * correction
+                          for a, s in zip(shares, self.sigma)]
                 rec.surrogate_m[k] = self.surrogate.m
-            self.agc1 = float(shares.sum())
+            agc1 = 0.0  # sequential, like the generator sums above
+            for a in shares:
+                agc1 += a
+            self.agc1 = agc1
         else:
             ace = compute_ace(p_tie, self.areas[0].bias, df1)
-            shares = self.sigma * ace
+            shares = [s * ace for s in self.sigma]
             self.agc1 = float(ace)
 
         # row k describes the interval starting at this boundary: the state
@@ -568,10 +576,7 @@ class ScenarioRunner:
         if not enabled:
             return
 
-        shares = shares.tolist()
-        modes, boxes, models = self.fleet.plan(
-            shares, cfg.aie.mode_direction, tau
-        )
+        modes, boxes, models = self.fleet.plan(shares, cfg.aie.mode_direction)
         grads = [m.gradient(d, c) for m, (d, c) in zip(models, self.u)]
         u_next, info = self.optimizer.iterate(
             self.u, grads, shares, df1, boxes, modes

@@ -23,40 +23,42 @@ def test_compute_ace_values():
     assert compute_ace(2.5, 30, 0.01) == pytest.approx(2.8)
 
 
-def test_aie_inputs_validation():
+def test_check_participation_validation():
     with pytest.raises(ValueError):
         check_participation([0.5, 0.4])
     with pytest.raises(ValueError):
         check_participation([1.5, -0.5])
     with pytest.raises(ValueError):
         check_participation([float("nan"), 1.0])
-    assert check_participation([0.25, 0.75]).dtype == float
+    sigma = check_participation([0.25, 0.75])
+    assert sigma == [0.25, 0.75]
+    assert all(type(s) is float for s in sigma)
 
 
 def shares(sigma=(1.0,), p_tie=2.0, d_prime=10.0, df=-0.1, du_cg=0.5,
            pm_cg=0.3):
-    return aie_shares(check_participation(sigma), p_tie, d_prime, df, du_cg,
-                      pm_cg)
+    return aie_shares(check_participation(list(sigma)), p_tie, d_prime, df,
+                      du_cg, pm_cg)
 
 
-def test_aie_bus_hand_value():
+def test_aie_shares_hand_value():
     assert shares() == pytest.approx([1.2])
 
 
-def test_aie_bus_non_generator_is_zero():
+def test_aie_shares_zero_participation_is_zero():
     # an agent with no participation gets no share of the error
-    got = shares(sigma=(0.0, 1.0))
+    got = shares(sigma=[0.0, 1.0])
     assert got[0] == 0.0
     assert got[1] == pytest.approx(1.2)
 
 
-def test_aie_bus_cancellation():
+def test_aie_shares_cancellation():
     assert shares(p_tie=1.0, df=-0.1, du_cg=0.3, pm_cg=0.3) == pytest.approx(
         [0.0]
     )
 
 
-def test_aie_total_equals_bus_sum():
+def test_aie_shares_sum_to_area_error():
     rng = np.random.default_rng(4)
     for _ in range(30):
         n = int(rng.integers(1, 6))
@@ -64,10 +66,29 @@ def test_aie_total_equals_bus_sum():
         sigma /= sigma.sum()
         p_tie, df = float(rng.normal()), float(rng.normal(0, 0.03))
         d_prime = float(rng.uniform(5, 20))
-        du_cg, pm_cg = rng.normal(size=2)
-        got = shares(sigma, p_tie, d_prime, df, du_cg, pm_cg)
+        du_cg, pm_cg = rng.normal(size=2).tolist()
+        got = shares(sigma.tolist(), p_tie, d_prime, df, du_cg, pm_cg)
         total = p_tie + d_prime * df + du_cg - pm_cg
-        assert got.sum() == pytest.approx(total, abs=1e-12)
+        assert sum(got) == pytest.approx(total, abs=1e-12)
+
+
+def test_aie_shares_match_numpy_expression_bit_for_bit():
+    # the array form the shares were computed with before they moved to
+    # Python floats, kept here as the reference
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        n = int(rng.integers(1, 9))
+        sigma = rng.dirichlet(np.ones(n))
+        if rng.random() < 0.2:
+            sigma = np.full(n, 1.0 / n)
+        p_tie, d_prime, df, du_cg, pm_cg = (
+            rng.normal(size=5) * 10.0 ** rng.integers(-6, 3, size=5)
+        ).tolist()
+        want = (sigma * (p_tie + d_prime * df) + sigma * du_cg
+                - sigma * pm_cg)
+        got = aie_shares(sigma.tolist(), p_tie, d_prime, df, du_cg, pm_cg)
+        assert type(got) is list and len(got) == n
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 def test_gaussian_basis_values():

@@ -12,6 +12,7 @@ from orra.bess import (
     mode_select,
     soc_step,
 )
+from orra.degradation import interval_cost
 from orra.optimizer import primal_step
 
 
@@ -180,19 +181,21 @@ def test_battery_never_leaves_soc_box_under_projected_decisions():
 
 def test_fleet_wiring():
     p = BessParams()
-    fleet = Fleet([Battery(p, 0.5) for _ in range(3)])
+    fleet = Fleet([Battery(p, 0.5) for _ in range(3)], 0.1)
     assert fleet.n == 3
-    modes, boxes, models = fleet.plan([2.0, -2.0, 0.0], 1, 0.1)
+    with pytest.raises(ValueError):
+        Fleet([Battery(p, 0.5)], 0.0)  # the cost constants need tau > 0
+    modes, boxes, models = fleet.plan([2.0, -2.0, 0.0], 1)
     assert list(modes) == [1, 0, 1]
     assert [b.mode for b in fleet.batteries] == [1, 0, 1]
-    modes, boxes, models = fleet.plan([2.0, -2.0, 0.0], -1, 0.1)
+    modes, boxes, models = fleet.plan([2.0, -2.0, 0.0], -1)
     assert list(modes) == [0, 1, 1]  # zero share holds previous mode
     for b, mode, box, model in zip(fleet.batteries, modes, boxes, models):
         assert tuple(box) == feasible_interval(b.soc, mode, p, 0.1)
-        assert model == b.cost_model(0.1)
+        assert model == interval_cost(b.residues, b.cost_terms(0.1))
     u = [project(ui, box, mode) for ui, box, mode
          in zip([(0.5, 0.2), (0.5, 0.4), (-0.2, 0.1)], boxes, modes)]
     d, c = np.array(u).T
     assert (d * c == 0).all()
-    fleet.apply_all(u, 0.1)
+    fleet.apply_all(u)
     assert np.allclose(fleet.soc, 0.5, atol=1e-4)

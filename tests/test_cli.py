@@ -68,6 +68,9 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
         {"name": "a/b"},
         {"name": ""},
         {"name": 5},
+        # stage lengths count whole intervals; true would pass as 1
+        {"duration": 2.0, "optimizer": {"t_max": True}},
+        {"optimizer": {"t_max": 1.5}},
     ):
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == 2, data

@@ -8,6 +8,7 @@ from orra.degradation import (
     EMPTY_STACK,
     AgingParams,
     CycleEvent,
+    cost_terms,
     finalize,
     interval_cost,
     open_half,
@@ -162,8 +163,8 @@ def test_usage_cost_values():
     # the interval model prices the open half cycle's loss, a/4 * mu**b,
     # amortized over the interval, plus the power wear
     aging = AgingParams(1e-3, 2.0)
-    model = interval_cost(stream([0.5, 0.4])[1], aging, 2.0, 0.95, 0.95,
-                          10.0, 0.1, 0.1)
+    model = interval_cost(stream([0.5, 0.4])[1],
+                          cost_terms(aging, 2.0, 0.95, 0.95, 10.0, 0.1, 0.1))
     assert model.value(0.0, 0.0) == pytest.approx(
         usage_cost(0, 0, aging.a / 4 * 0.1**2, 10.0, 0.1, 0.1)
     )
@@ -171,8 +172,7 @@ def test_usage_cost_values():
     # charging heals the downward half: only the wear term grows
     assert model.value(0.0, 2.0) - model.value(0.0, 0.0) == pytest.approx(0.4)
     with pytest.raises(ValueError):
-        interval_cost(stream([0.5])[1], aging, 2.0, 0.95, 0.95, 10.0, 0.1,
-                      0.0)
+        cost_terms(aging, 2.0, 0.95, 0.95, 10.0, 0.1, 0.0)
 
 
 def make_model(rng, direction=None):
@@ -181,8 +181,7 @@ def make_model(rng, direction=None):
         _, stack = stream([0.5, 0.5 - rng.uniform(0.05, 0.3)])
     elif direction == 1:
         _, stack = stream([0.5, 0.5 + rng.uniform(0.05, 0.3)])
-    return interval_cost(
-        stack,
+    return interval_cost(stack, cost_terms(
         AgingParams(float(rng.uniform(1e-4, 1e-3)), float(rng.uniform(1.5, 2.5))),
         capacity=float(rng.uniform(1.0, 4.0)),
         eta_c=0.95,
@@ -190,7 +189,7 @@ def make_model(rng, direction=None):
         theta_a=float(rng.uniform(100, 2000)),
         theta_b=float(rng.uniform(0.01, 0.5)),
         tau=0.1,
-    )
+    ))
 
 
 def test_interval_cost_convexity_probe():
@@ -208,7 +207,8 @@ def test_interval_cost_convexity_probe():
 
 def test_gradient_trivial_at_origin_with_no_open_half():
     model = interval_cost(
-        stream([0.5])[1], AgingParams(), 2.0, 0.95, 0.95, 1000.0, 0.1, 0.1
+        stream([0.5])[1],
+        cost_terms(AgingParams(), 2.0, 0.95, 0.95, 1000.0, 0.1, 0.1),
     )
     assert model.gradient(0.0, 0.0) == (0.0, 0.0)
 
@@ -216,7 +216,8 @@ def test_gradient_trivial_at_origin_with_no_open_half():
 def test_gradient_quadratic_part():
     # aging inactive: zero depth and zero deepening slope via a huge capacity
     model = interval_cost(
-        stream([0.5])[1], AgingParams(), 1e12, 0.95, 0.95, 0.0, 0.1, 0.1
+        stream([0.5])[1],
+        cost_terms(AgingParams(), 1e12, 0.95, 0.95, 0.0, 0.1, 0.1),
     )
     gd, gc = model.gradient(1.0, 0.0)
     assert gd == pytest.approx(0.2)
@@ -238,9 +239,9 @@ def test_gradient_matches_finite_differences_of_composed_cost():
         down = bool(rng.integers(0, 2))
         x1 = 0.5 - 0.2 if down else 0.5 + 0.2
         _, stack = stream([0.5, x1])
-        model = interval_cost(
-            stack, aging, e_cap, eta_c, eta_d, theta_a, theta_b, tau
-        )
+        model = interval_cost(stack, cost_terms(
+            aging, e_cap, eta_c, eta_d, theta_a, theta_b, tau
+        ))
 
         def composed(d, c):
             x2 = x1 + eta_c * (tau / 3600) / e_cap * c
@@ -263,7 +264,9 @@ def test_gradient_matches_finite_differences_of_composed_cost():
 
 def test_healing_coordinate_has_zero_aging_slope():
     _, stack = stream([0.5, 0.3])  # open half is downward
-    model = interval_cost(stack, AgingParams(), 2.0, 0.95, 0.95, 1000.0, 0.0, 0.1)
+    model = interval_cost(
+        stack, cost_terms(AgingParams(), 2.0, 0.95, 0.95, 1000.0, 0.0, 0.1)
+    )
     assert model.g_c == 0.0
     # with no wear term the cost is flat along the charge coordinate
     assert model.value(0.0, 1.0) == pytest.approx(model.value(0.0, 0.0))

@@ -119,6 +119,9 @@ def test_schedule_validation():
         LearningSchedule(alpha=0.3, beta=0.75)  # decay window violated
     with pytest.raises(ValueError):
         LearningSchedule(eps0=1.5)
+    for t_max in (0, True, 1.5, 900.0, float("inf")):
+        with pytest.raises(ValueError):
+            LearningSchedule(t_max=t_max)
 
 
 def test_zero_aie_is_a_fixed_point():
