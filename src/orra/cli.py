@@ -1,6 +1,7 @@
 """Command-line entry points for runs, studies, and trace checks.
 
-Exit codes: 0 on success, 2 on configuration problems, 3 on numerical
+Exit codes: 0 on success, 2 on configuration or file problems (an output
+directory that cannot be made, a trace that cannot be read), 3 on numerical
 failures (plant divergence, an SoC box violation, an ill-conditioned
 surrogate, or a failed trace verification).
 """
@@ -174,8 +175,8 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as err:
-        print(f"config error: {err}", file=sys.stderr)
+    except OSError as err:
+        print(f"file error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (GridInstabilityError, InfeasibleTargetError, SocViolationError,
             IllConditioningError, FloatingPointError) as err:

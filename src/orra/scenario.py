@@ -5,9 +5,11 @@ grid over the interval, measures the area signals (injection error with
 the learned responsive-load correction, or the classic control error),
 refreshes modes, feasible boxes, and wear-cost models, then advances the
 distributed optimizer one iteration to produce the next decision. Every
-interval is recorded in place into a preallocated RunResult; one column
-spec (TRACE_SPEC) lays that record out as the trace file and tells the
-trace verifier where to look.
+interval is recorded as one row of one preallocated float table, the
+RunResult's, whose leading columns are the trace file's; one column spec
+(TRACE_SPEC) lays out that table, names the arrays that view it, and
+tells the trace verifier where to look. The trace is written straight
+from the table.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -319,8 +322,9 @@ class TraceField(NamedTuple):
     `source` names the array; for the optimizer-log fields that is the
     key `OrraOptimizer.iterate` logs it under. `per` makes one column per
     area or generator, numbered from 1 (`df1`, `p_m_cg1`), or per agent,
-    numbered from 0 (`soc_0`). `dtype` is the array's element type; int
-    and bool columns are written as integers.
+    numbered from 0 (`soc_0`). `dtype` is the array's element type once
+    the run finishes; the record holds int and bool fields as whole-number
+    floats until then, and the trace prints them as integers.
     """
 
     column: str
@@ -367,30 +371,22 @@ OPTIMIZER_LOG = ("t", "stage", "reset", "kappa", "eps", "lam", "lam_mixed",
                  "y", "y_mixed", "s", "h", "bound")
 
 
-def _width(f: TraceField, n_agents: int, n_cg: int) -> int:
-    return {"": 1, "area": 2, "cg": n_cg, "agent": n_agents}[f.per]
-
-
 def trace_columns(n_agents: int, n_cg: int) -> tuple:
-    """(header, column stem -> its column indices) of a trace."""
+    """(header, column stem -> the slice of its column indices) of a trace."""
     header, where = [], {}
-
-    def add(f, name):
-        where.setdefault(f.column, []).append(len(header))
-        header.append(name)
-
-    agent_block = [f for f in TRACE_SPEC if f.per == "agent"]
+    agents = [f.column for f in TRACE_SPEC if f.per == "agent"]
     for f in TRACE_SPEC:
         if f.per == "agent":
-            if f is agent_block[0]:
-                for i in range(n_agents):
-                    for g in agent_block:
-                        add(g, f"{g.column}_{i}")
-        elif f.per:
-            for j in range(_width(f, n_agents, n_cg)):
-                add(f, f"{f.column}{j + 1}")
+            if f.column == agents[0]:
+                base = len(header)
+                header += [f"{c}_{i}" for i in range(n_agents) for c in agents]
+            where[f.column] = slice(base + agents.index(f.column),
+                                    len(header), len(agents))
         else:
-            add(f, f.column)
+            width = {"": 1, "area": 2, "cg": n_cg}[f.per]
+            where[f.column] = slice(len(header), len(header) + width)
+            header += ([f"{f.column}{j + 1}" for j in range(width)]
+                       if f.per else [f.column])
     return header, where
 
 
@@ -420,12 +416,17 @@ class OptimizerLog(Sequence):
 class RunResult:
     """One scenario run, recorded in place one control interval per row.
 
-    Each TRACE_SPEC field is an array named by its source (`marginals` is
-    the active-coordinate cost slope at the applied u). Beside them: `s`
-    (T, n, 2), the optimizer's saddle direction; `interior` (T, n),
-    dispatch strictly inside its mode box; `f_oracle` and `u_star`
-    (T, n, 2), the reference solution when it is solved; and `infos`, the
-    optimizer log as one dict per interval when the fleet takes part.
+    `table` (T, W) holds the whole record as floats. Its leading columns
+    are the trace's, in `trace_columns` order; then come the untraced `s`,
+    the optimizer's saddle direction, and `interior`, dispatch strictly
+    inside its mode box, each agent by agent; then, when the reference is
+    solved, `f_oracle` and `u_star`, its solution. Each TRACE_SPEC field
+    is an array named by its source (`marginals` is the active-coordinate
+    cost slope at the applied u) that views its columns of the table, as
+    do `s` and `u_star`, shaped (T, n, 2). `finish`, called once every row
+    is written, replaces the int and bool fields (`surrogate_m`, `modes`,
+    `reset`, `stage`, `t`, `interior`) by typed arrays and sets `infos`,
+    the optimizer log as one dict per interval when the fleet takes part.
     """
 
     def __init__(self, config: ScenarioConfig, fleet: Fleet, surrogate,
@@ -433,16 +434,28 @@ class RunResult:
         rows = config.intervals
         n, n_cg = config.fleet.n, len(config.grid.inv_droops)
         self.config, self.fleet, self.surrogate = config, fleet, surrogate
+        header, where = trace_columns(n, n_cg)
+        w = len(header)
+        self.table = np.zeros((rows, w + 3 * n + (1 + 2 * n if oracle else 0)))
         for f in TRACE_SPEC:
-            shape = (rows, _width(f, n, n_cg)) if f.per else rows
-            setattr(self, f.source, np.zeros(shape, dtype=f.dtype))
-        self.s = np.zeros((rows, n, 2))
-        self.interior = np.zeros((rows, n), dtype=bool)
-        self.infos = OptimizerLog(self)
+            cols = self.table[:, where[f.column]]
+            setattr(self, f.source, cols if f.per else cols[:, 0])
+        self.s = self.table[:, w:w + 2 * n].reshape(rows, n, 2)
+        self.interior = self.table[:, w + 2 * n:w + 3 * n]
+        reference = self.table[:, w + 3 * n:]
+        self.f_oracle = reference[:, 0] if oracle else None
+        self.u_star = reference[:, 1:].reshape(rows, n, 2) if oracle else None
         self.trace_path = None
-        self.f_oracle = np.zeros(rows) if oracle else None
-        self.u_star = np.zeros((rows, n, 2)) if oracle else None
         self.oracle_clamped = 0
+
+    def finish(self) -> None:
+        """Give the int and bool fields their types and read back the
+        optimizer log; call once, after the last row is written."""
+        for f in TRACE_SPEC:
+            if f.dtype is not float:
+                setattr(self, f.source, getattr(self, f.source).astype(f.dtype))
+        self.interior = self.interior.astype(bool)
+        self.infos = OptimizerLog(self)
 
     @property
     def stages(self) -> list:
@@ -551,7 +564,6 @@ class ScenarioRunner:
                 correction = self.surrogate.evaluate(df1)
                 shares = [a + s * correction
                           for a, s in zip(shares, self.sigma)]
-                rec.surrogate_m[k] = self.surrogate.m
             agc1 = 0.0  # sequential, like the generator sums above
             for a in shares:
                 agc1 += a
@@ -562,18 +574,17 @@ class ScenarioRunner:
             self.agc1 = float(ace)
 
         # row k describes the interval starting at this boundary: the state
-        # just sampled plus the dispatch that covers [t, t+tau); a fleet
-        # that sits out leaves its columns at zero
-        rec.time[k] = t0 + tau
-        rec.df[k] = self.state.df
-        rec.p_tie[k] = p_tie
-        rec.dist[k] = self.disturbance(t0 + tau)
-        rec.p_m_total[k] = pm_cg
-        rec.p_m_cg[k] = self.state.p_m[0]
-        rec.signal_total[k] = self.agc1
-        rec.aie_shares[k] = shares
-        rec.soc[k] = self.fleet.soc
+        # just sampled plus the dispatch that covers [t, t+tau), its cells
+        # in the order of the table's columns; a fleet that sits out leaves
+        # its columns at zero
+        plant = [t0 + tau, *self.state.df, p_tie, self.disturbance(t0 + tau)]
+        signal = [pm_cg, *self.state.p_m[0], self.agc1,
+                  0 if self.surrogate is None else self.surrogate.m]
         if not enabled:
+            zero = [0.0] * len(shares)
+            row = [*plant, 0.0, *signal, *chain.from_iterable(zip(
+                shares, zero, zero, zero, self.fleet.soc, *[zero] * 6))]
+            rec.table[k, :len(row)] = row
             return
 
         modes, boxes, models = self.fleet.plan(shares, cfg.aie.mode_direction)
@@ -593,14 +604,15 @@ class ScenarioRunner:
             marginals.append(g_d if mode == 1 else g_c)
             interior.append(lo + 1e-9 < active < hi - 1e-9)
             p_bess += d - c
-        rec.f_dist[k] = f_dist
-        rec.marginals[k] = marginals
-        rec.interior[k] = interior
-        rec.modes[k] = modes
-        rec.d[k], rec.c[k] = zip(*u_next)
-        rec.p_bess[k] = p_bess
-        for key in OPTIMIZER_LOG:
-            getattr(rec, key)[k] = info[key]
+        row = [
+            *plant, p_bess, *signal, *chain.from_iterable(zip(
+                shares, modes, *zip(*u_next), self.fleet.soc, marginals,
+                info["lam"], info["lam_mixed"], info["y"], info["y_mixed"],
+                info["h"])),
+            info["kappa"], info["eps"], info["reset"], info["stage"],
+            info["t"], info["bound"], f_dist,
+            *chain.from_iterable(info["s"]), *interior,
+        ]
         if self.oracle_every:
             sol = centralized_solve(
                 models, modes, boxes, -float(np.sum(shares)),
@@ -608,39 +620,37 @@ class ScenarioRunner:
             )
             self.nu_hint = sol.nu
             d_star, c_star = sol.d.tolist(), sol.c.tolist()
-            rec.f_oracle[k] = sum(
+            row.append(sum(
                 m.value(d, c) for m, d, c in zip(models, d_star, c_star)
-            )
-            rec.u_star[k] = list(zip(d_star, c_star))
+            ))
+            row += chain.from_iterable(zip(d_star, c_star))
             rec.oracle_clamped += int(sol.clamped)
+        rec.table[k] = row
         self.u, self.p_bess = u_next, p_bess
 
     def run(self, out_dir: str | None = None, write_trace: bool = True):
+        # an unusable output directory fails here, before the first step
+        out = resolve_out_dir(out_dir) if write_trace else None
         rec = self.result
         for k in range(len(rec.time)):
             self.step(k)
+        rec.finish()
         if write_trace:
-            rec.trace_path = write_trace_csv(rec, resolve_out_dir(out_dir))
+            rec.trace_path = write_trace_csv(rec, out)
         return rec
 
 
 def write_trace_csv(result: RunResult, out_dir: str) -> str:
-    """Write a run as `<name>.csv` in the layout of TRACE_SPEC."""
+    """Write a run as `<name>.csv` in the layout of TRACE_SPEC, straight
+    from the leading columns of its table. The int and bool columns hold
+    whole numbers there, which %.12g prints as %d would."""
     cfg = result.config
-    header, where = trace_columns(cfg.fleet.n, len(cfg.grid.inv_droops))
-    rows = len(result.time)
-    table = np.zeros((rows, len(header)))
-    fmt = [""] * len(header)
-    for f in TRACE_SPEC:
-        cols = where[f.column]
-        for j in cols:
-            fmt[j] = "%.12g" if f.dtype is float else "%d"
-        table[:, cols] = np.reshape(getattr(result, f.source),
-                                    (rows, len(cols)))
+    header, _ = trace_columns(cfg.fleet.n, len(cfg.grid.inv_droops))
     path = os.path.join(out_dir, f"{cfg.name}.csv")
     with open(path, "w") as fh:
         fh.write(f"# schema: {TRACE_SCHEMA}\n" + ",".join(header) + "\n")
-        np.savetxt(fh, table, fmt=fmt, delimiter=",")
+        np.savetxt(fh, result.table[:, :len(header)], fmt="%.12g",
+                   delimiter=",")
     return path
 
 

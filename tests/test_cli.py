@@ -4,7 +4,7 @@ import json
 import pytest
 
 from orra.cli import build_parser, main
-from orra.scenario import ScenarioConfig
+from orra.scenario import ScenarioConfig, ScenarioRunner
 
 
 @pytest.fixture()
@@ -102,6 +102,31 @@ def test_out_dir_env_fallback(cfg_path, tmp_path, monkeypatch):
     assert (target / "clirun.csv").exists()
 
 
+def test_unusable_out_dir_exits_before_the_run(cfg_path, tmp_path,
+                                              monkeypatch, capsys):
+    steps = []
+    real_step = ScenarioRunner.step
+
+    def counted(self, k):
+        steps.append(k)
+        real_step(self, k)
+
+    monkeypatch.setattr(ScenarioRunner, "step", counted)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert main(["run", cfg_path, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert "file error" in err and "Traceback" not in err
+    monkeypatch.setenv("ORRA_OUT_DIR", str(taken))
+    assert main(["run", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "file error" in err and "Traceback" not in err
+    # refused before the first interval; nothing written or overwritten
+    assert steps == []
+    assert taken.read_text() == "a file, not a directory\n"
+    assert not list(tmp_path.rglob("clirun.csv"))
+
+
 def test_verify_cli(cfg_path, tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", cfg_path, "--out", str(out)])
@@ -123,6 +148,12 @@ def test_verify_cli(cfg_path, tmp_path, capsys):
     # unparsable traces are reported, not raised
     broken.write_text("")
     assert main(["verify", str(broken)]) == 3
+    capsys.readouterr()
+
+    # a path that cannot be read as a file is a file problem
+    assert main(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "file error" in err and "Traceback" not in err
 
 
 def test_ablation_cli(cfg_path, tmp_path, capsys):

@@ -1,4 +1,6 @@
 """Closed-loop runner: protocol wiring, determinism, config handling."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,43 @@ def test_run_scenario_writes_trace(tmp_path):
         header = fh.readline().strip().split(",")
     assert header[0] == "time"
     assert len(r.time) == 50
+
+
+def test_record_is_one_table_written_without_a_copy(tmp_path):
+    cfg = short_config(duration=60.0)
+    r = ScenarioRunner(cfg).run(write_trace=False)
+    rows, n = cfg.intervals, cfg.fleet.n
+    views = [f.source for f in scenario.TRACE_SPEC if f.dtype is float]
+    for name in views + ["s"]:
+        assert np.shares_memory(getattr(r, name), r.table), name
+    assert r.time.shape == (rows,) and r.df.shape == (rows, 2)
+    assert r.lam.shape == (rows, n) and r.s.shape == (rows, n, 2)
+    for name, shape, kind in (
+        ("modes", (rows, n), "i"), ("stage", (rows,), "i"),
+        ("t", (rows,), "i"), ("surrogate_m", (rows,), "i"),
+        ("reset", (rows,), "b"), ("interior", (rows, n), "b"),
+    ):
+        arr = getattr(r, name)
+        assert arr.dtype.kind == kind and arr.shape == shape, name
+    assert r.reset.any() and r.interior.any() and r.surrogate_m.max() > 0
+
+    # the writer formats the table's leading columns in place: the copy
+    # it used to make alone was 74 of every row's 89 floats
+    tracemalloc.start()
+    try:
+        path = scenario.write_trace_csv(r, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < r.table.nbytes / 4, (peak, r.table.nbytes)
+    data = np.loadtxt(path, delimiter=",", skiprows=2)
+    assert np.allclose(data, r.table[:, :data.shape[1]], rtol=1e-11, atol=0)
+
+
+def test_reference_solution_views_the_table():
+    cfg = short_config(duration=12.0)
+    r = ScenarioRunner(cfg, oracle_every=True).run(write_trace=False)
+    for name in ("f_oracle", "u_star"):
+        assert np.shares_memory(getattr(r, name), r.table), name
+    assert r.u_star.shape == (cfg.intervals, cfg.fleet.n, 2)
+    assert r.f_oracle[-1] > 0 and r.u_star[-1].any()
