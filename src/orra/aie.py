@@ -8,7 +8,6 @@ RBF interpolant over sparsely infilled (frequency, response) samples.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +60,6 @@ def aie_shares(sigma, p_tie, d_prime, df, du_cg, pm_cg) -> list:
 
 def gaussian_basis(x, xi):
     """exp(-xi * x^2), the interpolation kernel."""
-    if xi <= 0:
-        raise ValueError("shape parameter xi must be positive")
     return np.exp(-xi * np.square(x))
 
 
@@ -90,7 +87,7 @@ def fit_weights(gram, S, cond_limit=COND_LIMIT):
 def packed_condition(xi, d_min, m) -> float:
     """Condition number of the Gram matrix of m samples spaced d_min apart,
     the tightest packing the infill rule admits."""
-    return float(np.linalg.cond(build_gram(d_min * np.arange(m), xi)))
+    return float(np.linalg.cond(build_gram(float(d_min) * np.arange(m), xi)))
 
 
 @dataclass
@@ -114,10 +111,6 @@ class RbfSurrogate:
     weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not (0 < self.xi < math.inf and 0 < self.d_min < math.inf):
-            raise ValueError("rbf_xi and rbf_d_min must be positive and finite")
-        if type(self.max_samples) is not int or self.max_samples < 3:
-            raise ValueError("rbf_max_samples must be an integer of at least 3")
         # a probe, not a proof: fit_weights still checks every refit
         m = min(self.max_samples, PROBE_MAX_SAMPLES)
         cond = packed_condition(self.xi, self.d_min, m)

@@ -9,7 +9,6 @@ onto the mode's box.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from . import degradation
@@ -37,16 +36,6 @@ class BessParams:
     def __post_init__(self) -> None:
         if not 0 <= self.soc_min < self.soc_max <= 1:
             raise ValueError("need 0 <= soc_min < soc_max <= 1")
-        if not 0 < self.capacity < math.inf:
-            raise ValueError("capacity must be positive and finite")
-        if not (0 <= self.charge_limit < math.inf
-                and 0 <= self.discharge_limit < math.inf):
-            raise ValueError("power limits must be nonnegative and finite")
-        if not (0 < self.eta_c <= 1 and 0 < self.eta_d <= 1):
-            raise ValueError("efficiencies must lie in (0, 1]")
-        if not (0 <= self.theta_a < math.inf and 0 <= self.theta_b < math.inf):
-            raise ValueError("cost weights theta_a and theta_b must be "
-                             "nonnegative and finite")
 
 
 def soc_step(soc: float, c, d, params: BessParams, tau) -> float:
@@ -73,8 +62,6 @@ def mode_select(aie_i, prev_mode: int = 1, direction: int = 1) -> int:
     means surplus that the battery should absorb. A zero share keeps the
     previous mode.
     """
-    if direction not in (-1, 1):
-        raise ValueError("direction must be +1 or -1")
     signal = direction * aie_i
     if signal > 0:
         return 1
@@ -141,8 +128,6 @@ class Fleet:
 
     def __init__(self, batteries, tau: float) -> None:
         self.batteries = list(batteries)
-        if not self.batteries:
-            raise ValueError("fleet needs at least one battery")
         self.tau = tau
         # each battery's cost constants, fixed for the run
         self.cost_terms = [b.cost_terms(tau) for b in self.batteries]

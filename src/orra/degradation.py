@@ -49,8 +49,6 @@ class Residue(NamedTuple):
 
 ResidueStack = tuple  # tuple[Residue, ...]
 
-EMPTY_STACK: ResidueStack = ()
-
 
 def rainflow_step(x_new, residues: ResidueStack, k: int | None = None):
     """Feed one SoC sample; returns (closed cycle events, new residue stack).
@@ -89,14 +87,6 @@ def rainflow_step(x_new, residues: ResidueStack, k: int | None = None):
             events.append(CycleEvent(y_rng, 1.0))
             del stack[-3:-1]
     return tuple(events), tuple(stack)
-
-
-def finalize(residues: ResidueStack):
-    """Count the leftover residue ranges as half cycles."""
-    return tuple(
-        CycleEvent(abs(b.value - a.value), 0.5)
-        for a, b in zip(residues, residues[1:])
-    )
 
 
 def open_half(residues: ResidueStack):
@@ -164,8 +154,6 @@ def cost_terms(
     tau,
 ) -> CostTerms:
     """The interval-cost constants of one battery for tau-second intervals."""
-    if tau <= 0:
-        raise ValueError("interval length tau must be positive")
     tau_h = tau * HOURS_PER_SECOND
     g_discharge = tau_h / (eta_d * capacity)
     g_charge = eta_c * tau_h / capacity

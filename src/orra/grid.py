@@ -30,12 +30,6 @@ class SectionalDroop:
     deadband: float = 0.01  # Hz
     slope: float = 40.0  # MW/Hz beyond the deadband
 
-    def __post_init__(self):
-        if not 0 <= self.deadband < math.inf:
-            raise ValueError("deadband must be nonnegative and finite")
-        if not 0 <= self.slope < math.inf:
-            raise ValueError("slope must be nonnegative and finite")
-
     def response(self, df: float) -> float:
         """Injection, MW, opposing the deviation beyond the deadband."""
         mag = abs(df) - self.deadband
@@ -61,16 +55,8 @@ class AreaParams:
     frr: SectionalDroop | None = None
 
     def __post_init__(self):
-        for name in ("inertia", "damping", "t_gov", "t_turb", "ramp_limit",
-                     "saturation", "t_sync"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0 <= self.k_i < math.inf:
-            raise ValueError("k_i must be nonnegative and finite")
         if len(self.inv_droops) != len(self.sigma):
             raise ValueError("one participation factor per generator")
-        if not all(0 < r < math.inf for r in self.inv_droops):
-            raise ValueError("droop slopes must be positive and finite")
         if (not all(s >= 0 for s in self.sigma)
                 or not abs(sum(self.sigma) - 1) <= 1e-12):
             raise ValueError("participation factors must be >= 0 and sum to 1")
@@ -140,8 +126,6 @@ def grid_step(
     infinity in an unclamped integrator (df, gov, p_tie) stays non-finite,
     so a blow-up inside the interval still shows.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     area1, area2 = areas
     e1, e2 = map(float, agc_errors)
     b1, b2 = map(float, p_bess)

@@ -11,7 +11,6 @@ cap is hit or the frequency deviation spikes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +28,6 @@ class LearningSchedule:
     f_threshold: float = 0.05  # Hz
 
     def __post_init__(self):
-        if not 0 < self.kappa0 < math.inf:
-            raise ValueError("kappa0 must be positive and finite")
-        if not 0 < self.eps0 <= 1:
-            raise ValueError("eps0 must lie in (0, 1]")
         if not 0 < self.alpha <= self.beta < 1:
             raise ValueError("need 0 < alpha <= beta < 1")
         # sublinear-regret decay window
@@ -40,11 +35,6 @@ class LearningSchedule:
             raise ValueError("need 2*beta - 3*alpha <= 0")
         if 2 * self.beta - self.alpha - 1 > 1e-12:
             raise ValueError("need 2*beta - alpha - 1 <= 0")
-        # bool is an int subclass and 1.5 compares like one: check the type
-        if type(self.t_max) is not int or self.t_max < 1:
-            raise ValueError("t_max must be an integer of at least 1")
-        if not 0 < self.f_threshold < math.inf:
-            raise ValueError("f_threshold must be positive and finite")
 
     def rates(self, t: int) -> tuple[float, float]:
         if t <= 1:
@@ -93,8 +83,6 @@ class OrraOptimizer:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite")
         n = self.weights.shape[0]
         self.n = n
         self.lam = [0.0] * n

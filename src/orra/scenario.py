@@ -14,10 +14,11 @@ from the table.
 from __future__ import annotations
 
 import json
-import math
 import os
-from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+import sys
+import warnings
+from collections.abc import Callable, Sequence
+from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
 from typing import NamedTuple
 
@@ -44,18 +45,100 @@ class ConfigError(ValueError):
     """Scenario configuration failed validation."""
 
 
+class Domain(NamedTuple):
+    """The values a config leaf may take: a test, and the phrase that
+    names them in the error a value outside them raises."""
+
+    test: Callable[[object], bool]
+    phrase: str
+
+
+def _number(test, phrase: str) -> Domain:
+    # bool is an int subclass: true must not pass as 1; nor may an int too
+    # large for a float
+    return Domain(lambda x: isinstance(x, (int, float))
+                  and not isinstance(x, bool)
+                  and abs(x) <= sys.float_info.max and test(x), phrase)
+
+
+POSITIVE = _number(lambda x: x > 0, "positive and finite")
+NONNEGATIVE = _number(lambda x: x >= 0, "nonnegative and finite")
+FINITE = _number(lambda x: True, "finite")
+FRACTION = _number(lambda x: 0 < x <= 1, "in (0, 1]")
+UNIT = _number(lambda x: 0 <= x <= 1, "in [0, 1]")
+BOOLEAN = Domain(lambda x: type(x) is bool, "true or false")
+
+
+def integer(k: int) -> Domain:
+    return Domain(lambda x: type(x) is int and x >= k,
+                  f"an integer of at least {k}")
+
+
+def choice(*options) -> Domain:
+    return Domain(lambda x: any(type(x) is type(o) and x == o
+                                for o in options),
+                  "one of " + ", ".join(map(json.dumps, options)))
+
+
+# the name becomes the stem of every output file, so it must not leave the
+# output directory
+STEM = Domain(
+    lambda x: (type(x) is str and x not in ("", ".", "..")
+               and not any(ch in x for ch in "/\\\0")),
+    "a file name stem: non-empty, not . or .., without /, \\ or NUL",
+)
+# vertex range and connectivity depend on the fleet size, checked later
+EDGES = Domain(
+    lambda x: x is None or isinstance(x, (list, tuple)) and all(
+        isinstance(e, (list, tuple)) and len(e) == 2
+        and all(type(v) is int for v in e) for e in x),
+    "null or a list of [i, j] pairs of integer vertex ids",
+)
+
+
+def listed(domain: Domain, or_one: bool = False) -> Domain:
+    """A non-empty list whose every item lies in `domain`; with `or_one`,
+    a single such value as well."""
+    test, phrase = domain
+    return Domain(
+        lambda x: (bool(x) and all(map(test, x))
+                   if isinstance(x, (list, tuple)) else or_one and test(x)),
+        f"{phrase}, or a non-empty list of such numbers" if or_one
+        else f"a non-empty list of numbers each {phrase}",
+    )
+
+
+def leaf(default, domain: Domain):
+    """A config field with its default and its domain."""
+    return field(default=default, metadata={"domain": domain})
+
+
+def check_domains(obj, prefix: str = "") -> None:
+    """Raise ConfigError at the first leaf of `obj`, a config or one of
+    its sections, whose value lies outside its domain."""
+    for f in fields(obj):
+        name, value = prefix + f.name, getattr(obj, f.name)
+        if "domain" not in f.metadata:  # a section
+            check_domains(value, f"{name}.")
+        elif not f.metadata["domain"].test(value):
+            raise ConfigError(
+                f"{name} must be {f.metadata['domain'].phrase}, "
+                f"got {json.dumps(value, default=repr)}"
+            )
+
+
 @dataclass
 class FleetConfig:
-    initial_soc: tuple = (0.35, 0.45, 0.5, 0.55, 0.65)
-    capacity: float = 2.0  # MWh
-    discharge_limit: float = 1.0  # MW
-    charge_limit: float = 1.0  # MW
-    eta_c: float = 0.95
-    eta_d: float = 0.95
-    soc_min: float = 0.2
-    soc_max: float = 0.8
-    theta_a: tuple | float = 1000.0
-    theta_b: tuple | float = 0.1
+    initial_soc: tuple = leaf((0.35, 0.45, 0.5, 0.55, 0.65), listed(UNIT))
+    capacity: float = leaf(2.0, POSITIVE)  # MWh
+    discharge_limit: float = leaf(1.0, NONNEGATIVE)  # MW
+    charge_limit: float = leaf(1.0, NONNEGATIVE)  # MW
+    eta_c: float = leaf(0.95, FRACTION)
+    eta_d: float = leaf(0.95, FRACTION)
+    soc_min: float = leaf(0.2, UNIT)
+    soc_max: float = leaf(0.8, UNIT)
+    theta_a: tuple | float = leaf(1000.0, listed(NONNEGATIVE, True))
+    theta_b: tuple | float = leaf(0.1, listed(NONNEGATIVE, True))
 
     @property
     def n(self) -> int:
@@ -71,31 +154,33 @@ class FleetConfig:
 
 @dataclass
 class GridConfig:
-    inertia: float = 10.0
-    damping: float = 1.0
-    inv_droops: tuple = (20.0, 20.0, 20.0)
-    t_gov: float = 0.2
-    t_turb: float = 0.5
-    ramp_limit: float = 0.009
-    saturation: float = 10.0
-    k_i: float = 0.1
+    inertia: float = leaf(10.0, POSITIVE)
+    damping: float = leaf(1.0, POSITIVE)
+    inv_droops: tuple = leaf((20.0, 20.0, 20.0), listed(POSITIVE))
+    t_gov: float = leaf(0.2, POSITIVE)
+    t_turb: float = leaf(0.5, POSITIVE)
+    ramp_limit: float = leaf(0.009, POSITIVE)
+    saturation: float = leaf(10.0, POSITIVE)
+    k_i: float = leaf(0.1, NONNEGATIVE)
     # secondary control of the neighbor area; zero keeps it passive so the
     # disturbed area's regulation is not masked by cross-area integrators
-    k_i_area2: float = 0.0
-    t_sync: float = 10.0
-    frr_deadband: float = 0.002
-    frr_slope: float = 40.0
+    k_i_area2: float = leaf(0.0, NONNEGATIVE)
+    t_sync: float = leaf(10.0, POSITIVE)
+    frr_deadband: float = leaf(0.002, NONNEGATIVE)
+    frr_slope: float = leaf(40.0, NONNEGATIVE)
 
 
 @dataclass
 class AieConfig:
-    area_load: float = 100.0  # MW, sets the damping-estimate scale
-    d_prime_fraction: float = 0.10  # estimated damping per Hz as load share
-    surrogate_enabled: bool = True
-    rbf_xi: float = 3000.0
-    rbf_d_min: float = 0.007
-    rbf_max_samples: int = 24
-    mode_direction: int = -1
+    area_load: float = leaf(100.0, POSITIVE)  # MW, damping-estimate scale
+    # estimated damping per Hz as load share
+    d_prime_fraction: float = leaf(0.10, NONNEGATIVE)
+    surrogate_enabled: bool = leaf(True, BOOLEAN)
+    rbf_xi: float = leaf(3000.0, POSITIVE)
+    rbf_d_min: float = leaf(0.007, POSITIVE)
+    # eviction keeps the two boundary samples, so a cap needs a third slot
+    rbf_max_samples: int = leaf(24, integer(3))
+    mode_direction: int = leaf(-1, choice(-1, 1))
 
     @property
     def d_prime(self) -> float:
@@ -104,86 +189,53 @@ class AieConfig:
 
 @dataclass
 class OptimizerConfig:
-    alpha: float = 0.5
-    beta: float = 0.75
-    gamma: float = 10.0
-    kappa0: float = 0.3
-    eps0: float = 0.3
-    t_max: int = 900
-    f_threshold: float = 0.05
+    alpha: float = leaf(0.5, FRACTION)
+    beta: float = leaf(0.75, FRACTION)
+    gamma: float = leaf(10.0, POSITIVE)
+    kappa0: float = leaf(0.3, POSITIVE)
+    eps0: float = leaf(0.3, FRACTION)
+    t_max: int = leaf(900, integer(1))  # whole intervals per stage
+    f_threshold: float = leaf(0.05, POSITIVE)
 
 
 @dataclass
 class ScenarioConfig:
-    name: str = "case_study_1"
-    kind: str = "step"  # step | fluctuation
-    signal: str = "AIE"  # AIE | ACE
-    bess_enabled: bool = True
-    duration: float = 300.0  # s
-    tau: float = 0.1  # control interval, s
-    dt_inner: float = 0.01  # plant integration step, s
-    seed: int = 0
-    step_time: float = 10.0
-    step_mw: float = 5.0
-    fluct_hold: float = 60.0
-    fluct_low: float = -6.0
-    fluct_high: float = 6.0
-    topology_edges: tuple | None = None
+    name: str = leaf("case_study_1", STEM)
+    kind: str = leaf("step", choice("step", "fluctuation"))
+    signal: str = leaf("AIE", choice("AIE", "ACE"))
+    bess_enabled: bool = leaf(True, BOOLEAN)
+    duration: float = leaf(300.0, POSITIVE)  # s
+    tau: float = leaf(0.1, POSITIVE)  # control interval, s
+    dt_inner: float = leaf(0.01, POSITIVE)  # plant integration step, s
+    seed: int = leaf(0, integer(0))
+    step_time: float = leaf(10.0, FINITE)
+    step_mw: float = leaf(5.0, FINITE)
+    fluct_hold: float = leaf(60.0, POSITIVE)
+    fluct_low: float = leaf(-6.0, FINITE)
+    fluct_high: float = leaf(6.0, FINITE)
+    topology_edges: tuple | None = leaf(None, EDGES)
     fleet: FleetConfig = field(default_factory=FleetConfig)
     grid: GridConfig = field(default_factory=GridConfig)
     aie: AieConfig = field(default_factory=AieConfig)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def __post_init__(self):
-        # the name becomes the stem of every output file, so it must not
-        # leave the output directory
-        if (type(self.name) is not str or self.name in ("", ".", "..")
-                or any(ch in self.name for ch in "/\\\0")):
-            raise ConfigError(
-                f"name {self.name!r} must be a file name stem: non-empty, "
-                "not . or .., without /, \\ or NUL"
-            )
-        if self.kind not in ("step", "fluctuation"):
-            raise ConfigError(f"unknown scenario kind {self.kind!r}")
-        if self.signal not in ("AIE", "ACE"):
-            raise ConfigError(f"unknown signal mode {self.signal!r}")
-        if not all(0 < v < math.inf for v in (
-                self.duration, self.tau, self.dt_inner, self.fluct_hold)):
-            raise ConfigError(
-                "duration, tau, dt_inner, and fluct_hold must be positive"
-            )
+        check_domains(self)
         if abs(self.inner_steps * self.dt_inner - self.tau) > 1e-9 * self.tau:
             raise ConfigError(
                 f"dt_inner {self.dt_inner} does not divide tau {self.tau}"
             )
         if self.intervals < 1:
-            raise ConfigError("duration is shorter than one control interval")
-        if not -math.inf < self.fluct_low <= self.fluct_high < math.inf:
-            raise ConfigError("need finite fluct_low <= fluct_high")
-        if not all(map(math.isfinite, (self.step_time, self.step_mw))):
-            raise ConfigError("step_time and step_mw must be finite")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        if not all(type(v) is bool
-                   for v in (self.bess_enabled, self.aie.surrogate_enabled)):
-            raise ConfigError(
-                "bess_enabled and surrogate_enabled must be true or false"
-            )
-        a = self.aie
-        if not (0 < a.area_load < math.inf
-                and 0 <= a.d_prime_fraction < math.inf):
-            raise ConfigError(
-                "need finite area_load > 0 and d_prime_fraction >= 0"
-            )
+            raise ConfigError(f"duration {self.duration} is under one "
+                              f"control interval, tau {self.tau}")
+        if self.fluct_low > self.fluct_high:
+            raise ConfigError("need fluct_low <= fluct_high")
         f = self.fleet
         for s in f.initial_soc:
             if not f.soc_min <= s <= f.soc_max:
-                raise ConfigError(
-                    f"initial SoC {s} outside [{f.soc_min}, {f.soc_max}]"
-                )
-        if a.mode_direction not in (-1, 1):
-            raise ConfigError("mode_direction must be +1 or -1")
-        # the checks the fleet, plant, surrogate, graph and schedule make
+                raise ConfigError(f"fleet.initial_soc {s} outside [soc_min, "
+                                  f"soc_max] = [{f.soc_min}, {f.soc_max}]")
+        # cross-field checks of the fleet, plant, surrogate, graph and schedule
         try:
             build_fleet(f, self.tau)
             self.areas()
@@ -242,11 +294,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        data = dict(data)
-        nested = {
-            "fleet": FleetConfig, "grid": GridConfig, "aie": AieConfig,
-            "optimizer": OptimizerConfig,
-        }
+        if not isinstance(data, dict):
+            raise ConfigError("a config must be an object")
+        # the sections are the fields without a domain
+        nested = {f.name: f.default_factory for f in fields(cls)
+                  if "domain" not in f.metadata}
         kwargs = {}
         for key, value in data.items():
             if key in nested:
@@ -270,10 +322,7 @@ class ScenarioConfig:
                 kwargs[key] = value
             else:
                 raise ConfigError(f"unknown config field {key!r}")
-        try:
-            return cls(**kwargs)
-        except TypeError as err:
-            raise ConfigError(str(err)) from err
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path: str) -> "ScenarioConfig":
@@ -283,11 +332,6 @@ class ScenarioConfig:
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}") from err
         return cls.from_dict(data)
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def resolve_out_dir(out_dir: str | None) -> str:
@@ -436,7 +480,11 @@ class RunResult:
         self.config, self.fleet, self.surrogate = config, fleet, surrogate
         header, where = trace_columns(n, n_cg)
         w = len(header)
-        self.table = np.zeros((rows, w + 3 * n + (1 + 2 * n if oracle else 0)))
+        try:
+            self.table = np.zeros((rows, w + 3 * n + (1 + 2 * n if oracle else 0)))
+        except (ValueError, MemoryError) as err:
+            raise ConfigError(f"cannot hold the record of {rows:.3g} "
+                              f"control intervals: {err}") from err
         for f in TRACE_SPEC:
             cols = self.table[:, where[f.column]]
             setattr(self, f.source, cols if f.per else cols[:, 0])
@@ -673,13 +721,15 @@ def verify_trace(
 
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines()
-        if len(lines) < 2:
-            raise ValueError("no schema and header lines")
-        header = lines[1].split(",")
-        data = np.array(
-            [[float(v) for v in line.split(",")] for line in lines[2:]]
-        )
+            schema, header = fh.readline(), fh.readline()
+            if not header:
+                raise ValueError("no schema and header lines")
+            schema = schema.rstrip("\n")
+            header = header.rstrip("\n").split(",")
+            # an empty body is reported as no rows below, not warned about
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         if data.size and data.shape[1] != len(header):
             raise ValueError(f"{data.shape[1]} cells a row, {len(header)} names")
     except ValueError as err:
@@ -687,7 +737,7 @@ def verify_trace(
         return report
     record("parse", True)
     report["rows"] = len(data)
-    record("schema", lines[0] == f"# schema: {TRACE_SCHEMA}", lines[0])
+    record("schema", schema == f"# schema: {TRACE_SCHEMA}", schema)
     n = sum(1 for c in header if c.startswith("soc_"))
     n_cg = sum(1 for c in header if c.startswith("p_m_cg"))
     expected, where = trace_columns(n, n_cg)

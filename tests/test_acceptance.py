@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from orra.aie import RbfSurrogate
-from orra.degradation import EMPTY_STACK, finalize, rainflow_step
+from orra.degradation import rainflow_step
 from orra.grid import SectionalDroop
 from orra.optimizer import OrraOptimizer
 from orra.oracle import (
@@ -253,13 +253,15 @@ def test_criterion_07_rainflow_equivalence():
         walk = np.clip(
             0.5 + np.cumsum(rng.normal(0, 0.05, size=n)), 0.0, 1.0
         )
-        stack = EMPTY_STACK
+        stack = ()
         events = []
         for k, x in enumerate(walk):
             out, stack = rainflow_step(x, stack, k)
             events.extend(out)
+        # the residues left open count as half cycles
         online = collections.Counter(
-            (e.depth, e.n_cyc) for e in events + list(finalize(stack))
+            [(e.depth, e.n_cyc) for e in events]
+            + [(abs(b.value - a.value), 0.5) for a, b in zip(stack, stack[1:])]
         )
         batch = collections.Counter(rainflow_batch(walk))
         if online != batch:

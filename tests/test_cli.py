@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, output routing."""
+import copy
 import json
 
 import pytest
@@ -6,11 +7,14 @@ import pytest
 from orra.cli import build_parser, main
 from orra.scenario import ScenarioConfig, ScenarioRunner
 
+NAN, INF = float("nan"), float("inf")
+
 
 @pytest.fixture()
 def cfg_path(tmp_path):
     path = tmp_path / "short.json"
-    ScenarioConfig(name="clirun", duration=12.0).to_json(str(path))
+    cfg = ScenarioConfig(name="clirun", duration=12.0)
+    path.write_text(json.dumps(cfg.to_dict()))
     return str(path)
 
 
@@ -71,12 +75,108 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
         # stage lengths count whole intervals; true would pass as 1
         {"duration": 2.0, "optimizer": {"t_max": True}},
         {"optimizer": {"t_max": 1.5}},
+        # a config is an object
+        [],
+        "abc",
+        # no number, or none a float can hold
+        {"grid": {"t_gov": "x"}},
+        {"fleet": {"theta_a": None}},
+        {"fleet": {"initial_soc": [0.5, "x", 0.5, 0.5, 0.5]}},
+        {"duration": 10**400},
     ):
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == 2, data
         captured = capsys.readouterr()
         assert "config error" in captured.err
         assert "config ok" not in captured.out
+
+    # values the battery, droop, plant, schedule, surrogate, kernel, cost
+    # and mode rules refused one parameter at a time, now each the domain
+    # of a config leaf; the message names the leaf
+    for leaf, values in (
+        ("fleet.capacity", (0.0, NAN, INF)),
+        ("fleet.charge_limit", (NAN, INF)),
+        ("fleet.discharge_limit", (NAN, INF)),
+        ("fleet.eta_c", (0.0, NAN, INF)),
+        ("fleet.eta_d", (NAN, INF)),
+        ("fleet.theta_a", (NAN, INF)),
+        ("fleet.theta_b", (NAN, INF)),
+        ("grid.frr_deadband", (-0.01, NAN, INF)),
+        ("grid.frr_slope", (-5.0, NAN, INF)),
+        ("grid.inertia", (0.0, NAN, INF, -INF)),
+        ("grid.damping", (NAN, INF, -INF)),
+        ("grid.t_gov", (NAN, INF, -INF)),
+        ("grid.t_turb", (NAN, INF, -INF)),
+        ("grid.ramp_limit", (NAN, INF, -INF)),
+        ("grid.saturation", (NAN, INF, -INF)),
+        ("grid.k_i", (NAN, INF, -INF)),
+        ("grid.k_i_area2", (NAN, INF, -INF)),
+        ("grid.t_sync", (NAN, INF, -INF)),
+        ("grid.inv_droops", ([20.0, NAN, 20.0], [20.0, INF, 20.0],
+                             [20.0, -INF, 20.0])),
+        ("optimizer.kappa0", (-0.1,)),
+        ("optimizer.eps0", (1.5,)),
+        ("optimizer.t_max", (0, True, 1.5, 900.0, INF)),
+        ("aie.rbf_xi", (NAN, INF, 0.0, -1.0)),
+        ("aie.rbf_d_min", (NAN, INF, 0.0, -1.0)),
+        ("aie.rbf_max_samples", (0, 2, 3.0, True)),
+        ("tau", (0.0,)),
+        ("aie.mode_direction", (0, 2, 1.0, True)),
+    ):
+        section, _, name = leaf.rpartition(".")
+        for value in values:
+            data = {section: {name: value}} if section else {name: value}
+            bad.write_text(json.dumps(data))
+            assert main(["validate", str(bad)]) == 2, data
+            assert f"config error: {leaf}" in capsys.readouterr().err, data
+
+
+def config_leaves(data, path=()):
+    """The path of every leaf of a config dict and of each list item."""
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, path + (key,))
+            continue
+        yield path + (key,)
+        if isinstance(value, list):
+            yield from (path + (key, i) for i in range(len(value)))
+
+
+def test_every_leaf_rejects_or_runs_each_odd_value(tmp_path, capsys):
+    # the step starts at once, so odd plant and fleet values meet it
+    cfg = ScenarioConfig(name="fuzz", duration=0.5, step_time=0.0)
+    base = json.loads(json.dumps(cfg.to_dict()))
+    path, out = tmp_path / "fuzz.json", str(tmp_path / "out")
+    leaves = list(config_leaves(base))
+    assert len(leaves) == 58  # 50 leaves, 5 initial SoCs, 3 droop slopes
+    counts = {"rejected": 0, "ran": 0, "numeric": 0}
+    for leaf in leaves:
+        name = [k for k in leaf if isinstance(k, str)][-1]
+        *outer, last = leaf
+        for value in (NAN, INF, -INF, 0, -1, 1e300, True, 1.5):
+            data = copy.deepcopy(base)
+            node = data
+            for key in outer:
+                node = node[key]
+            default, node[last] = node[last], value
+            path.write_text(json.dumps(data))
+            code = main(["validate", str(path)])
+            err = capsys.readouterr().err
+            if code == 2:
+                assert name in err, (leaf, value, err)
+                counts["rejected"] += 1
+                continue
+            assert code == 0, (leaf, value)
+            # only a choice between true and false takes true
+            assert value is not True or type(default) is bool, leaf
+            if leaf == ("duration",) and value == 1e300:
+                continue  # its record cannot be held: see the test below
+            code = main(["run", str(path), "--out", out])
+            capsys.readouterr()
+            assert code in (0, 3), (leaf, value, code)
+            counts["ran" if code == 0 else "numeric"] += 1
+    assert sum(counts.values()) == 58 * 8 - 1, counts
+    assert counts["rejected"] > counts["ran"] > 0, counts
 
 
 def test_regret_default_horizons_span_a_decade():
@@ -194,6 +294,27 @@ def test_run_rejects_bad_topology_and_capacity(tmp_path, capsys):
     bad.write_text(json.dumps({"fleet": {"capacity": -2.0}}))
     assert main(["run", str(bad), "--out", str(tmp_path)]) == 2
     assert "capacity must be positive" in capsys.readouterr().err
+
+
+def test_run_refuses_a_record_too_large_to_hold(tmp_path, capsys):
+    # 1e301 rows: numpy refuses the shape before allocating anything
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({"duration": 1e300}))
+    assert main(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "1e+301 control intervals" in capsys.readouterr().err
+    # refused before the run: the output directory is not even made
+    assert not out.exists()
+
+
+def test_run_takes_a_large_integer_setting(tmp_path):
+    # an integer a float can hold is a number like any other
+    cfg = tmp_path / "wide.json"
+    cfg.write_text(json.dumps({"duration": 0.5,
+                               "aie": {"rbf_d_min": 10**300}}))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_run_ill_conditioned_surrogate_exits_numeric(tmp_path, capsys,

@@ -111,17 +111,12 @@ def test_schedule_rates_and_reset():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        LearningSchedule(kappa0=-0.1)
+    # the relations between the exponents; single-field domains are the
+    # config's
     with pytest.raises(ValueError):
         LearningSchedule(alpha=0.8, beta=0.7)  # alpha > beta
     with pytest.raises(ValueError):
         LearningSchedule(alpha=0.3, beta=0.75)  # decay window violated
-    with pytest.raises(ValueError):
-        LearningSchedule(eps0=1.5)
-    for t_max in (0, True, 1.5, 900.0, float("inf")):
-        with pytest.raises(ValueError):
-            LearningSchedule(t_max=t_max)
 
 
 def test_zero_aie_is_a_fixed_point():

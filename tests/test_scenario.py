@@ -1,5 +1,7 @@
 """Closed-loop runner: protocol wiring, determinism, config handling."""
+import json
 import tracemalloc
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -67,10 +69,32 @@ def test_config_validation_messages():
         ScenarioConfig(optimizer=OptimizerConfig(alpha=0.8, beta=0.3))
 
 
+def test_every_config_leaf_has_one_domain():
+    def declared(obj, prefix=""):
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if is_dataclass(value):
+                yield from declared(value, f"{prefix}{f.name}.")
+            else:
+                yield prefix + f.name, f.metadata.get("domain")
+
+    def leaves(data, prefix=""):
+        for key, value in data.items():
+            if isinstance(value, dict):
+                yield from leaves(value, f"{prefix}{key}.")
+            else:
+                yield prefix + key
+
+    table = dict(declared(ScenarioConfig()))
+    assert sorted(table) == sorted(leaves(ScenarioConfig().to_dict()))
+    assert len(table) == 50
+    assert all(isinstance(d, scenario.Domain) for d in table.values())
+
+
 def test_config_round_trip(tmp_path):
     cfg = short_config(kind="fluctuation", seed=3)
     path = tmp_path / "cfg.json"
-    cfg.to_json(str(path))
+    path.write_text(json.dumps(cfg.to_dict()))
     again = ScenarioConfig.from_json(str(path))
     assert again.to_dict() == cfg.to_dict()
     with pytest.raises(ConfigError):
@@ -272,3 +296,21 @@ def test_reference_solution_views_the_table():
         assert np.shares_memory(getattr(r, name), r.table), name
     assert r.u_star.shape == (cfg.intervals, cfg.fleet.n, 2)
     assert r.f_oracle[-1] > 0 and r.u_star[-1].any()
+
+
+def test_verify_trace_peak_memory_near_the_parsed_array(tmp_path):
+    cfg = replace(ScenarioConfig.from_json("configs/fluctuation.json"),
+                  duration=60.0)
+    path = run_scenario(cfg, out_dir=str(tmp_path)).trace_path
+    tracemalloc.start()
+    try:
+        report = scenario.verify_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["passed"] and report["rows"] == 600
+    with open(path) as fh:
+        fh.readline()
+        width = len(fh.readline().split(","))
+    array_bytes = 600 * width * 8
+    assert peak < 2 * array_bytes, (peak, array_bytes)
