@@ -94,20 +94,16 @@ class Battery:
     aging: AgingParams = field(default_factory=AgingParams)
     residues: ResidueStack = ()
     lifetime_loss: float = 0.0
-    _k: int = 0
 
     def __post_init__(self) -> None:
         if not self.residues:
-            _, self.residues = degradation.rainflow_step(
-                self.soc, self.residues, self._k
-            )
+            self.residues = (float(self.soc),)  # the first extremum
 
     def apply(self, d: float, c: float, tau: float):
         """Apply one interval's powers; returns the cycle events closed."""
         self.soc = soc_step(self.soc, c, d, self.params, tau)
-        self._k += 1
         events, self.residues = degradation.rainflow_step(
-            self.soc, self.residues, self._k
+            self.soc, self.residues
         )
         self.lifetime_loss += degradation.total_loss(events, self.aging)
         return events

@@ -14,7 +14,6 @@ import sys
 from .aie import IllConditioningError
 from .bess import SocViolationError
 from .grid import GridInstabilityError
-from .oracle import InfeasibleTargetError
 from .scenario import ConfigError, ScenarioConfig, run_scenario, verify_trace
 from .studies import (
     export_ablation_curves,
@@ -178,8 +177,8 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"file error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GridInstabilityError, InfeasibleTargetError, SocViolationError,
-            IllConditioningError, FloatingPointError) as err:
+    except (GridInstabilityError, SocViolationError, IllConditioningError,
+            FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

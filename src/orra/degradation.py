@@ -40,44 +40,34 @@ class CycleEvent(NamedTuple):
     n_cyc: float
 
 
-class Residue(NamedTuple):
-    """An extremum not yet cancelled: sample index and SoC value."""
-
-    k: int
-    value: float
+ResidueStack = tuple  # tuple[float, ...]: the SoC of each extremum
 
 
-ResidueStack = tuple  # tuple[Residue, ...]
-
-
-def rainflow_step(x_new, residues: ResidueStack, k: int | None = None):
+def rainflow_step(x_new, residues: ResidueStack):
     """Feed one SoC sample; returns (closed cycle events, new residue stack).
 
-    The stack's top always tracks the most recent extremum, so a sample that
-    continues the current direction replaces the top instead of growing the
-    stack. Closures emit full cycles, except when the range still contains
-    the very first residue, which emits a half cycle and drops that origin.
+    The stack holds the SoC of each extremum not yet cancelled. Its top
+    always tracks the most recent extremum, so a sample that continues the
+    current direction replaces the top instead of growing the stack.
+    Closures emit full cycles, except when the range still contains the
+    very first residue, which emits a half cycle and drops that origin.
     """
     x_new = float(x_new)
-    if k is None:
-        k = residues[-1].k + 1 if residues else 0
     stack = list(residues)
     if not stack:
-        return (), (Residue(k, x_new),)
-    if x_new == stack[-1].value:
+        return (), (x_new,)
+    if x_new == stack[-1]:
         return (), residues
     if len(stack) == 1:
-        stack.append(Residue(k, x_new))
-        return (), tuple(stack)
-    direction = stack[-1].value - stack[-2].value
-    if (x_new - stack[-1].value) * direction > 0:
-        stack[-1] = Residue(k, x_new)  # same direction: extend the extremum
+        return (), (stack[0], x_new)
+    if (x_new - stack[-1]) * (stack[-1] - stack[-2]) > 0:
+        stack[-1] = x_new  # same direction: extend the extremum
     else:
-        stack.append(Residue(k, x_new))
+        stack.append(x_new)
     events = []
     while len(stack) >= 3:
-        x_rng = abs(stack[-1].value - stack[-2].value)
-        y_rng = abs(stack[-2].value - stack[-3].value)
+        x_rng = abs(stack[-1] - stack[-2])
+        y_rng = abs(stack[-2] - stack[-3])
         if x_rng < y_rng:
             break
         if len(stack) == 3:
@@ -97,7 +87,7 @@ def open_half(residues: ResidueStack):
     """
     if len(residues) < 2:
         return 0.0, 0
-    delta = residues[-1].value - residues[-2].value
+    delta = residues[-1] - residues[-2]
     return abs(delta), (1 if delta > 0 else -1)
 
 

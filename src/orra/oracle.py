@@ -8,7 +8,8 @@ convexity of the wear term makes the best response to the equality
 multiplier unique and monotone, so the solve is a safeguarded Newton search
 on the multiplier around a scalar safeguarded Newton inversion of each
 agent's marginal cost, on Python floats; both fall back to bisecting a
-bracket whenever a Newton step would leave it.
+bracket whenever a Newton step would leave it. A target beyond the fleet's
+achievable range is clamped to its nearer end.
 """
 from __future__ import annotations
 
@@ -18,35 +19,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class InfeasibleTargetError(RuntimeError):
-    """Target outside the fleet's achievable aggregate range."""
-
-    def __init__(self, target, achievable):
-        super().__init__(
-            f"target {target:.6f} MW outside achievable range "
-            f"[{achievable[0]:.6f}, {achievable[1]:.6f}] MW"
-        )
-        self.target = target
-        self.achievable = achievable
-
-
 class IncompleteTraceError(ValueError):
     """Regret requested over a window with missing oracle entries."""
 
 
 @dataclass
 class CentralizedSolution:
-    q: np.ndarray  # active-coordinate power per agent, MW
-    d: np.ndarray
-    c: np.ndarray
+    u: list  # one (discharge, charge) pair per agent, MW
     nu: float  # equality-constraint multiplier
     residual: float  # |aggregate - target|, MW
-    marginals: np.ndarray  # cost slope along each agent's active coordinate
-    target: float
-    clamped: bool = False
+    target: float  # the target after clamping to the achievable range
+    clamped: bool  # whether the requested target lay outside that range
 
 
 XTOL = 1e-12  # MW: per-agent root tolerance, and the margin of "free"
+TOL = 1e-6  # MW: the solve stops once the aggregate is within 0.1*TOL
+ITERS = 80  # most multiplier steps per solve
 
 
 def _cost_coefs(models, modes):
@@ -99,24 +87,16 @@ def _best_response(coef, lo, hi, m_lo, m_hi, slope_target, q):
 
 
 def centralized_solve(
-    models,
-    modes,
-    boxes,
-    target,
-    on_infeasible: str = "raise",
-    nu_hint: float | None = None,
-    tol: float = 1e-6,
-    iters: int = 80,
+    models, modes, boxes, target, nu_hint: float | None = None,
 ) -> CentralizedSolution:
     """Exact fleet allocation for one interval.
 
     models: per-agent interval costs (frozen-residue form); modes: 1 for
     discharge (+q aggregate), 0 for charge (-q); boxes: per-agent [lo, hi]
     on the active coordinate; target: required signed aggregate in MW.
-    on_infeasible: "raise" (default) or "clamp" to the achievable range.
     nu_hint: previous step's multiplier, where the multiplier search starts.
-    The search stops once the aggregate is within 0.1*tol of the target,
-    or after `iters` multiplier steps.
+    The search stops once the aggregate is within 0.1*TOL of the target,
+    or after ITERS multiplier steps.
     """
     modes = [int(m) for m in modes]
     lo = [float(b[0]) for b in boxes]
@@ -131,13 +111,8 @@ def centralized_solve(
     for s, l, h in zip(sign, lo, hi):
         agg_lo += l if s > 0 else -h
         agg_hi += h if s > 0 else -l
-    clamped = False
     want = float(target)
-    if not agg_lo - 1e-9 <= want <= agg_hi + 1e-9:
-        if on_infeasible == "clamp":
-            clamped = True
-        else:
-            raise InfeasibleTargetError(want, (agg_lo, agg_hi))
+    clamped = not agg_lo - 1e-9 <= want <= agg_hi + 1e-9
     want = min(max(want, agg_lo), agg_hi)
 
     # Stationarity of the per-agent Lagrangian: marginal(q) = -nu*sign. The
@@ -168,8 +143,8 @@ def centralized_solve(
     # safeguarded Newton on nu, as in rtsafe: bisect the bracket when the
     # step would leave it or would not halve the step before last
     dx_old = dx = 2.0 * nu_max
-    for _ in range(iters):
-        if abs(gap) <= 0.1 * tol:
+    for _ in range(ITERS):
+        if abs(gap) <= 0.1 * TOL:
             break
         if gap > 0:
             nu_lo = nu
@@ -183,16 +158,8 @@ def centralized_solve(
             dx_old, dx = dx, 0.5 * (nu_hi - nu_lo)
             nu = nu_lo + dx
         gap, rate, q = aggregate(nu, q)
-    return CentralizedSolution(
-        q=np.array(q),
-        d=np.array([x if m == 1 else 0.0 for x, m in zip(q, modes)]),
-        c=np.array([x if m == 0 else 0.0 for x, m in zip(q, modes)]),
-        nu=nu,
-        residual=abs(gap),
-        marginals=np.array([_marginal(c, x)[0] for c, x in zip(coefs, q)]),
-        target=want,
-        clamped=clamped,
-    )
+    u = [(x, 0.0) if m == 1 else (0.0, x) for x, m in zip(q, modes)]
+    return CentralizedSolution(u, nu, abs(gap), want, clamped)
 
 
 def dynamic_regret(dist_costs, oracle_costs, T=None) -> float:

@@ -39,6 +39,11 @@ from .oracle import centralized_solve
 
 TRACE_SCHEMA = "orra-trace-v1"
 OUT_DIR_ENV = "ORRA_OUT_DIR"
+# plant steps per control interval: each interval lists the load of every
+# step and advances the plant through them one by one, about 3.5 us a step
+# on a 2-vCPU VM, so 1000 (the shipped configs use 10) already makes a
+# 300 s run spend about 11 s in the plant
+MAX_INNER_STEPS = 1000
 
 
 class ConfigError(ValueError):
@@ -221,6 +226,18 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_domains(self)
+        # the counts below round these ratios, which must be finite and,
+        # for the plant steps, round to at most MAX_INNER_STEPS
+        if not self.tau / self.dt_inner < MAX_INNER_STEPS + 0.5:
+            raise ConfigError(
+                f"dt_inner {self.dt_inner} splits each control interval, "
+                f"tau {self.tau}, into more than {MAX_INNER_STEPS} plant steps"
+            )
+        if not self.duration / self.tau <= sys.float_info.max:
+            raise ConfigError(
+                f"duration {self.duration} holds more control intervals of "
+                f"tau {self.tau} than a float can count"
+            )
         if abs(self.inner_steps * self.dt_inner - self.tau) > 1e-9 * self.tau:
             raise ConfigError(
                 f"dt_inner {self.dt_inner} does not divide tau {self.tau}"
@@ -664,14 +681,11 @@ class ScenarioRunner:
         if self.oracle_every:
             sol = centralized_solve(
                 models, modes, boxes, -float(np.sum(shares)),
-                on_infeasible="clamp", nu_hint=self.nu_hint,
+                nu_hint=self.nu_hint,
             )
             self.nu_hint = sol.nu
-            d_star, c_star = sol.d.tolist(), sol.c.tolist()
-            row.append(sum(
-                m.value(d, c) for m, d, c in zip(models, d_star, c_star)
-            ))
-            row += chain.from_iterable(zip(d_star, c_star))
+            row.append(sum(m.value(d, c) for m, (d, c) in zip(models, sol.u)))
+            row += chain.from_iterable(sol.u)
             rec.oracle_clamped += int(sol.clamped)
         rec.table[k] = row
         self.u, self.p_bess = u_next, p_bess

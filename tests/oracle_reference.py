@@ -15,7 +15,17 @@ stationarity condition. It is slow but has no step logic to get wrong.
 """
 import numpy as np
 
-from orra.oracle import InfeasibleTargetError
+
+class InfeasibleTargetError(RuntimeError):
+    """Target outside the fleet's achievable aggregate range."""
+
+    def __init__(self, target, achievable):
+        super().__init__(
+            f"target {target:.6f} MW outside achievable range "
+            f"[{achievable[0]:.6f}, {achievable[1]:.6f}] MW"
+        )
+        self.target = target
+        self.achievable = achievable
 
 
 def agent_cost_curve(model, mode, q):
@@ -124,10 +134,11 @@ def _best_response(arrays, lo, hi, slope_target, iters=50):
 def bisection_solve(models, modes, boxes, target, on_infeasible="raise"):
     """Nested-bisection allocation; returns (q, nu, clamped).
 
-    Same contract as `orra.oracle.centralized_solve` with its default
-    tolerance and no hint: modes 1 discharge (+q aggregate) and 0 charge
-    (-q), boxes [lo, hi] on the active coordinate, and a stop once the
-    aggregate is within 1e-7 MW of the (possibly clamped) target.
+    Same contract as `orra.oracle.centralized_solve` with no hint: modes 1
+    discharge (+q aggregate) and 0 charge (-q), boxes [lo, hi] on the
+    active coordinate, and a stop once the aggregate is within 1e-7 MW of
+    the (possibly clamped) target. A target outside the achievable range
+    raises unless on_infeasible is "clamp", which the solver always does.
     """
     modes = [int(m) for m in modes]
     lo = np.array([b[0] for b in boxes], dtype=float)

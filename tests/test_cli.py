@@ -130,6 +130,17 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
             assert main(["validate", str(bad)]) == 2, data
             assert f"config error: {leaf}" in capsys.readouterr().err, data
 
+    # counts the run would round or step through: refused with the leaf
+    # named, before an overflow or a list of 1e299 plant-step loads
+    for data, leaf in (
+        ({"duration": 1e300, "tau": 1e-300, "dt_inner": 1e-300}, "duration"),
+        ({"dt_inner": 1e-300}, "dt_inner"),
+        ({"dt_inner": 1e-5}, "dt_inner"),  # 10000 steps per interval
+    ):
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2, data
+        assert f"config error: {leaf}" in capsys.readouterr().err, data
+
 
 def config_leaves(data, path=()):
     """The path of every leaf of a config dict and of each list item."""

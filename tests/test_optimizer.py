@@ -183,7 +183,7 @@ def test_static_stage_converges_to_oracle():
     assert min(viol) < 0.02 * abs(aie.sum())
     assert viol[-1] < 0.02 * abs(aie.sum())
     # allocation lands near the centralized optimum
-    assert np.abs(u[:, 0] - sol.d).max() < 0.02
+    assert np.abs(u[:, 0] - np.array(sol.u)[:, 0]).max() < 0.02
     # interior agents agree on the cost slope within 5%
     marg = np.array(
         [m.gradient(ui[0], ui[1])[0] for m, ui in zip(models, u)]
@@ -288,7 +288,7 @@ def test_regret_bounds_on_random_instances():
                 models, modes, intervals, targets[t], nu_hint=nu
             )
             nu = sol.nu
-            u_star = np.stack([sol.d, sol.c], axis=1)
+            u_star = np.array(sol.u)
             grads = np.array(
                 [m.gradient(ui[0], ui[1]) for m, ui in zip(models, u)]
             )

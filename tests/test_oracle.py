@@ -7,7 +7,6 @@ from orra.oracle import (
     BoundCheck,
     CentralizedSolution,
     IncompleteTraceError,
-    InfeasibleTargetError,
     centralized_solve,
     dynamic_regret,
     lemma1_check,
@@ -37,21 +36,33 @@ def aging_model(rng, mode):
     )
 
 
+def active(sol):
+    """Each agent's power on its active coordinate: the row sums of the
+    (d, c) pairs, whose inactive coordinate is exactly 0.0."""
+    return np.array(sol.u).sum(axis=1)
+
+
+def active_slopes(models, modes, sol):
+    """Each agent's cost slope along its active coordinate."""
+    return np.array([
+        m.gradient(d, c)[0 if mode == 1 else 1]
+        for m, mode, (d, c) in zip(models, modes, sol.u)
+    ])
+
+
 def test_zero_target_idle_fleet():
     # zero net demand, costs minimized at the origin: nobody moves
     models = [quad(0.1), quad(0.3), quad(0.2)]
     boxes = [(0.0, 1.0)] * 3
     sol = centralized_solve(models, [1, 1, 1], boxes, 0.0)
-    assert np.allclose(sol.q, 0.0, atol=1e-9)
+    assert np.allclose(active(sol), 0.0, atol=1e-9)
     assert sol.residual <= 1e-6
 
 
 def test_two_identical_agents_split_evenly():
     models = [quad(0.1), quad(0.1)]
     sol = centralized_solve(models, [1, 1], [(0.0, 1.0)] * 2, 1.0)
-    assert sol.q == pytest.approx([0.5, 0.5], abs=1e-9)
-    assert sol.d == pytest.approx([0.5, 0.5], abs=1e-9)
-    assert np.allclose(sol.c, 0.0)
+    assert sol.u == [(pytest.approx(0.5, abs=1e-9), 0.0)] * 2
 
 
 def test_heterogeneous_matches_brute_force():
@@ -61,7 +72,7 @@ def test_heterogeneous_matches_brute_force():
     sol = centralized_solve(models, [1, 1, 1], boxes, target)
     q_bf, achieved, _ = brute_force_solve(models, [1, 1, 1], boxes, target)
     assert abs(achieved - target) <= 5e-4
-    assert np.abs(sol.q - q_bf).max() <= 2e-3
+    assert np.abs(active(sol) - q_bf).max() <= 2e-3
 
 
 def test_interior_marginals_equalized():
@@ -75,14 +86,15 @@ def test_interior_marginals_equalized():
         sol = centralized_solve(models, modes, boxes, target)
         assert sol.residual <= 1e-6
         level = -sol.nu  # shared slope for discharge agents
-        interior = (sol.q > 1e-9) & (sol.q < 5.0 - 1e-9)
+        q, marginals = active(sol), active_slopes(models, modes, sol)
+        interior = (q > 1e-9) & (q < 5.0 - 1e-9)
         assert interior.any()
         if interior.sum() > 1:
-            m_in = sol.marginals[interior]
+            m_in = marginals[interior]
             assert m_in.max() - m_in.min() <= 1e-6
         # agents held at the zero corner must already be too expensive
-        at_floor = sol.q <= 1e-9
-        assert (sol.marginals[at_floor] >= level - 1e-6).all()
+        at_floor = q <= 1e-9
+        assert (marginals[at_floor] >= level - 1e-6).all()
 
 
 def test_mixed_modes_marginals_against_multiplier():
@@ -92,10 +104,11 @@ def test_mixed_modes_marginals_against_multiplier():
     boxes = [(0.0, 4.0)] * 3
     sol = centralized_solve(models, modes, boxes, 0.7)
     signs = np.array([1.0, -1.0, 1.0])
-    interior = (sol.q > 1e-9) & (sol.q < 4.0 - 1e-9)
+    q, marginals = active(sol), active_slopes(models, modes, sol)
+    interior = (q > 1e-9) & (q < 4.0 - 1e-9)
     assert interior.any()
     # stationarity: active-coordinate slope equals -nu * sign off the corners
-    assert np.abs(sol.marginals[interior] + sol.nu * signs[interior]).max() <= 1e-6
+    assert np.abs(marginals[interior] + sol.nu * signs[interior]).max() <= 1e-6
 
 
 def test_random_instances_match_brute_force():
@@ -117,7 +130,7 @@ def test_random_instances_match_brute_force():
             models, modes, boxes, target
         )
         assert abs(achieved - target) <= 5e-4
-        assert np.abs(sol.q - q_bf).max() <= 2e-3
+        assert np.abs(active(sol) - q_bf).max() <= 2e-3
         assert sol.residual <= 1e-6
 
 
@@ -131,9 +144,9 @@ def test_warm_start_agrees_with_cold():
     )
     # the search stops on the aggregate residual, so different start
     # points may disagree per coordinate up to the solve tolerance
-    assert np.abs(cold.q - warm.q).max() <= 1e-6
+    assert np.abs(active(cold) - active(warm)).max() <= 1e-6
     far = centralized_solve(models, [1] * 4, boxes, 1.5, nu_hint=-50.0)
-    assert np.abs(cold.q - far.q).max() <= 1e-6
+    assert np.abs(active(cold) - active(far)).max() <= 1e-6
 
 
 def fresh_model(rng):
@@ -168,12 +181,9 @@ def test_newton_solve_matches_nested_bisection():
             models, modes, boxes, target, on_infeasible="clamp"
         )
         for hint in (None, nu_ref * 1.02 + 1e-3, -50.0, 80.0):
-            sol = centralized_solve(
-                models, modes, boxes, target, on_infeasible="clamp",
-                nu_hint=hint,
-            )
+            sol = centralized_solve(models, modes, boxes, target, hint)
             assert sol.clamped == clamped_ref
-            assert np.abs(sol.q - q_ref).max() <= 1e-6
+            assert np.abs(active(sol) - q_ref).max() <= 1e-6
             assert sol.residual <= 1e-7
 
 
@@ -241,45 +251,32 @@ def test_newton_solve_matches_bisection_on_branch_cases():
         )
         # hints far beyond +-nu_max are clipped into the bracket
         for hint in (None, -1e6, 1e6):
-            sol = centralized_solve(
-                models, modes, boxes, target, on_infeasible="clamp",
-                nu_hint=hint,
-            )
+            sol = centralized_solve(models, modes, boxes, target, hint)
             assert sol.clamped == clamped_ref
-            assert np.abs(sol.q - q_ref).max() <= 1e-6
+            assert np.abs(active(sol) - q_ref).max() <= 1e-6
             assert sol.residual <= 1e-7
 
 
 def test_inactive_coordinate_is_exact_zero():
     # the benchmark's regret check tests the inactive coordinate with != 0
     for models, modes, boxes, target in branch_cases():
-        sol = centralized_solve(
-            models, modes, boxes, target, on_infeasible="clamp"
-        )
+        u = np.array(centralized_solve(models, modes, boxes, target).u)
         discharge = np.array(modes) == 1
-        assert (sol.c[discharge] == 0.0).all()
-        assert (sol.d[~discharge] == 0.0).all()
-        assert (sol.d[discharge] == sol.q[discharge]).all()
-        assert (sol.c[~discharge] == sol.q[~discharge]).all()
-
-
-def test_infeasible_target_raises_with_range():
-    models = [quad(0.1), quad(0.1)]
-    boxes = [(0.0, 1.0)] * 2
-    with pytest.raises(InfeasibleTargetError) as err:
-        centralized_solve(models, [1, 1], boxes, 3.0)
-    assert err.value.achievable == pytest.approx((0.0, 2.0))
-    with pytest.raises(InfeasibleTargetError):
-        centralized_solve(models, [0, 0], boxes, 0.5)  # charging only
+        assert (u[discharge, 1] == 0.0).all()
+        assert (u[~discharge, 0] == 0.0).all()
 
 
 def test_infeasible_target_clamps_on_request():
     models = [quad(0.1), quad(0.1)]
     boxes = [(0.0, 1.0)] * 2
-    sol = centralized_solve(models, [1, 1], boxes, 3.0, on_infeasible="clamp")
-    assert sol.clamped
-    assert sol.target == pytest.approx(2.0)
-    assert sol.q == pytest.approx([1.0, 1.0], abs=1e-9)
+    for modes, target, end, u in (
+        ([1, 1], 3.0, 2.0, [(1.0, 0.0)] * 2),  # discharging, range [0, 2]
+        ([0, 0], 0.5, 0.0, [(0.0, 0.0)] * 2),  # charging only, [-2, 0]
+    ):
+        sol = centralized_solve(models, modes, boxes, target)
+        assert sol.clamped
+        assert sol.target == pytest.approx(end)
+        assert np.array(sol.u) == pytest.approx(np.array(u), abs=1e-9)
 
 
 def test_wear_term_required():
