@@ -35,24 +35,13 @@ def compute_ace(dPtie, B, df):
     return dPtie + B * df
 
 
-def check_participation(sigma) -> list:
-    """Participation factors as a list of floats: nonnegative, summing to 1."""
-    sigma = np.asarray(sigma, dtype=float)
-    if not (sigma >= 0).all():
-        raise ValueError("participation factors must be nonnegative")
-    if not abs(sigma.sum() - 1.0) <= 1e-12:
-        raise ValueError("participation factors must sum to 1")
-    return sigma.tolist()
-
-
 def aie_shares(sigma, p_tie, d_prime, df, du_cg, pm_cg) -> list:
     """Each agent's share of the area injection error.
 
     share_i = sigma_i*(p_tie + D'*df) + sigma_i*du_cg - sigma_i*pm_cg: the
     tie-line-plus-damping error and the gap between the generators'
     summed governor command du_cg and mechanical power pm_cg, split by the
-    participation factors sigma (a list, checked once, by
-    `check_participation`).
+    participation factors sigma (a list of floats).
     """
     error = p_tie + d_prime * df
     return [s * error + s * du_cg - s * pm_cg for s in sigma]
@@ -95,10 +84,10 @@ class RbfSurrogate:
     """Exact RBF interpolant of the frequency-responsive load droop.
 
     Samples are admitted only when at least d_min away from every stored
-    location, which keeps the kernel matrix well conditioned. When full,
-    the oldest sample that is not a boundary point (min or max location)
-    is evicted so the covered span is preserved, which takes room for
-    three samples.
+    location, which keeps the kernel matrix well conditioned. Samples are
+    stored in arrival order. When full, the oldest sample that is not a
+    boundary point (min or max location) is evicted so the covered span is
+    preserved, which takes room for three samples.
     """
 
     xi: float = DEFAULT_XI
@@ -106,8 +95,6 @@ class RbfSurrogate:
     max_samples: int = DEFAULT_MAX_SAMPLES
     sample_df: list = field(default_factory=list)
     sample_dP: list = field(default_factory=list)
-    _order: list = field(default_factory=list)
-    _counter: int = 0
     weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -139,16 +126,13 @@ class RbfSurrogate:
             self._evict()
         self.sample_df.append(float(df))
         self.sample_dP.append(float(dP))
-        self._order.append(self._counter)
-        self._counter += 1
         self.refit()
 
     def _evict(self) -> None:
         lo = int(np.argmin(self.sample_df))
         hi = int(np.argmax(self.sample_df))
-        candidates = [i for i in range(self.m) if i not in (lo, hi)]
-        victim = min(candidates, key=lambda i: self._order[i])
-        for seq in (self.sample_df, self.sample_dP, self._order):
+        victim = next(i for i in range(self.m) if i not in (lo, hi))
+        for seq in (self.sample_df, self.sample_dP):
             seq.pop(victim)
 
     def refit(self) -> None:

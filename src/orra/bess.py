@@ -54,18 +54,18 @@ def soc_step(soc: float, c, d, params: BessParams, tau) -> float:
     return min(max(x, params.soc_min), params.soc_max)
 
 
-def mode_select(aie_i, prev_mode: int = 1, direction: int = 1) -> int:
+def mode_select(aie_i, prev_mode: int = 1) -> int:
     """Pick the permitted power direction for the coming interval.
 
-    The mode follows the sign of the agent's injection-error share;
-    `direction=-1` flips the rule for deployments where a positive share
-    means surplus that the battery should absorb. A zero share keeps the
+    The mode follows the sign of the agent's injection-error share: a
+    negative share means the area is short, and the battery discharges
+    (1); a positive share means surplus, and it charges (0). The balance
+    h_i = d_i - c_i + share_i fixes this sign. A zero share keeps the
     previous mode.
     """
-    signal = direction * aie_i
-    if signal > 0:
+    if aie_i < 0:
         return 1
-    if signal < 0:
+    if aie_i > 0:
         return 0
     return int(prev_mode)
 
@@ -129,10 +129,6 @@ class Fleet:
         self.cost_terms = [b.cost_terms(tau) for b in self.batteries]
 
     @property
-    def n(self) -> int:
-        return len(self.batteries)
-
-    @property
     def soc(self) -> list:
         return [b.soc for b in self.batteries]
 
@@ -142,7 +138,7 @@ class Fleet:
         for b, (d, c) in zip(self.batteries, u):
             b.apply(d, c, tau)
 
-    def plan(self, aie_shares, direction: int):
+    def plan(self, aie_shares):
         """Set each battery's mode from its share for the coming interval.
 
         Returns lists of the interval's modes, (lo, hi) boxes on the active
@@ -152,7 +148,7 @@ class Fleet:
         modes, boxes, models = [], [], []
         for b, terms, share in zip(self.batteries, self.cost_terms,
                                    aie_shares):
-            b.mode = mode = mode_select(share, b.mode, direction)
+            b.mode = mode = mode_select(share, b.mode)
             modes.append(mode)
             boxes.append(feasible_interval(b.soc, mode, b.params, tau))
             models.append(degradation.interval_cost(b.residues, terms))

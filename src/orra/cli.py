@@ -157,8 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a written trace file")
     p.add_argument("trace")
-    p.add_argument("--soc-min", type=float, default=0.2)
-    p.add_argument("--soc-max", type=float, default=0.8)
+    p.add_argument("--soc-min", type=float, default=0.2,
+                   help="lower SoC bound the trace is checked against; "
+                   "give the run's fleet.soc_min (default 0.2)")
+    p.add_argument("--soc-max", type=float, default=0.8,
+                   help="upper SoC bound the trace is checked against; "
+                   "give the run's fleet.soc_max (default 0.8)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("validate", help="parse and validate a config file")

@@ -1,11 +1,11 @@
 """Two-area frequency dynamics with nonlinear governors and droop loads.
 
-Aggregated swing model per area, three conventional generators apiece with
-first-order governor and turbine lags behind droop feedback, rate and
-magnitude limits on mechanical power, a synchronizing tie line, and a
-sectional-droop frequency-responsive load in area 1. Forward Euler at a
-fixed inner step on plain floats; one call advances one control interval,
-and the agent layer reads the state between calls.
+Aggregated swing model per area, conventional generators (three by
+default) with first-order governor and turbine lags behind droop feedback,
+rate and magnitude limits on mechanical power, a synchronizing tie line,
+and a sectional-droop frequency-responsive load in area 1. Forward Euler
+at a fixed inner step on plain floats; one call advances one control
+interval, and the agent layer reads the state between calls.
 """
 from __future__ import annotations
 
@@ -50,16 +50,8 @@ class AreaParams:
     ramp_limit: float = 0.009  # MW/s per CG
     saturation: float = 10.0  # MW per CG
     k_i: float = 0.1  # AGC integral gain, 1/s
-    sigma: tuple = (1 / 3, 1 / 3, 1 / 3)  # AGC participation factors
     t_sync: float = 10.0  # tie-line synchronizing coefficient, MW/Hz*s
     frr: SectionalDroop | None = None
-
-    def __post_init__(self):
-        if len(self.inv_droops) != len(self.sigma):
-            raise ValueError("one participation factor per generator")
-        if (not all(s >= 0 for s in self.sigma)
-                or not abs(sum(self.sigma) - 1) <= 1e-12):
-            raise ValueError("participation factors must be >= 0 and sum to 1")
 
     @property
     def n_cg(self) -> int:
@@ -89,17 +81,17 @@ def zero_state(areas) -> GridState:
 
 
 def _area_constants(area: AreaParams, error: float, dt: float) -> tuple:
-    """One area's constants over an interval: each generator's command slew
-    (fixed while the error is held), the droop slopes, the saturation
-    band, the ramp limit, the two lags, damping, inertia, and the
-    responsive-load droop response (None without one)."""
+    """One area's constants over an interval: the command slew its
+    generators share (AGC splits the error evenly among them, and it is
+    fixed while the error is held), the droop slopes, the saturation band,
+    the ramp limit, the two lags, damping, inertia, and the responsive-load
+    droop response (None without one)."""
     step = area.ramp_limit * dt
-    slews = []
-    for s in area.sigma:
-        x = -dt * area.k_i * s * error
-        slews.append(-step if x < -step else step if x > step else x)
+    share = 1.0 / area.n_cg
+    x = -dt * area.k_i * share * error
+    slew = -step if x < -step else step if x > step else x
     frr = area.frr.response if area.frr is not None else None
-    return (slews, area.inv_droops, area.saturation, area.ramp_limit,
+    return (slew, area.inv_droops, area.saturation, area.ramp_limit,
             area.t_gov, area.t_turb, area.damping, area.inertia, frr)
 
 
@@ -129,9 +121,9 @@ def grid_step(
     area1, area2 = areas
     e1, e2 = map(float, agc_errors)
     b1, b2 = map(float, p_bess)
-    (slews1, droops1, sat1, ramp1, t_gov1, t_turb1, damping1, inertia1,
+    (slew1, droops1, sat1, ramp1, t_gov1, t_turb1, damping1, inertia1,
      frr1) = _area_constants(area1, e1, dt)
-    (slews2, droops2, sat2, ramp2, t_gov2, t_turb2, damping2, inertia2,
+    (slew2, droops2, sat2, ramp2, t_gov2, t_turb2, damping2, inertia2,
      frr2) = _area_constants(area2, e2, dt)
     tie_gain = dt * area1.t_sync
     (f1, f2), p_tie, (fr1, fr2) = state.df, state.p_tie, state.p_fr
@@ -151,7 +143,7 @@ def grid_step(
         for i in gens1:
             u, g, p = du1[i], gov1[i], pm1[i]
             pm_sum1 += p
-            x = u + slews1[i]
+            x = u + slew1
             du1[i] = nsat1 if x < nsat1 else sat1 if x > sat1 else x
             gov1[i] = g + dt * ((u - f1 * droops1[i]) - g) / t_gov1
             x = (g - p) / t_turb1
@@ -161,7 +153,7 @@ def grid_step(
         for i in gens2:
             u, g, p = du2[i], gov2[i], pm2[i]
             pm_sum2 += p
-            x = u + slews2[i]
+            x = u + slew2
             du2[i] = nsat2 if x < nsat2 else sat2 if x > sat2 else x
             gov2[i] = g + dt * ((u - f2 * droops2[i]) - g) / t_gov2
             x = (g - p) / t_turb2

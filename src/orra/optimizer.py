@@ -83,9 +83,7 @@ class OrraOptimizer:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        n = self.weights.shape[0]
-        self.n = n
-        self.lam = [0.0] * n
+        self.lam = [0.0] * self.weights.shape[0]
         self.y = None
         self.h_prev = None
         self.t = 0

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aie import RbfSurrogate, aie_shares, check_participation, compute_ace
+from .aie import RbfSurrogate, aie_shares, compute_ace
 from .bess import Battery, BessParams, Fleet
 from .comm_graph import Topology, build_metropolis_weights, default_topology
 from .grid import (
@@ -185,7 +185,6 @@ class AieConfig:
     rbf_d_min: float = leaf(0.007, POSITIVE)
     # eviction keeps the two boundary samples, so a cap needs a third slot
     rbf_max_samples: int = leaf(24, integer(3))
-    mode_direction: int = leaf(-1, choice(-1, 1))
 
     @property
     def d_prime(self) -> float:
@@ -560,8 +559,7 @@ class ScenarioRunner:
         self.droop = self.areas[0].frr
         self.state = zero_state(self.areas)
         self.window = None  # last (hold window, value) of the fluctuation
-        sigma = np.full(n, 1.0 / n)
-        self.sigma = check_participation(sigma / sigma.sum())
+        self.sigma = [1.0 / n] * n  # the fleet splits the signal evenly
         self.surrogate = (
             config.surrogate()
             if config.signal == "AIE" and config.aie.surrogate_enabled
@@ -652,7 +650,7 @@ class ScenarioRunner:
             rec.table[k, :len(row)] = row
             return
 
-        modes, boxes, models = self.fleet.plan(shares, cfg.aie.mode_direction)
+        modes, boxes, models = self.fleet.plan(shares)
         grads = [m.gradient(d, c) for m, (d, c) in zip(models, self.u)]
         u_next, info = self.optimizer.iterate(
             self.u, grads, shares, df1, boxes, modes

@@ -130,7 +130,7 @@ def grid_step(
     tie_sign = (-1.0, 1.0)  # tie power leaves area 1, enters area 2
     for a, area in enumerate(areas):
         k = area.n_cg
-        sigma = np.asarray(area.sigma, dtype=float)
+        sigma = np.full(k, 1.0 / k)  # AGC splits the error evenly
         delta = -dt * area.k_i * sigma * agc_errors[a]
         step = area.ramp_limit * dt
         new.du_gov[a, :k] = np.clip(

@@ -9,7 +9,6 @@ from orra.aie import (
     RbfSurrogate,
     aie_shares,
     build_gram,
-    check_participation,
     compute_ace,
     fit_weights,
     gaussian_basis,
@@ -23,22 +22,9 @@ def test_compute_ace_values():
     assert compute_ace(2.5, 30, 0.01) == pytest.approx(2.8)
 
 
-def test_check_participation_validation():
-    with pytest.raises(ValueError):
-        check_participation([0.5, 0.4])
-    with pytest.raises(ValueError):
-        check_participation([1.5, -0.5])
-    with pytest.raises(ValueError):
-        check_participation([float("nan"), 1.0])
-    sigma = check_participation([0.25, 0.75])
-    assert sigma == [0.25, 0.75]
-    assert all(type(s) is float for s in sigma)
-
-
 def shares(sigma=(1.0,), p_tie=2.0, d_prime=10.0, df=-0.1, du_cg=0.5,
            pm_cg=0.3):
-    return aie_shares(check_participation(list(sigma)), p_tie, d_prime, df,
-                      du_cg, pm_cg)
+    return aie_shares(list(sigma), p_tie, d_prime, df, du_cg, pm_cg)
 
 
 def test_aie_shares_hand_value():

@@ -78,15 +78,12 @@ def test_round_trip_returns_eta_squared_of_input_energy():
 
 
 def test_mode_select_signs():
-    assert mode_select(3.0) == 1
-    assert mode_select(-3.0) == 0
+    # a short area (negative share) discharges, a surplus charges
+    assert mode_select(-3.0) == 1
+    assert mode_select(3.0) == 0
     assert mode_select(0.0, prev_mode=1) == 1
     assert mode_select(0.0, prev_mode=0) == 0
-
-
-def test_mode_select_flipped_direction():
-    assert mode_select(3.0, direction=-1) == 0
-    assert mode_select(-3.0, direction=-1) == 1
+    assert mode_select(-0.0, prev_mode=0) == 0
 
 
 def test_feasible_interval_at_soc_floor_and_ceiling():
@@ -178,12 +175,11 @@ def test_battery_never_leaves_soc_box_under_projected_decisions():
 def test_fleet_wiring():
     p = BessParams()
     fleet = Fleet([Battery(p, 0.5) for _ in range(3)], 0.1)
-    assert fleet.n == 3
-    modes, boxes, models = fleet.plan([2.0, -2.0, 0.0], 1)
-    assert list(modes) == [1, 0, 1]
-    assert [b.mode for b in fleet.batteries] == [1, 0, 1]
-    modes, boxes, models = fleet.plan([2.0, -2.0, 0.0], -1)
-    assert list(modes) == [0, 1, 1]  # zero share holds previous mode
+    modes, boxes, models = fleet.plan([-2.0, 2.0, 2.0])
+    assert list(modes) == [1, 0, 0]
+    assert [b.mode for b in fleet.batteries] == [1, 0, 0]
+    modes, boxes, models = fleet.plan([2.0, -2.0, 0.0])
+    assert list(modes) == [0, 1, 0]  # zero share holds previous mode
     for b, mode, box, model in zip(fleet.batteries, modes, boxes, models):
         assert tuple(box) == feasible_interval(b.soc, mode, p, 0.1)
         assert model == interval_cost(b.residues, b.cost_terms(0.1))

@@ -121,7 +121,6 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
         ("aie.rbf_d_min", (NAN, INF, 0.0, -1.0)),
         ("aie.rbf_max_samples", (0, 2, 3.0, True)),
         ("tau", (0.0,)),
-        ("aie.mode_direction", (0, 2, 1.0, True)),
     ):
         section, _, name = leaf.rpartition(".")
         for value in values:
@@ -159,7 +158,7 @@ def test_every_leaf_rejects_or_runs_each_odd_value(tmp_path, capsys):
     base = json.loads(json.dumps(cfg.to_dict()))
     path, out = tmp_path / "fuzz.json", str(tmp_path / "out")
     leaves = list(config_leaves(base))
-    assert len(leaves) == 58  # 50 leaves, 5 initial SoCs, 3 droop slopes
+    assert len(leaves) == 57  # 49 leaves, 5 initial SoCs, 3 droop slopes
     counts = {"rejected": 0, "ran": 0, "numeric": 0}
     for leaf in leaves:
         name = [k for k in leaf if isinstance(k, str)][-1]
@@ -186,7 +185,7 @@ def test_every_leaf_rejects_or_runs_each_odd_value(tmp_path, capsys):
             capsys.readouterr()
             assert code in (0, 3), (leaf, value, code)
             counts["ran" if code == 0 else "numeric"] += 1
-    assert sum(counts.values()) == 58 * 8 - 1, counts
+    assert sum(counts.values()) == 57 * 8 - 1, counts
     assert counts["rejected"] > counts["ran"] > 0, counts
 
 
@@ -265,6 +264,46 @@ def test_verify_cli(cfg_path, tmp_path, capsys):
     assert main(["verify", str(out)]) == 2
     err = capsys.readouterr().err
     assert "file error" in err and "Traceback" not in err
+
+
+def test_verify_cli_takes_the_runs_soc_box(tmp_path, capsys):
+    cfg = tmp_path / "low.json"
+    cfg.write_text(json.dumps({
+        "name": "low", "duration": 5.0,
+        "fleet": {"soc_min": 0.1, "initial_soc": [0.15, 0.45, 0.5, 0.55,
+                                                  0.65]},
+    }))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    trace = str(out / "low.csv")
+    # the default box is the shipped fleet's, [0.2, 0.8]
+    assert main(["verify", trace]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert not report["checks"]["soc_bounds"]["ok"]
+    assert main(["verify", trace, "--soc-min", "0.1"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+
+
+@pytest.mark.parametrize("droops", [[20.0, 20.0], [20.0, 15.0, 25.0, 20.0]])
+def test_any_generator_count_runs_and_verifies(droops, tmp_path, capsys):
+    # AGC splits each area's error evenly over however many slopes it has
+    cfg = tmp_path / "gens.json"
+    cfg.write_text(json.dumps({"name": "gens", "duration": 1.0,
+                               "step_time": 0.0,
+                               "grid": {"inv_droops": droops}}))
+    assert main(["validate", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    trace = str(out / "gens.csv")
+    with open(trace) as fh:
+        header = fh.read().splitlines()[1].split(",")
+    assert [c for c in header if c.startswith("p_m_cg")] == [
+        f"p_m_cg{i}" for i in range(1, len(droops) + 1)
+    ]
+    assert main(["verify", trace]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
 
 
 def test_ablation_cli(cfg_path, tmp_path, capsys):

@@ -29,15 +29,7 @@ def test_sectional_droop_values():
 
 
 def test_area_params_validation():
-    # participation factors are no config leaf; the plant constants'
-    # domains are the config's
-    with pytest.raises(ValueError):
-        AreaParams(sigma=(0.5, 0.5))  # length mismatch with generators
-    with pytest.raises(ValueError):
-        AreaParams(sigma=(0.9, 0.2, -0.1))
-    for bad in (NAN, INF, -INF):
-        with pytest.raises(ValueError):
-            AreaParams(sigma=(0.5, 0.5, bad))
+    # the plant constants' domains are the config's
     assert AreaParams().bias == pytest.approx(61.0)
 
 
@@ -66,22 +58,22 @@ def test_governor_rest_state():
 
 def test_governor_unity_dc_gain():
     # no limits active: 1 MW command settles at 1 MW output
-    area = AreaParams(inv_droops=(20.0,), sigma=(1.0,), ramp_limit=1e3)
+    area = AreaParams(inv_droops=(20.0,), ramp_limit=1e3)
     gov, p_m = hold_frequency(area, [1.0], 1000)
     assert p_m[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_ramp_limited_unit_takes_100s_for_2_7mw():
-    area = AreaParams(inv_droops=(20.0,), sigma=(1.0,), ramp_limit=0.027)
+    area = AreaParams(inv_droops=(20.0,), ramp_limit=0.027)
     gov, p_m = hold_frequency(area, [10.0], 10000)  # 100 s at dt = 0.01
     assert p_m[0] == pytest.approx(2.7, rel=0.02)
 
 
 def test_nonlinearity_engages_on_large_command():
     # the rate limiter must bend the trajectory well away from the lags alone
-    area = AreaParams(inv_droops=(20.0,), sigma=(1.0,))
+    area = AreaParams(inv_droops=(20.0,))
     free = AreaParams(
-        inv_droops=(20.0,), sigma=(1.0,), ramp_limit=1e9, saturation=1e9
+        inv_droops=(20.0,), ramp_limit=1e9, saturation=1e9
     )
     gov, p_m = hold_frequency(area, [10.0], 5000)
     gov_f, p_m_f = hold_frequency(free, [10.0], 5000)
@@ -193,7 +185,6 @@ def random_areas(rng):
             t_gov=rng.uniform(0.1, 0.4), t_turb=rng.uniform(0.3, 1.0),
             ramp_limit=10.0 ** rng.uniform(-2.5, 1.0),
             saturation=rng.uniform(0.3, 1.5), k_i=rng.uniform(0.0, 0.5),
-            sigma=tuple(rng.dirichlet(np.ones(n)).tolist()),
             t_sync=rng.uniform(2.0, 20.0), frr=frr,
         )
 
@@ -226,7 +217,7 @@ def engaged(state: ref.RefState, areas, agc_errors, dt) -> set:
         out.add("tie line")
     for a, area in enumerate(areas):
         k = area.n_cg
-        delta = -dt * area.k_i * np.asarray(area.sigma) * agc_errors[a]
+        delta = -dt * area.k_i * np.full(k, 1.0 / k) * agc_errors[a]
         step = area.ramp_limit * dt
         if (np.abs(delta) > step).any():
             out.add("command slew")

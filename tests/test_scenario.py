@@ -87,7 +87,7 @@ def test_every_config_leaf_has_one_domain():
 
     table = dict(declared(ScenarioConfig()))
     assert sorted(table) == sorted(leaves(ScenarioConfig().to_dict()))
-    assert len(table) == 50
+    assert len(table) == 49
     assert all(isinstance(d, scenario.Domain) for d in table.values())
 
 
@@ -101,6 +101,9 @@ def test_config_round_trip(tmp_path):
         ScenarioConfig.from_dict({"unknown_field": 1})
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({"grid": {"bogus": 1.0}})
+    # the mode sign is fixed by the model, not a setting
+    with pytest.raises(ConfigError, match="unknown aie fields"):
+        ScenarioConfig.from_dict({"aie": {"mode_direction": -1}})
 
 
 def test_step_event_qualitative_shape():
