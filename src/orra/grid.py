@@ -19,8 +19,12 @@ class GridInstabilityError(RuntimeError):
     """Integration produced a non-finite value."""
 
     def __init__(self, name):
-        super().__init__(f"non-finite value in {name}; reduce the time step")
+        # args holds the name alone, so the error pickles as it was raised
+        super().__init__(name)
         self.name = name
+
+    def __str__(self) -> str:
+        return f"non-finite value in {self.name}; reduce the time step"
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from the table.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import sys
 import warnings
@@ -476,7 +477,8 @@ class OptimizerLog(Sequence):
 class RunResult:
     """One scenario run, recorded in place one control interval per row.
 
-    `table` (T, W) holds the whole record as floats. Its leading columns
+    `table` (T, W) holds the whole record as floats, in anonymous shared
+    memory, so a forked process can record the run. Its leading columns
     are the trace's, in `trace_columns` order; then come the untraced `s`,
     the optimizer's saddle direction, and `interior`, dispatch strictly
     inside its mode box, each agent by agent; then, when the reference is
@@ -496,11 +498,15 @@ class RunResult:
         self.config, self.fleet, self.surrogate = config, fleet, surrogate
         header, where = trace_columns(n, n_cg)
         w = len(header)
+        width = w + 3 * n + (1 + 2 * n if oracle else 0)
+        # anonymous shared memory, zero-filled: a process forked after this
+        # writes its rows where this one reads them
         try:
-            self.table = np.zeros((rows, w + 3 * n + (1 + 2 * n if oracle else 0)))
-        except (ValueError, MemoryError) as err:
+            shared = mmap.mmap(-1, rows * width * 8)
+        except (OverflowError, OSError) as err:
             raise ConfigError(f"cannot hold the record of {rows:.3g} "
                               f"control intervals: {err}") from err
+        self.table = np.frombuffer(shared, dtype=float).reshape(rows, width)
         for f in TRACE_SPEC:
             cols = self.table[:, where[f.column]]
             setattr(self, f.source, cols if f.per else cols[:, 0])

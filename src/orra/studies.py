@@ -20,6 +20,7 @@ from .scenario import (
     ScenarioConfig,
     ScenarioRunner,
     resolve_out_dir,
+    write_trace_csv,
 )
 
 # the four comparison arms: signal choice crossed with fleet participation
@@ -78,24 +79,77 @@ class ArmSummary:
     signal_rms: float
 
 
+# the runners of the ablation under way and its output directory, read by
+# _run_arm in this process or in a worker forked from it
+_pending: tuple = ()
+
+
+def _run_arm(k: int) -> tuple:
+    """Step arm k of the pending ablation to its end and write its trace.
+
+    The rows land in the arm's shared table; what else the run changed
+    comes back: (fleet, surrogate, trace path).
+    """
+    runners, out = _pending
+    runner = runners[k]
+    for i in range(len(runner.result.time)):
+        runner.step(i)
+    return runner.fleet, runner.surrogate, write_trace_csv(runner.result, out)
+
+
+def _run_arms(runners: list, out: str) -> list:
+    """Run every arm, on one forked worker per CPU this process may use;
+    with one CPU, or on a platform without an affinity mask (macOS and
+    Windows, where fork is unsafe or missing), in this process in order."""
+    global _pending
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    workers = min(len(runners), cpus)
+    _pending = runners, out
+    try:
+        if workers < 2:
+            return [_run_arm(k) for k in range(len(runners))]
+        # imported here: `import orra.studies` stays as light as it was
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # an executor, not a multiprocessing.Pool: a Pool whose worker is
+        # killed mid-arm waits for that arm forever, this raises
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            return list(pool.map(_run_arm, range(len(runners))))
+    finally:
+        _pending = ()
+
+
 def run_ablation(config: ScenarioConfig, out_dir: str | None = None):
     """Run the four signal/participation arms on identical disturbances.
 
-    Returns (results, summaries): the per-arm RunResult map keyed by
-    (signal, bess_enabled) and the comparison summary list, which is also
-    written to `<name>_ablation.json` next to the traces.
+    The arms run side by side on forked workers, up to one per CPU, each
+    recording into a table in shared memory. Returns (results, summaries):
+    the per-arm RunResult map keyed by (signal, bess_enabled) and the
+    comparison summary list, which is also written to
+    `<name>_ablation.json` next to the traces.
     """
-    out = resolve_out_dir(out_dir)
-    results = {}
-    summaries = []
-    for signal, bess in ARMS:
-        cfg = replace(
+    # every record is allocated before the output directory is made
+    runners = [
+        ScenarioRunner(replace(
             config,
             name=f"{config.name}_{arm_label(signal, bess)}",
             signal=signal,
             bess_enabled=bess,
-        )
-        result = ScenarioRunner(cfg).run(out_dir=out)
+        ))
+        for signal, bess in ARMS
+    ]
+    out = resolve_out_dir(out_dir)
+    ends = _run_arms(runners, out)
+    results = {}
+    summaries = []
+    for (signal, bess), runner, end in zip(ARMS, runners, ends):
+        result = runner.result
+        result.fleet, result.surrogate, result.trace_path = end
+        result.finish()
         results[(signal, bess)] = result
         summaries.append(
             ArmSummary(

@@ -1,8 +1,15 @@
 """Command-line interface: subcommands, exit codes, output routing."""
 import copy
+import importlib
 import json
+import multiprocessing
+import os
+import pickle
+import pkgutil
 
 import pytest
+
+import orra
 
 from orra.cli import build_parser, main
 from orra.scenario import ScenarioConfig, ScenarioRunner
@@ -357,6 +364,59 @@ def test_run_refuses_a_record_too_large_to_hold(tmp_path, capsys):
     assert "1e+301 control intervals" in capsys.readouterr().err
     # refused before the run: the output directory is not even made
     assert not out.exists()
+
+
+def test_ablation_refuses_a_record_too_large_to_hold(tmp_path, capsys):
+    # the first arm's record is refused before any output is made
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps({"duration": 1e300}))
+    out = tmp_path / "out"
+    assert main(["ablation", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "1e+301 control intervals" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_ablation_arm_divergence_exits_numeric(tmp_path, capsys,
+                                               monkeypatch):
+    # two CPUs: the arms run in forked workers, and the first arm's error
+    # crosses back into this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    data = {"duration": 5.0, "step_time": 0.0, "grid": {"inertia": 1e-300}}
+    cfg = tmp_path / "stiff.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["ablation", str(cfg), "--out", str(tmp_path / "a")]) == 3
+    err = capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+    # the message `orra run` prints for the first arm, AIE with the fleet
+    arm = tmp_path / "arm.json"
+    arm.write_text(json.dumps(dict(data, signal="AIE", bess_enabled=True)))
+    assert main(["run", str(arm), "--out", str(tmp_path / "r")]) == 3
+    assert err == capsys.readouterr().err
+    assert err.startswith("numerical failure: non-finite value in ")
+
+
+def test_every_error_survives_pickling():
+    # an error raised in a forked worker reaches this process pickled
+    found = {}
+    for mod in pkgutil.iter_modules(orra.__path__, "orra."):
+        for obj in vars(importlib.import_module(mod.name)).values():
+            if (isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == mod.name):
+                found[obj.__name__] = obj
+    assert sorted(found) == [
+        "ConfigError", "GridInstabilityError", "IllConditioningError",
+        "IncompleteTraceError", "InfillViolationError", "SocViolationError",
+        "TopologyError",
+    ]
+    for cls in found.values():
+        err = cls("df")
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls
+        assert str(back) == str(err)
+        assert back.args == err.args
+        assert vars(back) == vars(err)
 
 
 def test_run_takes_a_large_integer_setting(tmp_path):

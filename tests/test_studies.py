@@ -1,6 +1,10 @@
 """Study drivers: metrics, ablation, regret report, exports, validation."""
 import csv
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import xml.dom.minidom
 
 import numpy as np
@@ -83,6 +87,52 @@ def test_ablation_shares_the_disturbance(tmp_path):
     assert abs(by_arm[("AIE", True)]["nadir_hz"]) < abs(
         by_arm[("AIE", False)]["nadir_hz"]
     )
+
+
+def ablation_on(cpus, monkeypatch, cfg, out):
+    """run_ablation as seen by a process allowed `cpus` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    results, summaries = run_ablation(cfg, out_dir=str(out))
+    assert multiprocessing.active_children() == []
+    return results, summaries
+
+
+def test_parallel_ablation_matches_in_process(tmp_path, monkeypatch):
+    # fluctuating load: rainflow cycles close and the surrogate fills
+    cfg = ScenarioConfig(name="par", kind="fluctuation", duration=90.0)
+    one, one_s = ablation_on(1, monkeypatch, cfg, tmp_path / "one")
+    two, two_s = ablation_on(2, monkeypatch, cfg, tmp_path / "two")
+    assert list(one) == list(two)
+    for arm in one:
+        a, b = one[arm], two[arm]
+        with open(a.trace_path, "rb") as fa, open(b.trace_path, "rb") as fb:
+            assert fa.read() == fb.read(), arm
+        assert [repr(x.lifetime_loss) for x in a.fleet.batteries] == [
+            repr(x.lifetime_loss) for x in b.fleet.batteries], arm
+        if a.surrogate is None:
+            assert b.surrogate is None
+        else:
+            assert a.surrogate.sample_df == b.surrogate.sample_df, arm
+            assert a.surrogate.sample_dP == b.surrogate.sample_dP, arm
+        assert len(a.infos) == len(b.infos), arm
+        for x, y in zip(a.infos, b.infos):
+            assert x.keys() == y.keys()
+            for key in x:
+                np.testing.assert_array_equal(x[key], y[key])
+    assert any(x.lifetime_loss > 0 for x in one[("AIE", True)].fleet.batteries)
+    assert len(one[("AIE", True)].surrogate.sample_df) > 2
+    for s, t in zip(one_s, two_s):
+        assert s.trace_path != t.trace_path
+        s.trace_path = t.trace_path
+    assert one_s == two_s
+
+
+def test_importing_the_studies_starts_no_process_machinery():
+    code = "import sys, orra.studies; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(
+                             os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "False"
 
 
 def test_stage_checks_on_short_run(short_oracle_run):
