@@ -8,6 +8,7 @@ RBF interpolant over sparsely infilled (frequency, response) samples.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +56,11 @@ def gaussian_basis(x, xi):
 def build_gram(sample_df, xi):
     """Kernel matrix over sample locations; rejects exact duplicates."""
     xs = np.asarray(sample_df, dtype=float)
-    diff = xs[:, None] - xs[None, :]
-    if (np.abs(diff) + np.eye(len(xs)) == 0).any():
-        raise InfillViolationError("duplicate sample locations")
-    return gaussian_basis(diff, xi)
+    with np.errstate(over="ignore"):  # see RbfSurrogate.evaluate
+        diff = xs[:, None] - xs[None, :]
+        if (np.abs(diff) + np.eye(len(xs)) == 0).any():
+            raise InfillViolationError("duplicate sample locations")
+        return gaussian_basis(diff, xi)
 
 
 def fit_weights(gram, S, cond_limit=COND_LIMIT):
@@ -98,6 +100,14 @@ class RbfSurrogate:
     weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        # on Python floats, so an overflow reads 0.0 and numpy never warns
+        xi, d_min = float(self.xi), float(self.d_min)
+        if math.exp(-xi * d_min * d_min) == 0.0:
+            raise ValueError(
+                f"rbf_xi {self.xi} with rbf_d_min {self.d_min}: samples "
+                "spaced rbf_d_min apart have no kernel overlap, so the "
+                "surrogate corrects nothing between them"
+            )
         # a probe, not a proof: fit_weights still checks every refit
         m = min(self.max_samples, PROBE_MAX_SAMPLES)
         cond = packed_condition(self.xi, self.d_min, m)
@@ -143,5 +153,8 @@ class RbfSurrogate:
         """Interpolated frequency-responsive correction at df (0 when empty)."""
         if not self.sample_df:
             return 0.0
-        basis = gaussian_basis(df - np.asarray(self.sample_df), self.xi)
+        # a distance or its square past a float's range is a kernel of
+        # exactly 0, its limit: a diverging plant's df is no warning here
+        with np.errstate(over="ignore"):
+            basis = gaussian_basis(df - np.asarray(self.sample_df), self.xi)
         return float(basis @ self.weights)

@@ -5,14 +5,13 @@ default) with first-order governor and turbine lags behind droop feedback,
 rate and magnitude limits on mechanical power, a synchronizing tie line,
 and a sectional-droop frequency-responsive load in area 1. Forward Euler
 at a fixed inner step on plain floats; one call advances one control
-interval, and the agent layer reads the state between calls.
+interval, and the agent layer reads the state between calls. The
+fluctuating net load is a seeded PCG64 draw computed here on Python ints.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class GridInstabilityError(RuntimeError):
@@ -183,13 +182,79 @@ def grid_step(
     )
 
 
+# SeedSequence constants (numpy.random.bit_generator) and the PCG64
+# multiplier (O'Neill 2014, "PCG: A Family of Simple Fast Space-Efficient
+# Statistically Good Algorithms for Random Number Generation")
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list:
+    """A nonnegative integer as little-endian 32-bit words; 0 is one word."""
+    if n < 0:
+        raise ValueError("seed and hold window must be nonnegative")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _first_uniform(entropy: list) -> float:
+    """The first default_rng(entropy).random() of numpy's stream: a
+    SeedSequence pool of four words seeds PCG64, which takes one step and
+    emits the XSL-RR output's top 53 bits."""
+    words = [w for n in entropy for w in _words(n)]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (_MIX_L * x - _MIX_R * y) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    # generate_state(4, uint64): eight words, paired little-endian
+    const, state = _INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _M32
+        value = value * const & _M32
+        state.append(value ^ value >> 16)
+    s0, s1, s2, s3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    inc = (s2 << 64 | s3) << 1 & _M128 | 1
+    x = (inc + (s0 << 64 | s1)) * _PCG_MULT + inc & _M128  # seeded
+    x = x * _PCG_MULT + inc & _M128  # the draw's step
+    rot, x = x >> 122, (x >> 64 ^ x) & _M64
+    x = (x >> rot | x << (64 - rot)) & _M64
+    return (x >> 11) * 2.0**-53
+
+
 def scenario_fluctuation(
     t: float, seed: int, hold: float = 60.0, low: float = -6.0,
     high: float = 6.0,
 ) -> float:
-    """Piecewise-constant net-load noise, reproducible from the seed."""
+    """Piecewise-constant net-load noise, reproducible from the seed: the
+    value of hold window k is np.random.default_rng([seed, k]).uniform(low,
+    high), computed without numpy."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    k = int(t // hold)
-    rng = np.random.default_rng([seed, k])
-    return float(rng.uniform(low, high))
+    low, high = float(low), float(high)
+    span = high - low
+    if not 0.0 <= span < math.inf:
+        raise ValueError("need low <= high with a finite span")
+    return low + span * _first_uniform([seed, int(t // hold)])

@@ -245,8 +245,12 @@ class ScenarioConfig:
         if self.intervals < 1:
             raise ConfigError(f"duration {self.duration} is under one "
                               f"control interval, tau {self.tau}")
-        if self.fluct_low > self.fluct_high:
-            raise ConfigError("need fluct_low <= fluct_high")
+        span = float(self.fluct_high) - float(self.fluct_low)  # as drawn
+        if not 0.0 <= span <= sys.float_info.max:
+            raise ConfigError(
+                f"need fluct_low {self.fluct_low} <= fluct_high "
+                f"{self.fluct_high}, with a span a float can hold"
+            )
         f = self.fleet
         for s in f.initial_soc:
             if not f.soc_min <= s <= f.soc_max:

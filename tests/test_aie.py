@@ -1,4 +1,6 @@
 """Tests for error signals and the RBF droop surrogate."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,26 @@ def test_load_time_probe_rejects_unconditionable_settings():
     RbfSurrogate(max_samples=10**9)
     with pytest.raises(ValueError, match="128 samples"):
         RbfSurrogate(xi=1.0, d_min=1e-5, max_samples=10**9)
+
+
+def test_load_time_probe_rejects_a_kernel_without_overlap():
+    # exp(-xi d_min^2) is 0: the probe would see an identity Gram matrix
+    for xi, d_min in ((3000.0, 1e300), (1e300, 0.007), (10**300, 10**300)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no kernel overlap"):
+                RbfSurrogate(xi=xi, d_min=d_min)
+
+
+def test_far_samples_have_no_kernel_and_no_warning():
+    # distances and squares past a float's range are kernels of exactly 0
+    s = RbfSurrogate()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, y in ((0.0, 1.0), (1e308, 2.0), (-1e308, 3.0)):
+            s.add_sample(x, y)
+        assert [s.evaluate(x) for x in (1e308, 0.0, -1e308)] == [2.0, 1.0,
+                                                                 3.0]
 
 
 def test_eviction_keeps_boundary_points():

@@ -147,6 +147,20 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
         assert main(["validate", str(bad)]) == 2, data
         assert f"config error: {leaf}" in capsys.readouterr().err, data
 
+    # a net-load span or a kernel past a float's range: refused with both
+    # leaves named, before the draw or the load-time probe overflows
+    kernel = ("rbf_xi", "rbf_d_min")
+    for data, pair in (
+        ({"kind": "fluctuation", "duration": 1.0, "fluct_low": -1e308,
+          "fluct_high": 1e308}, ("fluct_low", "fluct_high")),
+        ({"aie": {"rbf_d_min": 10**300}}, kernel),  # no overlap at d_min
+        ({"aie": {"rbf_xi": 1e300}}, kernel),
+    ):
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2, data
+        err = capsys.readouterr().err
+        assert all(leaf in err for leaf in pair), (data, err)
+
 
 def config_leaves(data, path=()):
     """The path of every leaf of a config dict and of each list item."""
@@ -422,8 +436,8 @@ def test_every_error_survives_pickling():
 def test_run_takes_a_large_integer_setting(tmp_path):
     # an integer a float can hold is a number like any other
     cfg = tmp_path / "wide.json"
-    cfg.write_text(json.dumps({"duration": 0.5,
-                               "aie": {"rbf_d_min": 10**300}}))
+    cfg.write_text(json.dumps({"duration": 0.5, "kind": "fluctuation",
+                               "fluct_hold": 10**300}))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 

@@ -1,4 +1,9 @@
 """Two-area plant: droop loads, generator limits, coupling, scenarios."""
+import json
+import os
+import random
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -319,3 +324,42 @@ def test_fluctuation_scenario_deterministic_and_bounded():
     windows = {scenario_fluctuation(60.0 * k, 7) for k in range(8)}
     assert len(windows) > 1
     assert frr_response(-0.05, SectionalDroop()) == pytest.approx(1.6)
+
+
+def test_fluctuation_draw_is_numpys_stream():
+    # the profile is computed without numpy, and equals its stream by ==
+    picks = random.Random(2024)
+    seeds = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**200]
+    seeds += [picks.getrandbits(70) for _ in range(15)]
+    windows = [0, 1, 2**20] + [picks.randrange(2**20) for _ in range(22)]
+    spans = [(-6.0, 6.0), (0.0, 1e-3), (-9.5, -2.25), (-4.0, -4.0),
+             (3.5, 3.5)]
+    cases = 0
+    for seed in seeds:
+        for k in windows:
+            for low, high in spans:
+                got = scenario_fluctuation(60.0 * k + 30.0, seed, 60.0,
+                                           low, high)
+                want = np.random.default_rng([seed, k]).uniform(low, high)
+                assert got == want, (seed, k, low, high)
+                cases += 1
+    assert cases >= 2000
+
+
+def test_fluctuation_run_loads_no_numpy_random(tmp_path):
+    cfg = tmp_path / "noise.json"
+    cfg.write_text(json.dumps({"name": "noise", "kind": "fluctuation",
+                               "duration": 2.0, "fluct_hold": 0.5}))
+    code = (
+        "import sys\n"
+        "from orra.cli import main\n"
+        f"status = main(['run', {str(cfg)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}])\n"
+        "loaded = {'numpy.random', '_hashlib'} & set(sys.modules)\n"
+        "print(status, sorted(loaded))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(
+                             os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "noise.csv").exists()
