@@ -2,12 +2,15 @@
 
 Everything here consumes a finished RunResult (or drives runs itself) and
 reduces it to the artifacts a study needs: summary metrics, tidy CSVs,
-static SVG charts, and machine-checkable reports.
+static SVG charts, and machine-checkable reports.  Each figure is one list
+of (CSV column, legend label, values) series that both its CSV and its
+chart are written from; each report is written by `_write_json`.
 """
 from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -47,12 +50,12 @@ def settle_time(
     """
     t = np.asarray(t, dtype=float)
     df = np.asarray(df, dtype=float)
-    if len(t) < 2:
-        raise ValueError("need at least two samples")
     adf = np.abs(df)
     above = np.nonzero(adf >= threshold)[0]
     if len(above) == 0:
         return 0.0
+    if len(t) < 2:
+        return float("inf")
     n = int(round(window / (t[1] - t[0])))
     ok = adf < threshold
     run = 0
@@ -163,11 +166,14 @@ def run_ablation(config: ScenarioConfig, out_dir: str | None = None):
                 ),
             )
         )
-    path = os.path.join(out, f"{config.name}_ablation.json")
-    with open(path, "w") as fh:
-        json.dump([asdict(s) for s in summaries], fh, indent=2)
-        fh.write("\n")
+    _write_json(out, f"{config.name}_ablation", [asdict(s) for s in summaries])
     return results, summaries
+
+
+def _write_json(out: str, stem: str, obj) -> None:
+    with open(os.path.join(out, f"{stem}.json"), "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def stage_lemma_checks(result: RunResult, gamma: float) -> list:
@@ -247,6 +253,9 @@ def run_regret_study(
     certificate checks per stage, and the final-quarter gap per converged
     stage.  Written to `<name>_regret.json`; returns (result, report).
     """
+    for h in horizons:
+        if isinstance(h, bool) or not isinstance(h, numbers.Integral):
+            raise ConfigError(f"horizon {h!r} is not an integer")
     horizons = [int(h) for h in horizons]
     if not horizons or any(
         b <= a for a, b in zip(horizons, horizons[1:])
@@ -284,30 +293,20 @@ def run_regret_study(
         "skipped_horizons": [h for h in horizons if h > hi - lo],
         "slope": fit_entry,
         "certificates": [
-            {
-                "stage": c["stage"],
-                "length": c["length"],
-                "lemma1": {
-                    "lhs": float(c["lemma1"].lhs),
-                    "rhs": float(c["lemma1"].rhs),
-                    "holds": bool(c["lemma1"].holds),
-                },
-                "lemma2": {
-                    "lhs": float(c["lemma2"].lhs),
-                    "rhs": float(c["lemma2"].rhs),
-                    "holds": bool(c["lemma2"].holds),
-                },
-            }
+            dict(c, lemma1=_bound(c["lemma1"]), lemma2=_bound(c["lemma2"]))
             for c in checks
         ],
         "final_quarter_gaps": stage_cost_gaps(result, min_len=min_len),
         "reference_clamped_intervals": result.oracle_clamped,
     }
-    path = os.path.join(out, f"{config.name}_regret.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(out, f"{config.name}_regret", report)
     return result, report
+
+
+def _bound(check) -> dict:
+    """A certificate's BoundCheck as its report entry."""
+    return {"lhs": float(check.lhs), "rhs": float(check.rhs),
+            "holds": bool(check.holds)}
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +319,12 @@ _PALETTE = (
 )
 
 
-def _write_csv(path: str, header: list, columns: list) -> str:
-    rows = np.column_stack(columns)
+def _write_csv(out: str, stem: str, t, series: list) -> str:
+    path = os.path.join(out, f"{stem}.csv")
+    rows = np.column_stack([t] + [y for _, _, y in series])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["time_s"] + [column for column, _, _ in series])
         for row in rows:
             writer.writerow([f"{v:.10g}" for v in row])
     return path
@@ -337,14 +337,15 @@ def _ticks(lo: float, hi: float, count: int = 5):
 
 
 def svg_line_chart(
-    path: str, x, series: dict, title: str, x_label: str, y_label: str
+    out: str, stem: str, t, series: list, title: str, y_label: str
 ) -> str:
-    """Write a fixed-size SVG line chart; series maps label to y values."""
-    x = np.asarray(x, dtype=float)
+    """Write `<stem>.svg`, a fixed-size line chart of (column, label,
+    values) series against time; returns its path."""
+    x = np.asarray(t, dtype=float)
     width, height = 860, 420
     left, right, top, bottom = 64, 16, 36, 44
     pw, ph = width - left - right, height - top - bottom
-    ys = [np.asarray(v, dtype=float) for v in series.values()]
+    ys = [np.asarray(y, dtype=float) for _, _, y in series]
     y_lo = min(float(v.min()) for v in ys)
     y_hi = max(float(v.max()) for v in ys)
     pad = 0.05 * (y_hi - y_lo) or 1.0
@@ -387,7 +388,7 @@ def svg_line_chart(
         f'<line x1="{left}" y1="{top + ph}" x2="{width - right}" '
         f'y2="{top + ph}" stroke="black" stroke-width="1"/>'
     )
-    for k, (label, y) in enumerate(series.items()):
+    for k, ((_, label, _), y) in enumerate(zip(series, ys)):
         color = _PALETTE[k % len(_PALETTE)]
         pts = " ".join(
             f"{sx(xv):.1f},{sy(yv):.1f}"
@@ -410,7 +411,7 @@ def svg_line_chart(
     parts.append(
         f'<text x="{left + pw / 2:.1f}" y="{height - 8}" '
         f'text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12">{x_label}</text>'
+        f'font-size="12">time (s)</text>'
     )
     parts.append(
         f'<text x="16" y="{top + ph / 2:.1f}" text-anchor="middle" '
@@ -418,9 +419,23 @@ def svg_line_chart(
         f'transform="rotate(-90 16 {top + ph / 2:.1f})">{y_label}</text>'
     )
     parts.append("</svg>")
+    path = os.path.join(out, f"{stem}.svg")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
     return path
+
+
+def _figure(out: str, stem: str, t, series: list, title: str,
+            y_label: str) -> list:
+    """Write `<stem>.csv` and its chart `<stem>.svg`; returns both paths."""
+    return [_write_csv(out, stem, t, series),
+            svg_line_chart(out, stem, t, series, title, y_label)]
+
+
+def _per_unit(table, column: str, label: str) -> list:
+    """One series per column of `table`, numbered from 1."""
+    return [(column.format(i + 1), f"{label} {i + 1}", table[:, i])
+            for i in range(table.shape[1])]
 
 
 def export_step_event_curves(
@@ -430,64 +445,21 @@ def export_step_event_curves(
     reference cost pair when the run logged it.  fig5a/fig5b/fig5c are the
     stable artifact names for the standard report."""
     out = resolve_out_dir(out_dir)
-    n = result.d.shape[1]
     t = result.time
-    paths = []
-    net = result.d - result.c
-    paths.append(
-        _write_csv(
-            os.path.join(out, "fig5a.csv"),
-            ["time_s"] + [f"net_power_{i + 1}_mw" for i in range(n)],
-            [t] + [net[:, i] for i in range(n)],
-        )
-    )
-    paths.append(
-        svg_line_chart(
-            os.path.join(out, "fig5a.svg"),
-            t,
-            {f"agent {i + 1}": net[:, i] for i in range(n)},
-            "Per-agent net power",
-            "time (s)",
-            "net power (MW)",
-        )
-    )
-    paths.append(
-        _write_csv(
-            os.path.join(out, "fig5b.csv"),
-            ["time_s"] + [f"marginal_{i + 1}" for i in range(n)],
-            [t] + [result.marginals[:, i] for i in range(n)],
-        )
-    )
-    paths.append(
-        svg_line_chart(
-            os.path.join(out, "fig5b.svg"),
-            t,
-            {f"agent {i + 1}": result.marginals[:, i] for i in range(n)},
-            "Active-coordinate marginal wear cost",
-            "time (s)",
-            "marginal cost",
-        )
+    paths = _figure(
+        out, "fig5a", t,
+        _per_unit(result.d - result.c, "net_power_{}_mw", "agent"),
+        "Per-agent net power", "net power (MW)",
+    ) + _figure(
+        out, "fig5b", t, _per_unit(result.marginals, "marginal_{}", "agent"),
+        "Active-coordinate marginal wear cost", "marginal cost",
     )
     if result.f_oracle is not None:
-        paths.append(
-            _write_csv(
-                os.path.join(out, "fig5c.csv"),
-                ["time_s", "cost_online", "cost_reference"],
-                [t, result.f_dist, result.f_oracle],
-            )
-        )
-        paths.append(
-            svg_line_chart(
-                os.path.join(out, "fig5c.svg"),
-                t,
-                {
-                    "online": result.f_dist,
-                    "reference": result.f_oracle,
-                },
-                "Instantaneous cost, online vs centralized reference",
-                "time (s)",
-                "cost",
-            )
+        paths += _figure(
+            out, "fig5c", t,
+            [("cost_online", "online", result.f_dist),
+             ("cost_reference", "reference", result.f_oracle)],
+            "Instantaneous cost, online vs centralized reference", "cost",
         )
     return paths
 
@@ -495,59 +467,32 @@ def export_step_event_curves(
 def export_ablation_curves(results: dict, out_dir: str | None = None) -> list:
     """Area-1 frequency deviation for the four arms on one axis (fig6)."""
     out = resolve_out_dir(out_dir)
-    first = next(iter(results.values()))
-    t = first.time
-    labels = {
-        (s, b): arm_label(s, b) for s, b in results
-    }
-    paths = [
-        _write_csv(
-            os.path.join(out, "fig6.csv"),
-            ["time_s"] + [f"df1_{labels[k]}_hz" for k in results],
-            [t] + [results[k].df[:, 0] for k in results],
-        ),
-        svg_line_chart(
-            os.path.join(out, "fig6.svg"),
-            t,
-            {labels[k]: results[k].df[:, 0] for k in results},
-            "Frequency deviation by signal and fleet participation",
-            "time (s)",
-            "df area 1 (Hz)",
-        ),
+    series = [
+        (f"df1_{arm_label(*arm)}_hz", arm_label(*arm), result.df[:, 0])
+        for arm, result in results.items()
     ]
-    return paths
+    return _figure(
+        out, "fig6", next(iter(results.values())).time, series,
+        "Frequency deviation by signal and fleet participation",
+        "df area 1 (Hz)",
+    )
 
 
 def export_fluctuation_curves(
     result: RunResult, out_dir: str | None = None
 ) -> list:
-    """Net load, fleet power, and per-battery SoC trajectories (fig7)."""
+    """Net load, fleet power, and per-battery SoC trajectories (fig7): one
+    CSV of every series, charted as power and as SoC."""
     out = resolve_out_dir(out_dir)
     t = result.time
-    n = result.soc.shape[1]
-    paths = [
-        _write_csv(
-            os.path.join(out, "fig7.csv"),
-            ["time_s", "net_load_mw", "fleet_power_mw"]
-            + [f"soc_{i + 1}" for i in range(n)],
-            [t, result.dist, result.p_bess]
-            + [result.soc[:, i] for i in range(n)],
-        ),
-        svg_line_chart(
-            os.path.join(out, "fig7_power.svg"),
-            t,
-            {"net load": result.dist, "fleet power": result.p_bess},
-            "Net-load fluctuation and fleet response",
-            "time (s)",
-            "power (MW)",
-        ),
-        svg_line_chart(
-            os.path.join(out, "fig7_soc.svg"),
-            t,
-            {f"battery {i + 1}": result.soc[:, i] for i in range(n)},
-            "State of charge under fluctuating net load",
-            "time (s)",
-            "SoC",
-        ),
+    power = [("net_load_mw", "net load", result.dist),
+             ("fleet_power_mw", "fleet power", result.p_bess)]
+    soc = _per_unit(result.soc, "soc_{}", "battery")
+    return [
+        _write_csv(out, "fig7", t, power + soc),
+        svg_line_chart(out, "fig7_power", t, power,
+                       "Net-load fluctuation and fleet response",
+                       "power (MW)"),
+        svg_line_chart(out, "fig7_soc", t, soc,
+                       "State of charge under fluctuating net load", "SoC"),
     ]
-    return paths

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pickle
 import pkgutil
+import re
 
 import pytest
 
@@ -339,6 +340,20 @@ def test_ablation_cli(cfg_path, tmp_path, capsys):
         "clirun_aie_nobess.csv", "clirun_ace_nobess.csv",
     } <= set(traces)
     assert printed.count("nadir") == 4
+
+
+def test_one_interval_run_and_ablation(tmp_path, capsys):
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({"duration": 0.1}))
+    assert main(["validate", str(cfg)]) == 0
+    for command in ("run", "ablation"):
+        for curves in ([], ["--curves"]):
+            out = tmp_path / f"{command}{len(curves)}"
+            argv = [command, str(cfg), "--out", str(out)] + curves
+            assert main(argv) == 0, argv
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            assert re.search(r"settle +0\.0 s", captured.out), argv
 
 
 def test_regret_cli(cfg_path, tmp_path, capsys):

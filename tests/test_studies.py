@@ -40,6 +40,12 @@ def test_settle_time_pulse():
     assert settle_time(t, df) == float("inf")
 
 
+def test_settle_time_of_one_sample():
+    # a one-interval run: never left the band, or never back inside it
+    assert settle_time([0.0], [0.001]) == 0.0
+    assert settle_time([0.0], [-0.02]) == float("inf")
+
+
 def test_settle_time_restarts_on_reentry():
     t = np.arange(0.0, 40.0, 0.1)
     df = np.zeros_like(t)
@@ -160,7 +166,8 @@ def test_stage_checks_need_oracle_logs():
 
 def test_regret_study_report(tmp_path):
     cfg = ScenarioConfig(name="reg", duration=30.0)
-    result, report = run_regret_study(cfg, [5, 10, 20, 1000],
+    # a numpy integer is a horizon like any other
+    result, report = run_regret_study(cfg, [5, 10, np.int64(20), 1000],
                                       out_dir=str(tmp_path))
     assert report["trace"].endswith("reg.csv")
     assert report["skipped_horizons"] == [1000]
@@ -178,43 +185,93 @@ def test_regret_study_rejects_bad_horizons(tmp_path):
         run_regret_study(cfg, [50, 20], out_dir=str(tmp_path))
     with pytest.raises(ConfigError):
         run_regret_study(cfg, [], out_dir=str(tmp_path))
+    # a horizon is a whole interval count: nothing is rounded away
+    with pytest.raises(ConfigError, match="horizon 10.9 "):
+        run_regret_study(cfg, [10.9, 20], out_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match="horizon True "):
+        run_regret_study(cfg, [True, 20], out_dir=str(tmp_path))
     disabled = ScenarioConfig(name="reg3", duration=5.0, bess_enabled=False)
     with pytest.raises(ConfigError):
         run_regret_study(disabled, [10], out_dir=str(tmp_path))
 
 
+def csv_header_and_rows(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], len(rows) - 1
+
+
+def svg_labels(path):
+    """A chart's title, legend labels and axis labels; tick labels left out."""
+    doc = xml.dom.minidom.parse(path)  # well-formed markup
+    return [el.firstChild.data for el in doc.getElementsByTagName("text")
+            if el.getAttribute("font-size") != "11"]
+
+
+def check_artifacts(paths, out, result, expected):
+    """`expected` lists (file name, CSV header or SVG labels) in order."""
+    assert paths == [os.path.join(out, name) for name, _ in expected]
+    for path, (name, want) in zip(paths, expected):
+        if name.endswith(".csv"):
+            assert csv_header_and_rows(path) == (want, len(result.time)), name
+        else:
+            assert svg_labels(path) == want, name
+
+
 def test_curve_exports(short_oracle_run, tmp_path):
-    _, result = short_oracle_run
-    out = str(tmp_path)
-    paths = export_step_event_curves(result, out)
-    names = {p.rsplit("/", 1)[1] for p in paths}
-    assert names == {
-        "fig5a.csv", "fig5a.svg", "fig5b.csv", "fig5b.svg",
-        "fig5c.csv", "fig5c.svg",
-    }
-    with open(tmp_path / "fig5a.csv") as fh:
-        header = fh.readline().strip().split(",")
-        first = fh.readline().strip().split(",")
-    assert len(header) == 1 + result.d.shape[1]
-    assert len(first) == len(header)
-    for p in paths:
-        if p.endswith(".svg"):
-            xml.dom.minidom.parse(p)  # well-formed markup
+    _, oracle = short_oracle_run
+    assert oracle.d.shape[1] == 5
+    ids = range(1, 6)
+    agents = [f"agent {i}" for i in ids]
+    fig5 = [
+        ("fig5a.csv", ["time_s"] + [f"net_power_{i}_mw" for i in ids]),
+        ("fig5a.svg", ["Per-agent net power"] + agents
+         + ["time (s)", "net power (MW)"]),
+        ("fig5b.csv", ["time_s"] + [f"marginal_{i}" for i in ids]),
+        ("fig5b.svg", ["Active-coordinate marginal wear cost"] + agents
+         + ["time (s)", "marginal cost"]),
+    ]
+    fig5c = [
+        ("fig5c.csv", ["time_s", "cost_online", "cost_reference"]),
+        ("fig5c.svg", ["Instantaneous cost, online vs centralized reference",
+                       "online", "reference", "time (s)", "cost"]),
+    ]
+    out = str(tmp_path / "oracle")
+    check_artifacts(export_step_event_curves(oracle, out), out, oracle,
+                    fig5 + fig5c)
+
+    plain = ScenarioRunner(
+        ScenarioConfig(name="plain", duration=10.0)
+    ).run(write_trace=False)
+    assert plain.f_oracle is None
+    out = str(tmp_path / "plain")
+    check_artifacts(export_step_event_curves(plain, out), out, plain, fig5)
+    assert sorted(os.listdir(out)) == [name for name, _ in fig5]
 
     fl = ScenarioRunner(
         ScenarioConfig(name="fl", kind="fluctuation", duration=10.0)
     ).run(write_trace=False)
-    for p in export_fluctuation_curves(fl, out):
-        assert p.endswith((".csv", ".svg"))
+    out = str(tmp_path / "fl")
+    check_artifacts(export_fluctuation_curves(fl, out), out, fl, [
+        ("fig7.csv", ["time_s", "net_load_mw", "fleet_power_mw"]
+         + [f"soc_{i}" for i in ids]),
+        ("fig7_power.svg", ["Net-load fluctuation and fleet response",
+                            "net load", "fleet power", "time (s)",
+                            "power (MW)"]),
+        ("fig7_soc.svg", ["State of charge under fluctuating net load"]
+         + [f"battery {i}" for i in ids] + ["time (s)", "SoC"]),
+    ])
 
-    arms = {
-        ("AIE", True): fl,
-        ("ACE", True): fl,
-    }
-    fig6 = export_ablation_curves(arms, out)
-    with open(tmp_path / "fig6.csv") as fh:
-        assert fh.readline().strip() == "time_s,df1_aie_bess_hz,df1_ace_bess_hz"
-    assert any(p.endswith("fig6.svg") for p in fig6)
+    # the arms in the order run_ablation returns them
+    arms = {arm: fl for arm in [("AIE", True), ("ACE", True),
+                                ("AIE", False), ("ACE", False)]}
+    labels = ["aie_bess", "ace_bess", "aie_nobess", "ace_nobess"]
+    out = str(tmp_path / "abl")
+    check_artifacts(export_ablation_curves(arms, out), out, fl, [
+        ("fig6.csv", ["time_s"] + [f"df1_{k}_hz" for k in labels]),
+        ("fig6.svg", ["Frequency deviation by signal and fleet participation"]
+         + labels + ["time (s)", "df area 1 (Hz)"]),
+    ])
 
 
 def test_verify_trace_passes_and_catches_corruption(short_oracle_run, tmp_path):
