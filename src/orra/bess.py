@@ -21,25 +21,15 @@ class SocViolationError(RuntimeError):
     """SoC left its box by more than tolerance: upstream projection bug."""
 
 
-@dataclass(frozen=True)
-class BessParams:
-    capacity: float = 2.0  # MWh
-    charge_limit: float = 1.0  # MW
-    discharge_limit: float = 1.0  # MW
-    eta_c: float = 0.95
-    eta_d: float = 0.95
-    soc_min: float = 0.2
-    soc_max: float = 0.8
-    theta_a: float = 1000.0  # $ per unit lifetime loss
-    theta_b: float = 0.1  # $/MW^2 h
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.soc_min < self.soc_max <= 1:
-            raise ValueError("need 0 <= soc_min < soc_max <= 1")
+def check_soc_box(soc_min, soc_max) -> None:
+    """Refuse an SoC box outside 0 <= soc_min < soc_max <= 1 (NaN too)."""
+    if not 0 <= soc_min < soc_max <= 1:
+        raise ValueError("need 0 <= soc_min < soc_max <= 1")
 
 
-def soc_step(soc: float, c, d, params: BessParams, tau) -> float:
-    """Advance SoC by one interval of tau seconds at charge c / discharge d MW."""
+def soc_step(soc: float, c, d, params, tau) -> float:
+    """Advance SoC by one interval of tau seconds at charge c / discharge d
+    MW, within the box and limits of `params`, the fleet config section."""
     if c < 0 or d < 0:
         raise ValueError("powers must be nonnegative")
     if c > 0 and d > 0:
@@ -70,7 +60,7 @@ def mode_select(aie_i, prev_mode: int = 1) -> int:
     return int(prev_mode)
 
 
-def feasible_interval(soc: float, mode: int, params: BessParams, tau):
+def feasible_interval(soc: float, mode: int, params, tau):
     """Bounds [lo, hi] on the active power coordinate for one interval."""
     if mode not in (0, 1):
         raise ValueError("mode must be 0 or 1")
@@ -86,9 +76,10 @@ def feasible_interval(soc: float, mode: int, params: BessParams, tau):
 
 @dataclass
 class Battery:
-    """One battery: SoC, permitted direction, and rainflow bookkeeping."""
+    """One battery: SoC, permitted direction, and rainflow bookkeeping;
+    `params` is the fleet config section, whose limits all batteries share."""
 
-    params: BessParams
+    params: object
     soc: float
     mode: int = 1  # 1 discharge, 0 charge
     aging: AgingParams = field(default_factory=AgingParams)
@@ -108,25 +99,20 @@ class Battery:
         self.lifetime_loss += degradation.total_loss(events, self.aging)
         return events
 
-    def cost_terms(self, tau: float) -> degradation.CostTerms:
-        """The constants of this battery's interval cost for tau-second
-        intervals."""
-        p = self.params
-        return degradation.cost_terms(
-            self.aging, p.capacity, p.eta_c, p.eta_d, p.theta_a, p.theta_b,
-            tau,
-        )
-
 
 class Fleet:
-    """The batteries of one run, in agent order, on control intervals of
-    tau seconds."""
+    """The batteries of a fleet config section, in agent order, on control
+    intervals of tau seconds."""
 
-    def __init__(self, batteries, tau: float) -> None:
-        self.batteries = list(batteries)
+    def __init__(self, cfg, tau: float) -> None:
+        self.batteries = [Battery(cfg, float(soc)) for soc in cfg.initial_soc]
         self.tau = tau
-        # each battery's cost constants, fixed for the run
-        self.cost_terms = [b.cost_terms(tau) for b in self.batteries]
+        # each battery's cost constants, fixed for the run: the batteries
+        # differ only in their wear weights
+        theta = zip(cfg.per_battery(cfg.theta_a), cfg.per_battery(cfg.theta_b))
+        self.cost_terms = [degradation.cost_terms(
+            b.aging, cfg.capacity, cfg.eta_c, cfg.eta_d, theta_a, theta_b, tau,
+        ) for b, (theta_a, theta_b) in zip(self.batteries, theta)]
 
     @property
     def soc(self) -> list:

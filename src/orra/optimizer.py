@@ -11,48 +11,35 @@ cap is hit or the frequency deviation spikes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class LearningSchedule:
-    """Per-stage stepsize decay law and the stage restart triggers."""
-
-    kappa0: float = 0.3
-    eps0: float = 0.3
-    alpha: float = 0.5
-    beta: float = 0.75
-    t_max: int = 600
-    f_threshold: float = 0.05  # Hz
-
-    def __post_init__(self):
-        if not 0 < self.alpha <= self.beta < 1:
-            raise ValueError("need 0 < alpha <= beta < 1")
-        # sublinear-regret decay window
-        if 2 * self.beta - 3 * self.alpha > 1e-12:
-            raise ValueError("need 2*beta - 3*alpha <= 0")
-        if 2 * self.beta - self.alpha - 1 > 1e-12:
-            raise ValueError("need 2*beta - alpha - 1 <= 0")
-
-    def rates(self, t: int) -> tuple[float, float]:
-        if t <= 1:
-            return self.kappa0, self.eps0
-        return self.kappa0 * t**-self.alpha, self.eps0 * t**-self.beta
+def check_schedule(o) -> None:
+    """Refuse the exponents of optimizer config section `o` outside the
+    sublinear-regret decay window."""
+    if not 0 < o.alpha <= o.beta < 1:
+        raise ValueError("need 0 < alpha <= beta < 1")
+    if 2 * o.beta - 3 * o.alpha > 1e-12:
+        raise ValueError("need 2*beta - 3*alpha <= 0")
+    if 2 * o.beta - o.alpha - 1 > 1e-12:
+        raise ValueError("need 2*beta - alpha - 1 <= 0")
 
 
-def schedule_step(t: int, df: float, schedule: LearningSchedule):
-    """Advance the stage counter one interval.
+def schedule_step(t: int, df: float, o):
+    """Advance the stage counter one interval under optimizer config `o`.
 
-    Returns (kappa, eps, t_next, reset). The reset fires before the rates
-    are read, so the first interval of a fresh stage runs at full gain.
+    Returns (kappa, eps, t_next, reset), the rates kappa0 * t**-alpha and
+    eps0 * t**-beta, at full gain for t <= 1. The reset fires before the
+    rates are read, so the first interval of a fresh stage runs at full gain.
     """
-    reset = t >= schedule.t_max or abs(df) >= schedule.f_threshold
+    reset = t >= o.t_max or abs(df) >= o.f_threshold
     if reset:
         t = 0
-    kappa, eps = schedule.rates(t)
-    return kappa, eps, t + 1, reset
+    if t <= 1:
+        return o.kappa0, o.eps0, t + 1, reset
+    return o.kappa0 * t**-o.alpha, o.eps0 * t**-o.beta, t + 1, reset
 
 
 def primal_step(d, c, s_d, s_c, kappa, box, mode):
@@ -75,13 +62,14 @@ def primal_step(d, c, s_d, s_c, kappa, box, mode):
 
 @dataclass
 class OrraOptimizer:
-    """Stateful wrapper: schedule, dual clipping, and per-iteration logs."""
+    """Stateful wrapper: schedule, dual clipping, and per-iteration logs,
+    with the gains, stage cap and gamma of optimizer config `config`."""
 
     weights: np.ndarray
-    schedule: LearningSchedule = field(default_factory=LearningSchedule)
-    gamma: float = 10.0
+    config: object
 
     def __post_init__(self):
+        check_schedule(self.config)
         self.weights = np.asarray(self.weights, dtype=float)
         self.lam = [0.0] * self.weights.shape[0]
         self.y = None
@@ -104,21 +92,22 @@ class OrraOptimizer:
             self.y = self.h_prev = h0
             self.b_y = max(0.0, *map(abs, h0))
 
-        kappa, eps, t_next, reset = schedule_step(self.t, df, self.schedule)
+        o = self.config
+        kappa, eps, t_next, reset = schedule_step(self.t, df, o)
         if reset:
             self.stage += 1
             # restart invalidates the accumulated decay headroom: pull the
             # price back inside the fresh-stage envelope
-            cap = self.gamma * self.b_y * self.schedule.kappa0 / self.schedule.eps0
+            cap = o.gamma * self.b_y * o.kappa0 / o.eps0
             self.lam = [-cap if v < -cap else cap if v > cap else v
                         for v in self.lam]
-        bound = self.gamma * self.b_y * kappa / eps
+        bound = o.gamma * self.b_y * kappa / eps
 
         # numpy's matrix product, not a Python sum: the two round
         # differently, and the product is what the trace was pinned with
         lam_mixed = (self.weights @ self.lam).tolist()
         y_mixed = (self.weights @ self.y).tolist()
-        leak, gk = 1.0 - eps, self.gamma * kappa
+        leak, gk = 1.0 - eps, o.gamma * kappa
         u_next, s, lam_next, h_new, y_next = [], [], [], [], []
         for (d, c), (g_d, g_c), share, box, mode, lm, ym, hp in zip(
             u, grads, aie_shares, intervals, modes, lam_mixed, y_mixed,

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .aie import RbfSurrogate, aie_shares, compute_ace
-from .bess import Battery, BessParams, Fleet
+from .bess import Fleet, check_soc_box
 from .comm_graph import Topology, build_metropolis_weights, default_topology
 from .grid import (
     AreaParams,
@@ -35,7 +35,7 @@ from .grid import (
     scenario_fluctuation,
     zero_state,
 )
-from .optimizer import LearningSchedule, OrraOptimizer
+from .optimizer import OrraOptimizer
 from .oracle import centralized_solve
 
 TRACE_SCHEMA = "orra-trace-v1"
@@ -258,7 +258,8 @@ class ScenarioConfig:
                                   f"soc_max] = [{f.soc_min}, {f.soc_max}]")
         # cross-field checks of the fleet, plant, surrogate, graph and schedule
         try:
-            build_fleet(f, self.tau)
+            check_soc_box(f.soc_min, f.soc_max)
+            Fleet(f, self.tau)
             self.areas()
             self.surrogate()
             self.coordinator()
@@ -302,13 +303,8 @@ class ScenarioConfig:
 
     def coordinator(self) -> OrraOptimizer:
         """A fresh distributed optimizer over the configured graph."""
-        o = self.optimizer
-        schedule = LearningSchedule(
-            kappa0=o.kappa0, eps0=o.eps0, alpha=o.alpha, beta=o.beta,
-            t_max=o.t_max, f_threshold=o.f_threshold,
-        )
         return OrraOptimizer(build_metropolis_weights(self.topology()),
-                             schedule, gamma=o.gamma)
+                             self.optimizer)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -359,26 +355,6 @@ def resolve_out_dir(out_dir: str | None) -> str:
     path = out_dir or os.environ.get(OUT_DIR_ENV) or "orra_out"
     os.makedirs(path, exist_ok=True)
     return path
-
-
-def build_fleet(cfg: FleetConfig, tau: float) -> Fleet:
-    theta_a = cfg.per_battery(cfg.theta_a)
-    theta_b = cfg.per_battery(cfg.theta_b)
-    batteries = []
-    for soc, ta, tb in zip(cfg.initial_soc, theta_a, theta_b):
-        params = BessParams(
-            capacity=cfg.capacity,
-            charge_limit=cfg.charge_limit,
-            discharge_limit=cfg.discharge_limit,
-            eta_c=cfg.eta_c,
-            eta_d=cfg.eta_d,
-            soc_min=cfg.soc_min,
-            soc_max=cfg.soc_max,
-            theta_a=ta,
-            theta_b=tb,
-        )
-        batteries.append(Battery(params=params, soc=float(soc)))
-    return Fleet(batteries, tau)
 
 
 class TraceField(NamedTuple):
@@ -563,7 +539,7 @@ class ScenarioRunner:
             # caller-supplied net-load profile, replaces the configured kind
             self.disturbance = disturbance
         n = config.fleet.n
-        self.fleet = build_fleet(config.fleet, config.tau)
+        self.fleet = Fleet(config.fleet, config.tau)
         self.optimizer = config.coordinator()
         self.areas = config.areas()
         self.droop = self.areas[0].frr
@@ -732,8 +708,14 @@ def verify_trace(
     Validates that the file parses as numbers, the schema line, the column
     layout, uniform time steps, finite values, SoC bounds, one-sided
     battery dispatch, mode codes, and the logged multiplier-bound column.
-    Returns a report dict with `passed` plus one entry per check.
+    Returns a report dict with `passed` plus one entry per check. An SoC
+    box outside 0 <= soc_min < soc_max <= 1, NaN included, raises
+    ConfigError: no trace could pass or fail it.
     """
+    try:
+        check_soc_box(soc_min, soc_max)
+    except ValueError as err:
+        raise ConfigError(f"SoC box [{soc_min}, {soc_max}]: {err}") from err
     report = {"trace": path, "rows": 0, "checks": {}, "passed": True}
 
     def record(name, ok, detail=""):

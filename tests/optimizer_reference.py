@@ -85,10 +85,10 @@ class VectorOptimizer:
     """The stateful wrapper over `orra_iteration`: schedule, dual clip,
     and per-iteration log, with every per-agent entry an array."""
 
-    def __init__(self, weights, schedule, gamma):
+    def __init__(self, weights, config):
         self.weights = np.asarray(weights, dtype=float)
-        self.schedule = schedule
-        self.gamma = gamma
+        self.config = config
+        self.gamma = config.gamma
         self.lam = np.zeros(self.weights.shape[0])
         self.y = None
         self.h_prev = None
@@ -105,10 +105,10 @@ class VectorOptimizer:
             self.h_prev = h0.copy()
             self.b_y = float(np.abs(h0).max(initial=0.0))
 
-        kappa, eps, t_next, reset = schedule_step(self.t, df, self.schedule)
+        kappa, eps, t_next, reset = schedule_step(self.t, df, self.config)
         if reset:
             self.stage += 1
-            cap = self.gamma * self.b_y * self.schedule.kappa0 / self.schedule.eps0
+            cap = self.gamma * self.b_y * self.config.kappa0 / self.config.eps0
             self.lam = np.clip(self.lam, -cap, cap)
         bound = self.gamma * self.b_y * kappa / eps
 

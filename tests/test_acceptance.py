@@ -21,7 +21,7 @@ from orra.oracle import (
     lemma2_check,
     regret_slope,
 )
-from orra.scenario import ScenarioConfig, ScenarioRunner
+from orra.scenario import OptimizerConfig, ScenarioConfig, ScenarioRunner
 from orra.studies import ARMS, nadir, settle_time, stage_cost_gaps, stage_lemma_checks
 from oracle_reference import brute_force_solve
 from rainflow_reference import rainflow_batch
@@ -129,7 +129,7 @@ def run_random_instance(rng):
     w, modes, models, intervals, targets = random_instance(rng)
     n = w.shape[0]
     T = len(targets) - 1
-    opt = OrraOptimizer(w)
+    opt = OrraOptimizer(w, OptimizerConfig(t_max=600))
     u = np.zeros((n, 2))
     rows = collections.defaultdict(list)
     nu = None
@@ -159,7 +159,7 @@ def run_random_instance(rng):
         np.array(rows["u"]), np.array(rows["ustar"]), np.array(rows["s"]),
         np.array(rows["lam"]), np.array(rows["lam_mixed"]),
         np.array(rows["y"]), np.array(rows["y_mixed"]),
-        np.array(rows["kappa"]), np.array(rows["eps"]), opt.gamma,
+        np.array(rows["kappa"]), np.array(rows["eps"]), opt.config.gamma,
         rows["fd"], rows["fo"],
     )
     c2 = lemma2_check(

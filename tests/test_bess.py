@@ -5,15 +5,16 @@ import pytest
 
 from orra.bess import (
     Battery,
-    BessParams,
     Fleet,
     SocViolationError,
+    check_soc_box,
     feasible_interval,
     mode_select,
     soc_step,
 )
-from orra.degradation import interval_cost
+from orra.degradation import AgingParams, cost_terms, interval_cost
 from orra.optimizer import primal_step
+from orra.scenario import FleetConfig
 
 
 def project(u, box, mode):
@@ -24,29 +25,32 @@ def project(u, box, mode):
 
 def test_params_validation():
     # the SoC box spans two fields; single-field domains are the config's
-    with pytest.raises(ValueError):
-        BessParams(soc_min=0.8, soc_max=0.2)
+    check_soc_box(0.2, 0.8)
+    check_soc_box(0.0, 1.0)
+    for box in ((0.8, 0.2), (0.5, 0.5), (-0.1, 0.8), (0.2, 1.1)):
+        with pytest.raises(ValueError, match="0 <= soc_min < soc_max <= 1"):
+            check_soc_box(*box)
     for bad in (float("nan"), float("inf")):
-        for name in ("soc_min", "soc_max"):
+        for box in ((bad, 0.8), (0.2, bad)):
             with pytest.raises(ValueError):
-                BessParams(**{name: bad})
+                check_soc_box(*box)
 
 
 def test_soc_step_no_power_no_change():
-    p = BessParams()
+    p = FleetConfig()
     assert soc_step(0.5, 0, 0, p, 0.1) == 0.5
 
 
 def test_soc_step_discharge_hand_value():
     # 1 MW for 360 s from a 2 MWh battery at eta_d 0.95 drains 0.1/(0.95*2)
-    p = BessParams(capacity=2.0, eta_d=0.95, soc_min=0.0, soc_max=1.0)
+    p = FleetConfig(capacity=2.0, eta_d=0.95, soc_min=0.0, soc_max=1.0)
     got = soc_step(0.5, 0, 1.0, p, 360.0)
     assert got == pytest.approx(0.5 - 0.1 / (0.95 * 2.0))
     assert got == pytest.approx(0.447368, abs=1e-6)
 
 
 def test_soc_step_charge_hand_value():
-    p = BessParams(capacity=2.0, eta_c=0.95, soc_min=0.0, soc_max=1.0)
+    p = FleetConfig(capacity=2.0, eta_c=0.95, soc_min=0.0, soc_max=1.0)
     got = soc_step(0.5, 1.0, 0, p, 0.1)
     assert got == pytest.approx(0.5 + 0.95 * (0.1 / 3600.0) / 2.0)
     assert got == pytest.approx(0.500013194, abs=1e-9)
@@ -54,11 +58,11 @@ def test_soc_step_charge_hand_value():
 
 def test_soc_step_rejects_simultaneous_power():
     with pytest.raises(ValueError):
-        soc_step(0.5, 1.0, 1.0, BessParams(), 0.1)
+        soc_step(0.5, 1.0, 1.0, FleetConfig(), 0.1)
 
 
 def test_soc_step_raises_on_violation():
-    p = BessParams(soc_min=0.2, soc_max=0.8)
+    p = FleetConfig(soc_min=0.2, soc_max=0.8)
     with pytest.raises(SocViolationError):
         soc_step(0.21, 0, 1.0, p, 3600.0)
 
@@ -66,7 +70,7 @@ def test_soc_step_raises_on_violation():
 def test_round_trip_returns_eta_squared_of_input_energy():
     # store energy then drain SoC back to the start: the grid gets back
     # exactly eta_c*eta_d of what it put in
-    p = BessParams(capacity=2.0, soc_min=0.0, soc_max=1.0)
+    p = FleetConfig(capacity=2.0, soc_min=0.0, soc_max=1.0)
     soc = 0.5
     energy_in = 1.0 * 0.1  # 1 MW for 0.1 h
     soc = soc_step(soc, 1.0, 0, p, 360.0)
@@ -87,13 +91,14 @@ def test_mode_select_signs():
 
 
 def test_feasible_interval_at_soc_floor_and_ceiling():
-    p = BessParams(soc_min=0.2, soc_max=0.8)
+    p = FleetConfig(soc_min=0.2, soc_max=0.8)
     assert feasible_interval(0.2, 1, p, 0.1) == (0.0, 0.0)
     assert feasible_interval(0.8, 0, p, 0.1) == (0.0, 0.0)
 
 
 def test_feasible_interval_power_limited():
-    p = BessParams(capacity=2.0, eta_d=0.95, soc_min=0.2, discharge_limit=1.0)
+    p = FleetConfig(capacity=2.0, eta_d=0.95, soc_min=0.2,
+                    discharge_limit=1.0)
     lo, hi = feasible_interval(0.5, 1, p, 360.0)
     assert lo == 0.0
     # SoC headroom allows 0.3*0.95*2/0.1 = 5.7 MW; the 1 MW limit binds
@@ -101,7 +106,8 @@ def test_feasible_interval_power_limited():
 
 
 def test_feasible_interval_soc_limited():
-    p = BessParams(capacity=2.0, eta_d=1.0, soc_min=0.45, discharge_limit=1.0)
+    p = FleetConfig(capacity=2.0, eta_d=1.0, soc_min=0.45,
+                    discharge_limit=1.0)
     _, hi = feasible_interval(0.5, 1, p, 3600.0)
     assert hi == pytest.approx(0.1)
 
@@ -146,7 +152,7 @@ def test_project_is_nearest_feasible_point():
 
 
 def test_battery_apply_tracks_soc_and_loss():
-    p = BessParams(soc_min=0.0, soc_max=1.0, capacity=2.0)
+    p = FleetConfig(soc_min=0.0, soc_max=1.0, capacity=2.0)
     b = Battery(p, 0.5)
     b.apply(1.0, 0.0, 360.0)
     assert b.soc == pytest.approx(0.5 - 0.1 / (0.95 * 2))
@@ -159,7 +165,7 @@ def test_battery_apply_tracks_soc_and_loss():
 
 def test_battery_never_leaves_soc_box_under_projected_decisions():
     rng = np.random.default_rng(3)
-    p = BessParams()
+    p = FleetConfig()
     b = Battery(p, 0.5)
     tau = 60.0
     for _ in range(500):
@@ -173,19 +179,24 @@ def test_battery_never_leaves_soc_box_under_projected_decisions():
 
 
 def test_fleet_wiring():
-    p = BessParams()
-    fleet = Fleet([Battery(p, 0.5) for _ in range(3)], 0.1)
+    # the batteries share every limit; each has its own wear weights
+    p = FleetConfig(initial_soc=(0.5, 0.5, 0.5), theta_a=(500.0, 1000.0, 0))
+    fleet = Fleet(p, 0.1)
+    assert [b.params for b in fleet.batteries] == [p] * 3
     modes, boxes, models = fleet.plan([-2.0, 2.0, 2.0])
     assert list(modes) == [1, 0, 0]
     assert [b.mode for b in fleet.batteries] == [1, 0, 0]
     modes, boxes, models = fleet.plan([2.0, -2.0, 0.0])
     assert list(modes) == [0, 1, 0]  # zero share holds previous mode
-    for b, mode, box, model in zip(fleet.batteries, modes, boxes, models):
+    for b, mode, box, model, theta_a in zip(
+            fleet.batteries, modes, boxes, models, (500.0, 1000.0, 0.0)):
         assert tuple(box) == feasible_interval(b.soc, mode, p, 0.1)
-        assert model == interval_cost(b.residues, b.cost_terms(0.1))
+        assert model == interval_cost(b.residues, cost_terms(
+            AgingParams(), 2.0, 0.95, 0.95, theta_a, 0.1, 0.1))
     u = [project(ui, box, mode) for ui, box, mode
          in zip([(0.5, 0.2), (0.5, 0.4), (-0.2, 0.1)], boxes, modes)]
     d, c = np.array(u).T
     assert (d * c == 0).all()
     fleet.apply_all(u)
     assert np.allclose(fleet.soc, 0.5, atol=1e-4)
+

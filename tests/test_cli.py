@@ -162,6 +162,22 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
         err = capsys.readouterr().err
         assert all(leaf in err for leaf in pair), (data, err)
 
+    # relations between the fields of one section: the SoC box, the
+    # stepsize decay window, and the per-battery weight lists
+    for data, phrase in (
+        ({"fleet": {"soc_min": 0.8, "soc_max": 0.2}}, "soc_min"),
+        ({"fleet": {"soc_min": 0.5, "soc_max": 0.5, "initial_soc": [0.5]}},
+         "soc_min < soc_max"),
+        ({"optimizer": {"alpha": 0.8, "beta": 0.7}}, "alpha <= beta"),
+        ({"optimizer": {"alpha": 0.3}}, "2*beta - 3*alpha"),
+        ({"fleet": {"theta_b": [0.1, 0.1]}}, "per-battery"),
+    ):
+        bad.write_text(json.dumps(data))
+        assert main(["validate", str(bad)]) == 2, data
+        err = capsys.readouterr().err
+        assert "config error" in err and phrase in err, (data, err)
+        assert "Traceback" not in err, data
+
 
 def config_leaves(data, path=()):
     """The path of every leaf of a config dict and of each list item."""
@@ -286,6 +302,16 @@ def test_verify_cli(cfg_path, tmp_path, capsys):
     assert main(["verify", str(out)]) == 2
     err = capsys.readouterr().err
     assert "file error" in err and "Traceback" not in err
+
+    # a box no SoC comparison can use is refused, not applied: NaN would
+    # pass every row, an inverted box fail every row
+    for box in (["--soc-min", "nan"], ["--soc-max", "nan"],
+                ["--soc-min", "0.9", "--soc-max", "0.1"]):
+        assert main(["verify", trace] + box) == 2, box
+        captured = capsys.readouterr()
+        assert "config error" in captured.err, box
+        assert "need 0 <= soc_min < soc_max <= 1" in captured.err, box
+        assert "Traceback" not in captured.err and not captured.out, box
 
 
 def test_verify_cli_takes_the_runs_soc_box(tmp_path, capsys):
@@ -424,6 +450,19 @@ def test_ablation_arm_divergence_exits_numeric(tmp_path, capsys,
     assert main(["run", str(arm), "--out", str(tmp_path / "r")]) == 3
     assert err == capsys.readouterr().err
     assert err.startswith("numerical failure: non-finite value in ")
+
+
+def test_finite_divergence_exits_numeric(tmp_path, capsys):
+    # df runs past any grid's range without overflowing: exit 3, not 0
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({"duration": 3.0, "step_time": 0.0,
+                               "step_mw": 1e6}))
+    for cmd in ("run", "ablation"):
+        assert main([cmd, str(cfg), "--out", str(tmp_path / cmd)]) == 3, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: df reached "), (cmd, err)
+        assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
 
 
 def test_every_error_survives_pickling():

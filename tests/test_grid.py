@@ -11,6 +11,7 @@ import pytest
 
 import plant_reference as ref
 from orra.grid import (
+    DF_LIMIT,
     AreaParams,
     GridInstabilityError,
     GridState,
@@ -177,6 +178,27 @@ def test_instability_is_named():
     with pytest.raises(GridInstabilityError) as err:
         grid_step(state, (0.0, 0.0), (0.0, 0.0), [(0.0, 0.0)] * 10, areas)
     assert "df" in str(err.value)
+
+
+def test_finite_divergence_is_named():
+    # a 1e6 MW step drives df far past any grid's range, yet finite
+    areas = default_areas()
+    with pytest.raises(GridInstabilityError) as err:
+        grid_step(zero_state(areas), (0.0, 0.0), (0.0, 0.0),
+                  [(1e6, 0.0)] * 10, areas)
+    assert err.value.name == "df"
+    assert -INF < err.value.value <= -DF_LIMIT
+    assert str(err.value).startswith(f"df reached {err.value.value:.6g} Hz")
+    # either area, either sign, still past the bound when the interval
+    # ends (area 1's droop load pulls df back); inside it the interval runs
+    for df in ((2 * DF_LIMIT, 0.0), (0.0, -DF_LIMIT - 1)):
+        state = replace(zero_state(areas), df=df)
+        with pytest.raises(GridInstabilityError) as err:
+            grid_step(state, (0.0, 0.0), (0.0, 0.0), [(0.0, 0.0)], areas)
+        assert abs(err.value.value) >= DF_LIMIT
+    state = replace(zero_state(areas), df=(0.9 * DF_LIMIT, -0.9 * DF_LIMIT))
+    nxt = grid_step(state, (0.0, 0.0), (0.0, 0.0), [(0.0, 0.0)], areas)
+    assert max(map(abs, nxt.df)) < DF_LIMIT
 
 
 def random_areas(rng):

@@ -17,12 +17,17 @@ from orra.comm_graph import (
 )
 from orra.degradation import IntervalCost
 from orra.optimizer import (
-    LearningSchedule,
     OrraOptimizer,
+    check_schedule,
     primal_step,
     schedule_step,
 )
 from orra.oracle import centralized_solve, lemma1_check, lemma2_check
+from orra.scenario import OptimizerConfig
+
+# the gains the tests below were written against: the config's, with
+# stages capped at 600 intervals
+GAINS = OptimizerConfig(t_max=600)
 
 
 def quad_aging(theta_b, mu0=0.0, g_d=0.0, big_theta=0.0, b=2.0):
@@ -97,7 +102,7 @@ def test_tracking_update_value():
 
 
 def test_schedule_rates_and_reset():
-    sched = LearningSchedule(kappa0=1.0, eps0=1.0)
+    sched = OptimizerConfig(kappa0=1.0, eps0=1.0, t_max=600)
     kappa, eps, t_next, reset = schedule_step(4, 0.0, sched)
     assert (kappa, eps) == pytest.approx((0.5, 4.0**-0.75))
     assert t_next == 5 and not reset
@@ -106,22 +111,32 @@ def test_schedule_rates_and_reset():
     assert (kappa, eps) == pytest.approx((1.0, 1.0))
     kappa, eps, t_next, reset = schedule_step(600, 0.0, sched)
     assert reset and t_next == 1
+    kappa, eps, t_next, reset = schedule_step(599, 0.0, sched)
+    assert not reset and t_next == 600
     # the first two counter values both run at full gain
-    assert sched.rates(0) == sched.rates(1) == (1.0, 1.0)
+    assert schedule_step(0, 0.0, sched) == (1.0, 1.0, 1, False)
+    assert schedule_step(1, 0.0, sched) == (1.0, 1.0, 2, False)
 
 
 def test_schedule_validation():
-    # the relations between the exponents; single-field domains are the
-    # config's
-    with pytest.raises(ValueError):
-        LearningSchedule(alpha=0.8, beta=0.7)  # alpha > beta
-    with pytest.raises(ValueError):
-        LearningSchedule(alpha=0.3, beta=0.75)  # decay window violated
+    # the relations between the exponents, checked when an optimizer is
+    # built; single-field domains are the config's
+    w = fleet_weights()
+    check_schedule(OptimizerConfig())
+    for cfg, phrase in (
+        (OptimizerConfig(alpha=0.8, beta=0.7), "alpha <= beta"),
+        (OptimizerConfig(alpha=0.3, beta=0.75), "2\\*beta - 3\\*alpha"),
+        (OptimizerConfig(alpha=0.5, beta=1.0), "beta < 1"),
+    ):
+        with pytest.raises(ValueError, match=phrase):
+            check_schedule(cfg)
+        with pytest.raises(ValueError, match=phrase):
+            OrraOptimizer(w, cfg)
 
 
 def test_zero_aie_is_a_fixed_point():
     w = fleet_weights()
-    opt = OrraOptimizer(w, LearningSchedule())
+    opt = OrraOptimizer(w, GAINS)
     n = w.shape[0]
     u = np.zeros((n, 2))
     intervals = np.tile([0.0, 1.0], (n, 1))
@@ -137,7 +152,7 @@ def test_zero_aie_is_a_fixed_point():
 def test_identical_agents_stay_symmetric():
     # complete graph so the mixing cannot distinguish the two agents
     w = build_metropolis_weights(Topology(2, ((0, 1),)))
-    opt = OrraOptimizer(w, LearningSchedule())
+    opt = OrraOptimizer(w, GAINS)
     models = [quad_aging(0.2), quad_aging(0.2)]
     u = np.zeros((2, 2))
     intervals = np.tile([0.0, 1.0], (2, 1))
@@ -153,7 +168,7 @@ def run_static_stage(steps=600):
     """Five heterogeneous agents against a constant aggregate error."""
     w = fleet_weights()
     n = w.shape[0]
-    opt = OrraOptimizer(w)  # package-default gains
+    opt = OrraOptimizer(w, GAINS)
     models = [
         quad_aging(0.1, mu0=0.1, g_d=0.2, big_theta=0.5, b=2.03),
         quad_aging(0.25),
@@ -210,7 +225,7 @@ def test_dual_bound_and_tracking_every_iteration():
 def test_frequency_spike_restarts_stage_and_clips_dual():
     w = fleet_weights()
     n = w.shape[0]
-    opt = OrraOptimizer(w)
+    opt = OrraOptimizer(w, GAINS)
     models = [quad_aging(0.2)] * n
     aie = np.full(n, -0.12)
     intervals = np.tile([0.0, 1.0], (n, 1))
@@ -224,7 +239,7 @@ def test_frequency_spike_restarts_stage_and_clips_dual():
             assert info["reset"]
             assert info["stage"] == 1
             assert info["t"] == 0
-            assert info["kappa"] == pytest.approx(opt.schedule.kappa0)
+            assert info["kappa"] == pytest.approx(opt.config.kappa0)
         assert np.abs(info["lam"]).max() <= info["bound"] + 1e-12
     assert opt.stage == 1
 
@@ -273,8 +288,8 @@ def test_regret_bounds_on_random_instances():
         w, modes, models, intervals, targets = random_instance(rng)
         n = w.shape[0]
         T = len(targets) - 1
-        opt = OrraOptimizer(w)
-        gamma = opt.gamma
+        opt = OrraOptimizer(w, GAINS)
+        gamma = GAINS.gamma
         u = np.zeros((n, 2))
         rows = {
             k: []
@@ -347,10 +362,10 @@ def test_iterate_matches_vector_reference_bit_for_bit():
         edges += [(i, j) for i in range(n) for j in range(i + 2, n)
                   if rng.random() < 0.3]
         w = build_metropolis_weights(Topology(n, tuple(edges)))
-        sched = LearningSchedule(t_max=int(rng.integers(1, 12)))
-        gamma = float(rng.uniform(0.5, 20.0))
-        opt = OrraOptimizer(w, sched, gamma=gamma)
-        ref = VectorOptimizer(w, sched, gamma)
+        sched = OptimizerConfig(t_max=int(rng.integers(1, 12)),
+                                gamma=float(rng.uniform(0.5, 20.0)))
+        opt = OrraOptimizer(w, sched)
+        ref = VectorOptimizer(w, sched)
         # every fifth case has zero shares and starts at rest; half of
         # those also have flat costs, so they sit at the origin and every
         # reset clips the dual to a zero cap
