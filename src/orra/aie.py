@@ -9,13 +9,9 @@ RBF interpolant over sparsely infilled (frequency, response) samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_XI = 3000.0  # 1/Hz^2, kernel decays to 1/e over ~0.018 Hz
-DEFAULT_D_MIN = 0.007  # Hz, keeps neighbor correlation moderate
-DEFAULT_MAX_SAMPLES = 24
 COND_LIMIT = 1e12  # largest Gram condition number a fit accepts
 # The load-time probe packs at most this many samples. By eigenvalue
 # interlacing a larger packing is conditioned no better, so a probe that
@@ -81,25 +77,24 @@ def packed_condition(xi, d_min, m) -> float:
     return float(np.linalg.cond(build_gram(float(d_min) * np.arange(m), xi)))
 
 
-@dataclass
 class RbfSurrogate:
     """Exact RBF interpolant of the frequency-responsive load droop.
 
-    Samples are admitted only when at least d_min away from every stored
-    location, which keeps the kernel matrix well conditioned. Samples are
-    stored in arrival order. When full, the oldest sample that is not a
-    boundary point (min or max location) is evicted so the covered span is
-    preserved, which takes room for three samples.
+    `aie` is the signal chain's config section: the kernel width rbf_xi,
+    1/Hz^2, the infill distance rbf_d_min, Hz, and the sample cap
+    rbf_max_samples. Samples are admitted only when at least d_min away
+    from every stored location, which keeps the kernel matrix well
+    conditioned. Samples are stored in arrival order. When full, the
+    oldest sample that is not a boundary point (min or max location) is
+    evicted so the covered span is preserved, which takes room for three
+    samples.
     """
 
-    xi: float = DEFAULT_XI
-    d_min: float = DEFAULT_D_MIN
-    max_samples: int = DEFAULT_MAX_SAMPLES
-    sample_df: list = field(default_factory=list)
-    sample_dP: list = field(default_factory=list)
-    weights: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(self, aie) -> None:
+        self.xi, self.d_min = aie.rbf_xi, aie.rbf_d_min
+        self.max_samples = aie.rbf_max_samples
+        self.sample_df, self.sample_dP = [], []
+        self.weights = None
         # on Python floats, so an overflow reads 0.0 and numpy never warns
         xi, d_min = float(self.xi), float(self.d_min)
         if math.exp(-xi * d_min * d_min) == 0.0:

@@ -115,7 +115,7 @@ def cmd_validate(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     print(f"config ok: {config.name} ({config.kind}, {config.signal}, "
-          f"{config.duration:.0f} s, fleet of {config.fleet.n})")
+          f"{config.duration:g} s, fleet of {config.fleet.n})")
     return 0
 
 

@@ -1,9 +1,10 @@
 """Two-area frequency dynamics with nonlinear governors and droop loads.
 
-Aggregated swing model per area, conventional generators (three by
-default) with first-order governor and turbine lags behind droop feedback,
-rate and magnitude limits on mechanical power, a synchronizing tie line,
-and a sectional-droop frequency-responsive load in area 1. Forward Euler
+Aggregated swing model per area, both areas running the conventional
+generators of the `grid` config section (three in the shipped configs)
+with first-order governor and turbine lags behind droop feedback, rate
+and magnitude limits on mechanical power, a synchronizing tie line, and a
+sectional-droop frequency-responsive load in area 1. Forward Euler
 at a fixed inner step on plain floats; one call advances one control
 interval, and the agent layer reads the state between calls. The
 fluctuating net load is a seeded PCG64 draw computed here on Python ints.
@@ -37,44 +38,14 @@ class GridInstabilityError(RuntimeError):
                 f"{DF_LIMIT:g} Hz bound on |df|: the plant diverged")
 
 
-@dataclass(frozen=True)
-class SectionalDroop:
-    """Piecewise-linear frequency response of aggregated responsive loads."""
-
-    deadband: float = 0.01  # Hz
-    slope: float = 40.0  # MW/Hz beyond the deadband
-
-    def response(self, df: float) -> float:
-        """Injection, MW, opposing the deviation beyond the deadband."""
-        mag = abs(df) - self.deadband
-        if mag <= 0:
-            return 0.0
-        return -self.slope * mag if df > 0 else self.slope * mag
-
-
-@dataclass(frozen=True)
-class AreaParams:
-    """Aggregate dynamics of one control area."""
-
-    inertia: float = 10.0  # 2H, MW*s/Hz
-    damping: float = 1.0  # load damping D, MW/Hz
-    inv_droops: tuple = (20.0, 20.0, 20.0)  # per-CG droop slope, MW/Hz
-    t_gov: float = 0.2  # s
-    t_turb: float = 0.5  # s
-    ramp_limit: float = 0.009  # MW/s per CG
-    saturation: float = 10.0  # MW per CG
-    k_i: float = 0.1  # AGC integral gain, 1/s
-    t_sync: float = 10.0  # tie-line synchronizing coefficient, MW/Hz*s
-    frr: SectionalDroop | None = None
-
-    @property
-    def n_cg(self) -> int:
-        return len(self.inv_droops)
-
-    @property
-    def bias(self) -> float:
-        """Textbook frequency-bias coefficient D + sum of droop slopes."""
-        return self.damping + float(sum(self.inv_droops))
+def responsive_load(df: float, grid) -> float:
+    """Injection of area 1's frequency-responsive loads, MW: the sectional
+    droop of the `grid` config section, frr_slope MW/Hz opposing the
+    deviation beyond frr_deadband."""
+    mag = abs(df) - grid.frr_deadband
+    if mag <= 0:
+        return 0.0
+    return -grid.frr_slope * mag if df > 0 else grid.frr_slope * mag
 
 
 @dataclass(frozen=True)
@@ -89,65 +60,51 @@ class GridState:
     p_fr: tuple  # (2,) MW, responsive-load injections
 
 
-def zero_state(areas) -> GridState:
-    zeros = tuple((0.0,) * a.n_cg for a in areas)
+def zero_state(n_cg: int) -> GridState:
+    zeros = ((0.0,) * n_cg,) * 2
     return GridState((0.0, 0.0), zeros, zeros, zeros, 0.0, (0.0, 0.0))
 
 
-def _area_constants(area: AreaParams, error: float, dt: float) -> tuple:
-    """One area's constants over an interval: the command slew its
-    generators share (AGC splits the error evenly among them, and it is
-    fixed while the error is held), the droop slopes, the saturation band,
-    the ramp limit, the two lags, damping, inertia, and the responsive-load
-    droop response (None without one)."""
-    step = area.ramp_limit * dt
-    share = 1.0 / area.n_cg
-    x = -dt * area.k_i * share * error
-    slew = -step if x < -step else step if x > step else x
-    frr = area.frr.response if area.frr is not None else None
-    return (slew, area.inv_droops, area.saturation, area.ramp_limit,
-            area.t_gov, area.t_turb, area.damping, area.inertia, frr)
-
-
 def grid_step(
-    state: GridState,
-    p_bess,
-    agc_errors,
-    disturbances,
-    areas,
-    dt: float = 0.01,
+    state: GridState, p_bess: float, agc_errors, loads, grid, dt: float,
 ) -> GridState:
     """Advance the coupled two-area dynamics over one control interval.
 
-    One explicit-Euler step of dt per row of disturbances, the (2,) net-load
-    increases of that step, MW. p_bess: (2,) storage injection per area, MW,
-    and agc_errors: (2,) regulation signals integrated into the generator
-    commands (negative error raises generation) hold over the interval.
-    Commands slew no faster than each unit's ramp limit and wind up no
-    further than its saturation band, so the commands stay followable.
-    areas holds exactly two areas; each one's constants are read once per
-    call.
+    Both areas run the generators of `grid`, the plant's config section;
+    area 1 regulates with gain k_i and carries the responsive-load droop,
+    area 2 regulates with k_i_area2. One explicit-Euler step of dt per
+    entry of loads, area 1's net-load increase at that step, MW. p_bess,
+    area 1's storage injection, MW, and agc_errors, the (2,) regulation
+    signals integrated into the generator commands (negative error raises
+    generation), hold over the interval. AGC splits each error evenly
+    among the generators, and the command slew is fixed while the error is
+    held; commands slew no faster than each unit's ramp limit and wind up
+    no further than its saturation band, so the commands stay followable.
 
     Finiteness is checked once, at the end: a NaN passes every clamp and an
     infinity in an unclamped integrator (df, gov, p_tie) stays non-finite,
     so a blow-up inside the interval still shows. Then either area's |df|
     reaching DF_LIMIT ends the run as a divergence.
     """
-    area1, area2 = areas
     e1, e2 = map(float, agc_errors)
-    b1, b2 = map(float, p_bess)
-    (slew1, droops1, sat1, ramp1, t_gov1, t_turb1, damping1, inertia1,
-     frr1) = _area_constants(area1, e1, dt)
-    (slew2, droops2, sat2, ramp2, t_gov2, t_turb2, damping2, inertia2,
-     frr2) = _area_constants(area2, e2, dt)
-    tie_gain = dt * area1.t_sync
+    b1 = float(p_bess)
+    droops, sat, ramp = grid.inv_droops, grid.saturation, grid.ramp_limit
+    t_gov, t_turb = grid.t_gov, grid.t_turb
+    damping, inertia = grid.damping, grid.inertia
+    step, share = ramp * dt, 1.0 / len(droops)
+    slews = []
+    for k_i, error in ((grid.k_i, e1), (grid.k_i_area2, e2)):
+        x = -dt * k_i * share * error
+        slews.append(-step if x < -step else step if x > step else x)
+    slew1, slew2 = slews
+    tie_gain = dt * grid.t_sync
     (f1, f2), p_tie, (fr1, fr2) = state.df, state.p_tie, state.p_fr
     du1, du2 = map(list, state.du_gov)
     gov1, gov2 = map(list, state.gov)
     pm1, pm2 = map(list, state.p_m)
-    gens1, gens2 = range(len(du1)), range(len(du2))
-    nsat1, nramp1, nsat2, nramp2 = -sat1, -ramp1, -sat2, -ramp2
-    for d1, d2 in disturbances:
+    gens = range(len(droops))
+    nsat, nramp = -sat, -ramp
+    for load in loads:
         # Each generator reads only its own old values and its area's old
         # df. The command slews within the saturation band, the valve
         # follows the command less the droop, and the turbine follows the
@@ -155,33 +112,33 @@ def grid_step(
         # Mechanical power is summed before the step, from 0.0 in generator
         # order as numpy sums; the clamps let NaN through.
         pm_sum1 = 0.0
-        for i in gens1:
+        for i in gens:
             u, g, p = du1[i], gov1[i], pm1[i]
             pm_sum1 += p
             x = u + slew1
-            du1[i] = nsat1 if x < nsat1 else sat1 if x > sat1 else x
-            gov1[i] = g + dt * ((u - f1 * droops1[i]) - g) / t_gov1
-            x = (g - p) / t_turb1
-            x = p + dt * (nramp1 if x < nramp1 else ramp1 if x > ramp1 else x)
-            pm1[i] = nsat1 if x < nsat1 else sat1 if x > sat1 else x
+            du1[i] = nsat if x < nsat else sat if x > sat else x
+            gov1[i] = g + dt * ((u - f1 * droops[i]) - g) / t_gov
+            x = (g - p) / t_turb
+            x = p + dt * (nramp if x < nramp else ramp if x > ramp else x)
+            pm1[i] = nsat if x < nsat else sat if x > sat else x
         pm_sum2 = 0.0
-        for i in gens2:
+        for i in gens:
             u, g, p = du2[i], gov2[i], pm2[i]
             pm_sum2 += p
             x = u + slew2
-            du2[i] = nsat2 if x < nsat2 else sat2 if x > sat2 else x
-            gov2[i] = g + dt * ((u - f2 * droops2[i]) - g) / t_gov2
-            x = (g - p) / t_turb2
-            x = p + dt * (nramp2 if x < nramp2 else ramp2 if x > ramp2 else x)
-            pm2[i] = nsat2 if x < nsat2 else sat2 if x > sat2 else x
-        fr1 = frr1(f1) if frr1 is not None else 0.0
-        fr2 = frr2(f2) if frr2 is not None else 0.0
-        # tie power leaves area 1 and enters area 2
-        accel1 = pm_sum1 + b1 + fr1 - d1 - damping1 * f1 + (-1.0) * p_tie
-        accel2 = pm_sum2 + b2 + fr2 - d2 - damping2 * f2 + 1.0 * p_tie
+            du2[i] = nsat if x < nsat else sat if x > sat else x
+            gov2[i] = g + dt * ((u - f2 * droops[i]) - g) / t_gov
+            x = (g - p) / t_turb
+            x = p + dt * (nramp if x < nramp else ramp if x > ramp else x)
+            pm2[i] = nsat if x < nsat else sat if x > sat else x
+        fr1 = responsive_load(f1, grid)
+        # tie power leaves area 1 and enters area 2; the fleet, the net
+        # load and the droop are area 1's alone
+        accel1 = pm_sum1 + b1 + fr1 - load - damping * f1 - p_tie
+        accel2 = pm_sum2 - damping * f2 + p_tie
         p_tie = p_tie + tie_gain * (f1 - f2)
-        f1 = f1 + dt * accel1 / inertia1
-        f2 = f2 + dt * accel2 / inertia2
+        f1 = f1 + dt * accel1 / inertia
+        f2 = f2 + dt * accel2 / inertia
     for name, values in (
         ("df", (f1, f2)), ("du_gov", du1 + du2), ("gov", gov1 + gov2),
         ("p_m", pm1 + pm2), ("p_fr", (fr1, fr2)), ("p_tie", (p_tie,)),
@@ -259,8 +216,7 @@ def _first_uniform(entropy: list) -> float:
 
 
 def scenario_fluctuation(
-    t: float, seed: int, hold: float = 60.0, low: float = -6.0,
-    high: float = 6.0,
+    t: float, seed: int, hold: float, low: float, high: float,
 ) -> float:
     """Piecewise-constant net-load noise, reproducible from the seed: the
     value of hold window k is np.random.default_rng([seed, k]).uniform(low,

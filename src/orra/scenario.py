@@ -28,13 +28,7 @@ import numpy as np
 from .aie import RbfSurrogate, aie_shares, compute_ace
 from .bess import Fleet, check_soc_box
 from .comm_graph import Topology, build_metropolis_weights, default_topology
-from .grid import (
-    AreaParams,
-    SectionalDroop,
-    grid_step,
-    scenario_fluctuation,
-    zero_state,
-)
+from .grid import grid_step, responsive_load, scenario_fluctuation, zero_state
 from .optimizer import OrraOptimizer
 from .oracle import centralized_solve
 
@@ -172,8 +166,14 @@ class GridConfig:
     # disturbed area's regulation is not masked by cross-area integrators
     k_i_area2: float = leaf(0.0, NONNEGATIVE)
     t_sync: float = leaf(10.0, POSITIVE)
+    # area 1's frequency-responsive loads, a sectional droop
     frr_deadband: float = leaf(0.002, NONNEGATIVE)
     frr_slope: float = leaf(40.0, NONNEGATIVE)
+
+    @property
+    def bias(self) -> float:
+        """Textbook frequency-bias coefficient D + sum of droop slopes."""
+        return self.damping + float(sum(self.inv_droops))
 
 
 @dataclass
@@ -245,6 +245,13 @@ class ScenarioConfig:
         if self.intervals < 1:
             raise ConfigError(f"duration {self.duration} is under one "
                               f"control interval, tau {self.tau}")
+        # a run is whole intervals: a remainder would be rounded away
+        whole = self.intervals * self.tau
+        if abs(whole - self.duration) > 1e-9 * self.duration:
+            raise ConfigError(
+                f"duration {self.duration} is not a whole number of control "
+                f"intervals, tau {self.tau}"
+            )
         span = float(self.fluct_high) - float(self.fluct_low)  # as drawn
         if not 0.0 <= span <= sys.float_info.max:
             raise ConfigError(
@@ -256,12 +263,11 @@ class ScenarioConfig:
             if not f.soc_min <= s <= f.soc_max:
                 raise ConfigError(f"fleet.initial_soc {s} outside [soc_min, "
                                   f"soc_max] = [{f.soc_min}, {f.soc_max}]")
-        # cross-field checks of the fleet, plant, surrogate, graph and schedule
+        # cross-field checks of the fleet, surrogate, graph and schedule
         try:
             check_soc_box(f.soc_min, f.soc_max)
             Fleet(f, self.tau)
-            self.areas()
-            self.surrogate()
+            RbfSurrogate(self.aie)
             self.coordinator()
         except ValueError as err:
             raise ConfigError(str(err)) from err
@@ -281,25 +287,6 @@ class ScenarioConfig:
         if self.topology_edges is None:
             return default_topology(n)
         return Topology(n, tuple(tuple(e) for e in self.topology_edges))
-
-    def areas(self) -> tuple:
-        """The disturbed area, carrying the responsive-load droop, and its
-        neighbor."""
-        g = self.grid
-        kw = dict(
-            inertia=g.inertia, damping=g.damping, inv_droops=g.inv_droops,
-            t_gov=g.t_gov, t_turb=g.t_turb, ramp_limit=g.ramp_limit,
-            saturation=g.saturation, k_i=g.k_i, t_sync=g.t_sync,
-        )
-        return (
-            AreaParams(frr=SectionalDroop(g.frr_deadband, g.frr_slope), **kw),
-            AreaParams(**{**kw, "k_i": g.k_i_area2}),
-        )
-
-    def surrogate(self) -> RbfSurrogate:
-        a = self.aie
-        return RbfSurrogate(xi=a.rbf_xi, d_min=a.rbf_d_min,
-                            max_samples=a.rbf_max_samples)
 
     def coordinator(self) -> OrraOptimizer:
         """A fresh distributed optimizer over the configured graph."""
@@ -541,13 +528,11 @@ class ScenarioRunner:
         n = config.fleet.n
         self.fleet = Fleet(config.fleet, config.tau)
         self.optimizer = config.coordinator()
-        self.areas = config.areas()
-        self.droop = self.areas[0].frr
-        self.state = zero_state(self.areas)
+        self.state = zero_state(len(config.grid.inv_droops))
         self.window = None  # last (hold window, value) of the fluctuation
         self.sigma = [1.0 / n] * n  # the fleet splits the signal evenly
         self.surrogate = (
-            config.surrogate()
+            RbfSurrogate(config.aie)
             if config.signal == "AIE" and config.aie.surrogate_enabled
             else None
         )
@@ -583,14 +568,11 @@ class ScenarioRunner:
         # apply the pending decision, then run the plant over the interval
         if enabled:
             self.fleet.apply_all(self.u)
-        agc2 = compute_ace(-self.state.p_tie, self.areas[1].bias,
-                           self.state.df[1])
-        dists = [(self.disturbance(t0 + j * cfg.dt_inner), 0.0)
+        agc2 = compute_ace(-self.state.p_tie, cfg.grid.bias, self.state.df[1])
+        loads = [self.disturbance(t0 + j * cfg.dt_inner)
                  for j in range(cfg.inner_steps)]
-        self.state = grid_step(
-            self.state, (self.p_bess, 0.0), (self.agc1, agc2), dists,
-            self.areas, cfg.dt_inner,
-        )
+        self.state = grid_step(self.state, self.p_bess, (self.agc1, agc2),
+                               loads, cfg.grid, cfg.dt_inner)
 
         # measure the area signals at the interval boundary
         df1 = self.state.df[0]
@@ -608,7 +590,7 @@ class ScenarioRunner:
                     # responsive loads report in load convention: an
                     # injection shows up as a negative load deviation
                     self.surrogate.add_sample(
-                        df1, -self.droop.response(df1)
+                        df1, -responsive_load(df1, cfg.grid)
                     )
                 correction = self.surrogate.evaluate(df1)
                 shares = [a + s * correction
@@ -618,7 +600,7 @@ class ScenarioRunner:
                 agc1 += a
             self.agc1 = agc1
         else:
-            ace = compute_ace(p_tie, self.areas[0].bias, df1)
+            ace = compute_ace(p_tie, cfg.grid.bias, df1)
             shares = [s * ace for s in self.sigma]
             self.agc1 = float(ace)
 

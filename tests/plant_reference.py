@@ -8,36 +8,27 @@ the two must agree bit for bit; `RefState` converts between the layouts.
 
 Kept deliberately separate from the package's kernel so the two routes
 share no code: the responsive-load droop here is `frr_response`, not
-`SectionalDroop.response`.
+`orra.grid.responsive_load`, and the two areas are walked as array rows
+with their own gain, injection, load and droop.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from orra.grid import (
-    AreaParams,
-    GridInstabilityError,
-    GridState,
-    SectionalDroop,
-)
+from orra.grid import GridInstabilityError, GridState
 
 
-def frr_response(df: float, droop: SectionalDroop) -> float:
+def frr_response(df: float, grid) -> float:
     """Frequency-responsive reserve injection for one deviation sample."""
-    mag = abs(df) - droop.deadband
+    mag = abs(df) - grid.frr_deadband
     if mag <= 0:
         return 0.0
-    return -np.sign(df) * droop.slope * mag
+    return -np.sign(df) * grid.frr_slope * mag
 
 
 def scenario_step_load(t: float) -> float:
     """Case-study step: nothing before 10 s, then a 5 MW load increase."""
     return 5.0 if t >= 10.0 else 0.0
-
-
-def default_areas() -> tuple[AreaParams, AreaParams]:
-    """Area 1 carries the responsive-load droop; area 2 is plain."""
-    return AreaParams(frr=SectionalDroop()), AreaParams()
 
 
 @dataclass
@@ -57,29 +48,17 @@ class RefState:
 
     @classmethod
     def from_state(cls, state: GridState) -> "RefState":
-        """The same state, generators padded to the widest area."""
-        n = max(len(row) for row in state.gov)
-
-        def padded(rows):
-            out = np.zeros((2, n))
-            for a, row in enumerate(rows):
-                out[a, :len(row)] = row
-            return out
-
         return cls(
-            np.array(state.df, dtype=float), padded(state.du_gov),
-            padded(state.gov), padded(state.p_m), float(state.p_tie),
+            np.array(state.df, dtype=float), np.array(state.du_gov),
+            np.array(state.gov), np.array(state.p_m), float(state.p_tie),
             np.array(state.p_fr, dtype=float),
         )
 
-    def to_state(self, areas) -> GridState:
+    def to_state(self) -> GridState:
         """The same state in the kernel's per-area layout."""
 
         def rows(arr):
-            return tuple(
-                tuple(arr[a, :area.n_cg].tolist())
-                for a, area in enumerate(areas)
-            )
+            return tuple(tuple(row) for row in arr.tolist())
 
         return GridState(
             df=tuple(self.df.tolist()), du_gov=rows(self.du_gov),
@@ -88,7 +67,7 @@ class RefState:
         )
 
 
-def governor_turbine_step(gov, p_m, commands, df, area: AreaParams, dt):
+def governor_turbine_step(gov, p_m, commands, df, grid, dt):
     """Advance one area's generator lags one explicit-Euler step.
 
     gov, p_m, commands: (n_cg,) arrays; returns the new (gov, p_m). The
@@ -97,64 +76,58 @@ def governor_turbine_step(gov, p_m, commands, df, area: AreaParams, dt):
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    inv_r = np.asarray(area.inv_droops, dtype=float)
+    inv_r = np.asarray(grid.inv_droops, dtype=float)
     valve_target = np.asarray(commands, dtype=float) - df * inv_r
-    gov_next = gov + dt * (valve_target - gov) / area.t_gov
-    rate = (gov - p_m) / area.t_turb
-    rate = np.clip(rate, -area.ramp_limit, area.ramp_limit)
-    p_m_next = np.clip(p_m + dt * rate, -area.saturation, area.saturation)
+    gov_next = gov + dt * (valve_target - gov) / grid.t_gov
+    rate = (gov - p_m) / grid.t_turb
+    rate = np.clip(rate, -grid.ramp_limit, grid.ramp_limit)
+    p_m_next = np.clip(p_m + dt * rate, -grid.saturation, grid.saturation)
     return gov_next, p_m_next
 
 
-def grid_step(
-    state: RefState,
-    p_bess,
-    agc_errors,
-    disturbances,
-    areas,
-    dt: float = 0.01,
-) -> RefState:
+def grid_step(state: RefState, p_bess, agc_errors, load, grid, dt) -> RefState:
     """One explicit-Euler step of the coupled two-area dynamics.
 
-    p_bess: (2,) storage injection per area, MW; agc_errors: (2,) regulation
-    signals integrated into the generator commands (negative error raises
-    generation); disturbances: (2,) net-load increases, MW. Dispatch
-    commands slew no faster than each unit's ramp limit and wind up no
-    further than its saturation band, so the commands stay followable.
+    Both areas run the generators of `grid`, a plant config section; area
+    1 regulates with k_i, takes the storage injection p_bess and the
+    net-load increase `load`, MW, and carries the responsive-load droop;
+    area 2 regulates with k_i_area2. agc_errors: (2,) regulation signals
+    integrated into the generator commands (negative error raises
+    generation). Dispatch commands slew no faster than each unit's ramp
+    limit and wind up no further than its saturation band, so the commands
+    stay followable.
     """
-    p_bess = np.asarray(p_bess, dtype=float)
+    p_bess = np.array([p_bess, 0.0], dtype=float)
     agc_errors = np.asarray(agc_errors, dtype=float)
-    disturbances = np.asarray(disturbances, dtype=float)
+    disturbances = np.array([load, 0.0], dtype=float)
+    gains = (grid.k_i, grid.k_i_area2)
     df = state.df
     new = state.copy()
     tie_sign = (-1.0, 1.0)  # tie power leaves area 1, enters area 2
-    for a, area in enumerate(areas):
-        k = area.n_cg
-        sigma = np.full(k, 1.0 / k)  # AGC splits the error evenly
-        delta = -dt * area.k_i * sigma * agc_errors[a]
-        step = area.ramp_limit * dt
-        new.du_gov[a, :k] = np.clip(
-            state.du_gov[a, :k] + np.clip(delta, -step, step),
-            -area.saturation, area.saturation,
+    k = len(grid.inv_droops)
+    sigma = np.full(k, 1.0 / k)  # AGC splits the error evenly
+    step = grid.ramp_limit * dt
+    for a in range(2):
+        delta = -dt * gains[a] * sigma * agc_errors[a]
+        new.du_gov[a] = np.clip(
+            state.du_gov[a] + np.clip(delta, -step, step),
+            -grid.saturation, grid.saturation,
         )
-        gov_next, p_m_next = governor_turbine_step(
-            state.gov[a, :k], state.p_m[a, :k], state.du_gov[a, :k],
-            df[a], area, dt,
+        new.gov[a], new.p_m[a] = governor_turbine_step(
+            state.gov[a], state.p_m[a], state.du_gov[a], df[a], grid, dt,
         )
-        new.gov[a, :k] = gov_next
-        new.p_m[a, :k] = p_m_next
-        frr = frr_response(df[a], area.frr) if area.frr is not None else 0.0
+        frr = frr_response(df[a], grid) if a == 0 else 0.0
         new.p_fr[a] = frr
         accel = (
-            state.p_m[a, :k].sum()
+            state.p_m[a].sum()
             + p_bess[a]
             + frr
             - disturbances[a]
-            - area.damping * df[a]
+            - grid.damping * df[a]
             + tie_sign[a] * state.p_tie
         )
-        new.df[a] = df[a] + dt * accel / area.inertia
-    new.p_tie = state.p_tie + dt * areas[0].t_sync * (df[0] - df[1])
+        new.df[a] = df[a] + dt * accel / grid.inertia
+    new.p_tie = state.p_tie + dt * grid.t_sync * (df[0] - df[1])
     for name in ("df", "du_gov", "gov", "p_m", "p_fr"):
         if not np.isfinite(getattr(new, name)).all():
             raise GridInstabilityError(name)

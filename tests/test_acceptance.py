@@ -12,7 +12,7 @@ import pytest
 
 from orra.aie import RbfSurrogate
 from orra.degradation import rainflow_step
-from orra.grid import SectionalDroop
+from orra.grid import responsive_load
 from orra.optimizer import OrraOptimizer
 from orra.oracle import (
     centralized_solve,
@@ -21,7 +21,13 @@ from orra.oracle import (
     lemma2_check,
     regret_slope,
 )
-from orra.scenario import OptimizerConfig, ScenarioConfig, ScenarioRunner
+from orra.scenario import (
+    AieConfig,
+    GridConfig,
+    OptimizerConfig,
+    ScenarioConfig,
+    ScenarioRunner,
+)
 from orra.studies import ARMS, nadir, settle_time, stage_cost_gaps, stage_lemma_checks
 from oracle_reference import brute_force_solve
 from rainflow_reference import rainflow_batch
@@ -274,12 +280,12 @@ def test_criterion_07_rainflow_equivalence():
 
 
 def test_criterion_08_surrogate_exactness():
-    droop = SectionalDroop()  # module-default deadband and slope
+    plant = GridConfig()  # the droop every run uses
 
     def truth(df):
-        return -droop.response(df)
+        return -responsive_load(df, plant)
 
-    s = RbfSurrogate()
+    s = RbfSurrogate(AieConfig())
     worst_stored = 0.0
     sweep = np.concatenate(
         [

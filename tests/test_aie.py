@@ -16,6 +16,8 @@ from orra.aie import (
     gaussian_basis,
     packed_condition,
 )
+from orra.grid import responsive_load
+from orra.scenario import AieConfig, GridConfig
 
 
 def test_compute_ace_values():
@@ -126,7 +128,7 @@ def test_fit_weights_raises_on_ill_conditioning():
 
 
 def test_infill_decide_thresholds():
-    s = RbfSurrogate(d_min=0.005)
+    s = RbfSurrogate(AieConfig(rbf_d_min=0.005))
     assert s.infill_decide(0.123)
     s.add_sample(0.010, 1.0)
     assert not s.infill_decide(0.012)
@@ -134,21 +136,21 @@ def test_infill_decide_thresholds():
 
 
 def test_add_sample_too_close_raises():
-    s = RbfSurrogate(d_min=0.005)
+    s = RbfSurrogate(AieConfig(rbf_d_min=0.005))
     s.add_sample(0.010, 1.0)
     with pytest.raises(InfillViolationError):
         s.add_sample(0.011, 1.0)
 
 
 def test_corrected_aie_empty_and_single():
-    s = RbfSurrogate()
+    s = RbfSurrogate(AieConfig())
     assert 2.5 + s.evaluate(0.01) == 2.5
     s.add_sample(0.02, 0.8)
     assert 2.5 + s.evaluate(0.02) == pytest.approx(3.3)
 
 
 def test_surrogate_exactness_after_every_refit():
-    s = RbfSurrogate()
+    s = RbfSurrogate(AieConfig())
     rng = np.random.default_rng(3)
     for x in np.arange(-0.05, 0.06, 0.0075):
         s.add_sample(float(x), float(rng.normal()))
@@ -157,7 +159,7 @@ def test_surrogate_exactness_after_every_refit():
 
 
 def test_gram_stays_positive_definite_along_ladder():
-    s = RbfSurrogate(max_samples=50)
+    s = RbfSurrogate(AieConfig(rbf_max_samples=50))
     for i in range(50):
         s.add_sample(i * (s.d_min + 1e-5), float(np.sin(i)))
         gram = build_gram(s.sample_df, s.xi)
@@ -167,7 +169,7 @@ def test_gram_stays_positive_definite_along_ladder():
 def test_surrogate_settings_validation():
     # eviction keeps the two boundary samples, so the smallest cap the
     # config admits, 3, still takes a new sample
-    s = RbfSurrogate(max_samples=3, d_min=0.005)
+    s = RbfSurrogate(AieConfig(rbf_max_samples=3, rbf_d_min=0.005))
     for x in (0.0, 0.01, 0.02, 0.03):
         s.add_sample(x, x)
     assert s.sample_df == [0.0, 0.02, 0.03]
@@ -179,12 +181,13 @@ def test_load_time_probe_rejects_unconditionable_settings():
                                                                 rel=0.01)
     assert packed_condition(1.0, 1e-5, 24) > COND_LIMIT
     with pytest.raises(ValueError, match="gram condition number"):
-        RbfSurrogate(xi=1.0, d_min=1e-5)
+        RbfSurrogate(AieConfig(rbf_xi=1.0, rbf_d_min=1e-5))
     # a cap beyond the probe's packing is judged on that packing, which
     # is cheap to build and conditioned no worse than the full one
-    RbfSurrogate(max_samples=10**9)
+    RbfSurrogate(AieConfig(rbf_max_samples=10**9))
     with pytest.raises(ValueError, match="128 samples"):
-        RbfSurrogate(xi=1.0, d_min=1e-5, max_samples=10**9)
+        RbfSurrogate(AieConfig(rbf_xi=1.0, rbf_d_min=1e-5,
+                               rbf_max_samples=10**9))
 
 
 def test_load_time_probe_rejects_a_kernel_without_overlap():
@@ -193,12 +196,12 @@ def test_load_time_probe_rejects_a_kernel_without_overlap():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="no kernel overlap"):
-                RbfSurrogate(xi=xi, d_min=d_min)
+                RbfSurrogate(AieConfig(rbf_xi=xi, rbf_d_min=d_min))
 
 
 def test_far_samples_have_no_kernel_and_no_warning():
     # distances and squares past a float's range are kernels of exactly 0
-    s = RbfSurrogate()
+    s = RbfSurrogate(AieConfig())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x, y in ((0.0, 1.0), (1e308, 2.0), (-1e308, 3.0)):
@@ -208,7 +211,7 @@ def test_far_samples_have_no_kernel_and_no_warning():
 
 
 def test_eviction_keeps_boundary_points():
-    s = RbfSurrogate(max_samples=4, d_min=0.005)
+    s = RbfSurrogate(AieConfig(rbf_max_samples=4, rbf_d_min=0.005))
     for x in (0.0, 0.01, 0.02, 0.03):
         s.add_sample(x, x)
     s.add_sample(0.045, 0.045)
@@ -219,12 +222,11 @@ def test_eviction_keeps_boundary_points():
 
 
 def test_off_sample_accuracy_on_sectional_droop():
-    # ground truth: deadbanded piecewise-linear droop measurement
+    # ground truth: the config's droop, measured in load convention
     def truth(df):
-        mag = max(0.0, abs(df) - 0.01)
-        return np.sign(df) * 40.0 * mag
+        return -responsive_load(df, GridConfig())
 
-    s = RbfSurrogate()
+    s = RbfSurrogate(AieConfig())
     sweep = np.concatenate(
         [
             np.linspace(0, -0.05, 300),

@@ -28,7 +28,13 @@ def cfg_path(tmp_path):
 
 def test_validate_exit_codes(cfg_path, tmp_path, capsys):
     assert main(["validate", cfg_path]) == 0
-    assert "config ok: clirun" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "config ok: clirun (step, AIE, 12 s, fleet of 5)\n")
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"duration": 0.1}))
+    assert main(["validate", str(one)]) == 0
+    assert capsys.readouterr().out == (
+        "config ok: case_study_1 (step, AIE, 0.1 s, fleet of 5)\n")
 
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
@@ -147,6 +153,15 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == 2, data
         assert f"config error: {leaf}" in capsys.readouterr().err, data
+
+    # a duration that is not whole control intervals, which the run would
+    # round half to even (0.25 s to 0.2 s): refused with duration and tau
+    # named
+    for duration in (0.25, 1.05, 2.45):
+        bad.write_text(json.dumps({"duration": duration}))
+        assert main(["validate", str(bad)]) == 2, duration
+        err = capsys.readouterr().err
+        assert "config error: duration" in err and "tau" in err, err
 
     # a net-load span or a kernel past a float's range: refused with both
     # leaves named, before the draw or the load-time probe overflows

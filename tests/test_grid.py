@@ -12,87 +12,85 @@ import pytest
 import plant_reference as ref
 from orra.grid import (
     DF_LIMIT,
-    AreaParams,
     GridInstabilityError,
     GridState,
-    SectionalDroop,
     grid_step,
+    responsive_load,
     scenario_fluctuation,
     zero_state,
 )
-from plant_reference import default_areas, frr_response, scenario_step_load
+from orra.scenario import GridConfig
+from plant_reference import frr_response, scenario_step_load
 
 NAN, INF = float("nan"), float("inf")
+GRID = GridConfig()  # the shipped plant, droop included
+DT = 0.01
 
 
 def test_sectional_droop_values():
-    droop = SectionalDroop()
-    assert droop.response(0.0) == 0.0
-    assert droop.response(0.009) == 0.0  # inside the deadband
-    assert droop.response(-0.05) == pytest.approx(1.6)
+    # the config's droop: 40 MW/Hz beyond a 0.002 Hz deadband
+    assert responsive_load(0.0, GRID) == 0.0
+    assert responsive_load(0.0015, GRID) == 0.0  # inside the deadband
+    assert responsive_load(-0.05, GRID) == pytest.approx(1.92)
     for df in (0.02, 0.013, 0.11):
-        assert droop.response(-df) == pytest.approx(-droop.response(df))
+        assert responsive_load(-df, GRID) == pytest.approx(
+            -responsive_load(df, GRID))
 
 
-def test_area_params_validation():
-    # the plant constants' domains are the config's
-    assert AreaParams().bias == pytest.approx(61.0)
+def test_bias_is_damping_plus_droop_slopes():
+    assert GRID.bias == pytest.approx(61.0)
 
 
-def hold_frequency(area, command, steps, dt=0.01):
-    """Generator lags of `area` under a fixed command, frequency held at 0.
+def hold_frequency(grid, command, steps, dt=DT):
+    """Area 1's generator lags under a fixed command, frequency held at 0.
 
-    Both areas are `area`, their AGC commands set to `command` with a zero
-    error so the commands stay put. Each one-step interval's net load
-    matches the mechanical power the swing equation sees, so df, and with
-    it the tie flow, stays exactly zero. Returns area 1's (gov, p_m).
+    Area 1's AGC commands are set to `command` with a zero error so they
+    stay put; area 2 rests. Each one-step interval's net load matches the
+    mechanical power the swing equation sees, so df, and with it the tie
+    flow, stays exactly zero. Returns area 1's (gov, p_m).
     """
-    areas = (area, area)
     cmd = tuple(float(c) for c in command)
-    state = replace(zero_state(areas), du_gov=(cmd, cmd))
+    rest = (0.0,) * len(cmd)
+    state = replace(zero_state(len(cmd)), du_gov=(cmd, rest))
     for _ in range(steps):
-        load = [tuple(sum(p) for p in state.p_m)]
-        state = grid_step(state, (0.0, 0.0), (0.0, 0.0), load, areas, dt)
-        assert state.df == (0.0, 0.0) and state.du_gov == (cmd, cmd)
+        state = grid_step(state, 0.0, (0.0, 0.0), [sum(state.p_m[0])], grid,
+                          dt)
+        assert state.df == (0.0, 0.0) and state.du_gov == (cmd, rest)
+    assert state.gov[1] == state.p_m[1] == rest and state.p_tie == 0.0
     return np.array(state.gov[0]), np.array(state.p_m[0])
 
 
 def test_governor_rest_state():
-    gov, p_m = hold_frequency(AreaParams(), np.zeros(3), 100)
+    gov, p_m = hold_frequency(GRID, np.zeros(3), 100)
     assert np.all(gov == 0.0) and np.all(p_m == 0.0)
 
 
 def test_governor_unity_dc_gain():
     # no limits active: 1 MW command settles at 1 MW output
-    area = AreaParams(inv_droops=(20.0,), ramp_limit=1e3)
-    gov, p_m = hold_frequency(area, [1.0], 1000)
+    grid = GridConfig(inv_droops=(20.0,), ramp_limit=1e3)
+    gov, p_m = hold_frequency(grid, [1.0], 1000)
     assert p_m[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_ramp_limited_unit_takes_100s_for_2_7mw():
-    area = AreaParams(inv_droops=(20.0,), ramp_limit=0.027)
-    gov, p_m = hold_frequency(area, [10.0], 10000)  # 100 s at dt = 0.01
+    grid = GridConfig(inv_droops=(20.0,), ramp_limit=0.027)
+    gov, p_m = hold_frequency(grid, [10.0], 10000)  # 100 s at dt = 0.01
     assert p_m[0] == pytest.approx(2.7, rel=0.02)
 
 
 def test_nonlinearity_engages_on_large_command():
     # the rate limiter must bend the trajectory well away from the lags alone
-    area = AreaParams(inv_droops=(20.0,))
-    free = AreaParams(
-        inv_droops=(20.0,), ramp_limit=1e9, saturation=1e9
-    )
-    gov, p_m = hold_frequency(area, [10.0], 5000)
+    grid = GridConfig(inv_droops=(20.0,))
+    free = GridConfig(inv_droops=(20.0,), ramp_limit=1e9, saturation=1e9)
+    gov, p_m = hold_frequency(grid, [10.0], 5000)
     gov_f, p_m_f = hold_frequency(free, [10.0], 5000)
     assert abs(p_m[0] - p_m_f[0]) > 0.1 * abs(p_m_f[0])
 
 
 def test_zero_state_stays_zero():
-    areas = default_areas()
-    state = zero_state(areas)
+    state = zero_state(3)
     for _ in range(20):
-        state = grid_step(
-            state, (0.0, 0.0), (0.0, 0.0), [(0.0, 0.0)] * 10, areas
-        )
+        state = grid_step(state, 0.0, (0.0, 0.0), [0.0] * 10, GRID, DT)
     assert np.all(np.array(state.df) == 0.0)
     assert state.p_tie == 0.0
     assert np.all(np.array(state.p_m) == 0.0)
@@ -100,35 +98,32 @@ def test_zero_state_stays_zero():
 
 
 def test_steady_state_frequency_with_droop_load():
-    # symmetric areas and symmetric 5 MW steps: no tie flow, and each area
-    # balances 0 = -sum(1/R)*df + frr(df) - 5 - D*df with governors at full
-    # droop. With frr = -slope*(df + deadband) below the deadband this gives
-    # df = -(5 + slope*deadband) / (D + sum(1/R) + slope).
-    droop = SectionalDroop()
-    area = AreaParams(k_i=0.0, frr=droop)
-    areas = (area, area)
-    state = zero_state(areas)
-    for _ in range(6000):  # 600 s, past the ramp-limited approach
-        state = grid_step(
-            state, (0.0, 0.0), (0.0, 0.0), [(5.0, 5.0)] * 10, areas
-        )
-    expected = -(5.0 + 40.0 * 0.01) / (1.0 + 60.0 + 40.0)
+    # a 5 MW step in area 1, no AGC: the tie line holds both areas at one
+    # df, and the system balances 0 = -2*(D + sum(1/R))*df + frr(df) - 5
+    # with governors at full droop. With frr = -slope*(df + deadband) below
+    # the deadband this gives
+    # df = -(5 + slope*deadband) / (2*(D + sum(1/R)) + slope),
+    # and area 2 exports its governors' and damping's share over the tie.
+    # The ramp limit is raised so it never binds: at the shipped 0.009 MW/s
+    # the two areas' turbines swing in a limit cycle about this point.
+    grid = GridConfig(k_i=0.0, ramp_limit=1.0)
+    state = zero_state(3)
+    for _ in range(6000):  # 600 s, past the tie line's settling
+        state = grid_step(state, 0.0, (0.0, 0.0), [5.0] * 10, grid, DT)
+    expected = -(5.0 + 40.0 * 0.002) / (2 * (1.0 + 60.0) + 40.0)
     assert state.df[0] == pytest.approx(expected, abs=1e-4)
     assert state.df[1] == pytest.approx(expected, abs=1e-4)
-    assert abs(state.p_tie) < 1e-6
+    assert state.p_tie == pytest.approx(61.0 * expected, abs=1e-3)
 
 
 def test_small_signal_linearity():
     # small enough that limiters and the deadband never engage
-    areas = default_areas()
-
     def run(scale):
-        state = zero_state(areas)
+        state = zero_state(3)
         out = []
         for _ in range(2000):
-            state = grid_step(
-                state, (0.0, 0.0), (0.0, 0.0), [(0.002 * scale, 0.0)], areas,
-            )
+            state = grid_step(state, 0.0, (0.0, 0.0), [0.002 * scale], GRID,
+                              DT)
             out.append(state.df)
         return np.array(out)
 
@@ -139,130 +134,118 @@ def test_small_signal_linearity():
 
 
 def test_tie_line_couples_areas():
-    areas = default_areas()
-    state = zero_state(areas)
+    state = zero_state(3)
     for _ in range(100):
-        state = grid_step(
-            state, (0.0, 0.0), (0.0, 0.0), [(5.0, 0.0)] * 10, areas
-        )
+        state = grid_step(state, 0.0, (0.0, 0.0), [5.0] * 10, GRID, DT)
     # area-2 frequency is dragged down through the tie line
     assert state.df[1] < -1e-4
     assert state.p_tie < -1e-3  # power flows from area 2 into area 1
 
 
 def test_swing_equation_bookkeeping():
-    areas = default_areas()
-    state = zero_state(areas)
+    state = zero_state(3)
     rng = np.random.default_rng(2)
-    dt = 0.01
     for _ in range(500):
-        dist = (rng.uniform(0, 5), 0.0)
-        bess = (rng.uniform(-1, 1), 0.0)
+        dist = rng.uniform(0, 5)
+        bess = rng.uniform(-1, 1)
         agc = (rng.uniform(-2, 2), 0.0)
-        nxt = grid_step(state, bess, agc, [dist], areas, dt)
-        for a, area in enumerate(areas):
-            frr = area.frr.response(state.df[a]) if area.frr else 0.0
+        nxt = grid_step(state, bess, agc, [dist], GRID, DT)
+        # area 1 takes the injection, the load and the droop; area 2 only
+        # the tie flow
+        injected = (bess + responsive_load(state.df[0], GRID) - dist, 0.0)
+        for a in range(2):
             accel = (
-                sum(state.p_m[a]) + bess[a] + frr - dist[a]
-                - area.damping * state.df[a]
+                sum(state.p_m[a]) + injected[a] - GRID.damping * state.df[a]
                 + (-1.0, 1.0)[a] * state.p_tie
             )
-            residual = (nxt.df[a] - state.df[a]) / dt - accel / area.inertia
+            residual = (nxt.df[a] - state.df[a]) / DT - accel / GRID.inertia
             assert abs(residual) < 1e-12
         state = nxt
 
 
 def test_instability_is_named():
-    areas = default_areas()
-    state = replace(zero_state(areas), df=(NAN, 0.0))
+    state = replace(zero_state(3), df=(NAN, 0.0))
     with pytest.raises(GridInstabilityError) as err:
-        grid_step(state, (0.0, 0.0), (0.0, 0.0), [(0.0, 0.0)] * 10, areas)
+        grid_step(state, 0.0, (0.0, 0.0), [0.0] * 10, GRID, DT)
     assert "df" in str(err.value)
 
 
 def test_finite_divergence_is_named():
     # a 1e6 MW step drives df far past any grid's range, yet finite
-    areas = default_areas()
     with pytest.raises(GridInstabilityError) as err:
-        grid_step(zero_state(areas), (0.0, 0.0), (0.0, 0.0),
-                  [(1e6, 0.0)] * 10, areas)
+        grid_step(zero_state(3), 0.0, (0.0, 0.0), [1e6] * 10, GRID, DT)
     assert err.value.name == "df"
     assert -INF < err.value.value <= -DF_LIMIT
     assert str(err.value).startswith(f"df reached {err.value.value:.6g} Hz")
     # either area, either sign, still past the bound when the interval
     # ends (area 1's droop load pulls df back); inside it the interval runs
     for df in ((2 * DF_LIMIT, 0.0), (0.0, -DF_LIMIT - 1)):
-        state = replace(zero_state(areas), df=df)
+        state = replace(zero_state(3), df=df)
         with pytest.raises(GridInstabilityError) as err:
-            grid_step(state, (0.0, 0.0), (0.0, 0.0), [(0.0, 0.0)], areas)
+            grid_step(state, 0.0, (0.0, 0.0), [0.0], GRID, DT)
         assert abs(err.value.value) >= DF_LIMIT
-    state = replace(zero_state(areas), df=(0.9 * DF_LIMIT, -0.9 * DF_LIMIT))
-    nxt = grid_step(state, (0.0, 0.0), (0.0, 0.0), [(0.0, 0.0)], areas)
+    state = replace(zero_state(3), df=(0.9 * DF_LIMIT, -0.9 * DF_LIMIT))
+    nxt = grid_step(state, 0.0, (0.0, 0.0), [0.0], GRID, DT)
     assert max(map(abs, nxt.df)) < DF_LIMIT
 
 
-def random_areas(rng):
-    """Two areas of one to four generators with limits that engage."""
-
-    def area(frr):
-        n = int(rng.integers(1, 5))
-        return AreaParams(
-            inertia=rng.uniform(5.0, 20.0), damping=rng.uniform(0.5, 2.0),
-            inv_droops=tuple(rng.uniform(5.0, 25.0, n).tolist()),
-            t_gov=rng.uniform(0.1, 0.4), t_turb=rng.uniform(0.3, 1.0),
-            ramp_limit=10.0 ** rng.uniform(-2.5, 1.0),
-            saturation=rng.uniform(0.3, 1.5), k_i=rng.uniform(0.0, 0.5),
-            t_sync=rng.uniform(2.0, 20.0), frr=frr,
-        )
-
-    def droop():
-        return SectionalDroop(rng.uniform(0.002, 0.02),
-                              rng.uniform(10.0, 60.0))
-
-    return area(droop()), area(droop() if rng.random() < 0.5 else None)
+def random_grid(rng):
+    """A plant section with every leaf drawn: one to four generators,
+    limits that engage, and both areas regulating."""
+    n = int(rng.integers(1, 5))
+    return GridConfig(
+        inertia=rng.uniform(5.0, 20.0), damping=rng.uniform(0.5, 2.0),
+        inv_droops=tuple(rng.uniform(5.0, 25.0, n).tolist()),
+        t_gov=rng.uniform(0.1, 0.4), t_turb=rng.uniform(0.3, 1.0),
+        ramp_limit=10.0 ** rng.uniform(-2.5, 1.0),
+        saturation=rng.uniform(0.3, 1.5), k_i=rng.uniform(0.0, 0.5),
+        k_i_area2=rng.uniform(0.01, 0.5), t_sync=rng.uniform(2.0, 20.0),
+        frr_deadband=rng.uniform(0.002, 0.02),
+        frr_slope=rng.uniform(10.0, 60.0),
+    )
 
 
-def random_state(rng, areas):
+def random_state(rng, grid):
+    n = len(grid.inv_droops)
+
     def rows(scale):
-        return tuple(
-            tuple((rng.uniform(-1.0, 1.0, a.n_cg) * scale(a)).tolist())
-            for a in areas
-        )
+        return tuple(tuple((rng.uniform(-1.0, 1.0, n) * scale).tolist())
+                     for _ in range(2))
 
     return GridState(
         df=tuple(rng.uniform(-0.05, 0.05, 2).tolist()),
-        du_gov=rows(lambda a: a.saturation), gov=rows(lambda a: 3.0),
-        p_m=rows(lambda a: a.saturation), p_tie=rng.uniform(-1.0, 1.0),
+        du_gov=rows(grid.saturation), gov=rows(3.0),
+        p_m=rows(grid.saturation), p_tie=rng.uniform(-1.0, 1.0),
         p_fr=(0.0, 0.0),
     )
 
 
-def engaged(state: ref.RefState, areas, agc_errors, dt) -> set:
+def engaged(state: ref.RefState, grid, agc_errors, dt) -> set:
     """The nonlinearities and couplings the next reference step exercises."""
     out = set()
     if state.p_tie != 0.0 and state.df[0] != state.df[1]:
         out.add("tie line")
-    for a, area in enumerate(areas):
-        k = area.n_cg
-        delta = -dt * area.k_i * np.full(k, 1.0 / k) * agc_errors[a]
-        step = area.ramp_limit * dt
+    k = len(grid.inv_droops)
+    step = grid.ramp_limit * dt
+    for a, k_i in enumerate((grid.k_i, grid.k_i_area2)):
+        delta = -dt * k_i * np.full(k, 1.0 / k) * agc_errors[a]
         if (np.abs(delta) > step).any():
             out.add("command slew")
-        command = state.du_gov[a, :k] + np.clip(delta, -step, step)
-        rate = (state.gov[a, :k] - state.p_m[a, :k]) / area.t_turb
-        if (np.abs(rate) > area.ramp_limit).any():
+        command = state.du_gov[a] + np.clip(delta, -step, step)
+        rate = (state.gov[a] - state.p_m[a]) / grid.t_turb
+        if (np.abs(rate) > grid.ramp_limit).any():
             out.add("ramp limit")
-        output = state.p_m[a, :k] + dt * np.clip(
-            rate, -area.ramp_limit, area.ramp_limit
+        output = state.p_m[a] + dt * np.clip(
+            rate, -grid.ramp_limit, grid.ramp_limit
         )
-        if (np.abs(command) > area.saturation).any():
+        if (np.abs(command) > grid.saturation).any():
             out.add("command saturation")
-        if (np.abs(output) > area.saturation).any():
+        if (np.abs(output) > grid.saturation).any():
             out.add("output saturation")
-        if area.frr is not None:
-            df, band = state.df[a], area.frr.deadband
-            out.add("droop below" if df < -band else "droop above"
-                    if df > band else "inside deadband")
+    # only area 1 carries the droop
+    df, band = state.df[0], grid.frr_deadband
+    out.add("droop below" if df < -band else "droop above"
+            if df > band else "inside deadband")
     return out
 
 
@@ -270,22 +253,21 @@ def test_kernel_matches_per_step_reference():
     rng = np.random.default_rng(11)
     seen = {}
     for _ in range(40):
-        areas = random_areas(rng)
+        grid = random_grid(rng)
         dt = float(rng.choice([0.005, 0.01, 0.02]))
-        state = random_state(rng, areas)
+        state = random_state(rng, grid)
         for _ in range(15):
             steps = int(rng.integers(1, 13))
-            p_bess = tuple(rng.uniform(-2.0, 2.0, 2).tolist())
+            p_bess = rng.uniform(-2.0, 2.0)
             agc = tuple(rng.uniform(-5.0, 5.0, 2).tolist())
-            dists = [tuple(row) for row in rng.uniform(-8, 8, (steps, 2))
-                     .tolist()]
+            loads = rng.uniform(-8, 8, steps).tolist()
             expect = ref.RefState.from_state(state)
-            for row in dists:
-                for name in engaged(expect, areas, agc, dt):
+            for load in loads:
+                for name in engaged(expect, grid, agc, dt):
                     seen[name] = seen.get(name, 0) + 1
-                expect = ref.grid_step(expect, p_bess, agc, row, areas, dt)
-            state = grid_step(state, p_bess, agc, dists, areas, dt)
-            expect = expect.to_state(areas)
+                expect = ref.grid_step(expect, p_bess, agc, load, grid, dt)
+            state = grid_step(state, p_bess, agc, loads, grid, dt)
+            expect = expect.to_state()
             for f in fields(GridState):
                 assert getattr(state, f.name) == getattr(expect, f.name), f
     assert sorted(seen) == sorted([
@@ -302,11 +284,10 @@ def test_kernel_matches_per_step_reference():
     ("df", 0, NAN), ("df", 0, INF), ("df", 1, -INF),
 ])
 def test_non_finite_values_raise_at_interval_end(steps, field, where, bad):
-    areas = default_areas()
-    state = zero_state(areas)
+    grid = GridConfig(k_i_area2=0.1)  # area 2's error reaches its commands
+    state = zero_state(3)
     for _ in range(5):  # leave the rest state
-        state = grid_step(state, (0.3, 0.0), (-1.0, 0.2), [(5.0, 0.0)] * 10,
-                          areas)
+        state = grid_step(state, 0.3, (-1.0, 0.2), [5.0] * 10, grid, DT)
     agc = [-1.0, 0.2]
     if field == "agc":
         agc[where] = bad
@@ -318,15 +299,15 @@ def test_non_finite_values_raise_at_interval_end(steps, field, where, bad):
         df = list(state.df)
         df[where] = bad
         state = replace(state, df=tuple(df))
-    dists = [(5.0, 0.0)] * steps
+    loads = [5.0] * steps
     # the per-step reference stops somewhere inside the interval ...
     with pytest.raises(GridInstabilityError), np.errstate(invalid="ignore"):
         expect = ref.RefState.from_state(state)
-        for row in dists:
-            expect = ref.grid_step(expect, (0.3, 0.0), agc, row, areas)
+        for load in loads:
+            expect = ref.grid_step(expect, 0.3, agc, load, grid, DT)
     # ... and the kernel at its end
     with pytest.raises(GridInstabilityError) as err:
-        grid_step(state, (0.3, 0.0), agc, dists, areas)
+        grid_step(state, 0.3, agc, loads, grid, DT)
     assert err.value.name in ("df", "du_gov", "gov", "p_m", "p_fr", "p_tie")
 
 
@@ -337,15 +318,18 @@ def test_step_load_scenario():
 
 
 def test_fluctuation_scenario_deterministic_and_bounded():
-    vals = [scenario_fluctuation(t, seed=42) for t in (0, 30, 60, 125, 500)]
-    again = [scenario_fluctuation(t, seed=42) for t in (0, 30, 60, 125, 500)]
+    def draw(t, seed):  # the shipped profile: 60 s holds within +-6 MW
+        return scenario_fluctuation(t, seed, 60.0, -6.0, 6.0)
+
+    vals = [draw(t, 42) for t in (0, 30, 60, 125, 500)]
+    again = [draw(t, 42) for t in (0, 30, 60, 125, 500)]
     assert vals == again
     assert all(-6.0 <= v <= 6.0 for v in vals)
     # same hold window, same value; new window redraws
-    assert scenario_fluctuation(0.0, 7) == scenario_fluctuation(59.9, 7)
-    windows = {scenario_fluctuation(60.0 * k, 7) for k in range(8)}
+    assert draw(0.0, 7) == draw(59.9, 7)
+    windows = {draw(60.0 * k, 7) for k in range(8)}
     assert len(windows) > 1
-    assert frr_response(-0.05, SectionalDroop()) == pytest.approx(1.6)
+    assert frr_response(-0.05, GRID) == pytest.approx(1.92)
 
 
 def test_fluctuation_draw_is_numpys_stream():

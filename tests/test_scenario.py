@@ -122,7 +122,7 @@ def test_ace_mode_matches_logged_measurements():
     rn = ScenarioRunner(cfg)
     r = rn.run(write_trace=False)
     assert rn.surrogate is None
-    bias = rn.areas[0].bias
+    bias = cfg.grid.bias
     expect = np.array(
         [compute_ace(pt, bias, f) for pt, f in zip(r.p_tie, r.df[:, 0])]
     )
@@ -189,9 +189,9 @@ def test_every_plant_step_sees_the_profile_at_its_time(kind, monkeypatch):
     grid_calls, draws = [], []
     real_grid, real_draw = scenario.grid_step, scenario.scenario_fluctuation
 
-    def spy_grid(state, p_bess, agc_errors, disturbances, areas, dt):
-        grid_calls.append(list(disturbances))
-        return real_grid(state, p_bess, agc_errors, disturbances, areas, dt)
+    def spy_grid(state, p_bess, agc_errors, loads, grid, dt):
+        grid_calls.append(list(loads))
+        return real_grid(state, p_bess, agc_errors, loads, grid, dt)
 
     def spy_draw(t, *args):
         draws.append(t)
@@ -210,11 +210,12 @@ def test_every_plant_step_sees_the_profile_at_its_time(kind, monkeypatch):
 
     assert len(grid_calls) == cfg.intervals == len(r.dist)
     mixed = 0
-    for k, rows in enumerate(grid_calls):
+    for k, loads in enumerate(grid_calls):
         t0 = k * cfg.tau
-        assert rows == [(direct(t0 + j * cfg.dt_inner), 0.0)
-                        for j in range(cfg.inner_steps)]
-        mixed += len({row[0] for row in rows}) > 1
+        assert loads == [direct(t0 + j * cfg.dt_inner)
+                         for j in range(cfg.inner_steps)]
+        assert all(type(load) is float for load in loads)
+        mixed += len(set(loads)) > 1
         assert r.dist[k] == direct(t0 + cfg.tau)
     # the step, or each of the 22 odd quarter seconds, falls mid-interval
     assert mixed == (1 if kind == "step" else 22)
