@@ -9,10 +9,10 @@ onto the mode's box.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import degradation
-from .degradation import AgingParams, ResidueStack
+from .degradation import AGING, ResidueStack
 
 SOC_TOL = 1e-9
 
@@ -77,12 +77,13 @@ def feasible_interval(soc: float, mode: int, params, tau):
 @dataclass
 class Battery:
     """One battery: SoC, permitted direction, and rainflow bookkeeping;
-    `params` is the fleet config section, whose limits all batteries share."""
+    `params` is the fleet config section, whose limits all batteries share,
+    and `aging` the wear law, which they share too."""
 
+    aging = AGING  # not a field: every battery shares it
     params: object
     soc: float
     mode: int = 1  # 1 discharge, 0 charge
-    aging: AgingParams = field(default_factory=AgingParams)
     residues: ResidueStack = ()
     lifetime_loss: float = 0.0
 
@@ -96,7 +97,7 @@ class Battery:
         events, self.residues = degradation.rainflow_step(
             self.soc, self.residues
         )
-        self.lifetime_loss += degradation.total_loss(events, self.aging)
+        self.lifetime_loss += degradation.total_loss(events)
         return events
 
 
@@ -109,10 +110,10 @@ class Fleet:
         self.tau = tau
         # each battery's cost constants, fixed for the run: the batteries
         # differ only in their wear weights
-        theta = zip(cfg.per_battery(cfg.theta_a), cfg.per_battery(cfg.theta_b))
         self.cost_terms = [degradation.cost_terms(
-            b.aging, cfg.capacity, cfg.eta_c, cfg.eta_d, theta_a, theta_b, tau,
-        ) for b, (theta_a, theta_b) in zip(self.batteries, theta)]
+            cfg.capacity, cfg.eta_c, cfg.eta_d, theta_a, theta_b, tau,
+        ) for theta_a, theta_b in zip(cfg.per_battery(cfg.theta_a),
+                                      cfg.per_battery(cfg.theta_b))]
 
     @property
     def soc(self) -> list:

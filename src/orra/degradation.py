@@ -11,26 +11,11 @@ frozen, which makes the cost convex in the power decision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 HOURS_PER_SECOND = 1.0 / 3600.0
-
-
-@dataclass(frozen=True)
-class AgingParams:
-    """Power-law depth-to-loss coefficients (typical Li-ion fit)."""
-
-    a: float = 5.24e-4
-    b: float = 2.03
-
-    def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise ValueError("aging coefficient a must be positive")
-        if self.b < 1:
-            raise ValueError("aging exponent b must be >= 1 for convexity")
 
 
 class CycleEvent(NamedTuple):
@@ -134,21 +119,26 @@ class CostTerms(NamedTuple):
     b: float
 
 
-def cost_terms(
-    aging: AgingParams,
-    capacity,
-    eta_c,
-    eta_d,
-    theta_a,
-    theta_b,
-    tau,
-) -> CostTerms:
+class Aging(NamedTuple):
+    """Power-law depth-to-loss coefficients: a cycle of depth m and count
+    weight n_cyc costs (n_cyc/2) * a * m**b of the battery's life."""
+
+    a: float
+    b: float
+
+
+# a typical Li-ion fit, shared by every battery; b >= 1 keeps the interval
+# cost convex
+AGING = Aging(5.24e-4, 2.03)
+
+
+def cost_terms(capacity, eta_c, eta_d, theta_a, theta_b, tau) -> CostTerms:
     """The interval-cost constants of one battery for tau-second intervals."""
     tau_h = tau * HOURS_PER_SECOND
     g_discharge = tau_h / (eta_d * capacity)
     g_charge = eta_c * tau_h / capacity
-    big_theta = theta_a * (3600.0 / tau) * (aging.a / 4.0)
-    return CostTerms(g_discharge, g_charge, theta_b, big_theta, aging.b)
+    big_theta = theta_a * (3600.0 / tau) * (AGING.a / 4.0)
+    return CostTerms(g_discharge, g_charge, theta_b, big_theta, AGING.b)
 
 
 def interval_cost(residues: ResidueStack, terms: CostTerms) -> IntervalCost:
@@ -165,10 +155,10 @@ def interval_cost(residues: ResidueStack, terms: CostTerms) -> IntervalCost:
     return IntervalCost(mu0, g_d, g_c, theta_b, big_theta, b)
 
 
-def total_loss(events, params: AgingParams) -> float:
+def total_loss(events) -> float:
     """Summed lifetime loss of a collection of cycle events."""
     if not events:
         return 0.0
     depths = np.array([e.depth for e in events])
     counts = np.array([e.n_cyc for e in events])
-    return float(((counts / 2.0) * params.a * depths**params.b).sum())
+    return float(((counts / 2.0) * AGING.a * depths**AGING.b).sum())

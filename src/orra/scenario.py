@@ -27,7 +27,7 @@ import numpy as np
 
 from .aie import RbfSurrogate, aie_shares, compute_ace
 from .bess import Fleet, check_soc_box
-from .comm_graph import Topology, build_metropolis_weights, default_topology
+from .comm_graph import default_edges, metropolis_weights
 from .grid import grid_step, responsive_load, scenario_fluctuation, zero_state
 from .optimizer import OrraOptimizer
 from .oracle import centralized_solve
@@ -145,10 +145,10 @@ class FleetConfig:
         return len(self.initial_soc)
 
     def per_battery(self, value) -> tuple:
+        """One float per battery from a number or, checked at load to
+        match the fleet size, a list."""
         if isinstance(value, (int, float)):
             return (float(value),) * self.n
-        if len(value) != self.n:
-            raise ConfigError("per-battery list length must match fleet size")
         return tuple(float(v) for v in value)
 
 
@@ -242,6 +242,14 @@ class ScenarioConfig:
             raise ConfigError(
                 f"dt_inner {self.dt_inner} does not divide tau {self.tau}"
             )
+        # the hold window of time t is t // fluct_hold, for t up to the
+        # duration and a rounding past it; half a float's range leaves room
+        if not self.duration / self.fluct_hold <= sys.float_info.max / 2:
+            raise ConfigError(
+                f"fluct_hold {self.fluct_hold} splits duration "
+                f"{self.duration} into more hold windows than a float can "
+                "count"
+            )
         if self.intervals < 1:
             raise ConfigError(f"duration {self.duration} is under one "
                               f"control interval, tau {self.tau}")
@@ -258,15 +266,27 @@ class ScenarioConfig:
                 f"need fluct_low {self.fluct_low} <= fluct_high "
                 f"{self.fluct_high}, with a span a float can hold"
             )
+        if not abs(self.aie.d_prime) <= sys.float_info.max:
+            raise ConfigError(
+                f"aie.area_load {self.aie.area_load} times "
+                f"aie.d_prime_fraction {self.aie.d_prime_fraction}, the "
+                "damping estimate d_prime, is past a float's range"
+            )
         f = self.fleet
+        for name in ("theta_a", "theta_b"):
+            value = getattr(f, name)
+            if isinstance(value, (list, tuple)) and len(value) != f.n:
+                raise ConfigError(
+                    f"fleet.{name} lists {len(value)} per-battery values "
+                    f"for a fleet of {f.n}"
+                )
         for s in f.initial_soc:
             if not f.soc_min <= s <= f.soc_max:
                 raise ConfigError(f"fleet.initial_soc {s} outside [soc_min, "
                                   f"soc_max] = [{f.soc_min}, {f.soc_max}]")
-        # cross-field checks of the fleet, surrogate, graph and schedule
+        # cross-field checks of the SoC box, surrogate, graph and schedule
         try:
             check_soc_box(f.soc_min, f.soc_max)
-            Fleet(f, self.tau)
             RbfSurrogate(self.aie)
             self.coordinator()
         except ValueError as err:
@@ -282,16 +302,13 @@ class ScenarioConfig:
         """Control intervals in the run, one trace row each."""
         return int(round(self.duration / self.tau))
 
-    def topology(self) -> Topology:
-        n = self.fleet.n
-        if self.topology_edges is None:
-            return default_topology(n)
-        return Topology(n, tuple(tuple(e) for e in self.topology_edges))
-
     def coordinator(self) -> OrraOptimizer:
         """A fresh distributed optimizer over the configured graph."""
-        return OrraOptimizer(build_metropolis_weights(self.topology()),
-                             self.optimizer)
+        n, edges = self.fleet.n, self.topology_edges
+        return OrraOptimizer(
+            metropolis_weights(n, default_edges(n) if edges is None else edges),
+            self.optimizer,
+        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -496,8 +513,9 @@ class RunResult:
 
     @property
     def stages(self) -> list:
-        """(stage_id, start_row, end_row_exclusive) over the optimizer log."""
-        if not self.infos:
+        """(stage_id, start_row, end_row_exclusive) of the optimizer's
+        stages; none when the fleet sits out."""
+        if not self.config.bess_enabled:
             return []
         ids = self.stage
         starts = [0] + (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()

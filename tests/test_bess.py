@@ -12,7 +12,7 @@ from orra.bess import (
     mode_select,
     soc_step,
 )
-from orra.degradation import AgingParams, cost_terms, interval_cost
+from orra.degradation import AGING, cost_terms, interval_cost
 from orra.optimizer import primal_step
 from orra.scenario import FleetConfig
 
@@ -192,7 +192,8 @@ def test_fleet_wiring():
             fleet.batteries, modes, boxes, models, (500.0, 1000.0, 0.0)):
         assert tuple(box) == feasible_interval(b.soc, mode, p, 0.1)
         assert model == interval_cost(b.residues, cost_terms(
-            AgingParams(), 2.0, 0.95, 0.95, theta_a, 0.1, 0.1))
+            2.0, 0.95, 0.95, theta_a, 0.1, 0.1))
+        assert b.aging is AGING
     u = [project(ui, box, mode) for ui, box, mode
          in zip([(0.5, 0.2), (0.5, 0.4), (-0.2, 0.1)], boxes, modes)]
     d, c = np.array(u).T

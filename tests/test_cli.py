@@ -171,11 +171,24 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
           "fluct_high": 1e308}, ("fluct_low", "fluct_high")),
         ({"aie": {"rbf_d_min": 10**300}}, kernel),  # no overlap at d_min
         ({"aie": {"rbf_xi": 1e300}}, kernel),
+        # a hold so short that t // fluct_hold is infinite, of either kind
+        ({"kind": "fluctuation", "fluct_hold": 5e-324, "duration": 1.0},
+         ("fluct_hold", "duration")),
+        ({"fluct_hold": 1e-310, "duration": 1.0}, ("fluct_hold", "duration")),
+        # a damping estimate d_prime = area_load * d_prime_fraction = inf
+        ({"aie": {"area_load": 1e308, "d_prime_fraction": 10}},
+         ("aie.area_load", "aie.d_prime_fraction")),
     ):
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == 2, data
         err = capsys.readouterr().err
         assert all(leaf in err for leaf in pair), (data, err)
+    # the longest hold a float holds still runs, in one window
+    long_hold = tmp_path / "hold.json"
+    long_hold.write_text(json.dumps({"kind": "fluctuation", "duration": 1.0,
+                                     "fluct_hold": 1e308}))
+    assert main(["run", str(long_hold), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
 
     # relations between the fields of one section: the SoC box, the
     # stepsize decay window, and the per-battery weight lists
@@ -185,7 +198,10 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
          "soc_min < soc_max"),
         ({"optimizer": {"alpha": 0.8, "beta": 0.7}}, "alpha <= beta"),
         ({"optimizer": {"alpha": 0.3}}, "2*beta - 3*alpha"),
-        ({"fleet": {"theta_b": [0.1, 0.1]}}, "per-battery"),
+        ({"fleet": {"theta_b": [0.1, 0.1]}},
+         "fleet.theta_b lists 2 per-battery values for a fleet of 5"),
+        ({"fleet": {"theta_a": [1.0] * 4, "initial_soc": [0.5] * 3}},
+         "fleet.theta_a lists 4 per-battery values for a fleet of 3"),
     ):
         bad.write_text(json.dumps(data))
         assert main(["validate", str(bad)]) == 2, data

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from orra.degradation import (
-    AgingParams,
+    AGING,
     CycleEvent,
     cost_terms,
     interval_cost,
@@ -131,28 +131,26 @@ def test_open_half_direction():
 
 
 def test_lifetime_loss_values():
-    params = AgingParams(1.0, 2.0)
-    assert total_loss([CycleEvent(0.0, 1.0)], params) == 0.0
-    assert total_loss([CycleEvent(0.5, 1.0)], params) == pytest.approx(0.125)
-    assert total_loss([CycleEvent(1.0, 0.5)], params) == pytest.approx(0.25)
+    # a full cycle of depth m costs a/2 * m**b, a half cycle a/4 * m**b
+    assert total_loss([CycleEvent(0.0, 1.0)]) == 0.0
+    assert total_loss([CycleEvent(0.5, 1.0)]) == pytest.approx(
+        5.24e-4 / 2 * 0.5**2.03)
+    assert total_loss([CycleEvent(1.0, 0.5)]) == pytest.approx(5.24e-4 / 4)
 
 
 def test_lifetime_loss_monotone_in_depth():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        a = float(rng.uniform(1e-5, 1e-2))
-        b = float(rng.uniform(1.0, 3.0))
-        params = AgingParams(a, b)
         mus = np.sort(rng.uniform(0.01, 1.0, size=10))
-        losses = [total_loss([CycleEvent(m, 1.0)], params) for m in mus]
+        losses = [total_loss([CycleEvent(m, 1.0)]) for m in mus]
         assert all(l1 < l2 for l1, l2 in zip(losses, losses[1:]))
 
 
-def test_aging_params_validation():
-    with pytest.raises(ValueError):
-        AgingParams(a=0.0)
-    with pytest.raises(ValueError):
-        AgingParams(b=0.5)
+def test_aging_law_keeps_the_interval_cost_convex():
+    # the frozen-residue cost is convex only for a positive coefficient
+    # and an exponent of at least 1
+    assert AGING == (5.24e-4, 2.03)
+    assert AGING.a > 0 and AGING.b >= 1
 
 
 def usage_cost(d, c, loss, theta_a, theta_b, tau) -> float:
@@ -163,13 +161,13 @@ def usage_cost(d, c, loss, theta_a, theta_b, tau) -> float:
 def test_usage_cost_values():
     # the interval model prices the open half cycle's loss, a/4 * mu**b,
     # amortized over the interval, plus the power wear
-    aging = AgingParams(1e-3, 2.0)
     model = interval_cost(stream([0.5, 0.4])[1],
-                          cost_terms(aging, 2.0, 0.95, 0.95, 10.0, 0.1, 0.1))
+                          cost_terms(2.0, 0.95, 0.95, 10.0, 0.1, 0.1))
     assert model.value(0.0, 0.0) == pytest.approx(
-        usage_cost(0, 0, aging.a / 4 * 0.1**2, 10.0, 0.1, 0.1)
+        usage_cost(0, 0, AGING.a / 4 * 0.1**AGING.b, 10.0, 0.1, 0.1)
     )
-    assert model.value(0.0, 0.0) == pytest.approx(0.9)
+    # 10 $/h * 36000 intervals/h * 1.31e-4 * 0.1**2.03
+    assert model.value(0.0, 0.0) == pytest.approx(0.44012, rel=1e-4)
     # charging heals the downward half: only the wear term grows
     assert model.value(0.0, 2.0) - model.value(0.0, 0.0) == pytest.approx(0.4)
 
@@ -181,7 +179,6 @@ def make_model(rng, direction=None):
     elif direction == 1:
         _, stack = stream([0.5, 0.5 + rng.uniform(0.05, 0.3)])
     return interval_cost(stack, cost_terms(
-        AgingParams(float(rng.uniform(1e-4, 1e-3)), float(rng.uniform(1.5, 2.5))),
         capacity=float(rng.uniform(1.0, 4.0)),
         eta_c=0.95,
         eta_d=0.95,
@@ -207,7 +204,7 @@ def test_interval_cost_convexity_probe():
 def test_gradient_trivial_at_origin_with_no_open_half():
     model = interval_cost(
         stream([0.5])[1],
-        cost_terms(AgingParams(), 2.0, 0.95, 0.95, 1000.0, 0.1, 0.1),
+        cost_terms(2.0, 0.95, 0.95, 1000.0, 0.1, 0.1),
     )
     assert model.gradient(0.0, 0.0) == (0.0, 0.0)
 
@@ -216,7 +213,7 @@ def test_gradient_quadratic_part():
     # aging inactive: zero depth and zero deepening slope via a huge capacity
     model = interval_cost(
         stream([0.5])[1],
-        cost_terms(AgingParams(), 1e12, 0.95, 0.95, 0.0, 0.1, 0.1),
+        cost_terms(1e12, 0.95, 0.95, 0.0, 0.1, 0.1),
     )
     gd, gc = model.gradient(1.0, 0.0)
     assert gd == pytest.approx(0.2)
@@ -234,12 +231,11 @@ def test_gradient_matches_finite_differences_of_composed_cost():
         eta_c = eta_d = 0.95
         theta_a = float(rng.uniform(100, 2000))
         theta_b = float(rng.uniform(0.01, 0.5))
-        aging = AgingParams(float(rng.uniform(1e-4, 1e-3)), 2.0)
         down = bool(rng.integers(0, 2))
         x1 = 0.5 - 0.2 if down else 0.5 + 0.2
         _, stack = stream([0.5, x1])
         model = interval_cost(stack, cost_terms(
-            aging, e_cap, eta_c, eta_d, theta_a, theta_b, tau
+            e_cap, eta_c, eta_d, theta_a, theta_b, tau
         ))
 
         def composed(d, c):
@@ -247,7 +243,7 @@ def test_gradient_matches_finite_differences_of_composed_cost():
             x2 -= (tau / 3600) / (eta_d * e_cap) * d
             _, s2 = rainflow_step(x2, stack)
             mu, _ = open_half(s2)
-            loss = (0.5 / 2.0) * aging.a * mu**aging.b
+            loss = (0.5 / 2.0) * AGING.a * mu**AGING.b
             return usage_cost(d, c, loss, theta_a, theta_b, tau)
 
         u = float(rng.uniform(0.5, 2.0))
@@ -264,7 +260,7 @@ def test_gradient_matches_finite_differences_of_composed_cost():
 def test_healing_coordinate_has_zero_aging_slope():
     _, stack = stream([0.5, 0.3])  # open half is downward
     model = interval_cost(
-        stack, cost_terms(AgingParams(), 2.0, 0.95, 0.95, 1000.0, 0.0, 0.1)
+        stack, cost_terms(2.0, 0.95, 0.95, 1000.0, 0.0, 0.1)
     )
     assert model.g_c == 0.0
     # with no wear term the cost is flat along the charge coordinate
@@ -273,7 +269,7 @@ def test_healing_coordinate_has_zero_aging_slope():
 
 
 def test_total_loss_sums_events():
-    params = AgingParams(1.0, 2.0)
     events = [CycleEvent(0.5, 1.0), CycleEvent(1.0, 0.5)]
-    assert total_loss(events, params) == pytest.approx(0.125 + 0.25)
-    assert total_loss([], params) == 0.0
+    assert total_loss(events) == pytest.approx(
+        total_loss(events[:1]) + total_loss(events[1:]))
+    assert total_loss([]) == 0.0

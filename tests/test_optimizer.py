@@ -10,11 +10,7 @@ from optimizer_reference import (
     primal_update,
     tracking_update,
 )
-from orra.comm_graph import (
-    Topology,
-    build_metropolis_weights,
-    default_topology,
-)
+from orra.comm_graph import default_edges, metropolis_weights
 from orra.degradation import IntervalCost
 from orra.optimizer import (
     OrraOptimizer,
@@ -37,7 +33,7 @@ def quad_aging(theta_b, mu0=0.0, g_d=0.0, big_theta=0.0, b=2.0):
 
 
 def fleet_weights():
-    return build_metropolis_weights(default_topology())
+    return metropolis_weights(5, default_edges())
 
 
 def test_constraint_h_values():
@@ -151,7 +147,7 @@ def test_zero_aie_is_a_fixed_point():
 
 def test_identical_agents_stay_symmetric():
     # complete graph so the mixing cannot distinguish the two agents
-    w = build_metropolis_weights(Topology(2, ((0, 1),)))
+    w = metropolis_weights(2, ((0, 1),))
     opt = OrraOptimizer(w, GAINS)
     models = [quad_aging(0.2), quad_aging(0.2)]
     u = np.zeros((2, 2))
@@ -252,7 +248,7 @@ def random_instance(rng):
     for e in extra:
         if rng.random() < 0.4:
             edges.append(e)
-    w = build_metropolis_weights(Topology(n, tuple(edges)))
+    w = metropolis_weights(n, edges)
     modes = np.array([int(m) for m in rng.integers(0, 2, size=n)])
     models = []
     for m in modes:
@@ -361,7 +357,7 @@ def test_iterate_matches_vector_reference_bit_for_bit():
         edges = [(i, i + 1) for i in range(n - 1)]
         edges += [(i, j) for i in range(n) for j in range(i + 2, n)
                   if rng.random() < 0.3]
-        w = build_metropolis_weights(Topology(n, tuple(edges)))
+        w = metropolis_weights(n, edges)
         sched = OptimizerConfig(t_max=int(rng.integers(1, 12)),
                                 gamma=float(rng.uniform(0.5, 20.0)))
         opt = OrraOptimizer(w, sched)
