@@ -59,13 +59,13 @@ def build_gram(sample_df, xi):
         return gaussian_basis(diff, xi)
 
 
-def fit_weights(gram, S, cond_limit=COND_LIMIT):
+def fit_weights(gram, S):
     """Solve the interpolation system; fails loudly when near-singular."""
     gram = np.asarray(gram, dtype=float)
     cond = np.linalg.cond(gram)
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise IllConditioningError(
-            f"gram condition number {cond:.3e} exceeds {cond_limit:.0e}; "
+            f"gram condition number {cond:.3e} exceeds {COND_LIMIT:.0e}; "
             "infill distance too small for this kernel width"
         )
     return np.linalg.solve(gram.T, np.asarray(S, dtype=float))

@@ -35,6 +35,7 @@ class CentralizedSolution:
 XTOL = 1e-12  # MW: per-agent root tolerance, and the margin of "free"
 TOL = 1e-6  # MW: the solve stops once the aggregate is within 0.1*TOL
 ITERS = 80  # most multiplier steps per solve
+CERT_TOL = 1e-6  # slack a certificate's left side may exceed its bound by
 
 
 def _cost_coefs(models, modes):
@@ -209,7 +210,6 @@ def lemma1_check(
     gamma,
     dist_costs,
     oracle_costs,
-    tol: float = 1e-6,
 ) -> BoundCheck:
     """Evaluate the six-term saddle-point regret bound over one window.
 
@@ -262,10 +262,10 @@ def lemma1_check(
 
     lhs = dynamic_regret(dist_costs, oracle_costs, T)
     rhs = t1 + t2 + t3 + t4 + t5 + t6
-    return BoundCheck(lhs, rhs, lhs <= rhs + tol, (t1, t2, t3, t4, t5, t6))
+    return BoundCheck(lhs, rhs, lhs <= rhs + CERT_TOL, (t1, t2, t3, t4, t5, t6))
 
 
-def lemma2_check(u, u_star, kappa, B_u, tol: float = 1e-6) -> BoundCheck:
+def lemma2_check(u, u_star, kappa, B_u) -> BoundCheck:
     """Check the telescoped primal-distance sum against its path bound."""
     u = np.asarray(u, dtype=float)
     u_star = np.asarray(u_star, dtype=float)
@@ -281,7 +281,7 @@ def lemma2_check(u, u_star, kappa, B_u, tol: float = 1e-6) -> BoundCheck:
     s_T = float(((du - du_next) / (2 * kappa[:-1])).sum())
     v_T = float((_stacked_norms(u_star[1:] - u_star[:-1]) / kappa[:-1]).sum())
     bound = 2 * n * B_u**2 / kappa[T - 1] + 2 * n * B_u * v_T
-    return BoundCheck(s_T, bound, s_T <= bound + tol, (v_T,))
+    return BoundCheck(s_T, bound, s_T <= bound + CERT_TOL, (v_T,))
 
 
 @dataclass

@@ -367,15 +367,13 @@ class TraceField(NamedTuple):
     `source` names the array; for the optimizer-log fields that is the
     key `OrraOptimizer.iterate` logs it under. `per` makes one column per
     area or generator, numbered from 1 (`df1`, `p_m_cg1`), or per agent,
-    numbered from 0 (`soc_0`). `dtype` is the array's element type once
-    the run finishes; the record holds int and bool fields as whole-number
-    floats until then, and the trace prints them as integers.
+    numbered from 0 (`soc_0`). Int and bool fields are held as
+    whole-number floats, which the trace prints as integers.
     """
 
     column: str
     source: str
     per: str = ""  # "" | "area" | "cg" | "agent"
-    dtype: type = float
 
 
 # The trace layout, in file order. The per-agent groups form one block that
@@ -389,9 +387,9 @@ TRACE_SPEC = (
     TraceField("p_m_total", "p_m_total"),
     TraceField("p_m_cg", "p_m_cg", per="cg"),
     TraceField("signal_total", "signal_total"),
-    TraceField("surrogate_m", "surrogate_m", dtype=int),
+    TraceField("surrogate_m", "surrogate_m"),
     TraceField("aie", "aie_shares", per="agent"),
-    TraceField("mode", "modes", per="agent", dtype=int),
+    TraceField("mode", "modes", per="agent"),
     TraceField("d", "d", per="agent"),
     TraceField("c", "c", per="agent"),
     TraceField("soc", "soc", per="agent"),
@@ -403,9 +401,9 @@ TRACE_SPEC = (
     TraceField("h", "h", per="agent"),
     TraceField("kappa", "kappa"),
     TraceField("eps", "eps"),
-    TraceField("reset", "reset", dtype=bool),
-    TraceField("stage", "stage", dtype=int),
-    TraceField("t_opt", "t", dtype=int),
+    TraceField("reset", "reset"),
+    TraceField("stage", "stage"),
+    TraceField("t_opt", "t"),
     TraceField("dual_bound", "bound"),
     TraceField("f_dist", "f_dist"),
 )
@@ -464,15 +462,15 @@ class RunResult:
     `table` (T, W) holds the whole record as floats, in anonymous shared
     memory, so a forked process can record the run. Its leading columns
     are the trace's, in `trace_columns` order; then come the untraced `s`,
-    the optimizer's saddle direction, and `interior`, dispatch strictly
-    inside its mode box, each agent by agent; then, when the reference is
-    solved, `f_oracle` and `u_star`, its solution. Each TRACE_SPEC field
-    is an array named by its source (`marginals` is the active-coordinate
-    cost slope at the applied u) that views its columns of the table, as
-    do `s` and `u_star`, shaped (T, n, 2). `finish`, called once every row
-    is written, replaces the int and bool fields (`surrogate_m`, `modes`,
-    `reset`, `stage`, `t`, `interior`) by typed arrays and sets `infos`,
-    the optimizer log as one dict per interval when the fleet takes part.
+    the optimizer's saddle direction, and `interior`, 1 where dispatch sits
+    strictly inside its mode box, each agent by agent; then, when the
+    reference is solved, `f_oracle` and `u_star`, its solution. Each
+    TRACE_SPEC field is an array named by its source (`marginals` is the
+    active-coordinate cost slope at the applied u) that views its columns
+    of the table, as do `s`, `interior`, `f_oracle` and `u_star`, the
+    int and bool fields among them as whole-number floats. `infos` reads
+    the optimizer log back from those views as one dict per interval when
+    the fleet takes part.
     """
 
     def __init__(self, config: ScenarioConfig, fleet: Fleet, surrogate,
@@ -499,17 +497,9 @@ class RunResult:
         reference = self.table[:, w + 3 * n:]
         self.f_oracle = reference[:, 0] if oracle else None
         self.u_star = reference[:, 1:].reshape(rows, n, 2) if oracle else None
+        self.infos = OptimizerLog(self)
         self.trace_path = None
         self.oracle_clamped = 0
-
-    def finish(self) -> None:
-        """Give the int and bool fields their types and read back the
-        optimizer log; call once, after the last row is written."""
-        for f in TRACE_SPEC:
-            if f.dtype is not float:
-                setattr(self, f.source, getattr(self, f.source).astype(f.dtype))
-        self.interior = self.interior.astype(bool)
-        self.infos = OptimizerLog(self)
 
     @property
     def stages(self) -> list:
@@ -680,7 +670,6 @@ class ScenarioRunner:
         rec = self.result
         for k in range(len(rec.time)):
             self.step(k)
-        rec.finish()
         if write_trace:
             rec.trace_path = write_trace_csv(rec, out)
         return rec
@@ -747,7 +736,7 @@ def verify_trace(
     expected, where = trace_columns(n, n_cg)
     record(
         "columns",
-        header == expected,
+        header == expected and n > 0,  # every config has a fleet
         f"{len(header)} columns, {n} agents, {n_cg} generators",
     )
     if not report["checks"]["columns"]["ok"] or not len(data):

@@ -23,7 +23,6 @@ from .scenario import (
     ScenarioConfig,
     ScenarioRunner,
     resolve_out_dir,
-    write_trace_csv,
 )
 
 # the four comparison arms: signal choice crossed with fleet participation
@@ -39,25 +38,28 @@ def arm_label(signal: str, bess_enabled: bool) -> str:
     return f"{signal.lower()}_{'bess' if bess_enabled else 'nobess'}"
 
 
-def settle_time(
-    t, df, threshold: float = 0.005, window: float = 10.0
-) -> float:
-    """First time |df| stays inside the band for `window` seconds.
+SETTLE_BAND = 0.005  # Hz, the |df| band a settled signal stays inside
+SETTLE_WINDOW = 10.0  # s it must stay there
+
+
+def settle_time(t, df) -> float:
+    """First time |df| stays inside the band for SETTLE_WINDOW seconds.
 
     The search starts at the first excursion beyond the band, so the quiet
-    stretch before a disturbance never counts as settling.  Returns 0.0
+    stretch before a disturbance never counts as settling.  The window
+    spans at least one sample, however long the interval.  Returns 0.0
     when the band is never left and inf when the signal never settles.
     """
     t = np.asarray(t, dtype=float)
     df = np.asarray(df, dtype=float)
     adf = np.abs(df)
-    above = np.nonzero(adf >= threshold)[0]
+    above = np.nonzero(adf >= SETTLE_BAND)[0]
     if len(above) == 0:
         return 0.0
     if len(t) < 2:
         return float("inf")
-    n = int(round(window / (t[1] - t[0])))
-    ok = adf < threshold
+    n = max(1, int(round(SETTLE_WINDOW / (t[1] - t[0]))))
+    ok = adf < SETTLE_BAND
     run = 0
     for i in range(above[0], len(ok)):
         run = run + 1 if ok[i] else 0
@@ -88,16 +90,14 @@ _pending: tuple = ()
 
 
 def _run_arm(k: int) -> tuple:
-    """Step arm k of the pending ablation to its end and write its trace.
+    """Run arm k of the pending ablation and write its trace.
 
     The rows land in the arm's shared table; what else the run changed
     comes back: (fleet, surrogate, trace path).
     """
     runners, out = _pending
     runner = runners[k]
-    for i in range(len(runner.result.time)):
-        runner.step(i)
-    return runner.fleet, runner.surrogate, write_trace_csv(runner.result, out)
+    return runner.fleet, runner.surrogate, runner.run(out).trace_path
 
 
 def _run_arms(runners: list, out: str) -> list:
@@ -152,7 +152,6 @@ def run_ablation(config: ScenarioConfig, out_dir: str | None = None):
     for (signal, bess), runner, end in zip(ARMS, runners, ends):
         result = runner.result
         result.fleet, result.surrogate, result.trace_path = end
-        result.finish()
         results[(signal, bess)] = result
         summaries.append(
             ArmSummary(

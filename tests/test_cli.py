@@ -13,7 +13,8 @@ import pytest
 import orra
 
 from orra.cli import build_parser, main
-from orra.scenario import ScenarioConfig, ScenarioRunner
+from orra.scenario import (TRACE_SCHEMA, ScenarioConfig, ScenarioRunner,
+                           trace_columns)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -329,6 +330,15 @@ def test_verify_cli(cfg_path, tmp_path, capsys):
     assert main(["verify", str(broken)]) == 3
     capsys.readouterr()
 
+    # a well-formed header with no agent columns, which no config writes
+    header, _ = trace_columns(0, 3)
+    broken.write_text(f"# schema: {TRACE_SCHEMA}\n" + ",".join(header)
+                      + "\n" + ",".join(["0"] * len(header)) + "\n")
+    assert main(["verify", str(broken)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert not report["passed"] and not report["checks"]["columns"]["ok"]
+    assert "0 agents" in report["checks"]["columns"]["detail"]
+
     # a path that cannot be read as a file is a file problem
     assert main(["verify", str(out)]) == 2
     err = capsys.readouterr().err
@@ -362,6 +372,18 @@ def test_verify_cli_takes_the_runs_soc_box(tmp_path, capsys):
     assert not report["checks"]["soc_bounds"]["ok"]
     assert main(["verify", trace, "--soc-min", "0.1"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"]
+
+
+def test_run_with_an_interval_longer_than_the_settle_window(tmp_path,
+                                                            capsys):
+    # 30 s intervals, ten rows; |df| is still 0.017 Hz on the last row
+    for name, extra in (("late", {"step_time": 290.0}), ("early", {})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"name": name, "tau": 30.0,
+                                   "dt_inner": 0.1, "duration": 300.0,
+                                   **extra}))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "; settle inf s;" in capsys.readouterr().out, name
 
 
 @pytest.mark.parametrize("droops", [[20.0, 20.0], [20.0, 15.0, 25.0, 20.0]])

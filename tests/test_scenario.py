@@ -266,18 +266,21 @@ def test_record_is_one_table_written_without_a_copy(tmp_path):
     cfg = short_config(duration=60.0)
     r = ScenarioRunner(cfg).run(write_trace=False)
     rows, n = cfg.intervals, cfg.fleet.n
-    views = [f.source for f in scenario.TRACE_SPEC if f.dtype is float]
-    for name in views + ["s"]:
+    views = [f.source for f in scenario.TRACE_SPEC]
+    for name in views + ["s", "interior"]:
         assert np.shares_memory(getattr(r, name), r.table), name
     assert r.time.shape == (rows,) and r.df.shape == (rows, 2)
     assert r.lam.shape == (rows, n) and r.s.shape == (rows, n, 2)
-    for name, shape, kind in (
-        ("modes", (rows, n), "i"), ("stage", (rows,), "i"),
-        ("t", (rows,), "i"), ("surrogate_m", (rows,), "i"),
-        ("reset", (rows,), "b"), ("interior", (rows, n), "b"),
+    # the int and bool groups are whole-number floats of the table
+    for name, shape in (
+        ("modes", (rows, n)), ("stage", (rows,)), ("t", (rows,)),
+        ("surrogate_m", (rows,)), ("reset", (rows,)),
+        ("interior", (rows, n)),
     ):
         arr = getattr(r, name)
-        assert arr.dtype.kind == kind and arr.shape == shape, name
+        assert arr.shape == shape and (arr == np.round(arr)).all(), name
+    for name in ("modes", "reset", "interior"):
+        assert np.isin(getattr(r, name), (0.0, 1.0)).all(), name
     assert r.reset.any() and r.interior.any() and r.surrogate_m.max() > 0
 
     # the writer formats the table's leading columns in place: the copy
