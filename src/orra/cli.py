@@ -14,7 +14,8 @@ import sys
 from .aie import IllConditioningError
 from .bess import SocViolationError
 from .grid import GridInstabilityError
-from .scenario import ConfigError, ScenarioConfig, run_scenario, verify_trace
+from .scenario import (ConfigError, FleetConfig, ScenarioConfig,
+                       run_scenario, verify_trace)
 from .studies import (
     export_ablation_curves,
     export_fluctuation_curves,
@@ -157,12 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a written trace file")
     p.add_argument("trace")
-    p.add_argument("--soc-min", type=float, default=0.2,
+    p.add_argument("--soc-min", type=float, default=FleetConfig.soc_min,
                    help="lower SoC bound the trace is checked against; "
-                   "give the run's fleet.soc_min (default 0.2)")
-    p.add_argument("--soc-max", type=float, default=0.8,
+                   "give the run's fleet.soc_min (default %(default)s)")
+    p.add_argument("--soc-max", type=float, default=FleetConfig.soc_max,
                    help="upper SoC bound the trace is checked against; "
-                   "give the run's fleet.soc_max (default 0.8)")
+                   "give the run's fleet.soc_max (default %(default)s)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("validate", help="parse and validate a config file")

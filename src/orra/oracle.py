@@ -189,6 +189,14 @@ def _stacked_norms(x):
     return np.linalg.norm(flat, axis=1)
 
 
+def _telescoped_distance(u, u_star, kappa) -> float:
+    """Sum over rows t < T of (|u_t - u*_t|^2 - |u_{t+1} - u*_t|^2) /
+    (2 kappa_t), the primal-distance term both certificates bound."""
+    du = _stacked_norms(u[:-1] - u_star[:-1]) ** 2
+    du_next = _stacked_norms(u[1:] - u_star[:-1]) ** 2
+    return float(((du - du_next) / (2 * kappa[:-1])).sum())
+
+
 @dataclass
 class BoundCheck:
     lhs: float
@@ -234,9 +242,7 @@ def lemma1_check(
     lam_bar = lam.mean(axis=1, keepdims=True) * np.ones((1, n))
     y_bar = y.mean(axis=1, keepdims=True) * np.ones((1, n))
 
-    du = _stacked_norms(u[:-1] - u_star[:-1]) ** 2
-    du_next = _stacked_norms(u[1:] - u_star[:-1]) ** 2
-    t1 = float(((du - du_next) / (2 * kappa[:-1])).sum())
+    t1 = _telescoped_distance(u, u_star, kappa)
 
     nl = _stacked_norms(lam_bar) ** 2
     t2 = float(((nl[:-1] - nl[1:]) / (2 * gamma * kappa[:-1])).sum())
@@ -276,9 +282,7 @@ def lemma2_check(u, u_star, kappa, B_u) -> BoundCheck:
     if (np.diff(kappa[: T + 1][:-1]) > 1e-12).any():
         raise ValueError("stepsizes must be non-increasing over the window")
     n = u.shape[1]
-    du = _stacked_norms(u[:-1] - u_star[:-1]) ** 2
-    du_next = _stacked_norms(u[1:] - u_star[:-1]) ** 2
-    s_T = float(((du - du_next) / (2 * kappa[:-1])).sum())
+    s_T = _telescoped_distance(u, u_star, kappa)
     v_T = float((_stacked_norms(u_star[1:] - u_star[:-1]) / kappa[:-1]).sum())
     bound = 2 * n * B_u**2 / kappa[T - 1] + 2 * n * B_u * v_T
     return BoundCheck(s_T, bound, s_T <= bound + CERT_TOL, (v_T,))

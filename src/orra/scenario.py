@@ -181,7 +181,6 @@ class AieConfig:
     area_load: float = leaf(100.0, POSITIVE)  # MW, damping-estimate scale
     # estimated damping per Hz as load share
     d_prime_fraction: float = leaf(0.10, NONNEGATIVE)
-    surrogate_enabled: bool = leaf(True, BOOLEAN)
     rbf_xi: float = leaf(3000.0, POSITIVE)
     rbf_d_min: float = leaf(0.007, POSITIVE)
     # eviction keeps the two boundary samples, so a cap needs a third slot
@@ -539,11 +538,8 @@ class ScenarioRunner:
         self.state = zero_state(len(config.grid.inv_droops))
         self.window = None  # last (hold window, value) of the fluctuation
         self.sigma = [1.0 / n] * n  # the fleet splits the signal evenly
-        self.surrogate = (
-            RbfSurrogate(config.aie)
-            if config.signal == "AIE" and config.aie.surrogate_enabled
-            else None
-        )
+        self.surrogate = (RbfSurrogate(config.aie)
+                          if config.signal == "AIE" else None)
         self.u = [(0.0, 0.0)] * n  # (discharge, charge) per agent
         self.p_bess = 0.0  # the fleet's net injection under self.u
         self.agc1 = 0.0
@@ -593,16 +589,12 @@ class ScenarioRunner:
         if cfg.signal == "AIE":
             shares = aie_shares(self.sigma, p_tie, cfg.aie.d_prime, df1,
                                 du_cg, pm_cg)
-            if self.surrogate is not None:
-                if self.surrogate.infill_decide(df1):
-                    # responsive loads report in load convention: an
-                    # injection shows up as a negative load deviation
-                    self.surrogate.add_sample(
-                        df1, -responsive_load(df1, cfg.grid)
-                    )
-                correction = self.surrogate.evaluate(df1)
-                shares = [a + s * correction
-                          for a, s in zip(shares, self.sigma)]
+            if self.surrogate.infill_decide(df1):
+                # responsive loads report in load convention: an injection
+                # shows up as a negative load deviation
+                self.surrogate.add_sample(df1, -responsive_load(df1, cfg.grid))
+            correction = self.surrogate.evaluate(df1)
+            shares = [a + s * correction for a, s in zip(shares, self.sigma)]
             agc1 = 0.0  # sequential, like the generator sums above
             for a in shares:
                 agc1 += a
@@ -689,9 +681,8 @@ def write_trace_csv(result: RunResult, out_dir: str) -> str:
     return path
 
 
-def verify_trace(
-    path: str, soc_min: float = 0.2, soc_max: float = 0.8
-) -> dict:
+def verify_trace(path: str, soc_min: float = FleetConfig.soc_min,
+                 soc_max: float = FleetConfig.soc_max) -> dict:
     """Check a written trace against the row-level invariants.
 
     Validates that the file parses as numbers, the schema line, the column

@@ -8,7 +8,6 @@ chart are written from; each report is written by `_write_json`.
 """
 from __future__ import annotations
 
-import csv
 import json
 import numbers
 import os
@@ -84,46 +83,53 @@ class ArmSummary:
     signal_rms: float
 
 
-# the runners of the ablation under way and its output directory, read by
-# _run_arm in this process or in a worker forked from it
-_pending: tuple = ()
+# the runners of a forked ablation worker's pool and their output
+# directory, set as the worker starts
+_worker_arms: tuple = ()
+
+
+def _take_arms(runners: list, out: str) -> None:
+    global _worker_arms
+    _worker_arms = runners, out
 
 
 def _run_arm(k: int) -> tuple:
-    """Run arm k of the pending ablation and write its trace.
+    """Run arm k of the worker's pool and write its trace.
 
     The rows land in the arm's shared table; what else the run changed
     comes back: (fleet, surrogate, trace path).
     """
-    runners, out = _pending
+    runners, out = _worker_arms
     runner = runners[k]
     return runner.fleet, runner.surrogate, runner.run(out).trace_path
 
 
-def _run_arms(runners: list, out: str) -> list:
+def _run_arms(runners: list, out: str) -> None:
     """Run every arm, on one forked worker per CPU this process may use;
     with one CPU, or on a platform without an affinity mask (macOS and
     Windows, where fork is unsafe or missing), in this process in order."""
-    global _pending
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
     workers = min(len(runners), cpus)
-    _pending = runners, out
-    try:
-        if workers < 2:
-            return [_run_arm(k) for k in range(len(runners))]
-        # imported here: `import orra.studies` stays as light as it was
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    if workers < 2:
+        for runner in runners:
+            runner.run(out)
+        return
+    # imported here: `import orra.studies` stays as light as it was
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        # an executor, not a multiprocessing.Pool: a Pool whose worker is
-        # killed mid-arm waits for that arm forever, this raises
-        with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            return list(pool.map(_run_arm, range(len(runners))))
-    finally:
-        _pending = ()
+    # an executor, not a multiprocessing.Pool: a Pool whose worker is
+    # killed mid-arm waits for that arm forever, this raises; a forked
+    # worker inherits initargs unpickled, so it fills the shared tables
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_take_arms, initargs=(runners, out),
+    ) as pool:
+        ends = list(pool.map(_run_arm, range(len(runners))))
+    for runner, end in zip(runners, ends):
+        rec = runner.result
+        rec.fleet, rec.surrogate, rec.trace_path = end
 
 
 def run_ablation(config: ScenarioConfig, out_dir: str | None = None):
@@ -146,13 +152,11 @@ def run_ablation(config: ScenarioConfig, out_dir: str | None = None):
         for signal, bess in ARMS
     ]
     out = resolve_out_dir(out_dir)
-    ends = _run_arms(runners, out)
+    _run_arms(runners, out)
     results = {}
     summaries = []
-    for (signal, bess), runner, end in zip(ARMS, runners, ends):
-        result = runner.result
-        result.fleet, result.surrogate, result.trace_path = end
-        results[(signal, bess)] = result
+    for (signal, bess), runner in zip(ARMS, runners):
+        results[(signal, bess)] = result = runner.result
         summaries.append(
             ArmSummary(
                 signal=signal,
@@ -321,11 +325,10 @@ _PALETTE = (
 def _write_csv(out: str, stem: str, t, series: list) -> str:
     path = os.path.join(out, f"{stem}.csv")
     rows = np.column_stack([t] + [y for _, _, y in series])
+    header = ",".join(["time_s"] + [column for column, _, _ in series])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s"] + [column for column, _, _ in series])
-        for row in rows:
-            writer.writerow([f"{v:.10g}" for v in row])
+        np.savetxt(fh, rows, fmt="%.10g", delimiter=",", newline="\r\n",
+                   header=header, comments="")
     return path
 
 

@@ -13,8 +13,8 @@ import pytest
 import orra
 
 from orra.cli import build_parser, main
-from orra.scenario import (TRACE_SCHEMA, ScenarioConfig, ScenarioRunner,
-                           trace_columns)
+from orra.scenario import (TRACE_SCHEMA, FleetConfig, ScenarioConfig,
+                           ScenarioRunner, trace_columns)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -104,6 +104,15 @@ def test_validate_exit_codes(cfg_path, tmp_path, capsys):
         captured = capsys.readouterr()
         assert "config error" in captured.err
         assert "config ok" not in captured.out
+
+    # the AIE always carries its learned correction: the old switch is
+    # refused by name, whichever way it is set
+    for value in (True, False):
+        bad.write_text(json.dumps({"aie": {"surrogate_enabled": value}}))
+        assert main(["validate", str(bad)]) == 2, value
+        err = capsys.readouterr().err
+        assert "unknown aie fields" in err, err
+        assert "Traceback" not in err, err
 
     # values the battery, droop, plant, schedule, surrogate, kernel, cost
     # and mode rules refused one parameter at a time, now each the domain
@@ -228,7 +237,7 @@ def test_every_leaf_rejects_or_runs_each_odd_value(tmp_path, capsys):
     base = json.loads(json.dumps(cfg.to_dict()))
     path, out = tmp_path / "fuzz.json", str(tmp_path / "out")
     leaves = list(config_leaves(base))
-    assert len(leaves) == 57  # 49 leaves, 5 initial SoCs, 3 droop slopes
+    assert len(leaves) == 56  # 48 leaves, 5 initial SoCs, 3 droop slopes
     counts = {"rejected": 0, "ran": 0, "numeric": 0}
     for leaf in leaves:
         name = [k for k in leaf if isinstance(k, str)][-1]
@@ -255,7 +264,7 @@ def test_every_leaf_rejects_or_runs_each_odd_value(tmp_path, capsys):
             capsys.readouterr()
             assert code in (0, 3), (leaf, value, code)
             counts["ran" if code == 0 else "numeric"] += 1
-    assert sum(counts.values()) == 57 * 8 - 1, counts
+    assert sum(counts.values()) == 56 * 8 - 1, counts
     assert counts["rejected"] > counts["ran"] > 0, counts
 
 
@@ -367,6 +376,9 @@ def test_verify_cli_takes_the_runs_soc_box(tmp_path, capsys):
     capsys.readouterr()
     trace = str(out / "low.csv")
     # the default box is the shipped fleet's, [0.2, 0.8]
+    args = build_parser().parse_args(["verify", trace])
+    assert (args.soc_min, args.soc_max) == (0.2, 0.8) == (
+        FleetConfig.soc_min, FleetConfig.soc_max)
     assert main(["verify", trace]) == 3
     report = json.loads(capsys.readouterr().out)
     assert not report["checks"]["soc_bounds"]["ok"]

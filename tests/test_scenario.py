@@ -87,7 +87,7 @@ def test_every_config_leaf_has_one_domain():
 
     table = dict(declared(ScenarioConfig()))
     assert sorted(table) == sorted(leaves(ScenarioConfig().to_dict()))
-    assert len(table) == 49
+    assert len(table) == 48
     assert all(isinstance(d, scenario.Domain) for d in table.values())
 
 

@@ -278,6 +278,20 @@ def test_curve_exports(short_oracle_run, tmp_path):
     ])
 
 
+def test_figure_csv_bytes(short_oracle_run, tmp_path):
+    # a header line, then one row per interval of each series' %.10g,
+    # every line ended by \r\n
+    _, result = short_oracle_run
+    out = str(tmp_path)
+    export_step_event_curves(result, out)
+    lines = ["time_s,cost_online,cost_reference"] + [
+        ",".join("%.10g" % v for v in row)
+        for row in zip(result.time, result.f_dist, result.f_oracle)
+    ]
+    with open(os.path.join(out, "fig5c.csv"), "rb") as fh:
+        assert fh.read() == "".join(f"{ln}\r\n" for ln in lines).encode()
+
+
 def test_verify_trace_passes_and_catches_corruption(short_oracle_run, tmp_path):
     _, result = short_oracle_run
     report = verify_trace(result.trace_path)
