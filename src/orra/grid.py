@@ -12,7 +12,9 @@ fluctuating net load is a seeded PCG64 draw computed here on Python ints.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from itertools import chain
 
 
 # |df| at which a run counts as diverged, Hz: the shipped runs peak near
@@ -60,6 +62,14 @@ class GridState:
     p_fr: tuple  # (2,) MW, responsive-load injections
 
 
+def _alike(*rows) -> bool:
+    """Whether the rows, each as long as the first, hold one value each
+    bit for bit, so -0.0 and 0.0, or two NaN payloads, differ."""
+    n = len(rows[0])
+    packed = struct.pack(f"{len(rows) * n}d", *chain.from_iterable(zip(*rows)))
+    return packed == packed[:8 * len(rows)] * n
+
+
 def zero_state(n_cg: int) -> GridState:
     zeros = ((0.0,) * n_cg,) * 2
     return GridState((0.0, 0.0), zeros, zeros, zeros, 0.0, (0.0, 0.0))
@@ -85,6 +95,12 @@ def grid_step(
     infinity in an unclamped integrator (df, gov, p_tie) stays non-finite,
     so a blow-up inside the interval still shows. Then either area's |df|
     reaching DF_LIMIT ends the run as a divergence.
+
+    When every generator has the same droop and both areas hold each
+    generator's state bit for bit alike, as every run from zero_state with
+    one droop value does, the units stay alike, and each area integrates
+    one of them; its mechanical-power sum adds that unit's value once per
+    generator, the same float operations as the per-unit loop.
     """
     e1, e2 = map(float, agc_errors)
     b1 = float(p_bess)
@@ -99,58 +115,97 @@ def grid_step(
     slew1, slew2 = slews
     tie_gain = dt * grid.t_sync
     (f1, f2), p_tie, (fr1, fr2) = state.df, state.p_tie, state.p_fr
-    du1, du2 = map(list, state.du_gov)
-    gov1, gov2 = map(list, state.gov)
-    pm1, pm2 = map(list, state.p_m)
-    gens = range(len(droops))
+    n = len(droops)
+    gens = range(n)
     nsat, nramp = -sat, -ramp
-    for load in loads:
-        # Each generator reads only its own old values and its area's old
-        # df. The command slews within the saturation band, the valve
-        # follows the command less the droop, and the turbine follows the
-        # valve no faster than the ramp limit, within the saturation band.
-        # Mechanical power is summed before the step, from 0.0 in generator
-        # order as numpy sums; the clamps let NaN through.
-        pm_sum1 = 0.0
-        for i in gens:
-            u, g, p = du1[i], gov1[i], pm1[i]
-            pm_sum1 += p
-            x = u + slew1
-            du1[i] = nsat if x < nsat else sat if x > sat else x
-            gov1[i] = g + dt * ((u - f1 * droops[i]) - g) / t_gov
-            x = (g - p) / t_turb
-            x = p + dt * (nramp if x < nramp else ramp if x > ramp else x)
-            pm1[i] = nsat if x < nsat else sat if x > sat else x
-        pm_sum2 = 0.0
-        for i in gens:
-            u, g, p = du2[i], gov2[i], pm2[i]
-            pm_sum2 += p
-            x = u + slew2
-            du2[i] = nsat if x < nsat else sat if x > sat else x
-            gov2[i] = g + dt * ((u - f2 * droops[i]) - g) / t_gov
-            x = (g - p) / t_turb
-            x = p + dt * (nramp if x < nramp else ramp if x > ramp else x)
-            pm2[i] = nsat if x < nsat else sat if x > sat else x
-        fr1 = responsive_load(f1, grid)
-        # tie power leaves area 1 and enters area 2; the fleet, the net
-        # load and the droop are area 1's alone
-        accel1 = pm_sum1 + b1 + fr1 - load - damping * f1 - p_tie
-        accel2 = pm_sum2 - damping * f2 + p_tie
-        p_tie = p_tie + tie_gain * (f1 - f2)
-        f1 = f1 + dt * accel1 / inertia
-        f2 = f2 + dt * accel2 / inertia
-    for name, values in (
-        ("df", (f1, f2)), ("du_gov", du1 + du2), ("gov", gov1 + gov2),
-        ("p_m", pm1 + pm2), ("p_fr", (fr1, fr2)), ("p_tie", (p_tie,)),
-    ):
-        if not all(map(math.isfinite, values)):
-            raise GridInstabilityError(name)
+    if _alike(droops, *state.du_gov, *state.gov, *state.p_m):
+        # one unit per area, in the operations of the per-unit loop below
+        r = droops[0]
+        (u1, *_), (u2, *_) = state.du_gov
+        (g1, *_), (g2, *_) = state.gov
+        (p1, *_), (p2, *_) = state.p_m
+        for load in loads:
+            pm_sum1 = pm_sum2 = 0.0
+            for _ in gens:
+                pm_sum1 += p1
+                pm_sum2 += p2
+            x = (g1 - p1) / t_turb
+            x = p1 + dt * (nramp if x < nramp else ramp if x > ramp else x)
+            p1 = nsat if x < nsat else sat if x > sat else x
+            g1 = g1 + dt * ((u1 - f1 * r) - g1) / t_gov
+            x = u1 + slew1
+            u1 = nsat if x < nsat else sat if x > sat else x
+            x = (g2 - p2) / t_turb
+            x = p2 + dt * (nramp if x < nramp else ramp if x > ramp else x)
+            p2 = nsat if x < nsat else sat if x > sat else x
+            g2 = g2 + dt * ((u2 - f2 * r) - g2) / t_gov
+            x = u2 + slew2
+            u2 = nsat if x < nsat else sat if x > sat else x
+            fr1 = responsive_load(f1, grid)
+            accel1 = pm_sum1 + b1 + fr1 - load - damping * f1 - p_tie
+            accel2 = pm_sum2 - damping * f2 + p_tie
+            p_tie = p_tie + tie_gain * (f1 - f2)
+            f1 = f1 + dt * accel1 / inertia
+            f2 = f2 + dt * accel2 / inertia
+        du = (u1,) * n, (u2,) * n
+        gov = (g1,) * n, (g2,) * n
+        pm = (p1,) * n, (p2,) * n
+    else:
+        du1, du2 = map(list, state.du_gov)
+        gov1, gov2 = map(list, state.gov)
+        pm1, pm2 = map(list, state.p_m)
+        for load in loads:
+            # Each generator reads only its own old values and its area's
+            # old df. The command slews within the saturation band, the
+            # valve follows the command less the droop, and the turbine
+            # follows the valve no faster than the ramp limit, within the
+            # saturation band. Mechanical power is summed before the step,
+            # from 0.0 in generator order as numpy sums; the clamps let NaN
+            # through.
+            pm_sum1 = 0.0
+            for i in gens:
+                u, g, p = du1[i], gov1[i], pm1[i]
+                pm_sum1 += p
+                x = u + slew1
+                du1[i] = nsat if x < nsat else sat if x > sat else x
+                gov1[i] = g + dt * ((u - f1 * droops[i]) - g) / t_gov
+                x = (g - p) / t_turb
+                x = p + dt * (nramp if x < nramp else ramp if x > ramp else x)
+                pm1[i] = nsat if x < nsat else sat if x > sat else x
+            pm_sum2 = 0.0
+            for i in gens:
+                u, g, p = du2[i], gov2[i], pm2[i]
+                pm_sum2 += p
+                x = u + slew2
+                du2[i] = nsat if x < nsat else sat if x > sat else x
+                gov2[i] = g + dt * ((u - f2 * droops[i]) - g) / t_gov
+                x = (g - p) / t_turb
+                x = p + dt * (nramp if x < nramp else ramp if x > ramp else x)
+                pm2[i] = nsat if x < nsat else sat if x > sat else x
+            fr1 = responsive_load(f1, grid)
+            # tie power leaves area 1 and enters area 2; the fleet, the net
+            # load and the droop are area 1's alone
+            accel1 = pm_sum1 + b1 + fr1 - load - damping * f1 - p_tie
+            accel2 = pm_sum2 - damping * f2 + p_tie
+            p_tie = p_tie + tie_gain * (f1 - f2)
+            f1 = f1 + dt * accel1 / inertia
+            f2 = f2 + dt * accel2 / inertia
+        du = tuple(du1), tuple(du2)
+        gov = tuple(gov1), tuple(gov2)
+        pm = tuple(pm1), tuple(pm2)
+    # one pass over every value, then, when one is not finite, its group
+    if not all(map(math.isfinite, (f1, f2, fr1, fr2, p_tie,
+                                   *chain(*du, *gov, *pm)))):
+        for name, values in (
+            ("df", (f1, f2)), ("du_gov", du[0] + du[1]),
+            ("gov", gov[0] + gov[1]), ("p_m", pm[0] + pm[1]),
+            ("p_fr", (fr1, fr2)), ("p_tie", (p_tie,)),
+        ):
+            if not all(map(math.isfinite, values)):
+                raise GridInstabilityError(name)
     if abs(f1) >= DF_LIMIT or abs(f2) >= DF_LIMIT:
         raise GridInstabilityError("df", max(f1, f2, key=abs))
-    return GridState(
-        (f1, f2), (tuple(du1), tuple(du2)), (tuple(gov1), tuple(gov2)),
-        (tuple(pm1), tuple(pm2)), p_tie, (fr1, fr2),
-    )
+    return GridState((f1, f2), du, gov, pm, p_tie, (fr1, fr2))
 
 
 # SeedSequence constants (numpy.random.bit_generator) and the PCG64

@@ -532,6 +532,8 @@ class ScenarioRunner:
         if disturbance is not None:
             # caller-supplied net-load profile, replaces the configured kind
             self.disturbance = disturbance
+        # the configured profiles hold one value on each piece of time
+        self.pieced = disturbance is None
         n = config.fleet.n
         self.fleet = Fleet(config.fleet, config.tau)
         self.optimizer = config.coordinator()
@@ -549,12 +551,21 @@ class ScenarioRunner:
             oracle=oracle_every and config.bess_enabled,
         )
 
+    def piece(self, t: float):
+        """The piece of the configured profile that holds at time t: the
+        side of the step, or the fluctuation's hold window. Both rise
+        with t."""
+        cfg = self.config
+        if cfg.kind == "step":
+            return t >= cfg.step_time
+        return int(t // cfg.fluct_hold)
+
     def disturbance(self, t: float) -> float:
         """Net-load increase in area 1 at time t, MW."""
         cfg = self.config
+        k = self.piece(t)
         if cfg.kind == "step":
-            return cfg.step_mw if t >= cfg.step_time else 0.0
-        k = int(t // cfg.fluct_hold)  # the profile holds one draw a window
+            return cfg.step_mw if k else 0.0
         if self.window is None or self.window[0] != k:
             self.window = (k, scenario_fluctuation(
                 t, cfg.seed, cfg.fluct_hold, cfg.fluct_low, cfg.fluct_high
@@ -573,8 +584,15 @@ class ScenarioRunner:
         if enabled:
             self.fleet.apply_all(self.u)
         agc2 = compute_ace(-self.state.p_tie, cfg.grid.bias, self.state.df[1])
-        loads = [self.disturbance(t0 + j * cfg.dt_inner)
-                 for j in range(cfg.inner_steps)]
+        # the plant's times rise through the interval, so when its first
+        # and last share a piece of the configured profile, every one does
+        steps, dt_inner = cfg.inner_steps, cfg.dt_inner
+        if self.pieced and (self.piece(t0)
+                            == self.piece(t0 + (steps - 1) * dt_inner)):
+            loads = [self.disturbance(t0)] * steps
+        else:
+            loads = [self.disturbance(t0 + j * dt_inner)
+                     for j in range(steps)]
         self.state = grid_step(self.state, self.p_bess, (self.agc1, agc2),
                                loads, cfg.grid, cfg.dt_inner)
 
@@ -667,17 +685,34 @@ class ScenarioRunner:
         return rec
 
 
+# trace rows formatted per write: a block's cells are Python floats for a
+# moment, so this keeps the writer's memory a few pages, whatever the run
+TRACE_BLOCK = 8
+
+
 def write_trace_csv(result: RunResult, out_dir: str) -> str:
     """Write a run as `<name>.csv` in the layout of TRACE_SPEC, straight
-    from the leading columns of its table. The int and bool columns hold
-    whole numbers there, which %.12g prints as %d would."""
+    from the leading columns of its table, row block by row block, as
+    np.savetxt(fmt="%.12g", delimiter=",") writes them. The int and bool
+    columns hold whole numbers there, which %.12g prints as %d would. A
+    column that holds one value bit for bit in every row, such as each
+    fleet column of a run without the fleet, is formatted once."""
     cfg = result.config
     header, _ = trace_columns(cfg.fleet.n, len(cfg.grid.inv_droops))
     path = os.path.join(out_dir, f"{cfg.name}.csv")
+    table = result.table[:, :len(header)]
+    bits = table.view(np.uint64)
+    varying = [j for j in range(len(header))
+               if (bits[:, j] != bits[0, j]).any()]
+    cells = ["%.12g" % v for v in table[0].tolist()]
+    for j in varying:
+        cells[j] = "%.12g"
+    row = ",".join(cells) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# schema: {TRACE_SCHEMA}\n" + ",".join(header) + "\n")
-        np.savetxt(fh, result.table[:, :len(header)], fmt="%.12g",
-                   delimiter=",")
+        for lo in range(0, len(table), TRACE_BLOCK):
+            block = table[lo:lo + TRACE_BLOCK, varying].tolist()
+            fh.writelines(row % tuple(r) for r in block)
     return path
 
 

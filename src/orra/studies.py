@@ -88,9 +88,18 @@ class ArmSummary:
 _worker_arms: tuple = ()
 
 
-def _take_arms(runners: list, out: str) -> None:
+def _take_arms(runners: list, out: str, cpus: int) -> None:
+    """Start a forked worker: keep the pool's runners and output directory,
+    and pin the worker to the next CPU the parent wrote to the pipe `cpus`.
+    Placement is a hint: where the pin is refused, the worker runs
+    unpinned."""
     global _worker_arms
     _worker_arms = runners, out
+    cpu = int.from_bytes(os.read(cpus, 4), "little")
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:
+        pass
 
 
 def _run_arm(k: int) -> tuple:
@@ -105,12 +114,13 @@ def _run_arm(k: int) -> tuple:
 
 
 def _run_arms(runners: list, out: str) -> None:
-    """Run every arm, on one forked worker per CPU this process may use;
-    with one CPU, or on a platform without an affinity mask (macOS and
-    Windows, where fork is unsafe or missing), in this process in order."""
-    cpus = (len(os.sched_getaffinity(0))
-            if hasattr(os, "sched_getaffinity") else 1)
-    workers = min(len(runners), cpus)
+    """Run every arm, on one forked worker per CPU this process may use,
+    each pinned to its own CPU; with one CPU, or on a platform without an
+    affinity mask (macOS and Windows, where fork is unsafe or missing), in
+    this process in order."""
+    allowed = (sorted(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else [])
+    workers = min(len(runners), len(allowed))
     if workers < 2:
         for runner in runners:
             runner.run(out)
@@ -119,14 +129,24 @@ def _run_arms(runners: list, out: str) -> None:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # an executor, not a multiprocessing.Pool: a Pool whose worker is
-    # killed mid-arm waits for that arm forever, this raises; a forked
-    # worker inherits initargs unpickled, so it fills the shared tables
-    with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_take_arms, initargs=(runners, out),
-    ) as pool:
-        ends = list(pool.map(_run_arm, range(len(runners))))
+    # one CPU per worker, 4 bytes each, all written before the pool forks
+    # its first worker: an unpinned fork stays on this process's CPU, so
+    # two short arms would share one
+    cpus, fill = os.pipe()
+    try:
+        with open(fill, "wb") as fh:
+            fh.write(b"".join(cpu.to_bytes(4, "little")
+                              for cpu in allowed[:workers]))
+        # an executor, not a multiprocessing.Pool: a Pool whose worker is
+        # killed mid-arm waits for that arm forever, this raises; a forked
+        # worker inherits initargs unpickled, so it fills the shared tables
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_take_arms, initargs=(runners, out, cpus),
+        ) as pool:
+            ends = list(pool.map(_run_arm, range(len(runners))))
+    finally:
+        os.close(cpus)
     for runner, end in zip(runners, ends):
         rec = runner.result
         rec.fleet, rec.surrogate, rec.trace_path = end
@@ -135,11 +155,11 @@ def _run_arms(runners: list, out: str) -> None:
 def run_ablation(config: ScenarioConfig, out_dir: str | None = None):
     """Run the four signal/participation arms on identical disturbances.
 
-    The arms run side by side on forked workers, up to one per CPU, each
-    recording into a table in shared memory. Returns (results, summaries):
-    the per-arm RunResult map keyed by (signal, bess_enabled) and the
-    comparison summary list, which is also written to
-    `<name>_ablation.json` next to the traces.
+    The arms run side by side on forked workers, up to one per CPU and
+    each pinned to its own, each recording into a table in shared memory.
+    Returns (results, summaries): the per-arm RunResult map keyed by
+    (signal, bess_enabled) and the comparison summary list, which is also
+    written to `<name>_ablation.json` next to the traces.
     """
     # every record is allocated before the output directory is made
     runners = [

@@ -503,6 +503,7 @@ def test_ablation_arm_divergence_exits_numeric(tmp_path, capsys,
     # two CPUs: the arms run in forked workers, and the first arm's error
     # crosses back into this process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None)
     data = {"duration": 5.0, "step_time": 0.0, "grid": {"inertia": 1e-300}}
     cfg = tmp_path / "stiff.json"
     cfg.write_text(json.dumps(data))

@@ -2,6 +2,7 @@
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -9,6 +10,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import orra.grid
 import plant_reference as ref
 from orra.grid import (
     DF_LIMIT,
@@ -189,13 +191,15 @@ def test_finite_divergence_is_named():
     assert max(map(abs, nxt.df)) < DF_LIMIT
 
 
-def random_grid(rng):
+def random_grid(rng, alike=False):
     """A plant section with every leaf drawn: one to four generators,
-    limits that engage, and both areas regulating."""
+    limits that engage, and both areas regulating; with `alike`, every
+    generator has the same droop."""
     n = int(rng.integers(1, 5))
+    droops = rng.uniform(5.0, 25.0, 1 if alike else n).tolist()
     return GridConfig(
         inertia=rng.uniform(5.0, 20.0), damping=rng.uniform(0.5, 2.0),
-        inv_droops=tuple(rng.uniform(5.0, 25.0, n).tolist()),
+        inv_droops=tuple(droops * (n if alike else 1)),
         t_gov=rng.uniform(0.1, 0.4), t_turb=rng.uniform(0.3, 1.0),
         ramp_limit=10.0 ** rng.uniform(-2.5, 1.0),
         saturation=rng.uniform(0.3, 1.5), k_i=rng.uniform(0.0, 0.5),
@@ -205,10 +209,14 @@ def random_grid(rng):
     )
 
 
-def random_state(rng, grid):
+def random_state(rng, grid, alike=False):
+    """A state off rest; with `alike`, each area's generators alike."""
     n = len(grid.inv_droops)
 
     def rows(scale):
+        if alike:
+            return tuple((v * scale,) * n
+                         for v in rng.uniform(-1.0, 1.0, 2).tolist())
         return tuple(tuple((rng.uniform(-1.0, 1.0, n) * scale).tolist())
                      for _ in range(2))
 
@@ -249,13 +257,28 @@ def engaged(state: ref.RefState, grid, agc_errors, dt) -> set:
     return out
 
 
-def test_kernel_matches_per_step_reference():
+def spy_alike(monkeypatch) -> list:
+    """Record whether each kernel call found its units alike."""
+    paths, real = [], orra.grid._alike
+
+    def spy(*rows):
+        paths.append(real(*rows))
+        return paths[-1]
+
+    monkeypatch.setattr(orra.grid, "_alike", spy)
+    return paths
+
+
+def test_kernel_matches_per_step_reference(monkeypatch):
     rng = np.random.default_rng(11)
     seen = {}
+    paths = spy_alike(monkeypatch)
     for _ in range(40):
-        grid = random_grid(rng)
+        # half the plants run alike units, from an alike state
+        alike = bool(rng.integers(2))
+        grid = random_grid(rng, alike)
         dt = float(rng.choice([0.005, 0.01, 0.02]))
-        state = random_state(rng, grid)
+        state = random_state(rng, grid, alike)
         for _ in range(15):
             steps = int(rng.integers(1, 13))
             p_bess = rng.uniform(-2.0, 2.0)
@@ -275,6 +298,74 @@ def test_kernel_matches_per_step_reference():
         "inside deadband", "output saturation", "ramp limit", "tie line",
     ])
     assert min(seen.values()) >= 20, seen
+    # both routes of the kernel were taken, each many times
+    assert min(paths.count(True), paths.count(False)) >= 150, paths
+
+
+def state_bits(state: GridState) -> bytes:
+    """Every float of a state, as its bytes: signed zeros count."""
+    values = [*state.df, state.p_tie, *state.p_fr]
+    for rows in (state.du_gov, state.gov, state.p_m):
+        values += [v for row in rows for v in row]
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def run_both(state, grid, intervals, steps=10, agc=(-0.4, 0.3)):
+    """Run the kernel and the per-step reference over the same intervals
+    of the case study's step; returns both end states."""
+    expect = ref.RefState.from_state(state)
+    for k in range(intervals):
+        loads = [scenario_step_load(9.0 + (k * steps + j) * DT)
+                 for j in range(steps)]
+        for load in loads:
+            expect = ref.grid_step(expect, 0.2, agc, load, grid, DT)
+        state = grid_step(state, 0.2, agc, loads, grid, DT)
+    return state, expect.to_state()
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 7])
+def test_alike_units_match_the_reference(n, monkeypatch):
+    # a run from rest with one droop value: every call finds the units
+    # alike, and integrates one unit per area. Seven units tell the sum
+    # of a value added seven times from 0.0 from 7 times the value, which
+    # differ in the last bit here
+    paths = spy_alike(monkeypatch)
+    grid = GridConfig(inv_droops=(20.0,) * n, k_i_area2=0.1)
+    state, expect = run_both(zero_state(n), grid, 200)
+    assert paths == [True] * 200
+    for f in fields(GridState):
+        assert getattr(state, f.name) == getattr(expect, f.name), f
+    assert state_bits(state) == state_bits(expect)
+    assert state.p_m[0][0] != 0.0  # the step moved the generators
+
+
+def test_units_differing_in_a_zero_sign_take_the_per_unit_loop(
+        monkeypatch):
+    # a zero AGC error slews each command by -0.0, so a -0.0 command stays
+    # -0.0 and a 0.0 one 0.0: integrating the first unit for all three
+    # would give the others its sign
+    paths = spy_alike(monkeypatch)
+    rest = (0.0,) * 3
+    state = replace(zero_state(3), du_gov=((0.0, -0.0, 0.0), rest))
+    state, expect = run_both(state, GRID, 150, agc=(0.0, 0.0))
+    assert paths == [False] * 150
+    assert state_bits(state) == state_bits(expect)
+    assert str(state.du_gov[0]) == "(0.0, -0.0, 0.0)"
+
+
+def test_a_nan_unit_takes_the_per_unit_loop(monkeypatch):
+    # the NaN valve reaches no other unit within one plant step, so both
+    # routes name the valves; integrating an alike unit would raise nothing
+    paths = spy_alike(monkeypatch)
+    rest = (0.0,) * 3
+    state = replace(zero_state(3), gov=((0.0, NAN, 0.0), rest))
+    with pytest.raises(GridInstabilityError) as want:
+        ref.grid_step(ref.RefState.from_state(state), 0.2, (-0.4, 0.3), 5.0,
+                      GRID, DT)
+    with pytest.raises(GridInstabilityError) as got:
+        grid_step(state, 0.2, (-0.4, 0.3), [5.0], GRID, DT)
+    assert paths == [False]
+    assert got.value.name == want.value.name == "gov"
 
 
 @pytest.mark.parametrize("steps", [1, 10])

@@ -1,4 +1,5 @@
 """Closed-loop runner: protocol wiring, determinism, config handling."""
+import io
 import json
 import tracemalloc
 from dataclasses import fields, is_dataclass, replace
@@ -172,20 +173,42 @@ def test_infos_rebuild_the_optimizer_log(monkeypatch):
 
 def test_disturbance_override_is_used():
     cfg = short_config()
-    rn = ScenarioRunner(cfg, disturbance=lambda t: 1.5 if t >= 5.0 else 0.0)
-    r = rn.run(write_trace=False)
+    times = []
+
+    def profile(t):
+        times.append(t)
+        return 1.5 if t >= 5.0 else 0.0
+
+    r = ScenarioRunner(cfg, disturbance=profile).run(write_trace=False)
     k = np.searchsorted(r.time, 6.0)
     assert r.dist[k] == 1.5
     assert r.dist[0] == 0.0
+    # nothing is known of a supplied profile: it is asked at every plant
+    # step, then once more for the row's dist
+    steps = cfg.inner_steps
+    assert times == [
+        t for k in range(cfg.intervals)
+        for t in [k * cfg.tau + j * cfg.dt_inner for j in range(steps)]
+        + [k * cfg.tau + cfg.tau]
+    ]
+    assert len(times) == cfg.intervals * (steps + 1)
 
 
-@pytest.mark.parametrize("kind", ["step", "fluctuation"])
-def test_every_plant_step_sees_the_profile_at_its_time(kind, monkeypatch):
-    # a hold window that is not a whole number of intervals, and a step
-    # that lands inside an interval, so the load changes between plant
+@pytest.mark.parametrize("kind,change,mixed", [
+    ("step", {"step_time": 10.05}, 1),
+    # off the plant's time grid: only the last plant step of the interval
+    # from 8.5 s reaches it
+    ("step", {"step_time": 8.59}, 1),
+    # the 22 odd quarter seconds of 11 s fall mid-interval
+    ("fluctuation", {"fluct_hold": 0.25}, 22),
+], ids=["step", "step_off_grid", "fluctuation"])
+def test_every_plant_step_sees_the_profile_at_its_time(kind, change, mixed,
+                                                       monkeypatch):
+    # a hold window that is not a whole number of intervals, and steps
+    # that land inside an interval, so the load changes between plant
     # steps of one interval
-    cfg = short_config(kind=kind, duration=11.0, fluct_hold=0.25,
-                       step_time=10.05, bess_enabled=False)
+    cfg = short_config(kind=kind, duration=11.0, bess_enabled=False,
+                       **change)
     grid_calls, draws = [], []
     real_grid, real_draw = scenario.grid_step, scenario.scenario_fluctuation
 
@@ -209,16 +232,13 @@ def test_every_plant_step_sees_the_profile_at_its_time(kind, monkeypatch):
         )
 
     assert len(grid_calls) == cfg.intervals == len(r.dist)
-    mixed = 0
     for k, loads in enumerate(grid_calls):
         t0 = k * cfg.tau
         assert loads == [direct(t0 + j * cfg.dt_inner)
                          for j in range(cfg.inner_steps)]
         assert all(type(load) is float for load in loads)
-        mixed += len(set(loads)) > 1
         assert r.dist[k] == direct(t0 + cfg.tau)
-    # the step, or each of the 22 odd quarter seconds, falls mid-interval
-    assert mixed == (1 if kind == "step" else 22)
+    assert sum(len(set(loads)) > 1 for loads in grid_calls) == mixed
     if kind == "fluctuation":  # one draw per hold window, 0 s to 11 s
         windows = [int(t // cfg.fluct_hold) for t in draws]
         assert windows == list(range(45))
@@ -294,6 +314,46 @@ def test_record_is_one_table_written_without_a_copy(tmp_path):
     assert peak < r.table.nbytes / 4, (peak, r.table.nbytes)
     data = np.loadtxt(path, delimiter=",", skiprows=2)
     assert np.allclose(data, r.table[:, :data.shape[1]], rtol=1e-11, atol=0)
+
+
+@pytest.mark.parametrize("case", [
+    "fleet_off", "one_row", "negative_zero", "last_row_differs",
+])
+def test_trace_bytes_are_savetxts(case, tmp_path):
+    # the writer formats a column that holds one value in every row once;
+    # what it writes is what np.savetxt writes of the same table
+    cfg = short_config(duration=0.1 if case == "one_row" else 20.0,
+                       bess_enabled=case != "fleet_off")
+    r = ScenarioRunner(cfg).run(write_trace=False)
+    header, where = scenario.trace_columns(cfg.fleet.n,
+                                           len(cfg.grid.inv_droops))
+    table = r.table[:, :len(header)]
+    if case == "negative_zero":
+        table[:, where["p_bess"]] = -0.0
+    if case == "last_row_differs":
+        table[:, where["kappa"]] = 0.3
+        table[-1, where["kappa"]] = 0.7
+    bits = table.view(np.uint64)
+    constant = int((bits == bits[0]).all(axis=0).sum())
+    if case == "fleet_off":
+        assert constant == 58
+    if case == "one_row":
+        assert constant == len(header)
+    path = scenario.write_trace_csv(r, str(tmp_path))
+    with open(path) as fh:
+        fh.readline(), fh.readline()
+        body = fh.read()
+    expect = io.StringIO()
+    np.savetxt(expect, table, fmt="%.12g", delimiter=",")
+    assert body == expect.getvalue()
+    lines = body.splitlines()
+    assert len(lines) == cfg.intervals
+    cells = lines[-1].split(",")
+    if case == "negative_zero":
+        assert cells[header.index("p_bess")] == "-0"
+    if case == "last_row_differs":
+        assert cells[header.index("kappa")] == "0.7"
+        assert lines[-2].split(",")[header.index("kappa")] == "0.3"
 
 
 def test_reference_solution_views_the_table():

@@ -103,12 +103,26 @@ def test_ablation_shares_the_disturbance(tmp_path):
     )
 
 
-def ablation_on(cpus, monkeypatch, cfg, out):
-    """run_ablation as seen by a process allowed `cpus` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+def ablation_on(cpus, monkeypatch, cfg, out, pin=lambda pid, mask: None):
+    """run_ablation as seen by a process allowed `cpus` CPUs, a count or
+    the set itself; each forked worker pins itself through `pin`."""
+    allowed = set(range(cpus)) if isinstance(cpus, int) else set(cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed)
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
     results, summaries = run_ablation(cfg, out_dir=str(out))
     assert multiprocessing.active_children() == []
     return results, summaries
+
+
+def same_traces(a: dict, b: dict) -> bool:
+    """Whether two ablations wrote the same bytes for every arm."""
+    assert list(a) == list(b)
+    for arm in a:
+        with open(a[arm].trace_path, "rb") as fa, \
+                open(b[arm].trace_path, "rb") as fb:
+            if fa.read() != fb.read():
+                return False
+    return True
 
 
 def test_parallel_ablation_matches_in_process(tmp_path, monkeypatch):
@@ -116,11 +130,9 @@ def test_parallel_ablation_matches_in_process(tmp_path, monkeypatch):
     cfg = ScenarioConfig(name="par", kind="fluctuation", duration=90.0)
     one, one_s = ablation_on(1, monkeypatch, cfg, tmp_path / "one")
     two, two_s = ablation_on(2, monkeypatch, cfg, tmp_path / "two")
-    assert list(one) == list(two)
+    assert same_traces(one, two)
     for arm in one:
         a, b = one[arm], two[arm]
-        with open(a.trace_path, "rb") as fa, open(b.trace_path, "rb") as fb:
-            assert fa.read() == fb.read(), arm
         assert [repr(x.lifetime_loss) for x in a.fleet.batteries] == [
             repr(x.lifetime_loss) for x in b.fleet.batteries], arm
         if a.surrogate is None:
@@ -135,6 +147,39 @@ def test_parallel_ablation_matches_in_process(tmp_path, monkeypatch):
         assert s.trace_path != t.trace_path
         s.trace_path = t.trace_path
     assert one_s == two_s
+
+
+def test_each_arm_worker_pins_to_its_own_cpu(tmp_path, monkeypatch):
+    # forked workers share this file: each appends its pid and its mask
+    log = tmp_path / "pins"
+
+    def pin(pid, mask):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {pid} {sorted(mask)}\n")
+
+    cfg = ScenarioConfig(name="pin", duration=5.0, step_time=1.0)
+    for allowed in ({3, 7}, {0, 1, 2, 5}):
+        log.write_text("")
+        ablation_on(allowed, monkeypatch, cfg, tmp_path / "a", pin)
+        calls = [line.split(" ", 2) for line in log.read_text().splitlines()]
+        # one call per worker, from the worker, for itself, each pinned to
+        # one CPU of the allowed set and no two to the same
+        assert len(calls) == len(allowed)
+        assert len({int(p) for p, _, _ in calls}) == len(allowed)
+        assert os.getpid() not in {int(p) for p, _, _ in calls}
+        assert all(who == "0" for _, who, _ in calls)
+        assert sorted(mask for _, _, mask in calls) == sorted(
+            f"[{cpu}]" for cpu in allowed)
+
+
+def test_ablation_finishes_when_pinning_is_refused(tmp_path, monkeypatch):
+    def refuse(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    cfg = ScenarioConfig(name="refused", duration=5.0, step_time=1.0)
+    one, _ = ablation_on(1, monkeypatch, cfg, tmp_path / "one")
+    two, _ = ablation_on(2, monkeypatch, cfg, tmp_path / "two", refuse)
+    assert same_traces(one, two)
 
 
 def test_importing_the_studies_starts_no_process_machinery():
