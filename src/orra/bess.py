@@ -37,11 +37,12 @@ def soc_step(soc: float, c, d, params, tau) -> float:
     tau_h = tau / 3600.0
     x = soc + params.eta_c * tau_h / params.capacity * c
     x -= tau_h / (params.eta_d * params.capacity) * d
-    if x < params.soc_min - SOC_TOL or x > params.soc_max + SOC_TOL:
-        raise SocViolationError(
-            f"soc {x:.9f} outside [{params.soc_min}, {params.soc_max}]"
-        )
-    return min(max(x, params.soc_min), params.soc_max)
+    lo, hi = params.soc_min, params.soc_max
+    # one box test, which a NaN fails as it fails every comparison
+    if not lo - SOC_TOL <= x <= hi + SOC_TOL:
+        raise SocViolationError(f"soc {x:.9f} outside [{lo}, {hi}]")
+    # min(max(x, lo), hi), without the calls
+    return lo if x < lo else hi if x > hi else x
 
 
 def mode_select(aie_i, prev_mode: int = 1) -> int:
@@ -65,13 +66,15 @@ def feasible_interval(soc: float, mode: int, params, tau):
     if mode not in (0, 1):
         raise ValueError("mode must be 0 or 1")
     tau_h = tau / 3600.0
+    # min(limit, x) and max(hi, 0.0), without the calls
     if mode == 1:
-        headroom = (soc - params.soc_min) * params.eta_d * params.capacity
-        hi = min(params.discharge_limit, headroom / tau_h)
+        limit = params.discharge_limit
+        x = (soc - params.soc_min) * params.eta_d * params.capacity / tau_h
     else:
-        headroom = (params.soc_max - soc) * params.capacity
-        hi = min(params.charge_limit, headroom / (params.eta_c * tau_h))
-    return 0.0, max(hi, 0.0)
+        limit = params.charge_limit
+        x = (params.soc_max - soc) * params.capacity / (params.eta_c * tau_h)
+    hi = x if x < limit else limit
+    return 0.0, 0.0 if hi < 0.0 else hi
 
 
 @dataclass
@@ -97,7 +100,8 @@ class Battery:
         events, self.residues = degradation.rainflow_step(
             self.soc, self.residues
         )
-        self.lifetime_loss += degradation.total_loss(events)
+        if events:  # adding no loss would change no bit
+            self.lifetime_loss += degradation.total_loss(events)
         return events
 
 
@@ -125,18 +129,21 @@ class Fleet:
         for b, (d, c) in zip(self.batteries, u):
             b.apply(d, c, tau)
 
-    def plan(self, aie_shares):
+    def plan(self, aie_shares, u):
         """Set each battery's mode from its share for the coming interval.
 
         Returns lists of the interval's modes, (lo, hi) boxes on the active
-        power coordinate, and frozen-residue cost models.
+        power coordinate, frozen-residue cost models, and each model's
+        gradient at the battery's applied (discharge, charge) pair in u.
         """
         tau = self.tau
-        modes, boxes, models = [], [], []
-        for b, terms, share in zip(self.batteries, self.cost_terms,
-                                   aie_shares):
+        modes, boxes, models, grads = [], [], [], []
+        for b, terms, share, (d, c) in zip(self.batteries, self.cost_terms,
+                                           aie_shares, u):
             b.mode = mode = mode_select(share, b.mode)
             modes.append(mode)
             boxes.append(feasible_interval(b.soc, mode, b.params, tau))
-            models.append(degradation.interval_cost(b.residues, terms))
-        return modes, boxes, models
+            model = degradation.interval_cost(b.residues, terms)
+            models.append(model)
+            grads.append(model.gradient(d, c))
+        return modes, boxes, models, grads

@@ -94,15 +94,17 @@ class IntervalCost(NamedTuple):
     b: float
 
     def value(self, d, c):
-        mu = self.mu0 + self.g_d * d + self.g_c * c
-        return self.theta_b * (d - c) ** 2 + self.big_theta * mu**self.b
+        mu0, g_d, g_c, theta_b, big_theta, b = self
+        mu = mu0 + g_d * d + g_c * c
+        return theta_b * (d - c) ** 2 + big_theta * mu**b
 
     def gradient(self, d, c):
         """(d f/d d, d f/d c) at the given point."""
-        mu = self.mu0 + self.g_d * d + self.g_c * c
-        wear = 2.0 * self.theta_b * (d - c)
-        aging = self.big_theta * self.b * mu ** (self.b - 1.0) if mu > 0 else 0.0
-        return wear + aging * self.g_d, -wear + aging * self.g_c
+        mu0, g_d, g_c, theta_b, big_theta, b = self
+        mu = mu0 + g_d * d + g_c * c
+        wear = 2.0 * theta_b * (d - c)
+        aging = big_theta * b * mu ** (b - 1.0) if mu > 0 else 0.0
+        return wear + aging * g_d, -wear + aging * g_c
 
 
 class CostTerms(NamedTuple):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from itertools import chain
 
 
@@ -50,18 +49,6 @@ def responsive_load(df: float, grid) -> float:
     return -grid.frr_slope * mag if df > 0 else grid.frr_slope * mag
 
 
-@dataclass(frozen=True)
-class GridState:
-    """Plant state at a control-interval boundary, as plain floats."""
-
-    df: tuple  # (2,) Hz
-    du_gov: tuple  # per area, one AGC command integrator per generator, MW
-    gov: tuple  # per area, governor valve states, MW
-    p_m: tuple  # per area, mechanical power deviations, MW
-    p_tie: float  # MW, positive from area 1 into area 2
-    p_fr: tuple  # (2,) MW, responsive-load injections
-
-
 def _alike(*rows) -> bool:
     """Whether the rows, each as long as the first, hold one value each
     bit for bit, so -0.0 and 0.0, or two NaN payloads, differ."""
@@ -70,19 +57,54 @@ def _alike(*rows) -> bool:
     return packed == packed[:8 * len(rows)] * n
 
 
-def zero_state(n_cg: int) -> GridState:
-    zeros = ((0.0,) * n_cg,) * 2
-    return GridState((0.0, 0.0), zeros, zeros, zeros, 0.0, (0.0, 0.0))
+class Plant:
+    """The two-area plant of one run: the constants of its `grid` config
+    section for plant steps of dt seconds, and its state, which
+    `grid_step` advances in place.
+
+    The state is plain floats: df, (2,) Hz; du_gov, gov and p_m, per area
+    one list with a value per generator, MW (AGC command integrators,
+    governor valves, mechanical power deviations); p_tie, MW, positive
+    from area 1 into area 2; and p_fr, (2,) MW, the responsive-load
+    injections. Each defaults to rest; a keyword gives a start state.
+
+    Whether the units are alike is decided here, once, from the start
+    state: every generator has the same droop and both areas hold each
+    generator's state bit for bit alike, as at rest. Alike units get the
+    same float operations on the same inputs, so they stay alike, NaN
+    included, and `grid_step` integrates one unit per area for the whole
+    run. Callers read the state between calls; another start state takes
+    a new plant, which chooses its route again.
+    """
+
+    def __init__(self, grid, dt: float, *, df=(0.0, 0.0), du_gov=None,
+                 gov=None, p_m=None, p_tie=0.0, p_fr=(0.0, 0.0)) -> None:
+        droops = tuple(grid.inv_droops)
+        n = len(droops)
+        rest = ((0.0,) * n,) * 2
+        self.df, self.p_fr, self.p_tie = list(df), list(p_fr), p_tie
+        self.du_gov, self.gov, self.p_m = (
+            tuple(map(list, rows or rest)) for rows in (du_gov, gov, p_m))
+        self.alike = _alike(droops, *self.du_gov, *self.gov, *self.p_m)
+        # the slew of each area's commands is gain * error, the gain
+        # associated as -dt * k_i * share * error was
+        share = 1.0 / n
+        self.slew_gains = (-dt * grid.k_i * share,
+                           -dt * grid.k_i_area2 * share)
+        self.step, self.droops = grid.ramp_limit * dt, droops
+        # the kernels' constants, in the order they unpack them
+        self.constants = (dt, grid.saturation, grid.ramp_limit, grid.t_gov,
+                          grid.t_turb, grid.damping, grid.inertia,
+                          dt * grid.t_sync, grid.frr_deadband,
+                          grid.frr_slope)
 
 
-def grid_step(
-    state: GridState, p_bess: float, agc_errors, loads, grid, dt: float,
-) -> GridState:
+def grid_step(plant: Plant, p_bess: float, agc_errors, loads) -> None:
     """Advance the coupled two-area dynamics over one control interval.
 
-    Both areas run the generators of `grid`, the plant's config section;
-    area 1 regulates with gain k_i and carries the responsive-load droop,
-    area 2 regulates with k_i_area2. One explicit-Euler step of dt per
+    Both areas run the generators of the plant's `grid` section; area 1
+    regulates with gain k_i and carries the responsive-load droop, area 2
+    regulates with k_i_area2. One explicit-Euler step of the plant's dt per
     entry of loads, area 1's net-load increase at that step, MW. p_bess,
     area 1's storage injection, MW, and agc_errors, the (2,) regulation
     signals integrated into the generator commands (negative error raises
@@ -95,117 +117,123 @@ def grid_step(
     infinity in an unclamped integrator (df, gov, p_tie) stays non-finite,
     so a blow-up inside the interval still shows. Then either area's |df|
     reaching DF_LIMIT ends the run as a divergence.
-
-    When every generator has the same droop and both areas hold each
-    generator's state bit for bit alike, as every run from zero_state with
-    one droop value does, the units stay alike, and each area integrates
-    one of them; its mechanical-power sum adds that unit's value once per
-    generator, the same float operations as the per-unit loop.
     """
-    e1, e2 = map(float, agc_errors)
-    b1 = float(p_bess)
-    droops, sat, ramp = grid.inv_droops, grid.saturation, grid.ramp_limit
-    t_gov, t_turb = grid.t_gov, grid.t_turb
-    damping, inertia = grid.damping, grid.inertia
-    step, share = ramp * dt, 1.0 / len(droops)
-    slews = []
-    for k_i, error in ((grid.k_i, e1), (grid.k_i_area2, e2)):
-        x = -dt * k_i * share * error
-        slews.append(-step if x < -step else step if x > step else x)
-    slew1, slew2 = slews
-    tie_gain = dt * grid.t_sync
-    (f1, f2), p_tie, (fr1, fr2) = state.df, state.p_tie, state.p_fr
-    n = len(droops)
-    gens = range(n)
-    nsat, nramp = -sat, -ramp
-    if _alike(droops, *state.du_gov, *state.gov, *state.p_m):
-        # one unit per area, in the operations of the per-unit loop below
-        r = droops[0]
-        (u1, *_), (u2, *_) = state.du_gov
-        (g1, *_), (g2, *_) = state.gov
-        (p1, *_), (p2, *_) = state.p_m
-        for load in loads:
-            pm_sum1 = pm_sum2 = 0.0
-            for _ in gens:
-                pm_sum1 += p1
-                pm_sum2 += p2
-            x = (g1 - p1) / t_turb
-            x = p1 + dt * (nramp if x < nramp else ramp if x > ramp else x)
-            p1 = nsat if x < nsat else sat if x > sat else x
-            g1 = g1 + dt * ((u1 - f1 * r) - g1) / t_gov
-            x = u1 + slew1
-            u1 = nsat if x < nsat else sat if x > sat else x
-            x = (g2 - p2) / t_turb
-            x = p2 + dt * (nramp if x < nramp else ramp if x > ramp else x)
-            p2 = nsat if x < nsat else sat if x > sat else x
-            g2 = g2 + dt * ((u2 - f2 * r) - g2) / t_gov
-            x = u2 + slew2
-            u2 = nsat if x < nsat else sat if x > sat else x
-            fr1 = responsive_load(f1, grid)
-            accel1 = pm_sum1 + b1 + fr1 - load - damping * f1 - p_tie
-            accel2 = pm_sum2 - damping * f2 + p_tie
-            p_tie = p_tie + tie_gain * (f1 - f2)
-            f1 = f1 + dt * accel1 / inertia
-            f2 = f2 + dt * accel2 / inertia
-        du = (u1,) * n, (u2,) * n
-        gov = (g1,) * n, (g2,) * n
-        pm = (p1,) * n, (p2,) * n
-    else:
-        du1, du2 = map(list, state.du_gov)
-        gov1, gov2 = map(list, state.gov)
-        pm1, pm2 = map(list, state.p_m)
-        for load in loads:
-            # Each generator reads only its own old values and its area's
-            # old df. The command slews within the saturation band, the
-            # valve follows the command less the droop, and the turbine
-            # follows the valve no faster than the ramp limit, within the
-            # saturation band. Mechanical power is summed before the step,
-            # from 0.0 in generator order as numpy sums; the clamps let NaN
-            # through.
-            pm_sum1 = 0.0
-            for i in gens:
-                u, g, p = du1[i], gov1[i], pm1[i]
-                pm_sum1 += p
-                x = u + slew1
-                du1[i] = nsat if x < nsat else sat if x > sat else x
-                gov1[i] = g + dt * ((u - f1 * droops[i]) - g) / t_gov
-                x = (g - p) / t_turb
-                x = p + dt * (nramp if x < nramp else ramp if x > ramp else x)
-                pm1[i] = nsat if x < nsat else sat if x > sat else x
-            pm_sum2 = 0.0
-            for i in gens:
-                u, g, p = du2[i], gov2[i], pm2[i]
-                pm_sum2 += p
-                x = u + slew2
-                du2[i] = nsat if x < nsat else sat if x > sat else x
-                gov2[i] = g + dt * ((u - f2 * droops[i]) - g) / t_gov
-                x = (g - p) / t_turb
-                x = p + dt * (nramp if x < nramp else ramp if x > ramp else x)
-                pm2[i] = nsat if x < nsat else sat if x > sat else x
-            fr1 = responsive_load(f1, grid)
-            # tie power leaves area 1 and enters area 2; the fleet, the net
-            # load and the droop are area 1's alone
-            accel1 = pm_sum1 + b1 + fr1 - load - damping * f1 - p_tie
-            accel2 = pm_sum2 - damping * f2 + p_tie
-            p_tie = p_tie + tie_gain * (f1 - f2)
-            f1 = f1 + dt * accel1 / inertia
-            f2 = f2 + dt * accel2 / inertia
-        du = tuple(du1), tuple(du2)
-        gov = tuple(gov1), tuple(gov2)
-        pm = tuple(pm1), tuple(pm2)
+    step, (gain1, gain2), (e1, e2) = plant.step, plant.slew_gains, agc_errors
+    x = gain1 * float(e1)
+    slew1 = -step if x < -step else step if x > step else x
+    x = gain2 * float(e2)
+    slew2 = -step if x < -step else step if x > step else x
+    kernel = _step_alike if plant.alike else _step_units
+    kernel(plant, float(p_bess), slew1, slew2, loads)
+    (f1, f2), (fr1, fr2), du, gov, pm = (plant.df, plant.p_fr, plant.du_gov,
+                                         plant.gov, plant.p_m)
     # one pass over every value, then, when one is not finite, its group
-    if not all(map(math.isfinite, (f1, f2, fr1, fr2, p_tie,
-                                   *chain(*du, *gov, *pm)))):
+    if not all(map(math.isfinite, (f1, f2, fr1, fr2, plant.p_tie, *du[0],
+                                   *du[1], *gov[0], *gov[1], *pm[0],
+                                   *pm[1]))):
         for name, values in (
             ("df", (f1, f2)), ("du_gov", du[0] + du[1]),
             ("gov", gov[0] + gov[1]), ("p_m", pm[0] + pm[1]),
-            ("p_fr", (fr1, fr2)), ("p_tie", (p_tie,)),
+            ("p_fr", (fr1, fr2)), ("p_tie", (plant.p_tie,)),
         ):
             if not all(map(math.isfinite, values)):
                 raise GridInstabilityError(name)
     if abs(f1) >= DF_LIMIT or abs(f2) >= DF_LIMIT:
         raise GridInstabilityError("df", max(f1, f2, key=abs))
-    return GridState((f1, f2), du, gov, pm, p_tie, (fr1, fr2))
+
+
+def _step_alike(plant: Plant, b1, slew1, slew2, loads) -> None:
+    """grid_step's plant steps for alike units: one unit per area, in the
+    operations of `_step_units`; each area's mechanical-power sum adds that
+    unit's value once per generator."""
+    (dt, sat, ramp, t_gov, t_turb, damping, inertia, tie_gain, band,
+     slope) = plant.constants
+    nsat, nramp = -sat, -ramp
+    r, gens = plant.droops[0], range(len(plant.droops))
+    (f1, f2), p_tie, fr1 = plant.df, plant.p_tie, plant.p_fr[0]
+    u1, u2 = plant.du_gov[0][0], plant.du_gov[1][0]
+    g1, g2 = plant.gov[0][0], plant.gov[1][0]
+    p1, p2 = plant.p_m[0][0], plant.p_m[1][0]
+    for load in loads:
+        pm_sum1 = pm_sum2 = 0.0
+        for _ in gens:
+            pm_sum1 += p1
+            pm_sum2 += p2
+        x = (g1 - p1) / t_turb
+        x = p1 + dt * (nramp if x < nramp else ramp if x > ramp else x)
+        p1 = nsat if x < nsat else sat if x > sat else x
+        g1 = g1 + dt * ((u1 - f1 * r) - g1) / t_gov
+        x = u1 + slew1
+        u1 = nsat if x < nsat else sat if x > sat else x
+        x = (g2 - p2) / t_turb
+        x = p2 + dt * (nramp if x < nramp else ramp if x > ramp else x)
+        p2 = nsat if x < nsat else sat if x > sat else x
+        g2 = g2 + dt * ((u2 - f2 * r) - g2) / t_gov
+        x = u2 + slew2
+        u2 = nsat if x < nsat else sat if x > sat else x
+        mag = abs(f1) - band  # responsive_load's droop, without a call
+        fr1 = 0.0 if mag <= 0 else -slope * mag if f1 > 0 else slope * mag
+        accel1 = pm_sum1 + b1 + fr1 - load - damping * f1 - p_tie
+        accel2 = pm_sum2 - damping * f2 + p_tie
+        p_tie = p_tie + tie_gain * (f1 - f2)
+        f1 = f1 + dt * accel1 / inertia
+        f2 = f2 + dt * accel2 / inertia
+    n = len(gens)
+    plant.df, plant.p_tie, plant.p_fr[0] = [f1, f2], p_tie, fr1
+    plant.du_gov = [u1] * n, [u2] * n
+    plant.gov = [g1] * n, [g2] * n
+    plant.p_m = [p1] * n, [p2] * n
+
+
+def _step_units(plant: Plant, b1, slew1, slew2, loads) -> None:
+    """grid_step's plant steps, generator by generator."""
+    (dt, sat, ramp, t_gov, t_turb, damping, inertia, tie_gain, band,
+     slope) = plant.constants
+    nsat, nramp = -sat, -ramp
+    droops = plant.droops
+    gens = range(len(droops))
+    (f1, f2), p_tie, fr1 = plant.df, plant.p_tie, plant.p_fr[0]
+    du1, du2 = plant.du_gov
+    gov1, gov2 = plant.gov
+    pm1, pm2 = plant.p_m
+    for load in loads:
+        # Each generator reads only its own old values and its area's
+        # old df. The command slews within the saturation band, the
+        # valve follows the command less the droop, and the turbine
+        # follows the valve no faster than the ramp limit, within the
+        # saturation band. Mechanical power is summed before the step,
+        # from 0.0 in generator order as numpy sums; the clamps let NaN
+        # through.
+        pm_sum1 = 0.0
+        for i in gens:
+            u, g, p = du1[i], gov1[i], pm1[i]
+            pm_sum1 += p
+            x = u + slew1
+            du1[i] = nsat if x < nsat else sat if x > sat else x
+            gov1[i] = g + dt * ((u - f1 * droops[i]) - g) / t_gov
+            x = (g - p) / t_turb
+            x = p + dt * (nramp if x < nramp else ramp if x > ramp else x)
+            pm1[i] = nsat if x < nsat else sat if x > sat else x
+        pm_sum2 = 0.0
+        for i in gens:
+            u, g, p = du2[i], gov2[i], pm2[i]
+            pm_sum2 += p
+            x = u + slew2
+            du2[i] = nsat if x < nsat else sat if x > sat else x
+            gov2[i] = g + dt * ((u - f2 * droops[i]) - g) / t_gov
+            x = (g - p) / t_turb
+            x = p + dt * (nramp if x < nramp else ramp if x > ramp else x)
+            pm2[i] = nsat if x < nsat else sat if x > sat else x
+        mag = abs(f1) - band  # responsive_load's droop, without a call
+        fr1 = 0.0 if mag <= 0 else -slope * mag if f1 > 0 else slope * mag
+        # tie power leaves area 1 and enters area 2; the fleet, the net
+        # load and the droop are area 1's alone
+        accel1 = pm_sum1 + b1 + fr1 - load - damping * f1 - p_tie
+        accel2 = pm_sum2 - damping * f2 + p_tie
+        p_tie = p_tie + tie_gain * (f1 - f2)
+        f1 = f1 + dt * accel1 / inertia
+        f2 = f2 + dt * accel2 / inertia
+    plant.df, plant.p_tie, plant.p_fr[0] = [f1, f2], p_tie, fr1
 
 
 # SeedSequence constants (numpy.random.bit_generator) and the PCG64

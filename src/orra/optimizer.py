@@ -11,7 +11,9 @@ cap is hit or the frequency deviation spikes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,24 +44,6 @@ def schedule_step(t: int, df: float, o):
     return o.kappa0 * t**-o.alpha, o.eps0 * t**-o.beta, t + 1, reset
 
 
-def primal_step(d, c, s_d, s_c, kappa, box, mode):
-    """One agent's step against the saddle direction, projected onto its
-    mode box; the coordinate the mode forbids is zero.
-
-    As with numpy's clip on array bounds, a value tied with a box end
-    takes the end (-0.0 on a 0.0 bound comes out 0.0) and NaN passes
-    through.
-    """
-    lo, hi = box
-    if mode == 1:
-        d = d - kappa * s_d
-        d = lo if d <= lo else d
-        return (hi if d >= hi else d), 0.0
-    c = c + kappa * s_c
-    c = lo if c <= lo else c
-    return 0.0, (hi if c >= hi else c)
-
-
 @dataclass
 class OrraOptimizer:
     """Stateful wrapper: schedule, dual clipping, and per-iteration logs,
@@ -78,14 +62,26 @@ class OrraOptimizer:
         self.b_y = 0.0
         self.stage = 0
 
-    def iterate(self, u, grads, aie_shares, df, intervals, modes):
+    def iterate(self, u, grads, aie_shares, df, intervals, modes, models,
+                soc, row):
         """Advance every agent one control interval; returns (u_next, info).
 
-        u and grads hold one (discharge, charge) pair per agent, intervals
-        one (lo, hi) box. Each agent mixes its dual and tracker with its
-        neighbours', steps and projects, ascends its dual and refreshes its
-        tracker against its new constraint value. u_next and the per-agent
-        entries of info are lists.
+        u and grads hold one (discharge, charge) pair per agent, grads its
+        cost model's gradient at u; intervals one (lo, hi) box; models each
+        agent's IntervalCost for the interval; soc its battery's state of
+        charge. Each agent mixes its dual and tracker with its neighbours',
+        then one pass per agent steps and projects its dispatch, ascends its
+        dual, refreshes its tracker against its new constraint value, prices
+        the new point, and appends its trace cells to row: share, mode, d, c,
+        soc, the cost slope along the active coordinate, lam, mixed lam, y,
+        mixed y and h. Then come kappa, eps, reset, stage, t, the dual bound
+        and the fleet's cost, then each agent's saddle direction and
+        whether its dispatch sits strictly inside its box. u_next and the
+        per-agent entries of info are lists; info's p_bess is the fleet's
+        net injection under u_next and f_dist its cost.
+
+        Raises FloatingPointError when the dual bound, a dual or a tracker
+        value is not finite.
         """
         if self.y is None:
             h0 = [d - c + a for (d, c), a in zip(u, aie_shares)]
@@ -104,25 +100,67 @@ class OrraOptimizer:
         bound = o.gamma * self.b_y * kappa / eps
 
         # numpy's matrix product, not a Python sum: the two round
-        # differently, and the product is what the trace was pinned with
-        lam_mixed = (self.weights @ self.lam).tolist()
-        y_mixed = (self.weights @ self.y).tolist()
-        leak, gk = 1.0 - eps, o.gamma * kappa
-        u_next, s, lam_next, h_new, y_next = [], [], [], [], []
-        for (d, c), (g_d, g_c), share, box, mode, lm, ym, hp in zip(
-            u, grads, aie_shares, intervals, modes, lam_mixed, y_mixed,
-            self.h_prev,
-        ):
+        # differently, and the product is what the trace was pinned with.
+        # ndarray.dot takes the same BLAS product as @, with less dispatch
+        lam_mixed = self.weights.dot(self.lam).tolist()
+        y_mixed = self.weights.dot(self.y).tolist()
+        leak, gk, b_y = 1.0 - eps, o.gamma * kappa, self.b_y
+        f_dist = p_bess = 0.0
+        u_next, s, lam_next, h_new, y_next, interior = [], [], [], [], [], []
+        for ((d, c), (g_d, g_c), share, (lo, hi), mode, cost, soc_i, lam, lm,
+             y, ym, hp) in zip(u, grads, aie_shares, intervals, modes, models,
+                               soc, self.lam, lam_mixed, self.y, y_mixed,
+                               self.h_prev):
+            # step against the saddle direction, then project onto the mode
+            # box; the coordinate the mode forbids is zero. As with numpy's
+            # clip on array bounds, a value tied with a box end takes the end
+            # (-0.0 on a 0.0 bound comes out 0.0) and NaN passes through
             s_d, s_c = g_d + lm, -g_c + lm
-            d, c = primal_step(d, c, s_d, s_c, kappa, box, mode)
-            h = d - c + share
+            if mode == 1:
+                d = d - kappa * s_d
+                d = lo if d <= lo else d
+                active = d = hi if d >= hi else d
+                c = 0.0
+            else:
+                c = c + kappa * s_c
+                c = lo if c <= lo else c
+                active = c = hi if c >= hi else c
+                d = 0.0
+            net = d - c
+            h = net + share
+            # IntervalCost.value and .gradient at the new point, sharing
+            # mu and d - c
+            mu0, cost_d, cost_c, theta_b, big_theta, b = cost
+            mu = mu0 + cost_d * d + cost_c * c
+            f_dist += theta_b * net**2 + big_theta * mu**b
+            wear = 2.0 * theta_b * net
+            aging = big_theta * b * mu ** (b - 1.0) if mu > 0 else 0.0
+            marginal = (wear + aging * cost_d if mode == 1
+                        else -wear + aging * cost_c)
+            p_bess += net
+            row += (share, mode, d, c, soc_i, marginal, lam, lm, y, ym, h)
             u_next.append((d, c))
             s.append((s_d, s_c))
             lam_next.append(leak * lm + gk * ym)
             h_new.append(h)
-            y_next.append(ym + h - hp)
+            y_new = ym + h - hp
+            y_next.append(y_new)
+            if abs(y_new) > b_y:  # the largest |y| yet, as max() kept it
+                b_y = abs(y_new)
+            interior.append(lo + 1e-9 < active < hi - 1e-9)
+        if not (math.isfinite(bound) and all(map(math.isfinite, lam_next))
+                and all(map(math.isfinite, y_next))):
+            raise FloatingPointError(
+                f"the dual bound ({bound:.6g}), a dual or a tracker value is "
+                f"not finite at stage {self.stage}, with optimizer.gamma "
+                f"{o.gamma:g}"
+            )
+        t = self.t if not reset else 0
+        row += (kappa, eps, reset, self.stage, t, bound, f_dist)
+        row += chain.from_iterable(s)
+        row += interior
         info = {
-            "t": self.t if not reset else 0,
+            "t": t,
             "stage": self.stage,
             "reset": reset,
             "kappa": kappa,
@@ -134,10 +172,12 @@ class OrraOptimizer:
             "s": s,
             "h": h_new,
             "bound": bound,
+            "p_bess": p_bess,
+            "f_dist": f_dist,
         }
         self.lam = lam_next
         self.y = y_next
         self.h_prev = h_new
         self.t = t_next
-        self.b_y = max(self.b_y, *map(abs, y_next))
+        self.b_y = b_y
         return u_next, info

@@ -28,16 +28,19 @@ import numpy as np
 from .aie import RbfSurrogate, aie_shares, compute_ace
 from .bess import Fleet, check_soc_box
 from .comm_graph import default_edges, metropolis_weights
-from .grid import grid_step, responsive_load, scenario_fluctuation, zero_state
+from .grid import Plant, grid_step, responsive_load, scenario_fluctuation
 from .optimizer import OrraOptimizer
 from .oracle import centralized_solve
 
 TRACE_SCHEMA = "orra-trace-v1"
+# relative tolerance of a trace total against its printed parts (verify_trace)
+TRACE_RTOL = 1e-11
 OUT_DIR_ENV = "ORRA_OUT_DIR"
 # plant steps per control interval: each interval lists the load of every
-# step and advances the plant through them one by one, about 3.5 us a step
-# on a 2-vCPU VM, so 1000 (the shipped configs use 10) already makes a
-# 300 s run spend about 11 s in the plant
+# step and advances the plant through them one by one, about 0.8-1.1 us a
+# step with alike units and 1.9-3.0 us with three distinct droops on a
+# 2-vCPU VM, so 1000 (the shipped configs use 10) already makes a 300 s run
+# spend about 3 s in the plant, or 6-9 s with distinct droops
 MAX_INNER_STEPS = 1000
 
 
@@ -410,7 +413,7 @@ TRACE_SPEC = (
 # The keys of the optimizer log, in the order `OrraOptimizer.iterate`
 # returns them; each is also a RunResult array.
 OPTIMIZER_LOG = ("t", "stage", "reset", "kappa", "eps", "lam", "lam_mixed",
-                 "y", "y_mixed", "s", "h", "bound")
+                 "y", "y_mixed", "s", "h", "bound", "p_bess", "f_dist")
 
 
 def trace_columns(n_agents: int, n_cg: int) -> tuple:
@@ -537,7 +540,10 @@ class ScenarioRunner:
         n = config.fleet.n
         self.fleet = Fleet(config.fleet, config.tau)
         self.optimizer = config.coordinator()
-        self.state = zero_state(len(config.grid.inv_droops))
+        self.plant = Plant(config.grid, config.dt_inner)
+        # settings the config computes on each read, read once per run
+        self.bias, self.d_prime = config.grid.bias, config.aie.d_prime
+        self.inner_steps = config.inner_steps
         self.window = None  # last (hold window, value) of the fluctuation
         self.sigma = [1.0 / n] * n  # the fleet splits the signal evenly
         self.surrogate = (RbfSurrogate(config.aie)
@@ -578,34 +584,32 @@ class ScenarioRunner:
         tau = cfg.tau
         t0 = k * tau
         enabled = cfg.bess_enabled
-        rec = self.result
+        plant = self.plant
 
         # apply the pending decision, then run the plant over the interval
         if enabled:
             self.fleet.apply_all(self.u)
-        agc2 = compute_ace(-self.state.p_tie, cfg.grid.bias, self.state.df[1])
+        agc2 = compute_ace(-plant.p_tie, self.bias, plant.df[1])
         # the plant's times rise through the interval, so when its first
         # and last share a piece of the configured profile, every one does
-        steps, dt_inner = cfg.inner_steps, cfg.dt_inner
+        steps, dt_inner = self.inner_steps, cfg.dt_inner
         if self.pieced and (self.piece(t0)
                             == self.piece(t0 + (steps - 1) * dt_inner)):
             loads = [self.disturbance(t0)] * steps
         else:
             loads = [self.disturbance(t0 + j * dt_inner)
                      for j in range(steps)]
-        self.state = grid_step(self.state, self.p_bess, (self.agc1, agc2),
-                               loads, cfg.grid, cfg.dt_inner)
+        grid_step(plant, self.p_bess, (self.agc1, agc2), loads)
 
         # measure the area signals at the interval boundary
-        df1 = self.state.df[0]
-        p_tie = self.state.p_tie
+        (df1, df2), p_tie, p_m = plant.df, plant.p_tie, plant.p_m[0]
         # sequential sums from 0.0, as numpy sums fewer than 8 terms
         du_cg = pm_cg = 0.0
-        for u, p in zip(self.state.du_gov[0], self.state.p_m[0]):
+        for u, p in zip(plant.du_gov[0], p_m):
             du_cg += u
             pm_cg += p
         if cfg.signal == "AIE":
-            shares = aie_shares(self.sigma, p_tie, cfg.aie.d_prime, df1,
+            shares = aie_shares(self.sigma, p_tie, self.d_prime, df1,
                                 du_cg, pm_cg)
             if self.surrogate.infill_decide(df1):
                 # responsive loads report in load convention: an injection
@@ -618,50 +622,32 @@ class ScenarioRunner:
                 agc1 += a
             self.agc1 = agc1
         else:
-            ace = compute_ace(p_tie, cfg.grid.bias, df1)
+            ace = compute_ace(p_tie, self.bias, df1)
             shares = [s * ace for s in self.sigma]
             self.agc1 = float(ace)
 
         # row k describes the interval starting at this boundary: the state
         # just sampled plus the dispatch that covers [t, t+tau), its cells
-        # in the order of the table's columns; a fleet that sits out leaves
-        # its columns at zero
-        plant = [t0 + tau, *self.state.df, p_tie, self.disturbance(t0 + tau)]
-        signal = [pm_cg, *self.state.p_m[0], self.agc1,
-                  0 if self.surrogate is None else self.surrogate.m]
+        # in the order of the table's columns; p_bess, the fifth, is known
+        # once the dispatch is
+        row = [t0 + tau, df1, df2, p_tie, self.disturbance(t0 + tau), 0.0,
+               pm_cg, *p_m, self.agc1,
+               0 if self.surrogate is None else self.surrogate.m]
+        table = self.result.table
+        soc = self.fleet.soc
         if not enabled:
-            zero = [0.0] * len(shares)
-            row = [*plant, 0.0, *signal, *chain.from_iterable(zip(
-                shares, zero, zero, zero, self.fleet.soc, *[zero] * 6))]
-            rec.table[k, :len(row)] = row
+            # a fleet that sits out leaves its columns at zero
+            for share, soc_i in zip(shares, soc):
+                row += (share, 0.0, 0.0, 0.0, soc_i, 0.0, 0.0, 0.0, 0.0, 0.0,
+                        0.0)
+            table[k, :len(row)] = row
             return
 
-        modes, boxes, models = self.fleet.plan(shares)
-        grads = [m.gradient(d, c) for m, (d, c) in zip(models, self.u)]
-        u_next, info = self.optimizer.iterate(
-            self.u, grads, shares, df1, boxes, modes
+        modes, boxes, models, grads = self.fleet.plan(shares, self.u)
+        self.u, info = self.optimizer.iterate(
+            self.u, grads, shares, df1, boxes, modes, models, soc, row
         )
-        # agent by agent: the cost, the slope along the active coordinate,
-        # whether the dispatch sits strictly inside its box, and the net
-        # injection
-        f_dist = p_bess = 0.0
-        marginals, interior = [], []
-        for m, (d, c), mode, (lo, hi) in zip(models, u_next, modes, boxes):
-            f_dist += m.value(d, c)
-            g_d, g_c = m.gradient(d, c)
-            active = d if mode == 1 else c
-            marginals.append(g_d if mode == 1 else g_c)
-            interior.append(lo + 1e-9 < active < hi - 1e-9)
-            p_bess += d - c
-        row = [
-            *plant, p_bess, *signal, *chain.from_iterable(zip(
-                shares, modes, *zip(*u_next), self.fleet.soc, marginals,
-                info["lam"], info["lam_mixed"], info["y"], info["y_mixed"],
-                info["h"])),
-            info["kappa"], info["eps"], info["reset"], info["stage"],
-            info["t"], info["bound"], f_dist,
-            *chain.from_iterable(info["s"]), *interior,
-        ]
+        row[5] = self.p_bess = info["p_bess"]
         if self.oracle_every:
             sol = centralized_solve(
                 models, modes, boxes, -float(np.sum(shares)),
@@ -670,9 +656,8 @@ class ScenarioRunner:
             self.nu_hint = sol.nu
             row.append(sum(m.value(d, c) for m, (d, c) in zip(models, sol.u)))
             row += chain.from_iterable(sol.u)
-            rec.oracle_clamped += int(sol.clamped)
-        rec.table[k] = row
-        self.u, self.p_bess = u_next, p_bess
+            self.result.oracle_clamped += int(sol.clamped)
+        table[k] = row
 
     def run(self, out_dir: str | None = None, write_trace: bool = True):
         # an unusable output directory fails here, before the first step
@@ -722,7 +707,11 @@ def verify_trace(path: str, soc_min: float = FleetConfig.soc_min,
 
     Validates that the file parses as numbers, the schema line, the column
     layout, uniform time steps, finite values, SoC bounds, one-sided
-    battery dispatch, mode codes, and the logged multiplier-bound column.
+    battery dispatch, mode codes, the logged multiplier-bound column, and
+    the trace's own accounting: p_bess is the sum of d - c, p_m_total of
+    p_m_cg and signal_total of the shares, each h_i is d_i - c_i + aie_i,
+    the stage counts the resets and t_opt restarts at each. A trace whose
+    every d, c and lam is 0, a fleet that sat out, skips the last three.
     Returns a report dict with `passed` plus one entry per check. An SoC
     box outside 0 <= soc_min < soc_max <= 1, NaN included, raises
     ConfigError: no trace could pass or fail it.
@@ -800,6 +789,51 @@ def verify_trace(path: str, soc_min: float = FleetConfig.soc_min,
         bool((lam[active] <= bound[active] + 1e-9).all()),
         f"{int(active.sum())} bounded rows",
     )
+
+    # the trace's own accounting: each total against its parts in the same
+    # row. %.12g moves a cell by at most 5e-12 of its magnitude, so a total
+    # and its parts, each printed, differ by at most 5e-12 of their summed
+    # magnitudes; twice that leaves room for the sums' own rounding
+    def holds(name, ok):
+        """Record whether the (T,) or (T, n) mask ok holds in every row."""
+        bad = np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1))
+        record(name, bad.size == 0,
+               f"first violation at row {bad[0]}" if bad.size else "")
+
+    def balanced(name, total, parts):
+        gap = np.abs(total - parts.sum(axis=-1))
+        holds(name, gap <= TRACE_RTOL * (np.abs(total)
+                                         + np.abs(parts).sum(axis=-1)))
+
+    d, c, aie = col("d"), col("c"), col("aie")
+    balanced("p_bess_sum", col("p_bess")[:, 0], np.hstack([d, -c]))
+    balanced("p_m_total_sum", col("p_m_total")[:, 0], col("p_m_cg"))
+    balanced("signal_total_sum", col("signal_total")[:, 0], aie)
+    if not (d.any() or c.any() or col("lam").any()):
+        # the fleet sat out: its optimizer columns hold zeros
+        for name in ("h_balance", "stage_count", "stage_clock"):
+            record(name, True, "skipped: fleet off")
+        return report
+    balanced("h_balance", col("h"), np.stack([d, -c, aie], axis=2))
+    reset, stage = col("reset")[:, 0], col("stage")[:, 0]
+    t_opt = col("t_opt")[:, 0]
+    # each row against the one before it; the first has none
+    first = np.ones(1, dtype=bool)
+    holds("stage_count",
+          np.concatenate([first, stage[1:] == stage[:-1] + reset[1:]]))
+    holds("stage_clock", np.concatenate([first, t_opt[1:] == np.where(
+        reset[1:] != 0, 0.0, t_opt[:-1] + 1)]))
+    return report
+    balanced("h_balance", col("h").ravel(),
+             np.stack([d, -c, aie], axis=2).reshape(-1, 3))
+    reset, stage = col("reset")[:, 0], col("stage")[:, 0]
+    t_opt = col("t_opt")[:, 0]
+    bad = np.nonzero(stage[1:] != stage[:-1] + reset[1:])
+    record("stage_count", bad[0].size == 0,
+           "" if bad[0].size == 0 else f"first violation at row {bad[0][0] + 1}")
+    bad = np.nonzero(t_opt[1:] != np.where(reset[1:] != 0, 0.0, t_opt[:-1] + 1))
+    record("stage_clock", bad[0].size == 0,
+           "" if bad[0].size == 0 else f"first violation at row {bad[0][0] + 1}")
     return report
 
 

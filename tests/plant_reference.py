@@ -4,7 +4,8 @@
 the generator lags through `governor_turbine_step`, exactly as the package
 did before its kernel moved to one call per control interval on plain
 floats. The kernel keeps the same float operations in the same order, so
-the two must agree bit for bit; `RefState` converts between the layouts.
+the two must agree bit for bit; `RefState` converts between the layouts,
+and `state_of` reads a `Plant`'s state in the kernel's.
 
 Kept deliberately separate from the package's kernel so the two routes
 share no code: the responsive-load droop here is `frr_response`, not
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from orra.grid import GridInstabilityError, GridState
+from orra.grid import GridInstabilityError
 
 
 def frr_response(df: float, grid) -> float:
@@ -29,6 +30,17 @@ def frr_response(df: float, grid) -> float:
 def scenario_step_load(t: float) -> float:
     """Case-study step: nothing before 10 s, then a 5 MW load increase."""
     return 5.0 if t >= 10.0 else 0.0
+
+
+def state_of(plant) -> dict:
+    """A plant's state as the keywords that build it, every group a tuple
+    (per area, a tuple per generator)."""
+    return {
+        "df": tuple(plant.df), "du_gov": tuple(map(tuple, plant.du_gov)),
+        "gov": tuple(map(tuple, plant.gov)),
+        "p_m": tuple(map(tuple, plant.p_m)), "p_tie": plant.p_tie,
+        "p_fr": tuple(plant.p_fr),
+    }
 
 
 @dataclass
@@ -47,24 +59,25 @@ class RefState:
         )
 
     @classmethod
-    def from_state(cls, state: GridState) -> "RefState":
+    def from_state(cls, state: dict) -> "RefState":
+        """From a state in the layout of `state_of`."""
         return cls(
-            np.array(state.df, dtype=float), np.array(state.du_gov),
-            np.array(state.gov), np.array(state.p_m), float(state.p_tie),
-            np.array(state.p_fr, dtype=float),
+            np.array(state["df"], dtype=float), np.array(state["du_gov"]),
+            np.array(state["gov"]), np.array(state["p_m"]),
+            float(state["p_tie"]), np.array(state["p_fr"], dtype=float),
         )
 
-    def to_state(self) -> GridState:
-        """The same state in the kernel's per-area layout."""
+    def to_state(self) -> dict:
+        """The same state in the layout of `state_of`."""
 
         def rows(arr):
             return tuple(tuple(row) for row in arr.tolist())
 
-        return GridState(
-            df=tuple(self.df.tolist()), du_gov=rows(self.du_gov),
-            gov=rows(self.gov), p_m=rows(self.p_m), p_tie=float(self.p_tie),
-            p_fr=tuple(self.p_fr.tolist()),
-        )
+        return {
+            "df": tuple(self.df.tolist()), "du_gov": rows(self.du_gov),
+            "gov": rows(self.gov), "p_m": rows(self.p_m),
+            "p_tie": float(self.p_tie), "p_fr": tuple(self.p_fr.tolist()),
+        }
 
 
 def governor_turbine_step(gov, p_m, commands, df, grid, dt):

@@ -156,7 +156,8 @@ def run_random_instance(rng):
         grads = np.array(
             [m.gradient(ui[0], ui[1]) for m, ui in zip(models, u)]
         )
-        u, info = opt.iterate(u, grads, aie, 0.0, intervals, modes)
+        u, info = opt.iterate(u, grads, aie, 0.0, intervals, modes, models,
+                              [0.5] * n, [])
         for name in ("s", "lam", "lam_mixed", "y", "y_mixed"):
             rows[name].append(info[name])
         rows["kappa"].append(info["kappa"])

@@ -12,15 +12,21 @@ from orra.bess import (
     mode_select,
     soc_step,
 )
-from orra.degradation import AGING, cost_terms, interval_cost
-from orra.optimizer import primal_step
-from orra.scenario import FleetConfig
+from orra.degradation import AGING, IntervalCost, cost_terms, interval_cost
+from orra.optimizer import OrraOptimizer
+from orra.scenario import FleetConfig, OptimizerConfig
+
+FLAT = IntervalCost(0.0, 0.0, 0.0, 0.0, 0.0, 2.0)
 
 
 def project(u, box, mode):
     """The optimizer's projection of one agent's (d, c) onto its mode box:
-    a primal step with a zero saddle direction."""
-    return primal_step(u[0], u[1], 0.0, 0.0, 0.0, box, mode)
+    the primal step of a lone agent's iterate, with a zero saddle
+    direction."""
+    opt = OrraOptimizer(np.ones((1, 1)), OptimizerConfig())
+    (pair,), _ = opt.iterate([u], [(0.0, 0.0)], [0.0], 0.0, [box], [mode],
+                             [FLAT], [0.5], [])
+    return pair
 
 
 def test_params_validation():
@@ -65,6 +71,11 @@ def test_soc_step_raises_on_violation():
     p = FleetConfig(soc_min=0.2, soc_max=0.8)
     with pytest.raises(SocViolationError):
         soc_step(0.21, 0, 1.0, p, 3600.0)
+    # NaN fails no single comparison with the box ends, nor passes the box
+    nan = float("nan")
+    for args in ((0.5, 0.0, nan), (0.5, nan, 0.0), (nan, 0.0, 0.0)):
+        with pytest.raises(SocViolationError, match="soc nan outside"):
+            soc_step(*args, p, 0.1)
 
 
 def test_round_trip_returns_eta_squared_of_input_energy():
@@ -183,16 +194,20 @@ def test_fleet_wiring():
     p = FleetConfig(initial_soc=(0.5, 0.5, 0.5), theta_a=(500.0, 1000.0, 0))
     fleet = Fleet(p, 0.1)
     assert [b.params for b in fleet.batteries] == [p] * 3
-    modes, boxes, models = fleet.plan([-2.0, 2.0, 2.0])
+    applied = [(0.0, 0.0)] * 3
+    modes, boxes, models, grads = fleet.plan([-2.0, 2.0, 2.0], applied)
     assert list(modes) == [1, 0, 0]
     assert [b.mode for b in fleet.batteries] == [1, 0, 0]
-    modes, boxes, models = fleet.plan([2.0, -2.0, 0.0])
+    applied = [(0.3, 0.0), (0.0, 0.2), (0.0, 0.0)]
+    modes, boxes, models, grads = fleet.plan([2.0, -2.0, 0.0], applied)
     assert list(modes) == [0, 1, 0]  # zero share holds previous mode
-    for b, mode, box, model, theta_a in zip(
-            fleet.batteries, modes, boxes, models, (500.0, 1000.0, 0.0)):
+    for b, mode, box, model, grad, (d, c), theta_a in zip(
+            fleet.batteries, modes, boxes, models, grads, applied,
+            (500.0, 1000.0, 0.0)):
         assert tuple(box) == feasible_interval(b.soc, mode, p, 0.1)
         assert model == interval_cost(b.residues, cost_terms(
             2.0, 0.95, 0.95, theta_a, 0.1, 0.1))
+        assert grad == model.gradient(d, c)  # at the applied pair
         assert b.aging is AGING
     u = [project(ui, box, mode) for ui, box, mode
          in zip([(0.5, 0.2), (0.5, 0.4), (-0.2, 0.1)], boxes, modes)]

@@ -531,6 +531,23 @@ def test_finite_divergence_exits_numeric(tmp_path, capsys):
     assert multiprocessing.active_children() == []
 
 
+def test_dual_bound_overflow_exits_numeric(tmp_path, capsys):
+    # gamma 1e308 lies in its domain, but the dual bound it sets overflows
+    # near 52 s of the step: exit 3, not a trace of infinite bounds
+    cfg = tmp_path / "g.json"
+    cfg.write_text(json.dumps({"name": "g", "duration": 60.0,
+                               "step_time": 1.0,
+                               "optimizer": {"gamma": 1e308}}))
+    assert main(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    for cmd in ("run", "ablation"):
+        assert main([cmd, str(cfg), "--out", str(tmp_path / cmd)]) == 3, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: the dual bound ("), err
+        assert "optimizer.gamma 1e+308" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
 def test_every_error_survives_pickling():
     # an error raised in a forked worker reaches this process pickled
     found = {}

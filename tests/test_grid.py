@@ -5,7 +5,6 @@ import random
 import struct
 import subprocess
 import sys
-from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,14 +14,13 @@ import plant_reference as ref
 from orra.grid import (
     DF_LIMIT,
     GridInstabilityError,
-    GridState,
+    Plant,
     grid_step,
     responsive_load,
     scenario_fluctuation,
-    zero_state,
 )
 from orra.scenario import GridConfig
-from plant_reference import frr_response, scenario_step_load
+from plant_reference import frr_response, scenario_step_load, state_of
 
 NAN, INF = float("nan"), float("inf")
 GRID = GridConfig()  # the shipped plant, droop included
@@ -53,13 +51,14 @@ def hold_frequency(grid, command, steps, dt=DT):
     """
     cmd = tuple(float(c) for c in command)
     rest = (0.0,) * len(cmd)
-    state = replace(zero_state(len(cmd)), du_gov=(cmd, rest))
+    plant = Plant(grid, dt, du_gov=(cmd, rest))
     for _ in range(steps):
-        state = grid_step(state, 0.0, (0.0, 0.0), [sum(state.p_m[0])], grid,
-                          dt)
-        assert state.df == (0.0, 0.0) and state.du_gov == (cmd, rest)
-    assert state.gov[1] == state.p_m[1] == rest and state.p_tie == 0.0
-    return np.array(state.gov[0]), np.array(state.p_m[0])
+        grid_step(plant, 0.0, (0.0, 0.0), [sum(plant.p_m[0])])
+        state = state_of(plant)
+        assert state["df"] == (0.0, 0.0) and state["du_gov"] == (cmd, rest)
+    assert state["gov"][1] == state["p_m"][1] == rest
+    assert state["p_tie"] == 0.0
+    return np.array(state["gov"][0]), np.array(state["p_m"][0])
 
 
 def test_governor_rest_state():
@@ -90,13 +89,13 @@ def test_nonlinearity_engages_on_large_command():
 
 
 def test_zero_state_stays_zero():
-    state = zero_state(3)
+    plant = Plant(GRID, DT)
     for _ in range(20):
-        state = grid_step(state, 0.0, (0.0, 0.0), [0.0] * 10, GRID, DT)
-    assert np.all(np.array(state.df) == 0.0)
-    assert state.p_tie == 0.0
-    assert np.all(np.array(state.p_m) == 0.0)
-    assert np.all(np.array(state.p_fr) == 0.0)
+        grid_step(plant, 0.0, (0.0, 0.0), [0.0] * 10)
+    assert np.all(np.array(plant.df) == 0.0)
+    assert plant.p_tie == 0.0
+    assert np.all(np.array(plant.p_m) == 0.0)
+    assert np.all(np.array(plant.p_fr) == 0.0)
 
 
 def test_steady_state_frequency_with_droop_load():
@@ -108,25 +107,23 @@ def test_steady_state_frequency_with_droop_load():
     # and area 2 exports its governors' and damping's share over the tie.
     # The ramp limit is raised so it never binds: at the shipped 0.009 MW/s
     # the two areas' turbines swing in a limit cycle about this point.
-    grid = GridConfig(k_i=0.0, ramp_limit=1.0)
-    state = zero_state(3)
+    plant = Plant(GridConfig(k_i=0.0, ramp_limit=1.0), DT)
     for _ in range(6000):  # 600 s, past the tie line's settling
-        state = grid_step(state, 0.0, (0.0, 0.0), [5.0] * 10, grid, DT)
+        grid_step(plant, 0.0, (0.0, 0.0), [5.0] * 10)
     expected = -(5.0 + 40.0 * 0.002) / (2 * (1.0 + 60.0) + 40.0)
-    assert state.df[0] == pytest.approx(expected, abs=1e-4)
-    assert state.df[1] == pytest.approx(expected, abs=1e-4)
-    assert state.p_tie == pytest.approx(61.0 * expected, abs=1e-3)
+    assert plant.df[0] == pytest.approx(expected, abs=1e-4)
+    assert plant.df[1] == pytest.approx(expected, abs=1e-4)
+    assert plant.p_tie == pytest.approx(61.0 * expected, abs=1e-3)
 
 
 def test_small_signal_linearity():
     # small enough that limiters and the deadband never engage
     def run(scale):
-        state = zero_state(3)
+        plant = Plant(GRID, DT)
         out = []
         for _ in range(2000):
-            state = grid_step(state, 0.0, (0.0, 0.0), [0.002 * scale], GRID,
-                              DT)
-            out.append(state.df)
+            grid_step(plant, 0.0, (0.0, 0.0), [0.002 * scale])
+            out.append(list(plant.df))
         return np.array(out)
 
     one = run(1.0)
@@ -136,59 +133,60 @@ def test_small_signal_linearity():
 
 
 def test_tie_line_couples_areas():
-    state = zero_state(3)
+    plant = Plant(GRID, DT)
     for _ in range(100):
-        state = grid_step(state, 0.0, (0.0, 0.0), [5.0] * 10, GRID, DT)
+        grid_step(plant, 0.0, (0.0, 0.0), [5.0] * 10)
     # area-2 frequency is dragged down through the tie line
-    assert state.df[1] < -1e-4
-    assert state.p_tie < -1e-3  # power flows from area 2 into area 1
+    assert plant.df[1] < -1e-4
+    assert plant.p_tie < -1e-3  # power flows from area 2 into area 1
 
 
 def test_swing_equation_bookkeeping():
-    state = zero_state(3)
+    plant = Plant(GRID, DT)
     rng = np.random.default_rng(2)
     for _ in range(500):
         dist = rng.uniform(0, 5)
         bess = rng.uniform(-1, 1)
         agc = (rng.uniform(-2, 2), 0.0)
-        nxt = grid_step(state, bess, agc, [dist], GRID, DT)
+        state = state_of(plant)
+        grid_step(plant, bess, agc, [dist])
         # area 1 takes the injection, the load and the droop; area 2 only
         # the tie flow
-        injected = (bess + responsive_load(state.df[0], GRID) - dist, 0.0)
+        injected = (bess + responsive_load(state["df"][0], GRID) - dist, 0.0)
         for a in range(2):
             accel = (
-                sum(state.p_m[a]) + injected[a] - GRID.damping * state.df[a]
-                + (-1.0, 1.0)[a] * state.p_tie
+                sum(state["p_m"][a]) + injected[a]
+                - GRID.damping * state["df"][a]
+                + (-1.0, 1.0)[a] * state["p_tie"]
             )
-            residual = (nxt.df[a] - state.df[a]) / DT - accel / GRID.inertia
+            residual = ((plant.df[a] - state["df"][a]) / DT
+                        - accel / GRID.inertia)
             assert abs(residual) < 1e-12
-        state = nxt
 
 
 def test_instability_is_named():
-    state = replace(zero_state(3), df=(NAN, 0.0))
+    plant = Plant(GRID, DT, df=(NAN, 0.0))
     with pytest.raises(GridInstabilityError) as err:
-        grid_step(state, 0.0, (0.0, 0.0), [0.0] * 10, GRID, DT)
+        grid_step(plant, 0.0, (0.0, 0.0), [0.0] * 10)
     assert "df" in str(err.value)
 
 
 def test_finite_divergence_is_named():
     # a 1e6 MW step drives df far past any grid's range, yet finite
     with pytest.raises(GridInstabilityError) as err:
-        grid_step(zero_state(3), 0.0, (0.0, 0.0), [1e6] * 10, GRID, DT)
+        grid_step(Plant(GRID, DT), 0.0, (0.0, 0.0), [1e6] * 10)
     assert err.value.name == "df"
     assert -INF < err.value.value <= -DF_LIMIT
     assert str(err.value).startswith(f"df reached {err.value.value:.6g} Hz")
     # either area, either sign, still past the bound when the interval
     # ends (area 1's droop load pulls df back); inside it the interval runs
     for df in ((2 * DF_LIMIT, 0.0), (0.0, -DF_LIMIT - 1)):
-        state = replace(zero_state(3), df=df)
         with pytest.raises(GridInstabilityError) as err:
-            grid_step(state, 0.0, (0.0, 0.0), [0.0], GRID, DT)
+            grid_step(Plant(GRID, DT, df=df), 0.0, (0.0, 0.0), [0.0])
         assert abs(err.value.value) >= DF_LIMIT
-    state = replace(zero_state(3), df=(0.9 * DF_LIMIT, -0.9 * DF_LIMIT))
-    nxt = grid_step(state, 0.0, (0.0, 0.0), [0.0], GRID, DT)
-    assert max(map(abs, nxt.df)) < DF_LIMIT
+    plant = Plant(GRID, DT, df=(0.9 * DF_LIMIT, -0.9 * DF_LIMIT))
+    grid_step(plant, 0.0, (0.0, 0.0), [0.0])
+    assert max(map(abs, plant.df)) < DF_LIMIT
 
 
 def random_grid(rng, alike=False):
@@ -210,7 +208,8 @@ def random_grid(rng, alike=False):
 
 
 def random_state(rng, grid, alike=False):
-    """A state off rest; with `alike`, each area's generators alike."""
+    """A state off rest, as Plant keywords; with `alike`, each area's
+    generators alike."""
     n = len(grid.inv_droops)
 
     def rows(scale):
@@ -220,12 +219,12 @@ def random_state(rng, grid, alike=False):
         return tuple(tuple((rng.uniform(-1.0, 1.0, n) * scale).tolist())
                      for _ in range(2))
 
-    return GridState(
-        df=tuple(rng.uniform(-0.05, 0.05, 2).tolist()),
-        du_gov=rows(grid.saturation), gov=rows(3.0),
-        p_m=rows(grid.saturation), p_tie=rng.uniform(-1.0, 1.0),
-        p_fr=(0.0, 0.0),
-    )
+    return {
+        "df": tuple(rng.uniform(-0.05, 0.05, 2).tolist()),
+        "du_gov": rows(grid.saturation), "gov": rows(3.0),
+        "p_m": rows(grid.saturation), "p_tie": rng.uniform(-1.0, 1.0),
+        "p_fr": (0.0, 0.0),
+    }
 
 
 def engaged(state: ref.RefState, grid, agc_errors, dt) -> set:
@@ -257,70 +256,72 @@ def engaged(state: ref.RefState, grid, agc_errors, dt) -> set:
     return out
 
 
-def spy_alike(monkeypatch) -> list:
-    """Record whether each kernel call found its units alike."""
-    paths, real = [], orra.grid._alike
+def spy_routes(monkeypatch) -> list:
+    """Record the route each grid_step call takes: "alike", one unit per
+    area, or "units", generator by generator."""
+    routes = []
+    for route in ("alike", "units"):
+        real = getattr(orra.grid, f"_step_{route}")
 
-    def spy(*rows):
-        paths.append(real(*rows))
-        return paths[-1]
+        def spy(*args, real=real, route=route):
+            routes.append(route)
+            return real(*args)
 
-    monkeypatch.setattr(orra.grid, "_alike", spy)
-    return paths
+        monkeypatch.setattr(orra.grid, f"_step_{route}", spy)
+    return routes
 
 
 def test_kernel_matches_per_step_reference(monkeypatch):
     rng = np.random.default_rng(11)
     seen = {}
-    paths = spy_alike(monkeypatch)
+    routes = spy_routes(monkeypatch)
     for _ in range(40):
         # half the plants run alike units, from an alike state
         alike = bool(rng.integers(2))
         grid = random_grid(rng, alike)
         dt = float(rng.choice([0.005, 0.01, 0.02]))
         state = random_state(rng, grid, alike)
+        plant = Plant(grid, dt, **state)
         for _ in range(15):
             steps = int(rng.integers(1, 13))
             p_bess = rng.uniform(-2.0, 2.0)
             agc = tuple(rng.uniform(-5.0, 5.0, 2).tolist())
             loads = rng.uniform(-8, 8, steps).tolist()
-            expect = ref.RefState.from_state(state)
+            expect = ref.RefState.from_state(state_of(plant))
             for load in loads:
                 for name in engaged(expect, grid, agc, dt):
                     seen[name] = seen.get(name, 0) + 1
                 expect = ref.grid_step(expect, p_bess, agc, load, grid, dt)
-            state = grid_step(state, p_bess, agc, loads, grid, dt)
-            expect = expect.to_state()
-            for f in fields(GridState):
-                assert getattr(state, f.name) == getattr(expect, f.name), f
+            grid_step(plant, p_bess, agc, loads)
+            assert state_of(plant) == expect.to_state()
     assert sorted(seen) == sorted([
         "command saturation", "command slew", "droop above", "droop below",
         "inside deadband", "output saturation", "ramp limit", "tie line",
     ])
     assert min(seen.values()) >= 20, seen
     # both routes of the kernel were taken, each many times
-    assert min(paths.count(True), paths.count(False)) >= 150, paths
+    assert min(routes.count("alike"), routes.count("units")) >= 150, routes
 
 
-def state_bits(state: GridState) -> bytes:
+def state_bits(state: dict) -> bytes:
     """Every float of a state, as its bytes: signed zeros count."""
-    values = [*state.df, state.p_tie, *state.p_fr]
-    for rows in (state.du_gov, state.gov, state.p_m):
-        values += [v for row in rows for v in row]
+    values = [*state["df"], state["p_tie"], *state["p_fr"]]
+    for group in ("du_gov", "gov", "p_m"):
+        values += [v for row in state[group] for v in row]
     return struct.pack(f"{len(values)}d", *values)
 
 
-def run_both(state, grid, intervals, steps=10, agc=(-0.4, 0.3)):
+def run_both(plant, grid, intervals, steps=10, agc=(-0.4, 0.3)):
     """Run the kernel and the per-step reference over the same intervals
     of the case study's step; returns both end states."""
-    expect = ref.RefState.from_state(state)
+    expect = ref.RefState.from_state(state_of(plant))
     for k in range(intervals):
         loads = [scenario_step_load(9.0 + (k * steps + j) * DT)
                  for j in range(steps)]
         for load in loads:
             expect = ref.grid_step(expect, 0.2, agc, load, grid, DT)
-        state = grid_step(state, 0.2, agc, loads, grid, DT)
-    return state, expect.to_state()
+        grid_step(plant, 0.2, agc, loads)
+    return state_of(plant), expect.to_state()
 
 
 @pytest.mark.parametrize("n", [1, 3, 4, 7])
@@ -329,14 +330,13 @@ def test_alike_units_match_the_reference(n, monkeypatch):
     # alike, and integrates one unit per area. Seven units tell the sum
     # of a value added seven times from 0.0 from 7 times the value, which
     # differ in the last bit here
-    paths = spy_alike(monkeypatch)
+    routes = spy_routes(monkeypatch)
     grid = GridConfig(inv_droops=(20.0,) * n, k_i_area2=0.1)
-    state, expect = run_both(zero_state(n), grid, 200)
-    assert paths == [True] * 200
-    for f in fields(GridState):
-        assert getattr(state, f.name) == getattr(expect, f.name), f
+    state, expect = run_both(Plant(grid, DT), grid, 200)
+    assert routes == ["alike"] * 200
+    assert state == expect
     assert state_bits(state) == state_bits(expect)
-    assert state.p_m[0][0] != 0.0  # the step moved the generators
+    assert state["p_m"][0][0] != 0.0  # the step moved the generators
 
 
 def test_units_differing_in_a_zero_sign_take_the_per_unit_loop(
@@ -344,28 +344,52 @@ def test_units_differing_in_a_zero_sign_take_the_per_unit_loop(
     # a zero AGC error slews each command by -0.0, so a -0.0 command stays
     # -0.0 and a 0.0 one 0.0: integrating the first unit for all three
     # would give the others its sign
-    paths = spy_alike(monkeypatch)
+    routes = spy_routes(monkeypatch)
     rest = (0.0,) * 3
-    state = replace(zero_state(3), du_gov=((0.0, -0.0, 0.0), rest))
-    state, expect = run_both(state, GRID, 150, agc=(0.0, 0.0))
-    assert paths == [False] * 150
+    plant = Plant(GRID, DT, du_gov=((0.0, -0.0, 0.0), rest))
+    state, expect = run_both(plant, GRID, 150, agc=(0.0, 0.0))
+    assert routes == ["units"] * 150
     assert state_bits(state) == state_bits(expect)
-    assert str(state.du_gov[0]) == "(0.0, -0.0, 0.0)"
+    assert str(state["du_gov"][0]) == "(0.0, -0.0, 0.0)"
+
+
+def test_a_plant_keeps_the_route_its_start_state_chose(monkeypatch):
+    # a nonzero error makes the -0.0 command alike after one step; the
+    # plant chose the per-unit loop when it was built and keeps it, which
+    # holds the units alike in the same bits
+    routes = spy_routes(monkeypatch)
+    rest = (0.0,) * 3
+    plant = Plant(GRID, DT, du_gov=((0.0, -0.0, 0.0), rest))
+    state, expect = run_both(plant, GRID, 150)
+    assert routes == ["units"] * 150
+    assert state_bits(state) == state_bits(expect)
+    assert len({struct.pack("d", u) for u in state["du_gov"][0]}) == 1
 
 
 def test_a_nan_unit_takes_the_per_unit_loop(monkeypatch):
     # the NaN valve reaches no other unit within one plant step, so both
     # routes name the valves; integrating an alike unit would raise nothing
-    paths = spy_alike(monkeypatch)
+    routes = spy_routes(monkeypatch)
     rest = (0.0,) * 3
-    state = replace(zero_state(3), gov=((0.0, NAN, 0.0), rest))
+    state = {**state_of(Plant(GRID, DT)), "gov": ((0.0, NAN, 0.0), rest)}
     with pytest.raises(GridInstabilityError) as want:
         ref.grid_step(ref.RefState.from_state(state), 0.2, (-0.4, 0.3), 5.0,
                       GRID, DT)
     with pytest.raises(GridInstabilityError) as got:
-        grid_step(state, 0.2, (-0.4, 0.3), [5.0], GRID, DT)
-    assert paths == [False]
+        grid_step(Plant(GRID, DT, **state), 0.2, (-0.4, 0.3), [5.0])
+    assert routes == ["units"]
     assert got.value.name == want.value.name == "gov"
+
+
+def test_distinct_droops_take_the_per_unit_loop(monkeypatch):
+    # units that differ only in their droop start alike at rest and part
+    # at the first step with a nonzero df
+    routes = spy_routes(monkeypatch)
+    grid = GridConfig(inv_droops=(18.0, 20.0, 22.0), k_i_area2=0.1)
+    state, expect = run_both(Plant(grid, DT), grid, 150)
+    assert routes == ["units"] * 150
+    assert state_bits(state) == state_bits(expect)
+    assert len(set(state["gov"][0])) == 3
 
 
 @pytest.mark.parametrize("steps", [1, 10])
@@ -376,29 +400,30 @@ def test_a_nan_unit_takes_the_per_unit_loop(monkeypatch):
 ])
 def test_non_finite_values_raise_at_interval_end(steps, field, where, bad):
     grid = GridConfig(k_i_area2=0.1)  # area 2's error reaches its commands
-    state = zero_state(3)
+    plant = Plant(grid, DT)
     for _ in range(5):  # leave the rest state
-        state = grid_step(state, 0.3, (-1.0, 0.2), [5.0] * 10, grid, DT)
+        grid_step(plant, 0.3, (-1.0, 0.2), [5.0] * 10)
+    state = state_of(plant)
     agc = [-1.0, 0.2]
     if field == "agc":
         agc[where] = bad
     elif field == "gov":
-        gov = [list(row) for row in state.gov]
+        gov = [list(row) for row in state["gov"]]
         gov[where][1] = bad
-        state = replace(state, gov=tuple(map(tuple, gov)))
+        state["gov"] = tuple(map(tuple, gov))
     else:
-        df = list(state.df)
+        df = list(state["df"])
         df[where] = bad
-        state = replace(state, df=tuple(df))
+        state["df"] = tuple(df)
     loads = [5.0] * steps
     # the per-step reference stops somewhere inside the interval ...
     with pytest.raises(GridInstabilityError), np.errstate(invalid="ignore"):
         expect = ref.RefState.from_state(state)
         for load in loads:
             expect = ref.grid_step(expect, 0.3, agc, load, grid, DT)
-    # ... and the kernel at its end
+    # ... and the kernel, on a plant built from that state, at its end
     with pytest.raises(GridInstabilityError) as err:
-        grid_step(state, 0.3, agc, loads, grid, DT)
+        grid_step(Plant(grid, DT, **state), 0.3, agc, loads)
     assert err.value.name in ("df", "du_gov", "gov", "p_m", "p_fr", "p_tie")
 
 

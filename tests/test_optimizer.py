@@ -12,12 +12,7 @@ from optimizer_reference import (
 )
 from orra.comm_graph import default_edges, metropolis_weights
 from orra.degradation import IntervalCost
-from orra.optimizer import (
-    OrraOptimizer,
-    check_schedule,
-    primal_step,
-    schedule_step,
-)
+from orra.optimizer import OrraOptimizer, check_schedule, schedule_step
 from orra.oracle import centralized_solve, lemma1_check, lemma2_check
 from orra.scenario import OptimizerConfig
 
@@ -32,8 +27,18 @@ def quad_aging(theta_b, mu0=0.0, g_d=0.0, big_theta=0.0, b=2.0):
     )
 
 
+# a cost of zero everywhere, for agents whose cost the test does not read
+FLAT = IntervalCost(mu0=0.0, g_d=0.0, g_c=0.0, theta_b=0.0, big_theta=0.0,
+                    b=2.0)
+
+
 def fleet_weights():
     return metropolis_weights(5, default_edges())
+
+
+def soc(n):
+    """A state of charge for each of n agents' trace cells."""
+    return [0.5] * n
 
 
 def test_constraint_h_values():
@@ -49,11 +54,15 @@ def test_gradient_s_shifts_both_coordinates():
 
 
 def primal_steps(u, s, kappa, intervals, modes):
-    """primal_step for every agent."""
-    return np.array([
-        primal_step(d, c, s_d, s_c, kappa, box, mode)
-        for (d, c), (s_d, s_c), box, mode in zip(u, s, intervals, modes)
-    ])
+    """Every agent's primal step and projection as `iterate` takes them:
+    agents that mix with no one, from a zero dual, at the stage's first
+    gain kappa, with gradients that make s their saddle direction."""
+    n = len(u)
+    opt = OrraOptimizer(np.eye(n), OptimizerConfig(kappa0=kappa))
+    grads = [(s_d, -s_c) for s_d, s_c in s]
+    u_next, _ = opt.iterate(u, grads, [0.0] * n, 0.0, intervals, modes,
+                            [FLAT] * n, soc(n), [])
+    return np.array(u_next)
 
 
 def test_primal_update_step_and_projection():
@@ -71,8 +80,10 @@ def test_primal_update_step_and_projection():
 
 
 def test_primal_step_ties_and_nan_follow_numpy_clip():
-    # signed zeros against 0.0 and -0.0 box ends, and NaN, in both modes
-    values = (-0.0, 0.0, 0.3, np.nan)
+    # signed zeros against 0.0 and -0.0 box ends in both modes; a NaN
+    # passes the projection, as it passes numpy's clip, and so reaches the
+    # tracker, which ends the run
+    values = (-0.0, 0.0, 0.3)
     cases = [(x, lo, hi, mode) for x in values for lo in (-0.0, 0.0)
              for hi in (-0.0, 0.0, 0.3) for mode in (0, 1)]
     u = np.array([[x, x] for x, *_ in cases])
@@ -85,6 +96,10 @@ def test_primal_step_ties_and_nan_follow_numpy_clip():
     finite = ~np.isnan(want)
     assert (np.signbit(got[finite]) == np.signbit(want[finite])).all()
     assert (got[finite] == want[finite]).all()
+    for mode in (0, 1):
+        with pytest.raises(FloatingPointError, match="tracker"):
+            primal_steps(np.array([[np.nan, np.nan]]), np.zeros((1, 2)), 0.0,
+                         np.array([[0.0, 0.3]]), np.array([mode]))
 
 
 def test_dual_update_value():
@@ -139,7 +154,8 @@ def test_zero_aie_is_a_fixed_point():
     modes = np.ones(n, dtype=int)
     for _ in range(50):
         grads = np.zeros((n, 2))  # flat cost at the origin
-        u, info = opt.iterate(u, grads, np.zeros(n), 0.0, intervals, modes)
+        u, info = opt.iterate(u, grads, np.zeros(n), 0.0, intervals, modes,
+                              [FLAT] * n, soc(n), [])
         assert np.allclose(u, 0.0)
         assert np.allclose(info["lam"], 0.0)
         assert info["bound"] == pytest.approx(0.0)
@@ -156,7 +172,8 @@ def test_identical_agents_stay_symmetric():
     aie = np.array([-0.3, -0.3])
     for _ in range(200):
         grads = np.array([m.gradient(ui[0], ui[1]) for m, ui in zip(models, u)])
-        u, _ = opt.iterate(u, grads, aie, 0.0, intervals, modes)
+        u, _ = opt.iterate(u, grads, aie, 0.0, intervals, modes, models,
+                           soc(2), [])
         assert u[0] == pytest.approx(u[1], abs=1e-12)
 
 
@@ -179,7 +196,8 @@ def run_static_stage(steps=600):
     infos = []
     for _ in range(steps):
         grads = np.array([m.gradient(ui[0], ui[1]) for m, ui in zip(models, u)])
-        u, info = opt.iterate(u, grads, aie, 0.0, intervals, modes)
+        u, info = opt.iterate(u, grads, aie, 0.0, intervals, modes, models,
+                              soc(n), [])
         infos.append(info)
     return np.array(u), infos, models, aie, intervals, modes
 
@@ -230,7 +248,8 @@ def test_frequency_spike_restarts_stage_and_clips_dual():
     for k in range(80):
         grads = np.array([m.gradient(ui[0], ui[1]) for m, ui in zip(models, u)])
         df = 0.08 if k == 50 else 0.0
-        u, info = opt.iterate(u, grads, aie, df, intervals, modes)
+        u, info = opt.iterate(u, grads, aie, df, intervals, modes, models,
+                              soc(n), [])
         if k == 50:
             assert info["reset"]
             assert info["stage"] == 1
@@ -238,6 +257,24 @@ def test_frequency_spike_restarts_stage_and_clips_dual():
             assert info["kappa"] == pytest.approx(opt.config.kappa0)
         assert np.abs(info["lam"]).max() <= info["bound"] + 1e-12
     assert opt.stage == 1
+
+
+def test_a_dual_bound_past_a_float_ends_the_run():
+    # gamma 1e308 lies in its domain, but the price it sets overflows; the
+    # interval that first holds a non-finite bound, dual or tracker raises
+    # instead of logging it
+    n = 5
+    opt = OrraOptimizer(fleet_weights(), OptimizerConfig(gamma=1e308))
+    u, boxes, modes = [(0.0, 0.0)] * n, [(0.0, 1.0)] * n, [1] * n
+    with pytest.raises(FloatingPointError) as err:
+        for _ in range(1000):
+            row = []
+            u, info = opt.iterate(u, [(0.0, 0.0)] * n, [-0.5] * n, 0.0, boxes,
+                                  modes, [FLAT] * n, soc(n), row)
+            assert np.isfinite(row).all() and np.isfinite(info["lam"]).all()
+    assert "dual bound" in str(err.value)
+    assert "optimizer.gamma 1e+308" in str(err.value)
+    assert np.isfinite(opt.lam).all() and np.isfinite(opt.y).all()
 
 
 def random_instance(rng):
@@ -311,7 +348,8 @@ def test_regret_bounds_on_random_instances():
             rows["ustar"].append(u_star)
             rows["fd"].append(fd)
             rows["fo"].append(fo)
-            u, info = opt.iterate(u, grads, aie, 0.0, intervals, modes)
+            u, info = opt.iterate(u, grads, aie, 0.0, intervals, modes,
+                                  models, soc(n), [])
             for key, name in (
                 ("s", "s"), ("lam", "lam"), ("lamx", "lam_mixed"),
                 ("y", "y"), ("yx", "y_mixed"),
@@ -349,6 +387,42 @@ def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
+def reference_cells(u_next, info, shares, modes, boxes, models, soc):
+    """The trace cells of one iterate, from the reference's u_next and log,
+    priced with IntervalCost as the runner priced them agent by agent:
+    (row, fleet net injection, fleet cost)."""
+    u_next = np.asarray(u_next).tolist()
+    agents, tail, interior = [], [], []
+    f_dist = p_bess = 0.0
+    for i, ((d, c), mode, (lo, hi), m) in enumerate(
+            zip(u_next, modes, boxes, models)):
+        f_dist += m.value(d, c)
+        g_d, g_c = m.gradient(d, c)
+        p_bess += d - c
+        agents += [shares[i], mode, d, c, soc[i], g_d if mode == 1 else g_c,
+                   info["lam"][i], info["lam_mixed"][i], info["y"][i],
+                   info["y_mixed"][i], info["h"][i]]
+        tail += list(info["s"][i])
+        interior.append(lo + 1e-9 < (d if mode == 1 else c) < hi - 1e-9)
+    row = agents + [info["kappa"], info["eps"], info["reset"], info["stage"],
+                    info["t"], info["bound"], f_dist] + tail + interior
+    return row, p_bess, f_dist
+
+
+def random_cost(rng, mode):
+    """A frozen-residue cost: the mode's coordinate deepens the open half
+    cycle, or, at a fresh start, either does; sometimes none is open."""
+    g = rng.uniform(0.05, 0.4, 2).tolist()
+    fresh = rng.random() < 0.2
+    return IntervalCost(
+        mu0=float(rng.choice([0.0, rng.uniform(0.0, 0.3)])),
+        g_d=g[0] if mode == 1 or fresh else 0.0,
+        g_c=g[1] if mode == 0 or fresh else 0.0,
+        theta_b=float(rng.uniform(0.1, 0.5)),
+        big_theta=float(rng.uniform(0.0, 1.5)), b=float(rng.uniform(1.5, 2.3)),
+    )
+
+
 def test_iterate_matches_vector_reference_bit_for_bit():
     rng = np.random.default_rng(23)
     resets = {"t_max": 0, "df": 0}
@@ -381,15 +455,26 @@ def test_iterate_matches_vector_reference_bit_for_bit():
                       else (rng.normal(0.0, 0.3, n)
                             * (rng.random(n) < 0.8)).tolist())
             df = float(rng.choice([0.0, 0.01, -0.06, 0.2]))
+            models = [random_cost(rng, mode) for mode in modes]
+            socs = rng.uniform(0.2, 0.8, n).tolist()
             stage_t = opt.t
             u_ref, info_ref = ref.iterate(u, grads, shares, df, boxes, modes)
-            u, info = opt.iterate(u, grads, shares, df, boxes, modes)
+            row = []
+            u, info = opt.iterate(u, grads, shares, df, boxes, modes, models,
+                                  socs, row)
             if info["reset"]:
                 resets["t_max" if stage_t >= sched.t_max else "df"] += 1
             assert bits(u) == bits(u_ref)
-            assert info.keys() == info_ref.keys()
-            for key, value in info.items():
-                assert bits(value) == bits(info_ref[key]), key
+            # the log holds the reference's entries, and the dispatch's
+            # net injection and cost
+            assert info.keys() == info_ref.keys() | {"p_bess", "f_dist"}
+            for key, value in info_ref.items():
+                assert bits(info[key]) == bits(value), key
+            want, p_bess, f_dist = reference_cells(
+                u_ref, info_ref, shares, modes, boxes, models, socs)
+            assert bits(row) == bits(want)
+            assert bits([info["p_bess"], info["f_dist"]]) == bits(
+                [p_bess, f_dist])
             assert (opt.b_y, opt.t, opt.stage) == (ref.b_y, ref.t, ref.stage)
             assert bits(opt.lam) == bits(ref.lam)
             assert bits(opt.y) == bits(ref.y)

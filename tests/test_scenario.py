@@ -16,6 +16,7 @@ from orra.scenario import (
     ScenarioRunner,
     run_scenario,
 )
+from scenario_reference import ReferenceRunner
 
 
 def short_config(**kw):
@@ -171,6 +172,28 @@ def test_infos_rebuild_the_optimizer_log(monkeypatch):
         assert all(logged[k]["stage"] == sid for k in range(lo, hi))
 
 
+@pytest.mark.parametrize("kind,change,oracle", [
+    ("step", {}, True),
+    # hold windows that end inside intervals
+    ("fluctuation", {"fluct_hold": 0.25}, False),
+    ("step", {"signal": "ACE"}, False),
+    ("step", {"bess_enabled": False}, False),
+], ids=["step_oracle", "fluctuation", "ace", "fleet_off"])
+def test_step_matches_the_pass_by_pass_reference(kind, change, oracle):
+    cfg = short_config(kind=kind, duration=60.0, **change)
+    runs = [runner(cfg, oracle_every=oracle).run(write_trace=False)
+            for runner in (ScenarioRunner, ReferenceRunner)]
+    got, want = (r.table for r in runs)
+    assert got.shape == want.shape
+    for k in range(len(got)):
+        assert got[k].tobytes() == want[k].tobytes(), k
+    assert len(got) == cfg.intervals
+    assert runs[0].reset.sum() >= 2 or not cfg.bess_enabled
+    assert [repr(b.lifetime_loss) for b in runs[0].fleet.batteries] == [
+        repr(b.lifetime_loss) for b in runs[1].fleet.batteries]
+    assert runs[0].oracle_clamped == runs[1].oracle_clamped
+
+
 def test_disturbance_override_is_used():
     cfg = short_config()
     times = []
@@ -212,9 +235,9 @@ def test_every_plant_step_sees_the_profile_at_its_time(kind, change, mixed,
     grid_calls, draws = [], []
     real_grid, real_draw = scenario.grid_step, scenario.scenario_fluctuation
 
-    def spy_grid(state, p_bess, agc_errors, loads, grid, dt):
+    def spy_grid(plant, p_bess, agc_errors, loads):
         grid_calls.append(list(loads))
-        return real_grid(state, p_bess, agc_errors, loads, grid, dt)
+        return real_grid(plant, p_bess, agc_errors, loads)
 
     def spy_draw(t, *args):
         draws.append(t)

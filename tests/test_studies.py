@@ -12,6 +12,7 @@ import pytest
 
 from orra.scenario import (
     ConfigError,
+    FleetConfig,
     ScenarioConfig,
     ScenarioRunner,
     verify_trace,
@@ -412,3 +413,76 @@ def test_verify_trace_passes_and_catches_corruption(short_oracle_run, tmp_path):
     p = tmp_path / "binary.csv"
     p.write_bytes(b"\xff\xfe\x00garbage")
     assert not verify_trace(str(p))["checks"]["parse"]["ok"]
+
+
+ACCOUNTING = ("p_bess_sum", "p_m_total_sum", "signal_total_sum", "h_balance",
+              "stage_count", "stage_clock")
+
+
+def test_verify_trace_checks_the_traces_accounting(tmp_path):
+    # each total of a row against its parts, and the stage counter and
+    # clock against the resets; one corruption fails its one check. The
+    # batteries weigh wear differently, so their dispatch differs
+    cfg = ScenarioConfig(name="wear", duration=30.0, fleet=FleetConfig(
+        theta_a=(400.0, 700.0, 1000.0, 1300.0, 1600.0)))
+    result = ScenarioRunner(cfg).run(out_dir=str(tmp_path))
+    report = verify_trace(result.trace_path)
+    assert all(report["checks"][name]["ok"] for name in ACCOUNTING), report
+    lines = open(result.trace_path).read().splitlines()
+    header = lines[1].split(",")
+    rows = [line.split(",") for line in lines[2:]]
+
+    def failed(k, edit):
+        """The accounting checks a trace fails once row k is edited; each
+        names row k."""
+        cells = rows[k][:]
+        edit(cells)
+        bad = lines[:2] + [",".join(r) for r in rows]
+        bad[2 + k] = ",".join(cells)
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join(bad) + "\n")
+        rep = verify_trace(str(p))
+        names = {name for name in ACCOUNTING if not rep["checks"][name]["ok"]}
+        for name in names:
+            assert rep["checks"][name]["detail"] == (
+                f"first violation at row {k}"), name
+        return names
+
+    d0, d1 = header.index("d_0"), header.index("d_1")
+    k = next(k for k, r in enumerate(rows)
+             if 0 < float(r[d0]) != float(r[d1]) > 0.1)
+
+    def swap(cells):
+        cells[d0], cells[d1] = cells[d1], cells[d0]
+
+    # the fleet total is the same; each agent's balance is not
+    assert failed(k, swap) == {"h_balance"}
+
+    cg = header.index("p_m_cg2")
+    k = next(k for k, r in enumerate(rows) if abs(float(r[cg])) > 0.1)
+
+    def perturb(cells):
+        cells[cg] = repr(float(cells[cg]) + 1e-6)
+
+    assert failed(k, perturb) == {"p_m_total_sum"}
+
+    reset = header.index("reset")
+    k = next(k for k, r in enumerate(rows) if k > 0 and r[reset] == "1")
+
+    def drop(cells):
+        cells[reset] = "0"
+
+    assert failed(k, drop) == {"stage_count", "stage_clock"}
+
+
+def test_verify_trace_skips_the_optimizer_checks_without_the_fleet(
+        tmp_path):
+    cfg = ScenarioConfig(name="off", duration=20.0, bess_enabled=False)
+    result = ScenarioRunner(cfg).run(out_dir=str(tmp_path))
+    report = verify_trace(result.trace_path)
+    assert report["passed"], report
+    for name in ("h_balance", "stage_count", "stage_clock"):
+        assert report["checks"][name] == {"ok": True,
+                                          "detail": "skipped: fleet off"}
+    for name in ("p_bess_sum", "p_m_total_sum", "signal_total_sum"):
+        assert report["checks"][name] == {"ok": True, "detail": ""}
