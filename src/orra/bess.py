@@ -94,15 +94,15 @@ class Battery:
         if not self.residues:
             self.residues = (float(self.soc),)  # the first extremum
 
-    def apply(self, d: float, c: float, tau: float):
-        """Apply one interval's powers; returns the cycle events closed."""
+    def apply(self, d: float, c: float, tau: float) -> None:
+        """Apply one interval's powers: step the SoC, close any rainflow
+        cycles it completes and add their wear to the lifetime loss."""
         self.soc = soc_step(self.soc, c, d, self.params, tau)
         events, self.residues = degradation.rainflow_step(
             self.soc, self.residues
         )
         if events:  # adding no loss would change no bit
             self.lifetime_loss += degradation.total_loss(events)
-        return events
 
 
 class Fleet:

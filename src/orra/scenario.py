@@ -518,12 +518,7 @@ class RunResult:
 class ScenarioRunner:
     """Drives one configured scenario to completion."""
 
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        oracle_every: bool = False,
-        disturbance=None,
-    ):
+    def __init__(self, config: ScenarioConfig, oracle_every: bool = False):
         self.config = config
         self.oracle_every = oracle_every
         if oracle_every and config.bess_enabled and min(
@@ -532,11 +527,6 @@ class ScenarioRunner:
                 "the per-interval reference needs a strictly convex wear "
                 "term: every fleet.theta_b must be positive"
             )
-        if disturbance is not None:
-            # caller-supplied net-load profile, replaces the configured kind
-            self.disturbance = disturbance
-        # the configured profiles hold one value on each piece of time
-        self.pieced = disturbance is None
         n = config.fleet.n
         self.fleet = Fleet(config.fleet, config.tau)
         self.optimizer = config.coordinator()
@@ -590,11 +580,11 @@ class ScenarioRunner:
         if enabled:
             self.fleet.apply_all(self.u)
         agc2 = compute_ace(-plant.p_tie, self.bias, plant.df[1])
-        # the plant's times rise through the interval, so when its first
-        # and last share a piece of the configured profile, every one does
+        # the profile holds one value on each piece of time, and the plant's
+        # times rise through the interval: when its first and last share a
+        # piece, every one does
         steps, dt_inner = self.inner_steps, cfg.dt_inner
-        if self.pieced and (self.piece(t0)
-                            == self.piece(t0 + (steps - 1) * dt_inner)):
+        if self.piece(t0) == self.piece(t0 + (steps - 1) * dt_inner):
             loads = [self.disturbance(t0)] * steps
         else:
             loads = [self.disturbance(t0 + j * dt_inner)
@@ -712,7 +702,8 @@ def verify_trace(path: str, soc_min: float = FleetConfig.soc_min,
     p_m_cg and signal_total of the shares, each h_i is d_i - c_i + aie_i,
     the stage counts the resets and t_opt restarts at each. A trace whose
     every d, c and lam is 0, a fleet that sat out, skips the last three.
-    Returns a report dict with `passed` plus one entry per check. An SoC
+    Returns a report dict with `passed` plus one entry per check; a failed
+    row check names its first violating row in its detail. An SoC
     box outside 0 <= soc_min < soc_max <= 1, NaN included, raises
     ConfigError: no trace could pass or fail it.
     """
@@ -758,54 +749,42 @@ def verify_trace(path: str, soc_min: float = FleetConfig.soc_min,
         record("rows_present", bool(len(data)))
         return report
     col = lambda stem: data[:, where[stem]]
-    record("finite", bool(np.isfinite(data).all()))
-    t = col("time")[:, 0]
-    steps = np.diff(t)
-    record(
-        "uniform_time",
-        bool(len(t) == 1 or (steps > 0).all()
-             and np.allclose(steps, steps[0], rtol=0, atol=1e-9)),
-        f"step {steps[0]:.6g} s" if len(t) > 1 else "single row",
-    )
+
+    def holds(name, ok, detail=""):
+        """Record whether the (T,) or (T, m) mask ok holds in every row; a
+        failure names the first row where it does not."""
+        bad = np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1))
+        record(name, bad.size == 0,
+               f"first violation at row {bad[0]}" if bad.size else detail)
+
+    # each row against the one before it; the first has none
+    first = np.ones(1, dtype=bool)
+    holds("finite", np.isfinite(data))
+    steps = np.diff(col("time")[:, 0])
+    holds("uniform_time",
+          np.concatenate([first, (steps > 0) & np.isclose(
+              steps, steps[:1], rtol=0, atol=1e-9)]),
+          f"step {steps[0]:.6g} s" if steps.size else "single row")
     soc = col("soc")
-    bad = np.nonzero((soc < soc_min - 1e-9) | (soc > soc_max + 1e-9))
-    record(
-        "soc_bounds",
-        bad[0].size == 0,
-        "" if bad[0].size == 0 else f"first violation at row {bad[0][0]}",
-    )
-    both = np.nonzero((col("d") > 0) & (col("c") > 0))
-    record(
-        "one_sided_dispatch",
-        both[0].size == 0,
-        "" if both[0].size == 0 else f"first violation at row {both[0][0]}",
-    )
-    record("mode_codes", bool(np.isin(col("mode"), (0.0, 1.0)).all()))
+    holds("soc_bounds", ~((soc < soc_min - 1e-9) | (soc > soc_max + 1e-9)))
+    d, c, aie = col("d"), col("c"), col("aie")
+    holds("one_sided_dispatch", ~((d > 0) & (c > 0)))
+    holds("mode_codes", np.isin(col("mode"), (0.0, 1.0)))
     lam = np.abs(col("lam")).max(axis=1)
     bound = col("dual_bound")[:, 0]
     active = bound > 0
-    record(
-        "multiplier_bound",
-        bool((lam[active] <= bound[active] + 1e-9).all()),
-        f"{int(active.sum())} bounded rows",
-    )
+    holds("multiplier_bound", ~active | (lam <= bound + 1e-9),
+          f"{int(active.sum())} bounded rows")
 
     # the trace's own accounting: each total against its parts in the same
     # row. %.12g moves a cell by at most 5e-12 of its magnitude, so a total
     # and its parts, each printed, differ by at most 5e-12 of their summed
     # magnitudes; twice that leaves room for the sums' own rounding
-    def holds(name, ok):
-        """Record whether the (T,) or (T, n) mask ok holds in every row."""
-        bad = np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1))
-        record(name, bad.size == 0,
-               f"first violation at row {bad[0]}" if bad.size else "")
-
     def balanced(name, total, parts):
         gap = np.abs(total - parts.sum(axis=-1))
         holds(name, gap <= TRACE_RTOL * (np.abs(total)
                                          + np.abs(parts).sum(axis=-1)))
 
-    d, c, aie = col("d"), col("c"), col("aie")
     balanced("p_bess_sum", col("p_bess")[:, 0], np.hstack([d, -c]))
     balanced("p_m_total_sum", col("p_m_total")[:, 0], col("p_m_cg"))
     balanced("signal_total_sum", col("signal_total")[:, 0], aie)
@@ -817,23 +796,10 @@ def verify_trace(path: str, soc_min: float = FleetConfig.soc_min,
     balanced("h_balance", col("h"), np.stack([d, -c, aie], axis=2))
     reset, stage = col("reset")[:, 0], col("stage")[:, 0]
     t_opt = col("t_opt")[:, 0]
-    # each row against the one before it; the first has none
-    first = np.ones(1, dtype=bool)
     holds("stage_count",
           np.concatenate([first, stage[1:] == stage[:-1] + reset[1:]]))
     holds("stage_clock", np.concatenate([first, t_opt[1:] == np.where(
         reset[1:] != 0, 0.0, t_opt[:-1] + 1)]))
-    return report
-    balanced("h_balance", col("h").ravel(),
-             np.stack([d, -c, aie], axis=2).reshape(-1, 3))
-    reset, stage = col("reset")[:, 0], col("stage")[:, 0]
-    t_opt = col("t_opt")[:, 0]
-    bad = np.nonzero(stage[1:] != stage[:-1] + reset[1:])
-    record("stage_count", bad[0].size == 0,
-           "" if bad[0].size == 0 else f"first violation at row {bad[0][0] + 1}")
-    bad = np.nonzero(t_opt[1:] != np.where(reset[1:] != 0, 0.0, t_opt[:-1] + 1))
-    record("stage_clock", bad[0].size == 0,
-           "" if bad[0].size == 0 else f"first violation at row {bad[0][0] + 1}")
     return report
 
 

@@ -194,29 +194,6 @@ def test_step_matches_the_pass_by_pass_reference(kind, change, oracle):
     assert runs[0].oracle_clamped == runs[1].oracle_clamped
 
 
-def test_disturbance_override_is_used():
-    cfg = short_config()
-    times = []
-
-    def profile(t):
-        times.append(t)
-        return 1.5 if t >= 5.0 else 0.0
-
-    r = ScenarioRunner(cfg, disturbance=profile).run(write_trace=False)
-    k = np.searchsorted(r.time, 6.0)
-    assert r.dist[k] == 1.5
-    assert r.dist[0] == 0.0
-    # nothing is known of a supplied profile: it is asked at every plant
-    # step, then once more for the row's dist
-    steps = cfg.inner_steps
-    assert times == [
-        t for k in range(cfg.intervals)
-        for t in [k * cfg.tau + j * cfg.dt_inner for j in range(steps)]
-        + [k * cfg.tau + cfg.tau]
-    ]
-    assert len(times) == cfg.intervals * (steps + 1)
-
-
 @pytest.mark.parametrize("kind,change,mixed", [
     ("step", {"step_time": 10.05}, 1),
     # off the plant's time grid: only the last plant step of the interval
@@ -267,12 +244,14 @@ def test_every_plant_step_sees_the_profile_at_its_time(kind, change, mixed,
         assert windows == list(range(45))
 
 
-def test_zero_mean_reserve_provision_over_30_minutes():
+def test_zero_mean_reserve_provision_over_30_minutes(monkeypatch):
     # Zero-mean duty that the plant can actually follow: antithetic
     # segment pairs make the profile average exactly zero at every scale,
     # and the 1.6 MW segment-to-segment swing stays well inside what the
     # generators can slew over one hold. The learned-correction signal
-    # then carries no systematic offset.
+    # then carries no systematic offset. The runner draws the configured
+    # fluctuation once per hold window, so the antithetic draw stands in
+    # for it.
     cfg = ScenarioConfig(
         name="zero_mean", kind="fluctuation", duration=1800.0,
         fluct_low=-0.8, fluct_high=0.8,
@@ -289,7 +268,10 @@ def test_zero_mean_reserve_provision_over_30_minutes():
     samples = [antithetic(0.1 * j) for j in range(18000)]
     assert abs(np.mean(samples)) < 1e-12
 
-    r = ScenarioRunner(cfg, disturbance=antithetic).run(write_trace=False)
+    monkeypatch.setattr(scenario, "scenario_fluctuation",
+                        lambda t, *draw: antithetic(t))
+    r = ScenarioRunner(cfg).run(write_trace=False)
+    assert np.array_equal(r.dist, [antithetic(t) for t in r.time])
     sig = r.signal_total
     assert abs(sig.mean()) <= 0.05 * sig.std()
 

@@ -343,6 +343,12 @@ def test_verify_trace_passes_and_catches_corruption(short_oracle_run, tmp_path):
     report = verify_trace(result.trace_path)
     assert report["passed"], report
     assert report["rows"] == len(result.time)
+    # a passing row check keeps its detail
+    bounded = int((result.bound > 0).sum())
+    assert {name: report["checks"][name]["detail"] for name in ROW_CHECKS} == {
+        name: {"uniform_time": "step 0.1 s",
+               "multiplier_bound": f"{bounded} bounded rows"}.get(name, "")
+        for name in ROW_CHECKS}
 
     lines = open(result.trace_path).read().splitlines()
     header = lines[1].split(",")
@@ -417,6 +423,61 @@ def test_verify_trace_passes_and_catches_corruption(short_oracle_run, tmp_path):
 
 ACCOUNTING = ("p_bess_sum", "p_m_total_sum", "signal_total_sum", "h_balance",
               "stage_count", "stage_clock")
+ROW_CHECKS = ("finite", "uniform_time", "soc_bounds", "one_sided_dispatch",
+              "mode_codes", "multiplier_bound") + ACCOUNTING
+
+# one edit of a row per case, as new cell values from the row's old ones,
+# and the row checks the edited trace fails
+ROW_EDITS = {
+    "finite": (lambda r: {"df1": np.nan}, {"finite"}),
+    "uniform_time": (lambda r: {"time": r["time"] + 0.03},
+                     {"uniform_time"}),
+    "soc_bounds": (lambda r: {"soc_0": 0.95}, {"soc_bounds"}),
+    # d - c keeps its value, so every total still holds
+    "one_sided_dispatch": (lambda r: {"d_0": 2 * r["d_0"], "c_0": r["d_0"]},
+                           {"one_sided_dispatch"}),
+    # the runner writes 1 (discharge) or 0 (charge, or fleet off), never -1
+    "mode_codes": (lambda r: {"mode_1": -1.0}, {"mode_codes"}),
+    "multiplier_bound": (lambda r: {"lam_0": 2 * r["dual_bound"]},
+                         {"multiplier_bound"}),
+    "p_bess_sum": (lambda r: {"p_bess": r["p_bess"] + 1e-6}, {"p_bess_sum"}),
+    "p_m_total_sum": (lambda r: {"p_m_total": r["p_m_total"] + 1e-6},
+                      {"p_m_total_sum"}),
+    "signal_total_sum": (lambda r: {"signal_total": r["signal_total"] + 1e-6},
+                         {"signal_total_sum"}),
+    "h_balance": (lambda r: {"h_0": r["h_0"] + 1e-6}, {"h_balance"}),
+    "stage_count": (lambda r: {"stage": r["stage"] + 1}, {"stage_count"}),
+    "stage_clock": (lambda r: {"t_opt": r["t_opt"] + 1}, {"stage_clock"}),
+    # a NaN fails finite, and only the checks it makes false
+    "nan_time": (lambda r: {"time": np.nan}, {"finite", "uniform_time"}),
+    "nan_soc": (lambda r: {"soc_0": np.nan}, {"finite"}),
+    "nan_lam": (lambda r: {"lam_0": np.nan}, {"finite", "multiplier_bound"}),
+    "nan_bound": (lambda r: {"dual_bound": np.nan}, {"finite"}),
+}
+
+
+@pytest.mark.parametrize("case", ROW_EDITS)
+def test_every_row_check_names_its_first_violating_row(case, short_oracle_run,
+                                                       tmp_path):
+    _, result = short_oracle_run
+    lines = open(result.trace_path).read().splitlines()
+    header = lines[1].split(",")
+    # a row inside the run where battery 0 discharges under a dual bound
+    k = next(k for k in range(2, len(result.time) - 1)
+             if result.d[k, 0] > 0 and result.bound[k] > 0)
+    cells = lines[2 + k].split(",")
+    edit, fails = ROW_EDITS[case]
+    for name, value in edit(dict(zip(header, map(float, cells)))).items():
+        cells[header.index(name)] = repr(value)
+    lines[2 + k] = ",".join(cells)
+    p = tmp_path / "bad.csv"
+    p.write_text("\n".join(lines) + "\n")
+    rep = verify_trace(str(p))
+    assert not rep["passed"]
+    assert {name for name in ROW_CHECKS
+            if not rep["checks"][name]["ok"]} == fails
+    for name in fails:
+        assert rep["checks"][name]["detail"] == f"first violation at row {k}"
 
 
 def test_verify_trace_checks_the_traces_accounting(tmp_path):
