@@ -32,16 +32,18 @@ def compute_ace(dPtie, B, df):
     return dPtie + B * df
 
 
-def aie_shares(sigma, p_tie, d_prime, df, du_cg, pm_cg) -> list:
+def aie_shares(sigma, p_tie, d_prime, df, du_cg, pm_cg, correction) -> list:
     """Each agent's share of the area injection error.
 
-    share_i = sigma_i*(p_tie + D'*df) + sigma_i*du_cg - sigma_i*pm_cg: the
-    tie-line-plus-damping error and the gap between the generators'
-    summed governor command du_cg and mechanical power pm_cg, split by the
-    participation factors sigma (a list of floats).
+    share_i = sigma_i*(p_tie + D'*df) + sigma_i*du_cg - sigma_i*pm_cg
+    + sigma_i*correction: the tie-line-plus-damping error, the gap between
+    the generators' summed governor command du_cg and mechanical power
+    pm_cg, and the surrogate's learned responsive-load correction, split by
+    the participation factors sigma (a list of floats).
     """
     error = p_tie + d_prime * df
-    return [s * error + s * du_cg - s * pm_cg for s in sigma]
+    return [s * error + s * du_cg - s * pm_cg + s * correction
+            for s in sigma]
 
 
 def gaussian_basis(x, xi):

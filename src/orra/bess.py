@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import degradation
-from .degradation import AGING, ResidueStack
+from .degradation import AGING, CostTerms, ResidueStack
 
 SOC_TOL = 1e-9
 
@@ -79,13 +79,15 @@ def feasible_interval(soc: float, mode: int, params, tau):
 
 @dataclass
 class Battery:
-    """One battery: SoC, permitted direction, and rainflow bookkeeping;
-    `params` is the fleet config section, whose limits all batteries share,
-    and `aging` the wear law, which they share too."""
+    """One battery: SoC, permitted direction, rainflow bookkeeping and its
+    interval-cost constants `terms`; `params` is the fleet config section,
+    whose limits all batteries share, and `aging` the wear law, which they
+    share too."""
 
     aging = AGING  # not a field: every battery shares it
     params: object
     soc: float
+    terms: CostTerms
     mode: int = 1  # 1 discharge, 0 charge
     residues: ResidueStack = ()
     lifetime_loss: float = 0.0
@@ -110,40 +112,35 @@ class Fleet:
     intervals of tau seconds."""
 
     def __init__(self, cfg, tau: float) -> None:
-        self.batteries = [Battery(cfg, float(soc)) for soc in cfg.initial_soc]
-        self.tau = tau
-        # each battery's cost constants, fixed for the run: the batteries
-        # differ only in their wear weights
-        self.cost_terms = [degradation.cost_terms(
+        # the batteries differ only in their SoC and their wear weights
+        self.batteries = [Battery(cfg, float(soc), degradation.cost_terms(
             cfg.capacity, cfg.eta_c, cfg.eta_d, theta_a, theta_b, tau,
-        ) for theta_a, theta_b in zip(cfg.per_battery(cfg.theta_a),
-                                      cfg.per_battery(cfg.theta_b))]
+        )) for soc, theta_a, theta_b in zip(cfg.initial_soc,
+                                            cfg.per_battery(cfg.theta_a),
+                                            cfg.per_battery(cfg.theta_b))]
+        self.tau = tau
 
     @property
     def soc(self) -> list:
         return [b.soc for b in self.batteries]
 
-    def apply_all(self, u) -> None:
-        """Apply one interval's (discharge, charge) pair to each battery."""
-        tau = self.tau
-        for b, (d, c) in zip(self.batteries, u):
-            b.apply(d, c, tau)
-
-    def plan(self, aie_shares, u):
-        """Set each battery's mode from its share for the coming interval.
+    def apply_all(self, u, shares):
+        """Book each battery's pending (discharge, charge) pair in u, then
+        set its mode from its injection-error share for the coming
+        interval.
 
         Returns lists of the interval's modes, (lo, hi) boxes on the active
         power coordinate, frozen-residue cost models, and each model's
-        gradient at the battery's applied (discharge, charge) pair in u.
+        gradient at the booked pair.
         """
         tau = self.tau
         modes, boxes, models, grads = [], [], [], []
-        for b, terms, share, (d, c) in zip(self.batteries, self.cost_terms,
-                                           aie_shares, u):
+        for b, share, (d, c) in zip(self.batteries, shares, u):
+            b.apply(d, c, tau)
             b.mode = mode = mode_select(share, b.mode)
             modes.append(mode)
             boxes.append(feasible_interval(b.soc, mode, b.params, tau))
-            model = degradation.interval_cost(b.residues, terms)
+            model = degradation.interval_cost(b.residues, b.terms)
             models.append(model)
             grads.append(model.gradient(d, c))
         return modes, boxes, models, grads

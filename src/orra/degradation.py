@@ -159,8 +159,6 @@ def interval_cost(residues: ResidueStack, terms: CostTerms) -> IntervalCost:
 
 def total_loss(events) -> float:
     """Summed lifetime loss of a collection of cycle events."""
-    if not events:
-        return 0.0
     depths = np.array([e.depth for e in events])
     counts = np.array([e.n_cyc for e in events])
     return float(((counts / 2.0) * AGING.a * depths**AGING.b).sum())

@@ -38,17 +38,9 @@ ITERS = 80  # most multiplier steps per solve
 CERT_TOL = 1e-6  # slack a certificate's left side may exceed its bound by
 
 
-def _cost_coefs(models, modes):
-    """Per-agent (wear, g, aging, mu0, b-1) along the active coordinate."""
-    return [
-        (2.0 * m.theta_b, m.g_d if mode == 1 else m.g_c,
-         m.big_theta * m.b, m.mu0, m.b - 1.0)
-        for m, mode in zip(models, modes)
-    ]
-
-
 def _marginal(coef, q):
-    """marginal(q) and its derivative wear + aging*g^2*(b-1)*mu^(b-2)."""
+    """marginal(q) and its derivative wear + aging*g^2*(b-1)*mu^(b-2), for
+    coef = (wear, g, aging, mu0, b-1) along the active coordinate."""
     wear, g, aging, mu0, bm1 = coef
     mu = mu0 + g * q
     if not mu > 0:
@@ -99,34 +91,40 @@ def centralized_solve(
     The search stops once the aggregate is within 0.1*TOL of the target,
     or after ITERS multiplier steps.
     """
-    modes = [int(m) for m in modes]
-    lo = [float(b[0]) for b in boxes]
-    hi = [float(b[1]) for b in boxes]
-    sign = [1.0 if m == 1 else -1.0 for m in modes]
-    for m in models:
-        if m.theta_b <= 0:
-            raise ValueError("oracle requires a strictly convex wear term")
-    coefs = _cost_coefs(models, modes)
-
-    agg_lo = agg_hi = 0.0
-    for s, l, h in zip(sign, lo, hi):
-        agg_lo += l if s > 0 else -h
-        agg_hi += h if s > 0 else -l
-    want = float(target)
-    clamped = not agg_lo - 1e-9 <= want <= agg_hi + 1e-9
-    want = min(max(want, agg_lo), agg_hi)
-
+    # one pass per agent: its cost coefficients along the active
+    # coordinate, its sign and box, and its marginals at the box ends.
     # Stationarity of the per-agent Lagrangian: marginal(q) = -nu*sign. The
     # wear term makes every marginal strictly increasing, so the aggregate
     # best response falls monotonically in nu; at +-nu_max every agent sits
     # at the box end that gives agg_lo or agg_hi, which brackets the root.
-    m_lo = [_marginal(c, l)[0] for c, l in zip(coefs, lo)]
-    m_hi = [_marginal(c, h)[0] for c, h in zip(coefs, hi)]
-    corner = max(max(abs(a), abs(b)) for a, b in zip(m_lo, m_hi))
+    agents, mids = [], []
+    agg_lo = agg_hi = 0.0
+    for m, mode, box in zip(models, modes, boxes):
+        if m.theta_b <= 0:
+            raise ValueError("oracle requires a strictly convex wear term")
+        l, h = float(box[0]), float(box[1])
+        if int(mode) == 1:
+            s, g = 1.0, m.g_d
+            agg_lo += l
+            agg_hi += h
+        else:
+            s, g = -1.0, m.g_c
+            agg_lo -= h
+            agg_hi -= l
+        coef = (2.0 * m.theta_b, g, m.big_theta * m.b, m.mu0, m.b - 1.0)
+        ml, mh = _marginal(coef, l)[0], _marginal(coef, h)[0]
+        edge = max(abs(ml), abs(mh))
+        # max() over the edges in agent order: a NaN first edge holds, a
+        # later one is passed over
+        corner = max(corner, edge) if agents else edge
+        agents.append((coef, s, l, h, ml, mh))
+        mids.append(0.5 * (l + h))
+    want = float(target)
+    clamped = not agg_lo - 1e-9 <= want <= agg_hi + 1e-9
+    want = min(max(want, agg_lo), agg_hi)
     nu_max = max(2.0 * corner, 1e-6)
     nu_lo, nu_hi = -nu_max, nu_max  # agg(nu_lo) >= want >= agg(nu_hi)
     nu = 0.0 if nu_hint is None else min(max(float(nu_hint), -nu_max), nu_max)
-    agents = list(zip(coefs, sign, lo, hi, m_lo, m_hi))
 
     def aggregate(nu, qs):
         # d agg / d nu = -(sum over free agents of 1/marginal'(q))
@@ -140,7 +138,7 @@ def centralized_solve(
                 rate += 1.0 / dm
         return total - want, rate, out
 
-    gap, rate, q = aggregate(nu, [0.5 * (l + h) for l, h in zip(lo, hi)])
+    gap, rate, q = aggregate(nu, mids)
     # safeguarded Newton on nu, as in rtsafe: bisect the bracket when the
     # step would leave it or would not halve the step before last
     dx_old = dx = 2.0 * nu_max
@@ -159,7 +157,7 @@ def centralized_solve(
             dx_old, dx = dx, 0.5 * (nu_hi - nu_lo)
             nu = nu_lo + dx
         gap, rate, q = aggregate(nu, q)
-    u = [(x, 0.0) if m == 1 else (0.0, x) for x, m in zip(q, modes)]
+    u = [(x, 0.0) if s > 0 else (0.0, x) for x, (_, s, *_) in zip(q, agents)]
     return CentralizedSolution(u, nu, abs(gap), want, clamped)
 
 

@@ -1,9 +1,10 @@
 """Closed-loop scenario runner: plant, signal chain, fleet, coordinator.
 
-Each control interval applies the pending fleet decision, integrates the
-grid over the interval, measures the area signals (injection error with
+Each control interval integrates the grid over the interval under the
+pending fleet decision, measures the area signals (injection error with
 the learned responsive-load correction, or the classic control error),
-refreshes modes, feasible boxes, and wear-cost models, then advances the
+books the pending decision on the batteries and refreshes their modes,
+feasible boxes, and wear-cost models in one pass, then advances the
 distributed optimizer one iteration to produce the next decision. Every
 interval is recorded as one row of one preallocated float table, the
 RunResult's, whose leading columns are the trace file's; one column spec
@@ -576,9 +577,7 @@ class ScenarioRunner:
         enabled = cfg.bess_enabled
         plant = self.plant
 
-        # apply the pending decision, then run the plant over the interval
-        if enabled:
-            self.fleet.apply_all(self.u)
+        # run the plant over the interval under the pending decision
         agc2 = compute_ace(-plant.p_tie, self.bias, plant.df[1])
         # the profile holds one value on each piece of time, and the plant's
         # times rise through the interval: when its first and last share a
@@ -599,14 +598,12 @@ class ScenarioRunner:
             du_cg += u
             pm_cg += p
         if cfg.signal == "AIE":
-            shares = aie_shares(self.sigma, p_tie, self.d_prime, df1,
-                                du_cg, pm_cg)
             if self.surrogate.infill_decide(df1):
                 # responsive loads report in load convention: an injection
                 # shows up as a negative load deviation
                 self.surrogate.add_sample(df1, -responsive_load(df1, cfg.grid))
-            correction = self.surrogate.evaluate(df1)
-            shares = [a + s * correction for a, s in zip(shares, self.sigma)]
+            shares = aie_shares(self.sigma, p_tie, self.d_prime, df1,
+                                du_cg, pm_cg, self.surrogate.evaluate(df1))
             agc1 = 0.0  # sequential, like the generator sums above
             for a in shares:
                 agc1 += a
@@ -624,18 +621,19 @@ class ScenarioRunner:
                pm_cg, *p_m, self.agc1,
                0 if self.surrogate is None else self.surrogate.m]
         table = self.result.table
-        soc = self.fleet.soc
         if not enabled:
             # a fleet that sits out leaves its columns at zero
-            for share, soc_i in zip(shares, soc):
+            for share, soc_i in zip(shares, self.fleet.soc):
                 row += (share, 0.0, 0.0, 0.0, soc_i, 0.0, 0.0, 0.0, 0.0, 0.0,
                         0.0)
             table[k, :len(row)] = row
             return
 
-        modes, boxes, models, grads = self.fleet.plan(shares, self.u)
+        # book the pending decision, then plan the coming interval
+        modes, boxes, models, grads = self.fleet.apply_all(self.u, shares)
         self.u, info = self.optimizer.iterate(
-            self.u, grads, shares, df1, boxes, modes, models, soc, row
+            self.u, grads, shares, df1, boxes, modes, models, self.fleet.soc,
+            row,
         )
         row[5] = self.p_bess = info["p_bess"]
         if self.oracle_every:
@@ -760,11 +758,16 @@ def verify_trace(path: str, soc_min: float = FleetConfig.soc_min,
     # each row against the one before it; the first has none
     first = np.ones(1, dtype=bool)
     holds("finite", np.isfinite(data))
+    # each time step against the trace's typical one, the median of its
+    # finite steps, so a bad first step is named at row 1 and a NaN time
+    # moves no reference
     steps = np.diff(col("time")[:, 0])
+    finite = steps[np.isfinite(steps)]
+    typical = np.median(finite) if finite.size else np.nan
     holds("uniform_time",
           np.concatenate([first, (steps > 0) & np.isclose(
-              steps, steps[:1], rtol=0, atol=1e-9)]),
-          f"step {steps[0]:.6g} s" if steps.size else "single row")
+              steps, typical, rtol=0, atol=1e-9)]),
+          f"step {typical:.6g} s" if steps.size else "single row")
     soc = col("soc")
     holds("soc_bounds", ~((soc < soc_min - 1e-9) | (soc > soc_max + 1e-9)))
     d, c, aie = col("d"), col("c"), col("aie")

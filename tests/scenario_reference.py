@@ -1,22 +1,24 @@
 """Reference of the closed-loop runner's agent logic, pass by pass.
 
 `ReferenceRunner.step` runs each control interval as the runner did before
-its agent work moved into one fleet pass and one post-mix pass: the fleet
-plans modes, boxes and cost models in three lists, the gradients at the
-applied pair take their own pass, the vectorised reference optimizer
-(`optimizer_reference.VectorOptimizer`) iterates, a second pass per agent
-prices the new point, and the row is assembled from eleven per-agent
-lists. The plant and the signal chain are the runner's own; their
-references are `plant_reference` and the tests of `orra.aie`. The runner
-keeps the same float operations in the same order, so the two tables must
-agree bit for bit.
+its agent work moved into one fleet pass and one post-mix pass: each
+battery books the pending pair through `Battery.apply` before the plant
+runs, the shares and their learned correction are formed in two steps,
+the fleet plans modes, boxes and cost models in three lists, the
+gradients at the applied pair take their own pass, the vectorised
+reference optimizer (`optimizer_reference.VectorOptimizer`) iterates, a
+second pass per agent prices the new point, and the row is assembled from
+eleven per-agent lists. The plant and the surrogate are the runner's own;
+their references are `plant_reference` and the tests of `orra.aie`. The
+runner keeps the same float operations in the same order, so the two
+tables must agree bit for bit.
 """
 from itertools import chain
 
 import numpy as np
 
 from optimizer_reference import VectorOptimizer
-from orra.aie import aie_shares, compute_ace
+from orra.aie import compute_ace
 from orra.bess import feasible_interval, mode_select
 from orra.degradation import interval_cost
 from orra.grid import grid_step, responsive_load
@@ -27,11 +29,11 @@ from orra.scenario import ScenarioRunner
 def plan(fleet, shares):
     """Each battery's mode, box and cost model, as three lists."""
     modes, boxes, models = [], [], []
-    for b, terms, share in zip(fleet.batteries, fleet.cost_terms, shares):
+    for b, share in zip(fleet.batteries, shares):
         b.mode = mode = mode_select(share, b.mode)
         modes.append(mode)
         boxes.append(feasible_interval(b.soc, mode, b.params, fleet.tau))
-        models.append(interval_cost(b.residues, terms))
+        models.append(interval_cost(b.residues, b.terms))
     return modes, boxes, models
 
 
@@ -52,7 +54,8 @@ class ReferenceRunner(ScenarioRunner):
         plant = self.plant
 
         if enabled:
-            self.fleet.apply_all(self.u)
+            for b, (d, c) in zip(self.fleet.batteries, self.u):
+                b.apply(d, c, tau)
         agc2 = compute_ace(-plant.p_tie, cfg.grid.bias, plant.df[1])
         steps, dt_inner = cfg.inner_steps, cfg.dt_inner
         loads = [self.disturbance(t0 + j * dt_inner) for j in range(steps)]
@@ -65,8 +68,8 @@ class ReferenceRunner(ScenarioRunner):
             du_cg += u
             pm_cg += p
         if cfg.signal == "AIE":
-            shares = aie_shares(self.sigma, p_tie, cfg.aie.d_prime, df1,
-                                du_cg, pm_cg)
+            error = p_tie + cfg.aie.d_prime * df1
+            shares = [s * error + s * du_cg - s * pm_cg for s in self.sigma]
             if self.surrogate.infill_decide(df1):
                 self.surrogate.add_sample(df1, -responsive_load(df1, cfg.grid))
             correction = self.surrogate.evaluate(df1)

@@ -27,12 +27,16 @@ def test_compute_ace_values():
 
 
 def shares(sigma=(1.0,), p_tie=2.0, d_prime=10.0, df=-0.1, du_cg=0.5,
-           pm_cg=0.3):
-    return aie_shares(list(sigma), p_tie, d_prime, df, du_cg, pm_cg)
+           pm_cg=0.3, correction=0.0):
+    return aie_shares(list(sigma), p_tie, d_prime, df, du_cg, pm_cg,
+                      correction)
 
 
 def test_aie_shares_hand_value():
     assert shares() == pytest.approx([1.2])
+    # the learned correction is split like the rest of the error
+    assert shares(sigma=(0.25, 0.75), correction=0.4) == pytest.approx(
+        [0.4, 1.2])
 
 
 def test_aie_shares_zero_participation_is_zero():
@@ -56,9 +60,10 @@ def test_aie_shares_sum_to_area_error():
         sigma /= sigma.sum()
         p_tie, df = float(rng.normal()), float(rng.normal(0, 0.03))
         d_prime = float(rng.uniform(5, 20))
-        du_cg, pm_cg = rng.normal(size=2).tolist()
-        got = shares(sigma.tolist(), p_tie, d_prime, df, du_cg, pm_cg)
-        total = p_tie + d_prime * df + du_cg - pm_cg
+        du_cg, pm_cg, correction = rng.normal(size=3).tolist()
+        got = shares(sigma.tolist(), p_tie, d_prime, df, du_cg, pm_cg,
+                     correction)
+        total = p_tie + d_prime * df + du_cg - pm_cg + correction
         assert sum(got) == pytest.approx(total, abs=1e-12)
 
 
@@ -71,12 +76,13 @@ def test_aie_shares_match_numpy_expression_bit_for_bit():
         sigma = rng.dirichlet(np.ones(n))
         if rng.random() < 0.2:
             sigma = np.full(n, 1.0 / n)
-        p_tie, d_prime, df, du_cg, pm_cg = (
-            rng.normal(size=5) * 10.0 ** rng.integers(-6, 3, size=5)
+        p_tie, d_prime, df, du_cg, pm_cg, correction = (
+            rng.normal(size=6) * 10.0 ** rng.integers(-6, 3, size=6)
         ).tolist()
         want = (sigma * (p_tie + d_prime * df) + sigma * du_cg
-                - sigma * pm_cg)
-        got = aie_shares(sigma.tolist(), p_tie, d_prime, df, du_cg, pm_cg)
+                - sigma * pm_cg + sigma * correction)
+        got = aie_shares(sigma.tolist(), p_tie, d_prime, df, du_cg, pm_cg,
+                         correction)
         assert type(got) is list and len(got) == n
         assert np.array(got).tobytes() == want.tobytes()
 

@@ -164,7 +164,7 @@ def test_project_is_nearest_feasible_point():
 
 def test_battery_apply_tracks_soc_and_loss():
     p = FleetConfig(soc_min=0.0, soc_max=1.0, capacity=2.0)
-    b = Battery(p, 0.5)
+    b = Battery(p, 0.5, cost_terms(2.0, 0.95, 0.95, 1000.0, 0.1, 360.0))
     b.apply(1.0, 0.0, 360.0)
     assert b.soc == pytest.approx(0.5 - 0.1 / (0.95 * 2))
     b.apply(0.0, 1.0, 360.0)
@@ -177,8 +177,8 @@ def test_battery_apply_tracks_soc_and_loss():
 def test_battery_never_leaves_soc_box_under_projected_decisions():
     rng = np.random.default_rng(3)
     p = FleetConfig()
-    b = Battery(p, 0.5)
     tau = 60.0
+    b = Battery(p, 0.5, cost_terms(2.0, 0.95, 0.95, 1000.0, 0.1, tau))
     for _ in range(500):
         mode = int(rng.integers(0, 2))
         box = feasible_interval(b.soc, mode, p, tau)
@@ -191,28 +191,41 @@ def test_battery_never_leaves_soc_box_under_projected_decisions():
 
 def test_fleet_wiring():
     # the batteries share every limit; each has its own wear weights
-    p = FleetConfig(initial_soc=(0.5, 0.5, 0.5), theta_a=(500.0, 1000.0, 0))
-    fleet = Fleet(p, 0.1)
+    p = FleetConfig(initial_soc=(0.25, 0.75, 0.5),
+                    theta_a=(500.0, 1000.0, 0))
+    tau = 360.0
+    fleet = Fleet(p, tau)
     assert [b.params for b in fleet.batteries] == [p] * 3
-    applied = [(0.0, 0.0)] * 3
-    modes, boxes, models, grads = fleet.plan([-2.0, 2.0, 2.0], applied)
-    assert list(modes) == [1, 0, 0]
-    assert [b.mode for b in fleet.batteries] == [1, 0, 0]
-    applied = [(0.3, 0.0), (0.0, 0.2), (0.0, 0.0)]
-    modes, boxes, models, grads = fleet.plan([2.0, -2.0, 0.0], applied)
-    assert list(modes) == [0, 1, 0]  # zero share holds previous mode
-    for b, mode, box, model, grad, (d, c), theta_a in zip(
-            fleet.batteries, modes, boxes, models, grads, applied,
-            (500.0, 1000.0, 0.0)):
-        assert tuple(box) == feasible_interval(b.soc, mode, p, 0.1)
-        assert model == interval_cost(b.residues, cost_terms(
-            2.0, 0.95, 0.95, theta_a, 0.1, 0.1))
-        assert grad == model.gradient(d, c)  # at the applied pair
+    for b, theta_a in zip(fleet.batteries, (500.0, 1000.0, 0.0)):
+        assert b.terms == cost_terms(2.0, 0.95, 0.95, theta_a, 0.1, tau)
         assert b.aging is AGING
-    u = [project(ui, box, mode) for ui, box, mode
-         in zip([(0.5, 0.2), (0.5, 0.4), (-0.2, 0.1)], boxes, modes)]
-    d, c = np.array(u).T
-    assert (d * c == 0).all()
-    fleet.apply_all(u)
-    assert np.allclose(fleet.soc, 0.5, atol=1e-4)
-
+    # twins book the same pairs by hand. apply_all books each battery's
+    # pending pair before it plans, so the mode, box, cost model and
+    # gradient it returns follow the booked SoC and residues
+    twins = [Battery(p, b.soc, b.terms) for b in fleet.batteries]
+    u, moved = [(0.0, 0.0)] * 3, 0
+    for shares, want_modes, pending in (
+        ([-2.0, 2.0, -2.0], [1, 0, 1], [(0.3, 0.0), (0.0, 0.2), (0.3, 0.0)]),
+        ([-2.0, -2.0, 2.0], [1, 1, 0], [(0.2, 0.0), (0.3, 0.0), (0.0, 0.5)]),
+        # a zero share holds the previous mode
+        ([0.0, 0.0, -2.0], [1, 1, 1], [(0.1, 0.0), (0.1, 0.0), (0.5, 0.0)]),
+        ([-2.0, 2.0, 2.0], [1, 0, 0], None),
+    ):
+        before = [b.soc for b in fleet.batteries]
+        modes, boxes, models, grads = fleet.apply_all(u, shares)
+        assert modes == want_modes == [b.mode for b in fleet.batteries]
+        for b, twin, mode, box, model, grad, (d, c), soc in zip(
+                fleet.batteries, twins, modes, boxes, models, grads, u,
+                before):
+            twin.apply(d, c, tau)
+            assert (b.soc, b.residues, b.lifetime_loss) == (
+                twin.soc, twin.residues, twin.lifetime_loss)
+            assert box == feasible_interval(twin.soc, mode, p, tau)
+            moved += box != feasible_interval(soc, mode, p, tau)
+            assert model == interval_cost(twin.residues, b.terms)
+            assert grad == model.gradient(d, c)  # at the booked pair
+        u = pending
+    # the first battery's discharge box sits on its SoC limit, so the
+    # booked SoC moved it; the third booking closed a cycle on the last
+    assert moved
+    assert fleet.batteries[2].lifetime_loss > 0.0

@@ -1,4 +1,6 @@
 """Centralized solver, regret accounting, and bound checkers."""
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from orra.oracle import (
     regret_slope,
 )
 from oracle_reference import bisection_solve, brute_force_solve
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def quad(theta_b):
@@ -264,6 +268,78 @@ def test_inactive_coordinate_is_exact_zero():
         discharge = np.array(modes) == 1
         assert (u[discharge, 1] == 0.0).all()
         assert (u[~discharge, 0] == 0.0).all()
+
+
+def pinned_cases():
+    """Seeded solver inputs, as (models, modes, boxes, target, nu_hint):
+    the branch cases, then 1-8 agents in one or both modes, with boxes
+    that may sit off zero and targets inside the achievable range, on
+    either end and beyond it. Every third case starts cold, the others
+    from a near or a far hint; every other case passes its modes, boxes,
+    target and hint as numpy values."""
+    rng = np.random.default_rng(28)
+    base = branch_cases()
+    for k in range(64):
+        n = k % 8 + 1
+        modes = [int(m) for m in rng.integers(0, 2, size=n)]
+        if k % 3 == 0:
+            modes = [k % 2] * n
+        models = [
+            fresh_model(rng) if rng.random() < 0.3 else aging_model(rng, m)
+            for m in modes
+        ]
+        los = rng.uniform(0.0, 0.3, size=n) * (rng.random(n) < 0.3)
+        widths = rng.uniform(0.0, 1.5, size=n)
+        boxes = [(float(lo), float(lo + w)) for lo, w in zip(los, widths)]
+        agg_lo = sum(lo if m == 1 else -hi for m, (lo, hi) in zip(modes, boxes))
+        agg_hi = sum(hi if m == 1 else -lo for m, (lo, hi) in zip(modes, boxes))
+        target = (float(rng.uniform(agg_lo, agg_hi)), agg_lo, agg_hi,
+                  agg_lo - float(rng.uniform(0.01, 1.0)),
+                  agg_hi + float(rng.uniform(0.01, 1.0)))[k % 5]
+        base.append((models, modes, boxes, target))
+    cases = []
+    for i, (models, modes, boxes, target) in enumerate(base):
+        hint = (None, float(rng.normal(0.0, 0.5)),
+                float(rng.normal(0.0, 1.0) * 10.0 ** rng.integers(1, 7)))[i % 3]
+        if i % 2:
+            modes, boxes, target = np.array(modes), np.array(boxes), np.float64(target)
+            hint = None if hint is None else np.float64(hint)
+        cases.append((models, modes, boxes, target, hint))
+    return cases
+
+
+def test_centralized_solve_matches_pinned_bits():
+    """The solver's outputs on `pinned_cases`, bit for bit. The fixture
+    was written by this snippet, run from the repository root with
+    PYTHONPATH=src:tests:
+
+        import numpy as np
+        from orra.oracle import centralized_solve
+        from test_oracle import pinned_cases
+
+        sols = [centralized_solve(*case) for case in pinned_cases()]
+        np.savez_compressed(
+            "tests/data/oracle_pinned.npz",
+            n=[len(s.u) for s in sols],
+            u=np.concatenate([np.array(s.u, dtype=float) for s in sols]),
+            **{key: [getattr(s, key) for s in sols]
+               for key in ("nu", "residual", "target", "clamped")})
+
+    Any change to the fixture needs a CHANGES.md entry saying why.
+    """
+    want = np.load(os.path.join(DATA, "oracle_pinned.npz"))
+    cases = pinned_cases()
+    assert want["n"].tolist() == [len(case[0]) for case in cases]
+    rows = np.cumsum([0, *want["n"]])
+    for i, case in enumerate(cases):
+        sol = centralized_solve(*case)
+        u = np.array(sol.u, dtype=float)
+        assert u.tobytes() == want["u"][rows[i]:rows[i + 1]].tobytes(), i
+        for key in ("nu", "residual", "target"):
+            got = getattr(sol, key)
+            assert type(got) is float, (i, key)
+            assert np.float64(got).tobytes() == want[key][i].tobytes(), (i, key)
+        assert sol.clamped is bool(want["clamped"][i]), i
 
 
 def test_infeasible_target_clamps_on_request():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from orra import scenario
+from orra.bess import Battery
 from orra.grid import scenario_fluctuation
 from orra.optimizer import OrraOptimizer
 from orra.scenario import (
@@ -139,6 +140,32 @@ def test_disabled_fleet_stays_idle():
     assert len(r.infos) == 0 and r.stages == []
     # the plant still responds to the step on its own
     assert r.df[:, 0].min() < -0.1
+
+
+@pytest.mark.parametrize("bess_enabled", [True, False],
+                         ids=["fleet_on", "fleet_off"])
+def test_fleet_books_every_decision_but_the_last(monkeypatch, bess_enabled):
+    # interval k books the pair decided at interval k-1, idle at k = 0,
+    # battery by battery in agent order; the last decision is never
+    # booked, and a fleet that sits out books nothing
+    booked = []
+    real_apply = Battery.apply
+
+    def spy(self, d, c, tau):
+        booked.append((self, (d, c)))
+        real_apply(self, d, c, tau)
+
+    monkeypatch.setattr(Battery, "apply", spy)
+    cfg = short_config(duration=15.0, bess_enabled=bess_enabled)
+    r = ScenarioRunner(cfg).run(write_trace=False)
+    n = cfg.fleet.n
+    decided = [(0.0, 0.0)] * n + list(zip(r.d[:-1].ravel().tolist(),
+                                          r.c[:-1].ravel().tolist()))
+    assert len(decided) == cfg.intervals * n
+    assert [pair for _, pair in booked] == (decided if bess_enabled else [])
+    assert [b for b, _ in booked] == r.fleet.batteries * (
+        cfg.intervals if bess_enabled else 0)
+    assert r.d.any() == bess_enabled  # the booked pairs are not all idle
 
 
 def test_infos_rebuild_the_optimizer_log(monkeypatch):

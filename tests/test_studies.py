@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 import xml.dom.minidom
 
 import numpy as np
@@ -453,7 +454,11 @@ ROW_EDITS = {
     "nan_soc": (lambda r: {"soc_0": np.nan}, {"finite"}),
     "nan_lam": (lambda r: {"lam_0": np.nan}, {"finite", "multiplier_bound"}),
     "nan_bound": (lambda r: {"dual_bound": np.nan}, {"finite"}),
+    # the first step is judged like the others
+    "time_row_1": (lambda r: {"time": r["time"] + 0.03}, {"uniform_time"}),
 }
+# cases that edit a fixed row, not one inside the run
+FIXED_ROWS = {"time_row_1": 1}
 
 
 @pytest.mark.parametrize("case", ROW_EDITS)
@@ -463,8 +468,9 @@ def test_every_row_check_names_its_first_violating_row(case, short_oracle_run,
     lines = open(result.trace_path).read().splitlines()
     header = lines[1].split(",")
     # a row inside the run where battery 0 discharges under a dual bound
-    k = next(k for k in range(2, len(result.time) - 1)
-             if result.d[k, 0] > 0 and result.bound[k] > 0)
+    k = FIXED_ROWS[case] if case in FIXED_ROWS else next(
+        k for k in range(2, len(result.time) - 1)
+        if result.d[k, 0] > 0 and result.bound[k] > 0)
     cells = lines[2 + k].split(",")
     edit, fails = ROW_EDITS[case]
     for name, value in edit(dict(zip(header, map(float, cells)))).items():
@@ -478,6 +484,23 @@ def test_every_row_check_names_its_first_violating_row(case, short_oracle_run,
             if not rep["checks"][name]["ok"]} == fails
     for name in fails:
         assert rep["checks"][name]["detail"] == f"first violation at row {k}"
+
+
+def test_uniform_time_without_a_finite_step(short_oracle_run, tmp_path):
+    # an all-NaN time column leaves no typical step: every step fails,
+    # the first at row 1, and the median of no steps is never taken
+    _, result = short_oracle_run
+    lines = open(result.trace_path).read().splitlines()
+    assert lines[1].split(",")[0] == "time"
+    bad = lines[:2] + ["nan" + line[line.index(","):] for line in lines[2:]]
+    p = tmp_path / "no_time.csv"
+    p.write_text("\n".join(bad) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_trace(str(p))
+    assert rep["checks"]["finite"]["detail"] == "first violation at row 0"
+    assert rep["checks"]["uniform_time"]["detail"] == (
+        "first violation at row 1")
 
 
 def test_verify_trace_checks_the_traces_accounting(tmp_path):
