@@ -9,6 +9,8 @@ RBF interpolant over sparsely infilled (frequency, response) samples.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left, insort
 
 import numpy as np
 
@@ -97,6 +99,8 @@ class RbfSurrogate:
         self.max_samples = aie.rbf_max_samples
         self.sample_df, self.sample_dP = [], []
         self.weights = None
+        # sample_df as an array, and in ascending order for infill_decide
+        self.locations, self.by_location = np.empty(0), []
         # on Python floats, so an overflow reads 0.0 and numpy never warns
         xi, d_min = float(self.xi), float(self.d_min)
         if math.exp(-xi * d_min * d_min) == 0.0:
@@ -114,15 +118,26 @@ class RbfSurrogate:
                 f"spaced rbf_d_min apart give a gram condition number of "
                 f"{cond:.3e}, above {COND_LIMIT:.0e}"
             )
+        # d^2 and xi * d^2 are finite for |d| <= radius, with room for
+        # rounding: a df within reach, radius less the largest |sample|,
+        # overflows nothing in evaluate
+        self.radius = math.sqrt(sys.float_info.max / max(xi, 1.0)) / 2
+        self.reach = self.radius
 
     @property
     def m(self) -> int:
         return len(self.sample_df)
 
     def infill_decide(self, df) -> bool:
-        if not self.sample_df:
+        """Whether df lies at least d_min from every stored location. As
+        float subtraction is monotone, the nearest are df's neighbours in
+        the sorted locations, whose verdict is the full scan's."""
+        xs, d_min = self.by_location, self.d_min
+        if not xs:
             return True
-        return min(abs(df - x) for x in self.sample_df) >= self.d_min
+        i = bisect_left(xs, df)
+        below, above = xs[i - 1 if i else 0], xs[i if i < len(xs) else -1]
+        return abs(df - below) >= d_min and abs(df - above) >= d_min
 
     def add_sample(self, df, dP) -> None:
         if not self.infill_decide(df):
@@ -131,27 +146,36 @@ class RbfSurrogate:
             )
         if self.m >= self.max_samples:
             self._evict()
-        self.sample_df.append(float(df))
+        df = float(df)
+        self.sample_df.append(df)
         self.sample_dP.append(float(dP))
+        xs = self.by_location
+        insort(xs, df)
+        self.locations = np.array(self.sample_df)
+        self.reach = self.radius - max(-xs[0], xs[-1])
         self.refit()
 
     def _evict(self) -> None:
-        lo = int(np.argmin(self.sample_df))
-        hi = int(np.argmax(self.sample_df))
+        lo = int(np.argmin(self.locations))
+        hi = int(np.argmax(self.locations))
         victim = next(i for i in range(self.m) if i not in (lo, hi))
+        self.by_location.remove(self.sample_df[victim])
         for seq in (self.sample_df, self.sample_dP):
             seq.pop(victim)
 
     def refit(self) -> None:
-        gram = build_gram(self.sample_df, self.xi)
+        gram = build_gram(self.locations, self.xi)
         self.weights = fit_weights(gram, self.sample_dP)
 
     def evaluate(self, df):
         """Interpolated frequency-responsive correction at df (0 when empty)."""
         if not self.sample_df:
             return 0.0
+        if abs(df) <= self.reach:  # nothing overflows (see __init__)
+            return float(gaussian_basis(df - self.locations, self.xi)
+                         @ self.weights)
         # a distance or its square past a float's range is a kernel of
         # exactly 0, its limit: a diverging plant's df is no warning here
         with np.errstate(over="ignore"):
-            basis = gaussian_basis(df - np.asarray(self.sample_df), self.xi)
+            basis = gaussian_basis(df - self.locations, self.xi)
         return float(basis @ self.weights)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import degradation
-from .degradation import AGING, CostTerms, ResidueStack
+from .degradation import AGING, CostTerms, IntervalCost, ResidueStack
 
 SOC_TOL = 1e-9
 
@@ -27,65 +27,13 @@ def check_soc_box(soc_min, soc_max) -> None:
         raise ValueError("need 0 <= soc_min < soc_max <= 1")
 
 
-def soc_step(soc: float, c, d, params, tau) -> float:
-    """Advance SoC by one interval of tau seconds at charge c / discharge d
-    MW, within the box and limits of `params`, the fleet config section."""
-    if c < 0 or d < 0:
-        raise ValueError("powers must be nonnegative")
-    if c > 0 and d > 0:
-        raise ValueError("cannot charge and discharge simultaneously")
-    tau_h = tau / 3600.0
-    x = soc + params.eta_c * tau_h / params.capacity * c
-    x -= tau_h / (params.eta_d * params.capacity) * d
-    lo, hi = params.soc_min, params.soc_max
-    # one box test, which a NaN fails as it fails every comparison
-    if not lo - SOC_TOL <= x <= hi + SOC_TOL:
-        raise SocViolationError(f"soc {x:.9f} outside [{lo}, {hi}]")
-    # min(max(x, lo), hi), without the calls
-    return lo if x < lo else hi if x > hi else x
-
-
-def mode_select(aie_i, prev_mode: int = 1) -> int:
-    """Pick the permitted power direction for the coming interval.
-
-    The mode follows the sign of the agent's injection-error share: a
-    negative share means the area is short, and the battery discharges
-    (1); a positive share means surplus, and it charges (0). The balance
-    h_i = d_i - c_i + share_i fixes this sign. A zero share keeps the
-    previous mode.
-    """
-    if aie_i < 0:
-        return 1
-    if aie_i > 0:
-        return 0
-    return int(prev_mode)
-
-
-def feasible_interval(soc: float, mode: int, params, tau):
-    """Bounds [lo, hi] on the active power coordinate for one interval."""
-    if mode not in (0, 1):
-        raise ValueError("mode must be 0 or 1")
-    tau_h = tau / 3600.0
-    # min(limit, x) and max(hi, 0.0), without the calls
-    if mode == 1:
-        limit = params.discharge_limit
-        x = (soc - params.soc_min) * params.eta_d * params.capacity / tau_h
-    else:
-        limit = params.charge_limit
-        x = (params.soc_max - soc) * params.capacity / (params.eta_c * tau_h)
-    hi = x if x < limit else limit
-    return 0.0, 0.0 if hi < 0.0 else hi
-
-
 @dataclass
 class Battery:
     """One battery: SoC, permitted direction, rainflow bookkeeping and its
-    interval-cost constants `terms`; `params` is the fleet config section,
-    whose limits all batteries share, and `aging` the wear law, which they
-    share too."""
+    interval-cost constants `terms`; `aging` is the wear law, which every
+    battery shares, as it shares the limits its Fleet holds."""
 
     aging = AGING  # not a field: every battery shares it
-    params: object
     soc: float
     terms: CostTerms
     mode: int = 1  # 1 discharge, 0 charge
@@ -96,16 +44,6 @@ class Battery:
         if not self.residues:
             self.residues = (float(self.soc),)  # the first extremum
 
-    def apply(self, d: float, c: float, tau: float) -> None:
-        """Apply one interval's powers: step the SoC, close any rainflow
-        cycles it completes and add their wear to the lifetime loss."""
-        self.soc = soc_step(self.soc, c, d, self.params, tau)
-        events, self.residues = degradation.rainflow_step(
-            self.soc, self.residues
-        )
-        if events:  # adding no loss would change no bit
-            self.lifetime_loss += degradation.total_loss(events)
-
 
 class Fleet:
     """The batteries of a fleet config section, in agent order, on control
@@ -113,12 +51,20 @@ class Fleet:
 
     def __init__(self, cfg, tau: float) -> None:
         # the batteries differ only in their SoC and their wear weights
-        self.batteries = [Battery(cfg, float(soc), degradation.cost_terms(
+        self.batteries = [Battery(float(soc), degradation.cost_terms(
             cfg.capacity, cfg.eta_c, cfg.eta_d, theta_a, theta_b, tau,
         )) for soc, theta_a, theta_b in zip(cfg.initial_soc,
                                             cfg.per_battery(cfg.theta_a),
                                             cfg.per_battery(cfg.theta_b))]
-        self.tau = tau
+        # the limits all batteries share, in apply_all's order
+        tau_h = tau / 3600.0
+        self.limits = (
+            cfg.eta_c * tau_h / cfg.capacity,
+            tau_h / (cfg.eta_d * cfg.capacity), cfg.soc_min, cfg.soc_max,
+            cfg.soc_min - SOC_TOL, cfg.soc_max + SOC_TOL, cfg.eta_d,
+            cfg.capacity, tau_h, cfg.eta_c * tau_h, cfg.discharge_limit,
+            cfg.charge_limit,
+        )
 
     @property
     def soc(self) -> list:
@@ -129,18 +75,69 @@ class Fleet:
         set its mode from its injection-error share for the coming
         interval.
 
+        Booking steps the SoC (ValueError for a negative power or a
+        two-sided pair, SocViolationError for an SoC past the box by more
+        than SOC_TOL, NaN included), closes the rainflow cycles the step
+        completes and books their wear. A negative share, an area short of
+        power, discharges (mode 1), a positive one charges (0): the balance
+        h_i = d_i - c_i + share_i fixes the sign.
+
         Returns lists of the interval's modes, (lo, hi) boxes on the active
         power coordinate, frozen-residue cost models, and each model's
         gradient at the booked pair.
         """
-        tau = self.tau
+        (charge_gain, discharge_gain, soc_min, soc_max, floor, ceiling,
+         eta_d, capacity, tau_h, charge_hours, discharge_limit,
+         charge_limit) = self.limits
         modes, boxes, models, grads = [], [], [], []
         for b, share, (d, c) in zip(self.batteries, shares, u):
-            b.apply(d, c, tau)
-            b.mode = mode = mode_select(share, b.mode)
+            if c < 0 or d < 0:
+                raise ValueError("powers must be nonnegative")
+            if c > 0 and d > 0:
+                raise ValueError("cannot charge and discharge simultaneously")
+            x = b.soc + charge_gain * c
+            x -= discharge_gain * d
+            # one box test, which a NaN fails as it fails every comparison
+            if not floor <= x <= ceiling:
+                raise SocViolationError(
+                    f"soc {x:.9f} outside [{soc_min}, {soc_max}]")
+            # min(max(x, soc_min), soc_max), without the calls
+            b.soc = soc = (soc_min if x < soc_min
+                           else soc_max if x > soc_max else x)
+            # on the module, where a tracer may wrap them
+            events, b.residues = degradation.rainflow_step(soc, b.residues)
+            if events:  # adding no loss would change no bit
+                b.lifetime_loss += degradation.total_loss(events)
+
+            # a zero share keeps the mode
+            mode = b.mode = 1 if share < 0 else 0 if share > 0 else b.mode
             modes.append(mode)
-            boxes.append(feasible_interval(b.soc, mode, b.params, tau))
-            model = degradation.interval_cost(b.residues, b.terms)
-            models.append(model)
-            grads.append(model.gradient(d, c))
+            # the SoC headroom in MW within the power limit
+            if mode == 1:
+                x = (soc - soc_min) * eta_d * capacity / tau_h
+                hi = x if x < discharge_limit else discharge_limit
+            else:
+                x = (soc_max - soc) * capacity / charge_hours
+                hi = x if x < charge_limit else charge_limit
+            boxes.append((0.0, 0.0 if hi < 0.0 else hi))
+
+            # only the coordinate that deepens the open half cycle, the top
+            # two residues, ages (either one when none is open)
+            g_discharge, g_charge, theta_b, big_theta, exponent = b.terms
+            residues = b.residues
+            if len(residues) < 2:
+                mu0, g_d, g_c = 0.0, g_discharge, g_charge
+            else:
+                delta = residues[-1] - residues[-2]
+                mu0 = abs(delta)
+                g_d, g_c = ((0.0, g_charge) if delta > 0
+                            else (g_discharge, 0.0))
+            models.append(IntervalCost(mu0, g_d, g_c, theta_b, big_theta,
+                                       exponent))
+            # the model's gradient at the booked pair
+            mu = mu0 + g_d * d + g_c * c
+            wear = 2.0 * theta_b * (d - c)
+            aging = (big_theta * exponent * mu ** (exponent - 1.0) if mu > 0
+                     else 0.0)
+            grads.append((wear + aging * g_d, -wear + aging * g_c))
         return modes, boxes, models, grads

@@ -2,8 +2,9 @@
 
 SoC samples arrive one per control interval. The counter keeps the residue
 stack (extrema not yet cancelled), closes nested cycles online with the
-three/four-point rule, and exposes the currently open half cycle so the
-per-interval cost can price how a prospective action deepens it.
+three/four-point rule; the top two residues are the currently open half
+cycle, which the per-interval cost prices as a prospective action deepens
+it (`bess.Fleet.apply_all` builds each battery's `IntervalCost`).
 
 Lifetime loss per counted cycle follows the power-law depth curve
 (n_cyc/2) * a * depth**b. Within one control interval the residue stack is
@@ -64,18 +65,6 @@ def rainflow_step(x_new, residues: ResidueStack):
     return tuple(events), tuple(stack)
 
 
-def open_half(residues: ResidueStack):
-    """Depth and direction of the currently open half cycle.
-
-    direction is -1 when the open half is downward (discharge deepens it),
-    +1 when upward (charge deepens it), 0 when no half cycle is open yet.
-    """
-    if len(residues) < 2:
-        return 0.0, 0
-    delta = residues[-1] - residues[-2]
-    return abs(delta), (1 if delta > 0 else -1)
-
-
 class IntervalCost(NamedTuple):
     """Usage cost of one control interval with the residue stack frozen.
 
@@ -97,14 +86,6 @@ class IntervalCost(NamedTuple):
         mu0, g_d, g_c, theta_b, big_theta, b = self
         mu = mu0 + g_d * d + g_c * c
         return theta_b * (d - c) ** 2 + big_theta * mu**b
-
-    def gradient(self, d, c):
-        """(d f/d d, d f/d c) at the given point."""
-        mu0, g_d, g_c, theta_b, big_theta, b = self
-        mu = mu0 + g_d * d + g_c * c
-        wear = 2.0 * theta_b * (d - c)
-        aging = big_theta * b * mu ** (b - 1.0) if mu > 0 else 0.0
-        return wear + aging * g_d, -wear + aging * g_c
 
 
 class CostTerms(NamedTuple):
@@ -141,20 +122,6 @@ def cost_terms(capacity, eta_c, eta_d, theta_a, theta_b, tau) -> CostTerms:
     g_charge = eta_c * tau_h / capacity
     big_theta = theta_a * (3600.0 / tau) * (AGING.a / 4.0)
     return CostTerms(g_discharge, g_charge, theta_b, big_theta, AGING.b)
-
-
-def interval_cost(residues: ResidueStack, terms: CostTerms) -> IntervalCost:
-    """Build the frozen-residue cost for one interval from the battery's
-    constants."""
-    g_discharge, g_charge, theta_b, big_theta, b = terms
-    mu0, direction = open_half(residues)
-    if direction < 0:
-        g_d, g_c = g_discharge, 0.0
-    elif direction > 0:
-        g_d, g_c = 0.0, g_charge
-    else:
-        g_d, g_c = g_discharge, g_charge  # fresh start: either move opens a half
-    return IntervalCost(mu0, g_d, g_c, theta_b, big_theta, b)
 
 
 def total_loss(events) -> float:

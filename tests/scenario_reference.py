@@ -2,13 +2,17 @@
 
 `ReferenceRunner.step` runs each control interval as the runner did before
 its agent work moved into one fleet pass and one post-mix pass: each
-battery books the pending pair through `Battery.apply` before the plant
-runs, the shares and their learned correction are formed in two steps,
-the fleet plans modes, boxes and cost models in three lists, the
-gradients at the applied pair take their own pass, the vectorised
-reference optimizer (`optimizer_reference.VectorOptimizer`) iterates, a
-second pass per agent prices the new point, and the row is assembled from
-eleven per-agent lists. The plant and the surrogate are the runner's own;
+battery books the pending pair before the plant runs, the shares and their
+learned correction are formed in two steps, the fleet plans modes, boxes
+and cost models in three lists, the gradients at the applied pair take
+their own pass, the vectorised reference optimizer
+(`optimizer_reference.VectorOptimizer`) iterates, a second pass per agent
+prices the new point, and the row is assembled from eleven per-agent
+lists. The battery's SoC step, mode, box and cost model are this module's
+own copies of the helpers the package once called, so the fleet pass is
+checked against code it shares nothing with but the rainflow counter and
+the loss law (see `rainflow_reference` and the tests of
+`orra.degradation`). The plant and the surrogate are the runner's own;
 their references are `plant_reference` and the tests of `orra.aie`. The
 runner keeps the same float operations in the same order, so the two
 tables must agree bit for bit.
@@ -17,22 +21,88 @@ from itertools import chain
 
 import numpy as np
 
-from optimizer_reference import VectorOptimizer
+from optimizer_reference import VectorOptimizer, cost_gradient
 from orra.aie import compute_ace
-from orra.bess import feasible_interval, mode_select
-from orra.degradation import interval_cost
+from orra.bess import SOC_TOL, SocViolationError
+from orra.degradation import IntervalCost, rainflow_step, total_loss
 from orra.grid import grid_step, responsive_load
 from orra.oracle import centralized_solve
 from orra.scenario import ScenarioRunner
 
 
-def plan(fleet, shares):
-    """Each battery's mode, box and cost model, as three lists."""
+def soc_step(soc, c, d, params, tau):
+    """The SoC after one interval of tau seconds at charge c / discharge d
+    MW, within the box of `params`, the fleet config section."""
+    if c < 0 or d < 0:
+        raise ValueError("powers must be nonnegative")
+    if c > 0 and d > 0:
+        raise ValueError("cannot charge and discharge simultaneously")
+    tau_h = tau / 3600.0
+    x = soc + params.eta_c * tau_h / params.capacity * c
+    x -= tau_h / (params.eta_d * params.capacity) * d
+    lo, hi = params.soc_min, params.soc_max
+    if not lo - SOC_TOL <= x <= hi + SOC_TOL:
+        raise SocViolationError(f"soc {x:.9f} outside [{lo}, {hi}]")
+    return min(max(x, lo), hi)
+
+
+def book(b, d, c, params, tau):
+    """Step a battery's SoC within the limits of `params`, the fleet config
+    section, close the rainflow cycles the step completes and add their
+    wear to its lifetime loss."""
+    b.soc = soc_step(b.soc, c, d, params, tau)
+    events, b.residues = rainflow_step(b.soc, b.residues)
+    if events:
+        b.lifetime_loss += total_loss(events)
+
+
+def mode_select(share, prev_mode):
+    """Discharge (1) on a negative share, charge (0) on a positive one,
+    and keep the previous mode on a zero share."""
+    if share < 0:
+        return 1
+    if share > 0:
+        return 0
+    return int(prev_mode)
+
+
+def feasible_interval(soc, mode, params, tau):
+    """Bounds (lo, hi) on the active power coordinate for one interval."""
+    tau_h = tau / 3600.0
+    if mode == 1:
+        x = (soc - params.soc_min) * params.eta_d * params.capacity / tau_h
+        return 0.0, max(min(params.discharge_limit, x), 0.0)
+    x = (params.soc_max - soc) * params.capacity / (params.eta_c * tau_h)
+    return 0.0, max(min(params.charge_limit, x), 0.0)
+
+
+def interval_cost(residues, terms):
+    """The frozen-residue cost of one interval: only the coordinate that
+    deepens the open half cycle moves the aging term, and either does when
+    no half cycle is open yet."""
+    g_discharge, g_charge, theta_b, big_theta, b = terms
+    if len(residues) < 2:
+        mu0, direction = 0.0, 0
+    else:
+        delta = residues[-1] - residues[-2]
+        mu0, direction = abs(delta), (1 if delta > 0 else -1)
+    if direction < 0:
+        g_d, g_c = g_discharge, 0.0
+    elif direction > 0:
+        g_d, g_c = 0.0, g_charge
+    else:
+        g_d, g_c = g_discharge, g_charge
+    return IntervalCost(mu0, g_d, g_c, theta_b, big_theta, b)
+
+
+def plan(fleet, shares, cfg):
+    """Each battery's mode, box and cost model under the scenario config
+    cfg, as three lists."""
     modes, boxes, models = [], [], []
     for b, share in zip(fleet.batteries, shares):
         b.mode = mode = mode_select(share, b.mode)
         modes.append(mode)
-        boxes.append(feasible_interval(b.soc, mode, b.params, fleet.tau))
+        boxes.append(feasible_interval(b.soc, mode, cfg.fleet, cfg.tau))
         models.append(interval_cost(b.residues, b.terms))
     return modes, boxes, models
 
@@ -55,7 +125,7 @@ class ReferenceRunner(ScenarioRunner):
 
         if enabled:
             for b, (d, c) in zip(self.fleet.batteries, self.u):
-                b.apply(d, c, tau)
+                book(b, d, c, cfg.fleet, tau)
         agc2 = compute_ace(-plant.p_tie, cfg.grid.bias, plant.df[1])
         steps, dt_inner = cfg.inner_steps, cfg.dt_inner
         loads = [self.disturbance(t0 + j * dt_inner) for j in range(steps)]
@@ -93,8 +163,8 @@ class ReferenceRunner(ScenarioRunner):
             rec.table[k, :len(row)] = row
             return
 
-        modes, boxes, models = plan(self.fleet, shares)
-        grads = [m.gradient(d, c) for m, (d, c) in zip(models, self.u)]
+        modes, boxes, models = plan(self.fleet, shares, cfg)
+        grads = [cost_gradient(m, d, c) for m, (d, c) in zip(models, self.u)]
         u_next, info = self.optimizer.iterate(
             self.u, grads, shares, df1, boxes, modes
         )
@@ -106,7 +176,7 @@ class ReferenceRunner(ScenarioRunner):
         marginals, interior = [], []
         for m, (d, c), mode, (lo, hi) in zip(models, u_next, modes, boxes):
             f_dist += m.value(d, c)
-            g_d, g_c = m.gradient(d, c)
+            g_d, g_c = cost_gradient(m, d, c)
             active = d if mode == 1 else c
             marginals.append(g_d if mode == 1 else g_c)
             interior.append(lo + 1e-9 < active < hi - 1e-9)

@@ -29,6 +29,7 @@ from orra.scenario import (
     ScenarioRunner,
 )
 from orra.studies import ARMS, nadir, settle_time, stage_cost_gaps, stage_lemma_checks
+from optimizer_reference import cost_gradient
 from oracle_reference import brute_force_solve
 from rainflow_reference import rainflow_batch
 from test_optimizer import random_instance
@@ -154,7 +155,7 @@ def run_random_instance(rng):
             sum(m.value(di, ci) for m, (di, ci) in zip(models, sol.u))
         )
         grads = np.array(
-            [m.gradient(ui[0], ui[1]) for m, ui in zip(models, u)]
+            [cost_gradient(m, *ui) for m, ui in zip(models, u)]
         )
         u, info = opt.iterate(u, grads, aie, 0.0, intervals, modes, models,
                               [0.5] * n, [])

@@ -248,3 +248,91 @@ def test_off_sample_accuracy_on_sectional_droop():
     errs = np.array([abs(s.evaluate(x) - truth(x)) for x in grid])
     scale = max(abs(truth(x)) for x in grid)
     assert errs.max() <= 0.10 * scale
+
+
+class ScanSurrogate(RbfSurrogate):
+    """The surrogate as it was before it kept its sample locations as an
+    array and a sorted list: the infill test scans every sample, eviction
+    converts the sample list, and every evaluation converts it again and
+    enters np.errstate. Kept here as the reference."""
+
+    def infill_decide(self, df) -> bool:
+        if not self.sample_df:
+            return True
+        return min(abs(df - x) for x in self.sample_df) >= self.d_min
+
+    def add_sample(self, df, dP) -> None:
+        if not self.infill_decide(df):
+            raise InfillViolationError(f"sample at {df} too close")
+        if self.m >= self.max_samples:
+            lo = int(np.argmin(self.sample_df))
+            hi = int(np.argmax(self.sample_df))
+            victim = next(i for i in range(self.m) if i not in (lo, hi))
+            for seq in (self.sample_df, self.sample_dP):
+                seq.pop(victim)
+        self.sample_df.append(float(df))
+        self.sample_dP.append(float(dP))
+        self.weights = fit_weights(build_gram(self.sample_df, self.xi),
+                                   self.sample_dP)
+
+    def evaluate(self, df):
+        if not self.sample_df:
+            return 0.0
+        with np.errstate(over="ignore"):
+            basis = gaussian_basis(df - np.asarray(self.sample_df), self.xi)
+        return float(basis @ self.weights)
+
+
+def test_surrogate_matches_the_full_scan_bit_for_bit():
+    # 6000 draws over four settings fill each cap and evict; late in each
+    # run far locations join, ±1e308 among them, so evaluation leaves the
+    # reach where it can skip np.errstate. Draws one d_min from a stored
+    # sample test the infill threshold itself
+    rng = np.random.default_rng(29)
+    far = (1e308, -1e308, 5e307, -1e160, 1e154, 1.3e152, -1e152, 1e150)
+    for xi, d_min, cap, scale in ((3000.0, 0.007, 24, 0.05),
+                                  (3000.0, 0.007, 3, 0.05),
+                                  (1e6, 4e-4, 8, 3e-3),
+                                  (1e-3, 30.0, 12, 200.0)):
+        cfg = AieConfig(rbf_xi=xi, rbf_d_min=d_min, rbf_max_samples=cap)
+        fast, scan = RbfSurrogate(cfg), ScanSurrogate(cfg)
+        evictions, near = [], 0
+
+        def checked_evict(evict=fast._evict):
+            evict()
+            evictions.append(fast.by_location == sorted(fast.sample_df))
+
+        fast._evict = checked_evict
+        decisions, values = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(1500):
+                if k >= 1200 and rng.random() < 0.05:
+                    df = float(rng.choice(far))
+                elif scan.sample_df and rng.random() < 0.05:
+                    df = float(rng.choice(scan.sample_df)
+                               + rng.choice((-d_min, d_min)))
+                else:
+                    df = float(rng.normal(0.0, scale))
+                verdict = fast.infill_decide(df)
+                decisions.append((verdict, scan.infill_decide(df)))
+                if verdict:
+                    dP = float(rng.normal())
+                    fast.add_sample(df, dP)
+                    scan.add_sample(df, dP)
+                    assert fast.by_location == sorted(fast.sample_df)
+                    assert (fast.locations.tobytes()
+                            == np.array(fast.sample_df).tobytes())
+                for x in (df, float(rng.normal(0.0, scale)),
+                          float(rng.choice(far))):
+                    near += abs(x) <= fast.reach
+                    values.append((fast.evaluate(x), scan.evaluate(x)))
+        assert all(got == want for got, want in decisions)
+        assert sum(got for got, _ in decisions) > cap
+        assert evictions and all(evictions)
+        assert fast.sample_df == scan.sample_df
+        assert fast.sample_dP == scan.sample_dP
+        assert fast.weights.tobytes() == scan.weights.tobytes()
+        got, want = np.array(values).T
+        assert got.tobytes() == want.tobytes()
+        assert 0 < near < len(values)  # both routes of evaluate were taken

@@ -1,18 +1,13 @@
 """Tests for battery SoC stepping, mode selection, feasible boxes, and
-the projection onto them."""
+the projection onto them: the fleet books, boxes and prices each battery
+in `Fleet.apply_all`."""
 import numpy as np
 import pytest
 
-from orra.bess import (
-    Battery,
-    Fleet,
-    SocViolationError,
-    check_soc_box,
-    feasible_interval,
-    mode_select,
-    soc_step,
-)
-from orra.degradation import AGING, IntervalCost, cost_terms, interval_cost
+import scenario_reference as reference
+from optimizer_reference import cost_gradient
+from orra.bess import SOC_TOL, Battery, Fleet, SocViolationError, check_soc_box
+from orra.degradation import AGING, IntervalCost, cost_terms
 from orra.optimizer import OrraOptimizer
 from orra.scenario import FleetConfig, OptimizerConfig
 
@@ -42,85 +37,132 @@ def test_params_validation():
                 check_soc_box(*box)
 
 
+def one_battery(soc=0.5, tau=0.1, **params):
+    """A fleet of one battery at soc on tau-second intervals."""
+    return Fleet(FleetConfig(initial_soc=(soc,), **params), tau)
+
+
+def book(fleet, d, c, share=-1.0):
+    """Book the pair (d, c) on a one-battery fleet with the given share:
+    its SoC, mode and box after the booking."""
+    (mode,), (box,), _, _ = fleet.apply_all([(d, c)], [share])
+    return fleet.batteries[0].soc, mode, box
+
+
 def test_soc_step_no_power_no_change():
-    p = FleetConfig()
-    assert soc_step(0.5, 0, 0, p, 0.1) == 0.5
+    assert book(one_battery(0.5), 0.0, 0.0)[0] == 0.5
 
 
 def test_soc_step_discharge_hand_value():
     # 1 MW for 360 s from a 2 MWh battery at eta_d 0.95 drains 0.1/(0.95*2)
-    p = FleetConfig(capacity=2.0, eta_d=0.95, soc_min=0.0, soc_max=1.0)
-    got = soc_step(0.5, 0, 1.0, p, 360.0)
+    fleet = one_battery(0.5, 360.0, capacity=2.0, eta_d=0.95, soc_min=0.0,
+                        soc_max=1.0)
+    got = book(fleet, 1.0, 0.0)[0]
     assert got == pytest.approx(0.5 - 0.1 / (0.95 * 2.0))
     assert got == pytest.approx(0.447368, abs=1e-6)
 
 
 def test_soc_step_charge_hand_value():
-    p = FleetConfig(capacity=2.0, eta_c=0.95, soc_min=0.0, soc_max=1.0)
-    got = soc_step(0.5, 1.0, 0, p, 0.1)
+    fleet = one_battery(0.5, 0.1, capacity=2.0, eta_c=0.95, soc_min=0.0,
+                        soc_max=1.0)
+    got = book(fleet, 0.0, 1.0)[0]
     assert got == pytest.approx(0.5 + 0.95 * (0.1 / 3600.0) / 2.0)
     assert got == pytest.approx(0.500013194, abs=1e-9)
 
 
 def test_soc_step_rejects_simultaneous_power():
-    with pytest.raises(ValueError):
-        soc_step(0.5, 1.0, 1.0, FleetConfig(), 0.1)
+    with pytest.raises(ValueError, match="simultaneously"):
+        book(one_battery(), 1.0, 1.0)
+
+
+def test_soc_step_rejects_negative_power():
+    for d, c in ((-1.0, 0.0), (0.0, -1.0), (-0.5, 0.5)):
+        fleet = one_battery()
+        with pytest.raises(ValueError, match="nonnegative"):
+            book(fleet, d, c)
+        assert fleet.soc == [0.5]  # refused before anything is booked
 
 
 def test_soc_step_raises_on_violation():
-    p = FleetConfig(soc_min=0.2, soc_max=0.8)
-    with pytest.raises(SocViolationError):
-        soc_step(0.21, 0, 1.0, p, 3600.0)
+    with pytest.raises(SocViolationError, match=r"outside \[0.2, 0.8\]"):
+        book(one_battery(0.21, 3600.0, soc_min=0.2, soc_max=0.8), 1.0, 0.0)
     # NaN fails no single comparison with the box ends, nor passes the box
     nan = float("nan")
-    for args in ((0.5, 0.0, nan), (0.5, nan, 0.0), (nan, 0.0, 0.0)):
+    for soc, c, d in ((0.5, 0.0, nan), (0.5, nan, 0.0), (nan, 0.0, 0.0)):
+        fleet = one_battery(soc, soc_min=0.2, soc_max=0.8)
         with pytest.raises(SocViolationError, match="soc nan outside"):
-            soc_step(*args, p, 0.1)
+            book(fleet, d, c)
+
+
+def test_soc_past_the_box_within_tolerance_is_clamped():
+    # a step that ends within SOC_TOL past a box end lands on the end; one
+    # just beyond is refused
+    tau = 0.1
+    gain = tau / 3600.0 / (0.95 * 2.0)  # SoC per MW discharged
+    for over, clamped in ((0.5 * SOC_TOL, True), (2.0 * SOC_TOL, False)):
+        fleet = one_battery(0.2 + gain, tau, soc_min=0.2, soc_max=0.8)
+        d = 1.0 + over / gain
+        if clamped:
+            soc, mode, box = book(fleet, d, 0.0)
+            assert (soc, mode, box) == (0.2, 1, (0.0, 0.0))
+        else:
+            with pytest.raises(SocViolationError):
+                book(fleet, d, 0.0)
 
 
 def test_round_trip_returns_eta_squared_of_input_energy():
     # store energy then drain SoC back to the start: the grid gets back
     # exactly eta_c*eta_d of what it put in
     p = FleetConfig(capacity=2.0, soc_min=0.0, soc_max=1.0)
-    soc = 0.5
+    fleet = one_battery(0.5, 360.0, capacity=2.0, soc_min=0.0, soc_max=1.0)
     energy_in = 1.0 * 0.1  # 1 MW for 0.1 h
-    soc = soc_step(soc, 1.0, 0, p, 360.0)
+    book(fleet, 0.0, 1.0)
     d_out = p.eta_c * p.eta_d * 1.0
-    soc = soc_step(soc, 0, d_out, p, 360.0)
+    soc = book(fleet, d_out, 0.0)[0]
     assert soc == pytest.approx(0.5, abs=1e-12)
     energy_out = d_out * 0.1
     assert energy_out / energy_in == pytest.approx(1 - (1 - 0.95**2))
 
 
 def test_mode_select_signs():
-    # a short area (negative share) discharges, a surplus charges
-    assert mode_select(-3.0) == 1
-    assert mode_select(3.0) == 0
-    assert mode_select(0.0, prev_mode=1) == 1
-    assert mode_select(0.0, prev_mode=0) == 0
-    assert mode_select(-0.0, prev_mode=0) == 0
+    # a short area (negative share) discharges, a surplus charges, and a
+    # zero share (either sign) or a NaN one keeps the mode
+    fleet = one_battery()
+    got = [book(fleet, 0.0, 0.0, share)[1]
+           for share in (0.0, 3.0, 0.0, -0.0, -3.0, -0.0, float("nan"))]
+    assert got == [1, 0, 0, 0, 1, 1, 1]
 
 
 def test_feasible_interval_at_soc_floor_and_ceiling():
-    p = FleetConfig(soc_min=0.2, soc_max=0.8)
-    assert feasible_interval(0.2, 1, p, 0.1) == (0.0, 0.0)
-    assert feasible_interval(0.8, 0, p, 0.1) == (0.0, 0.0)
+    # a battery at its floor can discharge nothing, at its ceiling charge
+    # nothing: the box closes on 0
+    p = dict(soc_min=0.2, soc_max=0.8)
+    assert book(one_battery(0.2, **p), 0.0, 0.0, -1.0)[1:] == (1, (0.0, 0.0))
+    assert book(one_battery(0.8, **p), 0.0, 0.0, 1.0)[1:] == (0, (0.0, 0.0))
+    # each can still move the other way
+    assert book(one_battery(0.2, **p), 0.0, 0.0, 1.0)[2] == (0.0, 1.0)
+    assert book(one_battery(0.8, **p), 0.0, 0.0, -1.0)[2] == (0.0, 1.0)
 
 
 def test_feasible_interval_power_limited():
-    p = FleetConfig(capacity=2.0, eta_d=0.95, soc_min=0.2,
-                    discharge_limit=1.0)
-    lo, hi = feasible_interval(0.5, 1, p, 360.0)
+    fleet = one_battery(0.5, 360.0, capacity=2.0, eta_d=0.95, soc_min=0.2,
+                        discharge_limit=1.0)
+    lo, hi = book(fleet, 0.0, 0.0, -1.0)[2]
     assert lo == 0.0
     # SoC headroom allows 0.3*0.95*2/0.1 = 5.7 MW; the 1 MW limit binds
     assert hi == pytest.approx(1.0)
 
 
 def test_feasible_interval_soc_limited():
-    p = FleetConfig(capacity=2.0, eta_d=1.0, soc_min=0.45,
-                    discharge_limit=1.0)
-    _, hi = feasible_interval(0.5, 1, p, 3600.0)
+    fleet = one_battery(0.5, 3600.0, capacity=2.0, eta_d=1.0, soc_min=0.45,
+                        discharge_limit=1.0)
+    _, hi = book(fleet, 0.0, 0.0, -1.0)[2]
     assert hi == pytest.approx(0.1)
+    # and the charge side: (0.8 - 0.5) * 2 / (0.95 * 1 h) = 0.63 MW
+    fleet = one_battery(0.5, 3600.0, capacity=2.0, eta_c=0.95,
+                        charge_limit=1.0)
+    _, hi = book(fleet, 0.0, 0.0, 1.0)[2]
+    assert hi == pytest.approx(0.3 * 2.0 / 0.95)
 
 
 def test_project_clamps_and_zeroes():
@@ -163,12 +205,13 @@ def test_project_is_nearest_feasible_point():
 
 
 def test_battery_apply_tracks_soc_and_loss():
-    p = FleetConfig(soc_min=0.0, soc_max=1.0, capacity=2.0)
-    b = Battery(p, 0.5, cost_terms(2.0, 0.95, 0.95, 1000.0, 0.1, 360.0))
-    b.apply(1.0, 0.0, 360.0)
+    fleet = one_battery(0.5, 360.0, soc_min=0.0, soc_max=1.0, capacity=2.0)
+    b = fleet.batteries[0]
+    book(fleet, 1.0, 0.0)
     assert b.soc == pytest.approx(0.5 - 0.1 / (0.95 * 2))
-    b.apply(0.0, 1.0, 360.0)
-    b.apply(0.0, 1.0, 360.0)
+    assert b.lifetime_loss == 0.0
+    book(fleet, 0.0, 1.0)
+    book(fleet, 0.0, 1.0)
     # rising past the start closed the dip: some lifetime loss accrues
     assert b.lifetime_loss > 0.0
     assert len(b.residues) >= 1
@@ -177,16 +220,18 @@ def test_battery_apply_tracks_soc_and_loss():
 def test_battery_never_leaves_soc_box_under_projected_decisions():
     rng = np.random.default_rng(3)
     p = FleetConfig()
-    tau = 60.0
-    b = Battery(p, 0.5, cost_terms(2.0, 0.95, 0.95, 1000.0, 0.1, tau))
+    fleet = one_battery(0.5, 60.0)
+    pair = (0.0, 0.0)
     for _ in range(500):
         mode = int(rng.integers(0, 2))
-        box = feasible_interval(b.soc, mode, p, tau)
+        # a negative share discharges: the box is the mode's for the
+        # booked SoC
+        soc, got, box = book(fleet, *pair, -1.0 if mode else 1.0)
+        assert got == mode
+        assert p.soc_min <= soc <= p.soc_max
         u = float(rng.uniform(0, 2))
-        d, c = project((u, u), box, mode)
-        assert d * c == 0.0
-        b.apply(d, c, tau)
-        assert p.soc_min <= b.soc <= p.soc_max
+        pair = project((u, u), box, mode)
+        assert pair[0] * pair[1] == 0.0
 
 
 def test_fleet_wiring():
@@ -195,14 +240,14 @@ def test_fleet_wiring():
                     theta_a=(500.0, 1000.0, 0))
     tau = 360.0
     fleet = Fleet(p, tau)
-    assert [b.params for b in fleet.batteries] == [p] * 3
     for b, theta_a in zip(fleet.batteries, (500.0, 1000.0, 0.0)):
         assert b.terms == cost_terms(2.0, 0.95, 0.95, theta_a, 0.1, tau)
         assert b.aging is AGING
-    # twins book the same pairs by hand. apply_all books each battery's
-    # pending pair before it plans, so the mode, box, cost model and
-    # gradient it returns follow the booked SoC and residues
-    twins = [Battery(p, b.soc, b.terms) for b in fleet.batteries]
+    # twins book the same pairs with the reference's own copies of the
+    # helpers. apply_all books each battery's pending pair before it
+    # plans, so the mode, box, cost model and gradient it returns follow
+    # the booked SoC and residues
+    twins = [Battery(b.soc, b.terms) for b in fleet.batteries]
     u, moved = [(0.0, 0.0)] * 3, 0
     for shares, want_modes, pending in (
         ([-2.0, 2.0, -2.0], [1, 0, 1], [(0.3, 0.0), (0.0, 0.2), (0.3, 0.0)]),
@@ -217,13 +262,14 @@ def test_fleet_wiring():
         for b, twin, mode, box, model, grad, (d, c), soc in zip(
                 fleet.batteries, twins, modes, boxes, models, grads, u,
                 before):
-            twin.apply(d, c, tau)
+            reference.book(twin, d, c, p, tau)
             assert (b.soc, b.residues, b.lifetime_loss) == (
                 twin.soc, twin.residues, twin.lifetime_loss)
-            assert box == feasible_interval(twin.soc, mode, p, tau)
-            moved += box != feasible_interval(soc, mode, p, tau)
-            assert model == interval_cost(twin.residues, b.terms)
-            assert grad == model.gradient(d, c)  # at the booked pair
+            assert box == reference.feasible_interval(twin.soc, mode, p, tau)
+            moved += box != reference.feasible_interval(soc, mode, p, tau)
+            assert model == reference.interval_cost(twin.residues, b.terms)
+            # at the booked pair
+            assert grad == cost_gradient(model, d, c)
         u = pending
     # the first battery's discharge box sits on its SoC limit, so the
     # booked SoC moved it; the third booking closed a cycle on the last

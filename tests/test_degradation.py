@@ -4,15 +4,15 @@ import collections
 import numpy as np
 import pytest
 
+from orra.bess import Fleet
 from orra.degradation import (
     AGING,
     CycleEvent,
     cost_terms,
-    interval_cost,
-    open_half,
     rainflow_step,
     total_loss,
 )
+from orra.scenario import FleetConfig
 from rainflow_reference import rainflow_batch, turning_points
 
 
@@ -121,13 +121,30 @@ def test_residue_stack_invariants_hold_along_random_walk():
             assert (b - a) * (c - b) < 0  # strict alternation
 
 
+def booked(stack, pair=(0.0, 0.0), tau=0.1, **params):
+    """Book pair on a one-battery fleet whose residue stack is stack, its
+    SoC on the stack's top, in the box [0, 1]: the battery, and the cost
+    model and gradient Fleet.apply_all returns for it. An idle pair leaves
+    the stack as it is."""
+    fleet = Fleet(FleetConfig(initial_soc=(stack[-1],), soc_min=0.0,
+                              soc_max=1.0, **params), tau)
+    b = fleet.batteries[0]
+    b.residues = stack
+    _, _, (model,), (grad,) = fleet.apply_all([pair], [0.0])
+    return b, model, grad
+
+
 def test_open_half_direction():
-    _, stack = stream([0.5, 0.3])
-    assert open_half(stack) == (pytest.approx(0.2), -1)
-    _, stack = stream([0.5, 0.8])
-    assert open_half(stack) == (pytest.approx(0.3), 1)
-    _, stack = stream([0.5])
-    assert open_half(stack) == (0.0, 0)
+    # the model prices the open half cycle, the top two residues: after a
+    # fall discharge deepens it, after a rise charge does, and with one
+    # residue there is none yet, so either does
+    g_d, g_c = cost_terms(2.0, 0.95, 0.95, 1000.0, 0.1, 0.1)[:2]
+    for samples, mu0, slopes in (([0.5, 0.3], 0.2, (g_d, 0.0)),
+                                 ([0.5, 0.8], 0.3, (0.0, g_c)),
+                                 ([0.5], 0.0, (g_d, g_c))):
+        _, model, _ = booked(stream(samples)[1])
+        assert model.mu0 == pytest.approx(mu0)
+        assert (model.g_d, model.g_c) == slopes
 
 
 def test_lifetime_loss_values():
@@ -161,8 +178,8 @@ def usage_cost(d, c, loss, theta_a, theta_b, tau) -> float:
 def test_usage_cost_values():
     # the interval model prices the open half cycle's loss, a/4 * mu**b,
     # amortized over the interval, plus the power wear
-    model = interval_cost(stream([0.5, 0.4])[1],
-                          cost_terms(2.0, 0.95, 0.95, 10.0, 0.1, 0.1))
+    _, model, _ = booked(stream([0.5, 0.4])[1], capacity=2.0, theta_a=10.0,
+                         theta_b=0.1)
     assert model.value(0.0, 0.0) == pytest.approx(
         usage_cost(0, 0, AGING.a / 4 * 0.1**AGING.b, 10.0, 0.1, 0.1)
     )
@@ -178,14 +195,15 @@ def make_model(rng, direction=None):
         _, stack = stream([0.5, 0.5 - rng.uniform(0.05, 0.3)])
     elif direction == 1:
         _, stack = stream([0.5, 0.5 + rng.uniform(0.05, 0.3)])
-    return interval_cost(stack, cost_terms(
+    return booked(
+        stack,
         capacity=float(rng.uniform(1.0, 4.0)),
         eta_c=0.95,
         eta_d=0.95,
         theta_a=float(rng.uniform(100, 2000)),
         theta_b=float(rng.uniform(0.01, 0.5)),
         tau=0.1,
-    ))
+    )[1]
 
 
 def test_interval_cost_convexity_probe():
@@ -202,28 +220,24 @@ def test_interval_cost_convexity_probe():
 
 
 def test_gradient_trivial_at_origin_with_no_open_half():
-    model = interval_cost(
-        stream([0.5])[1],
-        cost_terms(2.0, 0.95, 0.95, 1000.0, 0.1, 0.1),
-    )
-    assert model.gradient(0.0, 0.0) == (0.0, 0.0)
+    _, _, grad = booked(stream([0.5])[1], capacity=2.0, theta_a=1000.0,
+                        theta_b=0.1)
+    assert grad == (0.0, 0.0)
 
 
 def test_gradient_quadratic_part():
     # aging inactive: zero depth and zero deepening slope via a huge capacity
-    model = interval_cost(
-        stream([0.5])[1],
-        cost_terms(1e12, 0.95, 0.95, 0.0, 0.1, 0.1),
-    )
-    gd, gc = model.gradient(1.0, 0.0)
+    _, _, (gd, gc) = booked(stream([0.5])[1], (1.0, 0.0), capacity=1e12,
+                            theta_a=0.0, theta_b=0.1)
     assert gd == pytest.approx(0.2)
     assert gc == pytest.approx(-0.2)
 
 
 def test_gradient_matches_finite_differences_of_composed_cost():
-    # Compose soc stepping, rainflow, and usage_cost directly, then compare
-    # central differences on the deepening coordinate against the model
-    # gradient. Points are kept away from the zero-depth kink.
+    # Compose soc stepping, rainflow, and usage_cost directly from the
+    # booked state, then compare central differences on the deepening
+    # coordinate at the booked pair against the fleet's gradient there.
+    # Points are kept away from the zero-depth kink.
     rng = np.random.default_rng(11)
     tau = 0.1
     for _ in range(100):
@@ -233,39 +247,37 @@ def test_gradient_matches_finite_differences_of_composed_cost():
         theta_b = float(rng.uniform(0.01, 0.5))
         down = bool(rng.integers(0, 2))
         x1 = 0.5 - 0.2 if down else 0.5 + 0.2
-        _, stack = stream([0.5, x1])
-        model = interval_cost(stack, cost_terms(
-            e_cap, eta_c, eta_d, theta_a, theta_b, tau
-        ))
+        u = float(rng.uniform(0.5, 2.0))
+        b, _, grad = booked(stream([0.5, x1])[1],
+                            (u, 0.0) if down else (0.0, u), tau,
+                            capacity=e_cap, eta_c=eta_c, eta_d=eta_d,
+                            theta_a=theta_a, theta_b=theta_b)
 
         def composed(d, c):
-            x2 = x1 + eta_c * (tau / 3600) / e_cap * c
+            x2 = b.soc + eta_c * (tau / 3600) / e_cap * c
             x2 -= (tau / 3600) / (eta_d * e_cap) * d
-            _, s2 = rainflow_step(x2, stack)
-            mu, _ = open_half(s2)
+            _, s2 = rainflow_step(x2, b.residues)
+            mu = abs(s2[-1] - s2[-2])  # the open half cycle's depth
             loss = (0.5 / 2.0) * AGING.a * mu**AGING.b
             return usage_cost(d, c, loss, theta_a, theta_b, tau)
 
-        u = float(rng.uniform(0.5, 2.0))
         h = 1e-5
         if down:
             fd = (composed(u + h, 0) - composed(u - h, 0)) / (2 * h)
-            grad = model.gradient(u, 0.0)[0]
         else:
             fd = (composed(0, u + h) - composed(0, u - h)) / (2 * h)
-            grad = model.gradient(0.0, u)[1]
-        assert grad == pytest.approx(fd, rel=1e-5, abs=1e-9)
+        assert grad[0 if down else 1] == pytest.approx(fd, rel=1e-5,
+                                                       abs=1e-9)
 
 
 def test_healing_coordinate_has_zero_aging_slope():
-    _, stack = stream([0.5, 0.3])  # open half is downward
-    model = interval_cost(
-        stack, cost_terms(2.0, 0.95, 0.95, 1000.0, 0.0, 0.1)
-    )
+    # the open half is downward
+    _, model, grad = booked(stream([0.5, 0.3])[1], capacity=2.0,
+                            theta_a=1000.0, theta_b=0.0)
     assert model.g_c == 0.0
     # with no wear term the cost is flat along the charge coordinate
     assert model.value(0.0, 1.0) == pytest.approx(model.value(0.0, 0.0))
-    assert model.gradient(0.0, 1.0)[1] == 0.0
+    assert grad[1] == 0.0
 
 
 def test_total_loss_sums_events():

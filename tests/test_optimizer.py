@@ -5,6 +5,7 @@ import pytest
 from optimizer_reference import (
     VectorOptimizer,
     constraint_h,
+    cost_gradient,
     dual_update,
     gradient_s,
     primal_update,
@@ -171,7 +172,7 @@ def test_identical_agents_stay_symmetric():
     modes = np.ones(2, dtype=int)
     aie = np.array([-0.3, -0.3])
     for _ in range(200):
-        grads = np.array([m.gradient(ui[0], ui[1]) for m, ui in zip(models, u)])
+        grads = np.array([cost_gradient(m, *ui) for m, ui in zip(models, u)])
         u, _ = opt.iterate(u, grads, aie, 0.0, intervals, modes, models,
                            soc(2), [])
         assert u[0] == pytest.approx(u[1], abs=1e-12)
@@ -195,7 +196,7 @@ def run_static_stage(steps=600):
     u = np.zeros((n, 2))
     infos = []
     for _ in range(steps):
-        grads = np.array([m.gradient(ui[0], ui[1]) for m, ui in zip(models, u)])
+        grads = np.array([cost_gradient(m, *ui) for m, ui in zip(models, u)])
         u, info = opt.iterate(u, grads, aie, 0.0, intervals, modes, models,
                               soc(n), [])
         infos.append(info)
@@ -215,7 +216,7 @@ def test_static_stage_converges_to_oracle():
     assert np.abs(u[:, 0] - np.array(sol.u)[:, 0]).max() < 0.02
     # interior agents agree on the cost slope within 5%
     marg = np.array(
-        [m.gradient(ui[0], ui[1])[0] for m, ui in zip(models, u)]
+        [cost_gradient(m, *ui)[0] for m, ui in zip(models, u)]
     )
     interior = (u[:, 0] > 1e-6) & (u[:, 0] < 1.0 - 1e-6)
     spread = marg[interior].max() - marg[interior].min()
@@ -246,7 +247,7 @@ def test_frequency_spike_restarts_stage_and_clips_dual():
     modes = np.ones(n, dtype=int)
     u = np.zeros((n, 2))
     for k in range(80):
-        grads = np.array([m.gradient(ui[0], ui[1]) for m, ui in zip(models, u)])
+        grads = np.array([cost_gradient(m, *ui) for m, ui in zip(models, u)])
         df = 0.08 if k == 50 else 0.0
         u, info = opt.iterate(u, grads, aie, df, intervals, modes, models,
                               soc(n), [])
@@ -338,7 +339,7 @@ def test_regret_bounds_on_random_instances():
             nu = sol.nu
             u_star = np.array(sol.u)
             grads = np.array(
-                [m.gradient(ui[0], ui[1]) for m, ui in zip(models, u)]
+                [cost_gradient(m, *ui) for m, ui in zip(models, u)]
             )
             fd = sum(m.value(ui[0], ui[1]) for m, ui in zip(models, u))
             fo = sum(
@@ -397,7 +398,7 @@ def reference_cells(u_next, info, shares, modes, boxes, models, soc):
     for i, ((d, c), mode, (lo, hi), m) in enumerate(
             zip(u_next, modes, boxes, models)):
         f_dist += m.value(d, c)
-        g_d, g_c = m.gradient(d, c)
+        g_d, g_c = cost_gradient(m, d, c)
         p_bess += d - c
         agents += [shares[i], mode, d, c, soc[i], g_d if mode == 1 else g_c,
                    info["lam"][i], info["lam_mixed"][i], info["y"][i],

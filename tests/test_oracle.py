@@ -15,6 +15,7 @@ from orra.oracle import (
     lemma2_check,
     regret_slope,
 )
+from optimizer_reference import cost_gradient
 from oracle_reference import bisection_solve, brute_force_solve
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -49,7 +50,7 @@ def active(sol):
 def active_slopes(models, modes, sol):
     """Each agent's cost slope along its active coordinate."""
     return np.array([
-        m.gradient(d, c)[0 if mode == 1 else 1]
+        cost_gradient(m, d, c)[0 if mode == 1 else 1]
         for m, mode, (d, c) in zip(models, modes, sol.u)
     ])
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from orra import scenario
-from orra.bess import Battery
+from orra.bess import Fleet
 from orra.grid import scenario_fluctuation
 from orra.optimizer import OrraOptimizer
 from orra.scenario import (
@@ -149,13 +149,13 @@ def test_fleet_books_every_decision_but_the_last(monkeypatch, bess_enabled):
     # battery by battery in agent order; the last decision is never
     # booked, and a fleet that sits out books nothing
     booked = []
-    real_apply = Battery.apply
+    real_apply_all = Fleet.apply_all
 
-    def spy(self, d, c, tau):
-        booked.append((self, (d, c)))
-        real_apply(self, d, c, tau)
+    def spy(self, u, shares):
+        booked.extend(zip(self.batteries, u))
+        return real_apply_all(self, u, shares)
 
-    monkeypatch.setattr(Battery, "apply", spy)
+    monkeypatch.setattr(Fleet, "apply_all", spy)
     cfg = short_config(duration=15.0, bess_enabled=bess_enabled)
     r = ScenarioRunner(cfg).run(write_trace=False)
     n = cfg.fleet.n

@@ -503,6 +503,36 @@ def test_uniform_time_without_a_finite_step(short_oracle_run, tmp_path):
         "first violation at row 1")
 
 
+@pytest.mark.parametrize("columns,value,failed", [
+    (("time",), "inf", {"finite", "uniform_time"}),
+    (("time",), "-inf", {"finite", "uniform_time"}),
+    (("d_0", "c_0"), "inf",
+     {"finite", "one_sided_dispatch", "p_bess_sum", "h_balance"}),
+], ids=["inf_time", "minus_inf_time", "inf_d_and_c"])
+def test_infinite_cells_are_reported_without_a_warning(columns, value,
+                                                       failed, tmp_path):
+    # rows 3 and 4 of a 3 s step trace hold infinite cells, so a time step
+    # is inf - inf, and so is a sum of d and -c: each check that the cells
+    # fail names row 3, and no arithmetic warns
+    cfg = ScenarioConfig(name="inf_cells", duration=3.0, step_time=1.0)
+    result = ScenarioRunner(cfg).run(out_dir=str(tmp_path))
+    lines = open(result.trace_path).read().splitlines()
+    header = lines[1].split(",")
+    for k in (3, 4):
+        cells = lines[2 + k].split(",")
+        for name in columns:
+            cells[header.index(name)] = value
+        lines[2 + k] = ",".join(cells)
+    p = tmp_path / "inf_cells.csv"
+    p.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_trace(str(p))
+    assert {name: check["detail"] for name, check in rep["checks"].items()
+            if not check["ok"]} == dict.fromkeys(
+                failed, "first violation at row 3")
+
+
 def test_verify_trace_checks_the_traces_accounting(tmp_path):
     # each total of a row against its parts, and the stage counter and
     # clock against the resets; one corruption fails its one check. The
