@@ -22,7 +22,8 @@ PROBE_MAX_SAMPLES = 128
 
 
 class InfillViolationError(ValueError):
-    """Duplicate sample admitted into the surrogate."""
+    """A sample the surrogate refuses: too close to a stored one, or not
+    finite."""
 
 
 class IllConditioningError(RuntimeError):
@@ -140,6 +141,8 @@ class RbfSurrogate:
         return abs(df - below) >= d_min and abs(df - above) >= d_min
 
     def add_sample(self, df, dP) -> None:
+        if not (math.isfinite(df) and math.isfinite(dP)):
+            raise InfillViolationError(f"sample ({df}, {dP}) is not finite")
         if not self.infill_decide(df):
             raise InfillViolationError(
                 f"sample at {df} closer than {self.d_min} to an existing one"

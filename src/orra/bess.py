@@ -82,14 +82,14 @@ class Fleet:
         power, discharges (mode 1), a positive one charges (0): the balance
         h_i = d_i - c_i + share_i fixes the sign.
 
-        Returns lists of the interval's modes, (lo, hi) boxes on the active
-        power coordinate, frozen-residue cost models, and each model's
-        gradient at the booked pair.
+        Returns each battery's plan for the interval, an IntervalCost: its
+        mode, the top of its [0, hi] box on the active power coordinate and
+        its frozen-residue cost.
         """
         (charge_gain, discharge_gain, soc_min, soc_max, floor, ceiling,
          eta_d, capacity, tau_h, charge_hours, discharge_limit,
          charge_limit) = self.limits
-        modes, boxes, models, grads = [], [], [], []
+        plans = []
         for b, share, (d, c) in zip(self.batteries, shares, u):
             if c < 0 or d < 0:
                 raise ValueError("powers must be nonnegative")
@@ -111,7 +111,6 @@ class Fleet:
 
             # a zero share keeps the mode
             mode = b.mode = 1 if share < 0 else 0 if share > 0 else b.mode
-            modes.append(mode)
             # the SoC headroom in MW within the power limit
             if mode == 1:
                 x = (soc - soc_min) * eta_d * capacity / tau_h
@@ -119,7 +118,6 @@ class Fleet:
             else:
                 x = (soc_max - soc) * capacity / charge_hours
                 hi = x if x < charge_limit else charge_limit
-            boxes.append((0.0, 0.0 if hi < 0.0 else hi))
 
             # only the coordinate that deepens the open half cycle, the top
             # two residues, ages (either one when none is open)
@@ -132,12 +130,6 @@ class Fleet:
                 mu0 = abs(delta)
                 g_d, g_c = ((0.0, g_charge) if delta > 0
                             else (g_discharge, 0.0))
-            models.append(IntervalCost(mu0, g_d, g_c, theta_b, big_theta,
-                                       exponent))
-            # the model's gradient at the booked pair
-            mu = mu0 + g_d * d + g_c * c
-            wear = 2.0 * theta_b * (d - c)
-            aging = (big_theta * exponent * mu ** (exponent - 1.0) if mu > 0
-                     else 0.0)
-            grads.append((wear + aging * g_d, -wear + aging * g_c))
-        return modes, boxes, models, grads
+            plans.append(IntervalCost(mode, 0.0 if hi < 0.0 else hi, mu0,
+                                      g_d, g_c, theta_b, big_theta, exponent))
+        return plans

@@ -66,7 +66,10 @@ def rainflow_step(x_new, residues: ResidueStack):
 
 
 class IntervalCost(NamedTuple):
-    """Usage cost of one control interval with the residue stack frozen.
+    """One battery's plan for a control interval: its mode (1 discharge,
+    0 charge), which picks the one power coordinate it may use, the top
+    hi of that coordinate's box [0, hi], MW, and its usage cost with the
+    residue stack frozen.
 
     value(d, c) = theta_b*(d - c)**2 + big_theta*(mu0 + g_d*d + g_c*c)**b
     where mu0 is the open half-cycle depth and g_d, g_c convert power into
@@ -75,6 +78,8 @@ class IntervalCost(NamedTuple):
     which keeps the model convex.
     """
 
+    mode: int
+    hi: float
     mu0: float
     g_d: float
     g_c: float
@@ -83,7 +88,7 @@ class IntervalCost(NamedTuple):
     b: float
 
     def value(self, d, c):
-        mu0, g_d, g_c, theta_b, big_theta, b = self
+        _, _, mu0, g_d, g_c, theta_b, big_theta, b = self
         mu = mu0 + g_d * d + g_c * c
         return theta_b * (d - c) ** 2 + big_theta * mu**b
 

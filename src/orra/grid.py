@@ -12,8 +12,6 @@ fluctuating net load is a seeded PCG64 draw computed here on Python ints.
 from __future__ import annotations
 
 import math
-import struct
-from itertools import chain
 
 
 # |df| at which a run counts as diverged, Hz: the shipped runs peak near
@@ -49,43 +47,30 @@ def responsive_load(df: float, grid) -> float:
     return -grid.frr_slope * mag if df > 0 else grid.frr_slope * mag
 
 
-def _alike(*rows) -> bool:
-    """Whether the rows, each as long as the first, hold one value each
-    bit for bit, so -0.0 and 0.0, or two NaN payloads, differ."""
-    n = len(rows[0])
-    packed = struct.pack(f"{len(rows) * n}d", *chain.from_iterable(zip(*rows)))
-    return packed == packed[:8 * len(rows)] * n
-
-
 class Plant:
     """The two-area plant of one run: the constants of its `grid` config
     section for plant steps of dt seconds, and its state, which
     `grid_step` advances in place.
 
-    The state is plain floats: df, (2,) Hz; du_gov, gov and p_m, per area
-    one list with a value per generator, MW (AGC command integrators,
-    governor valves, mechanical power deviations); p_tie, MW, positive
-    from area 1 into area 2; and p_fr, (2,) MW, the responsive-load
-    injections. Each defaults to rest; a keyword gives a start state.
+    The state is plain floats, at rest when the plant is built: df, (2,)
+    Hz; du_gov, gov and p_m, per area one list with a value per
+    generator, MW (AGC command integrators, governor valves, mechanical
+    power deviations); p_tie, MW, positive from area 1 into area 2; and
+    p_fr, (2,) MW, the responsive-load injections.
 
-    Whether the units are alike is decided here, once, from the start
-    state: every generator has the same droop and both areas hold each
-    generator's state bit for bit alike, as at rest. Alike units get the
-    same float operations on the same inputs, so they stay alike, NaN
-    included, and `grid_step` integrates one unit per area for the whole
-    run. Callers read the state between calls; another start state takes
-    a new plant, which chooses its route again.
+    The units are alike when every generator has the same droop: from
+    rest they get the same float operations on the same inputs, so they
+    stay alike, and `grid_step` integrates one unit per area for the
+    whole run. Callers read the state between calls.
     """
 
-    def __init__(self, grid, dt: float, *, df=(0.0, 0.0), du_gov=None,
-                 gov=None, p_m=None, p_tie=0.0, p_fr=(0.0, 0.0)) -> None:
+    def __init__(self, grid, dt: float) -> None:
         droops = tuple(grid.inv_droops)
         n = len(droops)
-        rest = ((0.0,) * n,) * 2
-        self.df, self.p_fr, self.p_tie = list(df), list(p_fr), p_tie
+        self.df, self.p_fr, self.p_tie = [0.0, 0.0], [0.0, 0.0], 0.0
         self.du_gov, self.gov, self.p_m = (
-            tuple(map(list, rows or rest)) for rows in (du_gov, gov, p_m))
-        self.alike = _alike(droops, *self.du_gov, *self.gov, *self.p_m)
+            ([0.0] * n, [0.0] * n) for _ in range(3))
+        self.alike = len(set(droops)) == 1
         # the slew of each area's commands is gain * error, the gain
         # associated as -dt * k_i * share * error was
         share = 1.0 / n

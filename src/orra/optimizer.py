@@ -62,23 +62,23 @@ class OrraOptimizer:
         self.b_y = 0.0
         self.stage = 0
 
-    def iterate(self, u, grads, aie_shares, df, intervals, modes, models,
-                soc, row):
+    def iterate(self, u, plans, aie_shares, df, soc, row):
         """Advance every agent one control interval; returns (u_next, info).
 
-        u and grads hold one (discharge, charge) pair per agent, grads its
-        cost model's gradient at u; intervals one (lo, hi) box; models each
-        agent's IntervalCost for the interval; soc its battery's state of
-        charge. Each agent mixes its dual and tracker with its neighbours',
-        then one pass per agent steps and projects its dispatch, ascends its
-        dual, refreshes its tracker against its new constraint value, prices
-        the new point, and appends its trace cells to row: share, mode, d, c,
-        soc, the cost slope along the active coordinate, lam, mixed lam, y,
-        mixed y and h. Then come kappa, eps, reset, stage, t, the dual bound
-        and the fleet's cost, then each agent's saddle direction and
-        whether its dispatch sits strictly inside its box. u_next and the
-        per-agent entries of info are lists; info's p_bess is the fleet's
-        net injection under u_next and f_dist its cost.
+        u holds one (discharge, charge) pair per agent, the pair its
+        battery booked; plans each agent's IntervalCost for the interval,
+        its mode, box top and cost; soc its battery's state of charge.
+        Each agent mixes its dual and tracker with its neighbours', then
+        one pass per agent prices the slope of its cost at u, steps and
+        projects its dispatch, ascends its dual, refreshes its tracker
+        against its new constraint value, prices the new point, and appends
+        its trace cells to row: share, mode, d, c, soc, the cost slope along
+        the active coordinate, lam, mixed lam, y, mixed y and h. Then come
+        kappa, eps, reset, stage, t, the dual bound and the fleet's cost,
+        then each agent's saddle direction and whether its dispatch sits
+        strictly inside its box. u_next and the per-agent entries of info
+        are lists; info's p_bess is the fleet's net injection under u_next
+        and f_dist its cost.
 
         Raises FloatingPointError when the dual bound, a dual or a tracker
         value is not finite.
@@ -107,10 +107,15 @@ class OrraOptimizer:
         leak, gk, b_y = 1.0 - eps, o.gamma * kappa, self.b_y
         f_dist = p_bess = 0.0
         u_next, s, lam_next, h_new, y_next, interior = [], [], [], [], [], []
-        for ((d, c), (g_d, g_c), share, (lo, hi), mode, cost, soc_i, lam, lm,
-             y, ym, hp) in zip(u, grads, aie_shares, intervals, modes, models,
-                               soc, self.lam, lam_mixed, self.y, y_mixed,
-                               self.h_prev):
+        for (d, c), plan, share, soc_i, lam, lm, y, ym, hp in zip(
+                u, plans, aie_shares, soc, self.lam, lam_mixed, self.y,
+                y_mixed, self.h_prev):
+            mode, hi, mu0, cost_d, cost_c, theta_b, big_theta, b = plan
+            # the cost's gradient at the booked pair
+            mu = mu0 + cost_d * d + cost_c * c
+            wear = 2.0 * theta_b * (d - c)
+            aging = big_theta * b * mu ** (b - 1.0) if mu > 0 else 0.0
+            g_d, g_c = wear + aging * cost_d, -wear + aging * cost_c
             # step against the saddle direction, then project onto the mode
             # box; the coordinate the mode forbids is zero. As with numpy's
             # clip on array bounds, a value tied with a box end takes the end
@@ -118,19 +123,18 @@ class OrraOptimizer:
             s_d, s_c = g_d + lm, -g_c + lm
             if mode == 1:
                 d = d - kappa * s_d
-                d = lo if d <= lo else d
+                d = 0.0 if d <= 0.0 else d
                 active = d = hi if d >= hi else d
                 c = 0.0
             else:
                 c = c + kappa * s_c
-                c = lo if c <= lo else c
+                c = 0.0 if c <= 0.0 else c
                 active = c = hi if c >= hi else c
                 d = 0.0
             net = d - c
             h = net + share
             # IntervalCost.value and .gradient at the new point, sharing
             # mu and d - c
-            mu0, cost_d, cost_c, theta_b, big_theta, b = cost
             mu = mu0 + cost_d * d + cost_c * c
             f_dist += theta_b * net**2 + big_theta * mu**b
             wear = 2.0 * theta_b * net
@@ -147,7 +151,7 @@ class OrraOptimizer:
             y_next.append(y_new)
             if abs(y_new) > b_y:  # the largest |y| yet, as max() kept it
                 b_y = abs(y_new)
-            interior.append(lo + 1e-9 < active < hi - 1e-9)
+            interior.append(1e-9 < active < hi - 1e-9)
         if not (math.isfinite(bound) and all(map(math.isfinite, lam_next))
                 and all(map(math.isfinite, y_next))):
             raise FloatingPointError(

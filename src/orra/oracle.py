@@ -52,8 +52,8 @@ def _marginal(coef, q):
     return wear * q + aging * g * mu**bm1, wear + aging * g * g * bm1 * curve
 
 
-def _best_response(coef, lo, hi, m_lo, m_hi, slope_target, q):
-    """One agent's q with marginal(q) = slope_target, clamped to [lo, hi].
+def _best_response(coef, hi, m_lo, m_hi, slope_target, q):
+    """One agent's q with marginal(q) = slope_target, clamped to [0, hi].
 
     Safeguarded Newton from the start q inside a bracket on the root, which
     is bisected whenever the Newton step would leave it or is not finite.
@@ -62,8 +62,8 @@ def _best_response(coef, lo, hi, m_lo, m_hi, slope_target, q):
     XTOL of the root. Returns q and the marginal slope at q.
     """
     wear = coef[0]
-    a = hi if m_hi <= slope_target else lo
-    b = lo if m_lo >= slope_target else hi
+    a = hi if m_hi <= slope_target else 0.0
+    b = 0.0 if m_lo >= slope_target else hi
     q = min(max(q, a), b)
     for _ in range(100):
         m, dm = _marginal(coef, q)
@@ -80,13 +80,14 @@ def _best_response(coef, lo, hi, m_lo, m_hi, slope_target, q):
 
 
 def centralized_solve(
-    models, modes, boxes, target, nu_hint: float | None = None,
+    plans, target, nu_hint: float | None = None,
 ) -> CentralizedSolution:
     """Exact fleet allocation for one interval.
 
-    models: per-agent interval costs (frozen-residue form); modes: 1 for
-    discharge (+q aggregate), 0 for charge (-q); boxes: per-agent [lo, hi]
-    on the active coordinate; target: required signed aggregate in MW.
+    plans: per-agent IntervalCost plans, whose mode is 1 for discharge (+q
+    aggregate) and 0 for charge (-q), with the box [0, hi] on the active
+    coordinate and the frozen-residue cost; target: required signed
+    aggregate in MW.
     nu_hint: previous step's multiplier, where the multiplier search starts.
     The search stops once the aggregate is within 0.1*TOL of the target,
     or after ITERS multiplier steps.
@@ -99,26 +100,24 @@ def centralized_solve(
     # at the box end that gives agg_lo or agg_hi, which brackets the root.
     agents, mids = [], []
     agg_lo = agg_hi = 0.0
-    for m, mode, box in zip(models, modes, boxes):
+    for m in plans:
         if m.theta_b <= 0:
             raise ValueError("oracle requires a strictly convex wear term")
-        l, h = float(box[0]), float(box[1])
-        if int(mode) == 1:
+        h = m.hi
+        if m.mode == 1:
             s, g = 1.0, m.g_d
-            agg_lo += l
             agg_hi += h
         else:
             s, g = -1.0, m.g_c
             agg_lo -= h
-            agg_hi -= l
         coef = (2.0 * m.theta_b, g, m.big_theta * m.b, m.mu0, m.b - 1.0)
-        ml, mh = _marginal(coef, l)[0], _marginal(coef, h)[0]
+        ml, mh = _marginal(coef, 0.0)[0], _marginal(coef, h)[0]
         edge = max(abs(ml), abs(mh))
         # max() over the edges in agent order: a NaN first edge holds, a
         # later one is passed over
         corner = max(corner, edge) if agents else edge
-        agents.append((coef, s, l, h, ml, mh))
-        mids.append(0.5 * (l + h))
+        agents.append((coef, s, h, ml, mh))
+        mids.append(0.5 * h)
     want = float(target)
     clamped = not agg_lo - 1e-9 <= want <= agg_hi + 1e-9
     want = min(max(want, agg_lo), agg_hi)
@@ -130,11 +129,11 @@ def centralized_solve(
         # d agg / d nu = -(sum over free agents of 1/marginal'(q))
         total = rate = 0.0
         out = []
-        for (coef, s, l, h, ml, mh), q in zip(agents, qs):
-            q, dm = _best_response(coef, l, h, ml, mh, -nu * s, q)
+        for (coef, s, h, ml, mh), q in zip(agents, qs):
+            q, dm = _best_response(coef, h, ml, mh, -nu * s, q)
             out.append(q)
             total += s * q
-            if l + XTOL < q < h - XTOL:
+            if XTOL < q < h - XTOL:
                 rate += 1.0 / dm
         return total - want, rate, out
 

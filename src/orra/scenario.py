@@ -630,19 +630,15 @@ class ScenarioRunner:
             return
 
         # book the pending decision, then plan the coming interval
-        modes, boxes, models, grads = self.fleet.apply_all(self.u, shares)
+        plans = self.fleet.apply_all(self.u, shares)
         self.u, info = self.optimizer.iterate(
-            self.u, grads, shares, df1, boxes, modes, models, self.fleet.soc,
-            row,
-        )
+            self.u, plans, shares, df1, self.fleet.soc, row)
         row[5] = self.p_bess = info["p_bess"]
         if self.oracle_every:
-            sol = centralized_solve(
-                models, modes, boxes, -float(np.sum(shares)),
-                nu_hint=self.nu_hint,
-            )
+            sol = centralized_solve(plans, -float(np.sum(shares)),
+                                    nu_hint=self.nu_hint)
             self.nu_hint = sol.nu
-            row.append(sum(m.value(d, c) for m, (d, c) in zip(models, sol.u)))
+            row.append(sum(m.value(d, c) for m, (d, c) in zip(plans, sol.u)))
             row += chain.from_iterable(sol.u)
             self.result.oracle_clamped += int(sol.clamped)
         table[k] = row
@@ -763,10 +759,14 @@ def verify_trace(path: str, soc_min: float = FleetConfig.soc_min,
     holds("finite", np.isfinite(data))
     # each time step against the trace's typical one, the median of its
     # finite steps, so a bad first step is named at row 1 and a NaN time
-    # moves no reference
+    # moves no reference: the middle value or the mean of the two, as
+    # np.median takes it, without its import of numpy.ma
     steps = np.diff(col("time")[:, 0])
     finite = steps[np.isfinite(steps)]
-    typical = np.median(finite) if finite.size else np.nan
+    n, half = finite.size, finite.size // 2
+    part = np.partition(finite, (half - 1, half)) if n > 1 else finite
+    typical = (part[half] if n % 2 else (part[half - 1] + part[half]) / 2
+               if n else np.nan)
     holds("uniform_time",
           np.concatenate([first, (steps > 0) & np.isclose(
               steps, typical, rtol=0, atol=1e-9)]),

@@ -10,7 +10,7 @@ the two must agree bit for bit.
 Kept deliberately separate from the package's loop so the two routes
 share no update code; only the scalar stage schedule is shared.
 `cost_gradient` is the slope of a frozen-residue cost, which the package
-computes inline where it books the fleet and where it prices a new point.
+computes inline where it prices the booked pair and the new point.
 """
 import numpy as np
 
@@ -18,9 +18,9 @@ from orra.optimizer import schedule_step
 
 
 def cost_gradient(model, d, c):
-    """(d f/d d, d f/d c) of an IntervalCost at (d, c), in the float
-    operations the package uses."""
-    mu0, g_d, g_c, theta_b, big_theta, b = model
+    """(d f/d d, d f/d c) of an IntervalCost plan's cost at (d, c), in the
+    float operations the package uses."""
+    _, _, mu0, g_d, g_c, theta_b, big_theta, b = model
     mu = mu0 + g_d * d + g_c * c
     wear = 2.0 * theta_b * (d - c)
     aging = big_theta * b * mu ** (b - 1.0) if mu > 0 else 0.0

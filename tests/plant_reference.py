@@ -5,7 +5,8 @@ the generator lags through `governor_turbine_step`, exactly as the package
 did before its kernel moved to one call per control interval on plain
 floats. The kernel keeps the same float operations in the same order, so
 the two must agree bit for bit; `RefState` converts between the layouts,
-and `state_of` reads a `Plant`'s state in the kernel's.
+`state_of` reads a `Plant`'s state in the kernel's, and `set_state` puts
+a built plant into one.
 
 Kept deliberately separate from the package's kernel so the two routes
 share no code: the responsive-load droop here is `frr_response`, not
@@ -33,14 +34,28 @@ def scenario_step_load(t: float) -> float:
 
 
 def state_of(plant) -> dict:
-    """A plant's state as the keywords that build it, every group a tuple
-    (per area, a tuple per generator)."""
+    """A plant's state by group name, every group a tuple (per area, a
+    tuple per generator)."""
     return {
         "df": tuple(plant.df), "du_gov": tuple(map(tuple, plant.du_gov)),
         "gov": tuple(map(tuple, plant.gov)),
         "p_m": tuple(map(tuple, plant.p_m)), "p_tie": plant.p_tie,
         "p_fr": tuple(plant.p_fr),
     }
+
+
+def set_state(plant, **state):
+    """Put a built plant into a state given by group name, in the layout of
+    `state_of`; a group not named stays as it is. The plant keeps the
+    route its droops chose, so each area's units must hold one value each
+    unless the droops differ."""
+    for name, value in state.items():
+        if name in ("du_gov", "gov", "p_m"):
+            value = tuple(map(list, value))
+        elif name != "p_tie":
+            value = list(value)
+        setattr(plant, name, value)
+    return plant
 
 
 @dataclass

@@ -77,9 +77,10 @@ def feasible_interval(soc, mode, params, tau):
 
 
 def interval_cost(residues, terms):
-    """The frozen-residue cost of one interval: only the coordinate that
-    deepens the open half cycle moves the aging term, and either does when
-    no half cycle is open yet."""
+    """The frozen-residue cost of one interval, as the last six fields of
+    an IntervalCost: only the coordinate that deepens the open half cycle
+    moves the aging term, and either does when no half cycle is open
+    yet."""
     g_discharge, g_charge, theta_b, big_theta, b = terms
     if len(residues) < 2:
         mu0, direction = 0.0, 0
@@ -92,18 +93,20 @@ def interval_cost(residues, terms):
         g_d, g_c = 0.0, g_charge
     else:
         g_d, g_c = g_discharge, g_charge
-    return IntervalCost(mu0, g_d, g_c, theta_b, big_theta, b)
+    return mu0, g_d, g_c, theta_b, big_theta, b
 
 
 def plan(fleet, shares, cfg):
     """Each battery's mode, box and cost model under the scenario config
-    cfg, as three lists."""
+    cfg, as three lists; each model is the IntervalCost plan of its mode,
+    the top of its box and its cost, as the package's solvers take it."""
     modes, boxes, models = [], [], []
     for b, share in zip(fleet.batteries, shares):
         b.mode = mode = mode_select(share, b.mode)
         modes.append(mode)
         boxes.append(feasible_interval(b.soc, mode, cfg.fleet, cfg.tau))
-        models.append(interval_cost(b.residues, b.terms))
+        models.append(IntervalCost(mode, boxes[-1][1],
+                                   *interval_cost(b.residues, b.terms)))
     return modes, boxes, models
 
 
@@ -192,8 +195,7 @@ class ReferenceRunner(ScenarioRunner):
         ]
         if self.oracle_every:
             sol = centralized_solve(
-                models, modes, boxes, -float(np.sum(shares)),
-                nu_hint=self.nu_hint,
+                models, -float(np.sum(shares)), nu_hint=self.nu_hint,
             )
             self.nu_hint = sol.nu
             row.append(sum(m.value(d, c) for m, (d, c) in zip(models, sol.u)))

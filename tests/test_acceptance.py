@@ -29,11 +29,10 @@ from orra.scenario import (
     ScenarioRunner,
 )
 from orra.studies import ARMS, nadir, settle_time, stage_cost_gaps, stage_lemma_checks
-from optimizer_reference import cost_gradient
 from oracle_reference import brute_force_solve
 from rainflow_reference import rainflow_batch
 from test_optimizer import random_instance
-from test_oracle import aging_model
+from test_oracle import aging_model, plans
 
 
 def report(num, ok, detail):
@@ -133,7 +132,7 @@ def test_criterion_03_near_optimality(cs1):
 
 def run_random_instance(rng):
     """Drive one synthetic tracking instance and check both certificates."""
-    w, modes, models, intervals, targets = random_instance(rng)
+    w, models, targets = random_instance(rng)
     n = w.shape[0]
     T = len(targets) - 1
     opt = OrraOptimizer(w, OptimizerConfig(t_max=600))
@@ -142,9 +141,7 @@ def run_random_instance(rng):
     nu = None
     for t in range(T + 1):
         aie = np.full(n, -targets[t] / n)
-        sol = centralized_solve(
-            models, modes, intervals, targets[t], nu_hint=nu
-        )
+        sol = centralized_solve(models, targets[t], nu_hint=nu)
         nu = sol.nu
         rows["u"].append(u.copy())
         rows["ustar"].append(np.array(sol.u))
@@ -154,11 +151,7 @@ def run_random_instance(rng):
         rows["fo"].append(
             sum(m.value(di, ci) for m, (di, ci) in zip(models, sol.u))
         )
-        grads = np.array(
-            [cost_gradient(m, *ui) for m, ui in zip(models, u)]
-        )
-        u, info = opt.iterate(u, grads, aie, 0.0, intervals, modes, models,
-                              [0.5] * n, [])
+        u, info = opt.iterate(u, models, aie.tolist(), 0.0, [0.5] * n, [])
         for name in ("s", "lam", "lam_mixed", "y", "y_mixed"):
             rows[name].append(info[name])
         rows["kappa"].append(info["kappa"])
@@ -172,7 +165,7 @@ def run_random_instance(rng):
     )
     c2 = lemma2_check(
         np.array(rows["u"]), np.array(rows["ustar"]),
-        np.array(rows["kappa"]), float(intervals[:, 1].max()),
+        np.array(rows["kappa"]), max(m.hi for m in models),
     )
     return c1.holds, c2.holds
 
@@ -355,7 +348,7 @@ def test_criterion_11_oracle_matches_brute_force():
     for _ in range(200):
         n = int(rng.integers(2, 5))
         modes = [int(m) for m in rng.integers(0, 2, size=n)]
-        models = [aging_model(rng, m) for m in modes]
+        costs = [aging_model(rng, m) for m in modes]
         boxes = []
         interior = []
         for _i in range(n):
@@ -364,7 +357,8 @@ def test_criterion_11_oracle_matches_brute_force():
             interior.append(float(rng.uniform(0.1, 0.9)) * hi)
         signs = np.array([1.0 if m == 1 else -1.0 for m in modes])
         target = round(float((signs * np.array(interior)).sum()), 3)
-        sol = centralized_solve(models, modes, boxes, target)
+        models = plans(costs, modes, boxes)
+        sol = centralized_solve(models, target)
         q_bf, achieved, _ = brute_force_solve(models, modes, boxes, target)
         err = float(np.abs(np.array(sol.u).sum(axis=1) - q_bf).max())
         worst = max(worst, err)

@@ -148,6 +148,26 @@ def test_add_sample_too_close_raises():
         s.add_sample(0.011, 1.0)
 
 
+@pytest.mark.parametrize("filled", [False, True])
+@pytest.mark.parametrize("df,dP", [
+    (float("nan"), 1.0), (float("inf"), 1.0), (float("-inf"), 1.0),
+    (0.03, float("nan")),
+])
+def test_add_sample_refuses_a_non_finite_sample(filled, df, dP):
+    # refused before any state changes, into an empty surrogate and a
+    # filled one alike, and without a warning
+    s = RbfSurrogate(AieConfig(rbf_d_min=0.005))
+    if filled:
+        s.add_sample(0.010, 1.0)
+    before = (list(s.sample_df), list(s.by_location), s.weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfillViolationError, match="not finite"):
+            s.add_sample(df, dP)
+    assert s.sample_df == before[0] and s.by_location == before[1]
+    assert s.weights is before[2]
+
+
 def test_corrected_aie_empty_and_single():
     s = RbfSurrogate(AieConfig())
     assert 2.5 + s.evaluate(0.01) == 2.5

@@ -5,22 +5,20 @@ import numpy as np
 import pytest
 
 import scenario_reference as reference
-from optimizer_reference import cost_gradient
 from orra.bess import SOC_TOL, Battery, Fleet, SocViolationError, check_soc_box
 from orra.degradation import AGING, IntervalCost, cost_terms
 from orra.optimizer import OrraOptimizer
 from orra.scenario import FleetConfig, OptimizerConfig
 
-FLAT = IntervalCost(0.0, 0.0, 0.0, 0.0, 0.0, 2.0)
 
 
-def project(u, box, mode):
-    """The optimizer's projection of one agent's (d, c) onto its mode box:
-    the primal step of a lone agent's iterate, with a zero saddle
-    direction."""
+def project(u, hi, mode):
+    """The optimizer's projection of one agent's (d, c) onto its mode box
+    [0, hi]: the primal step of a lone agent's iterate, with a zero
+    saddle direction."""
     opt = OrraOptimizer(np.ones((1, 1)), OptimizerConfig())
-    (pair,), _ = opt.iterate([u], [(0.0, 0.0)], [0.0], 0.0, [box], [mode],
-                             [FLAT], [0.5], [])
+    flat = IntervalCost(mode, hi, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0)
+    (pair,), _ = opt.iterate([u], [flat], [0.0], 0.0, [0.5], [])
     return pair
 
 
@@ -44,9 +42,9 @@ def one_battery(soc=0.5, tau=0.1, **params):
 
 def book(fleet, d, c, share=-1.0):
     """Book the pair (d, c) on a one-battery fleet with the given share:
-    its SoC, mode and box after the booking."""
-    (mode,), (box,), _, _ = fleet.apply_all([(d, c)], [share])
-    return fleet.batteries[0].soc, mode, box
+    its SoC, mode and the top of its box after the booking."""
+    (plan,) = fleet.apply_all([(d, c)], [share])
+    return fleet.batteries[0].soc, plan.mode, plan.hi
 
 
 def test_soc_step_no_power_no_change():
@@ -103,8 +101,7 @@ def test_soc_past_the_box_within_tolerance_is_clamped():
         fleet = one_battery(0.2 + gain, tau, soc_min=0.2, soc_max=0.8)
         d = 1.0 + over / gain
         if clamped:
-            soc, mode, box = book(fleet, d, 0.0)
-            assert (soc, mode, box) == (0.2, 1, (0.0, 0.0))
+            assert book(fleet, d, 0.0) == (0.2, 1, 0.0)
         else:
             with pytest.raises(SocViolationError):
                 book(fleet, d, 0.0)
@@ -137,18 +134,17 @@ def test_feasible_interval_at_soc_floor_and_ceiling():
     # a battery at its floor can discharge nothing, at its ceiling charge
     # nothing: the box closes on 0
     p = dict(soc_min=0.2, soc_max=0.8)
-    assert book(one_battery(0.2, **p), 0.0, 0.0, -1.0)[1:] == (1, (0.0, 0.0))
-    assert book(one_battery(0.8, **p), 0.0, 0.0, 1.0)[1:] == (0, (0.0, 0.0))
+    assert book(one_battery(0.2, **p), 0.0, 0.0, -1.0)[1:] == (1, 0.0)
+    assert book(one_battery(0.8, **p), 0.0, 0.0, 1.0)[1:] == (0, 0.0)
     # each can still move the other way
-    assert book(one_battery(0.2, **p), 0.0, 0.0, 1.0)[2] == (0.0, 1.0)
-    assert book(one_battery(0.8, **p), 0.0, 0.0, -1.0)[2] == (0.0, 1.0)
+    assert book(one_battery(0.2, **p), 0.0, 0.0, 1.0)[2] == 1.0
+    assert book(one_battery(0.8, **p), 0.0, 0.0, -1.0)[2] == 1.0
 
 
 def test_feasible_interval_power_limited():
     fleet = one_battery(0.5, 360.0, capacity=2.0, eta_d=0.95, soc_min=0.2,
                         discharge_limit=1.0)
-    lo, hi = book(fleet, 0.0, 0.0, -1.0)[2]
-    assert lo == 0.0
+    hi = book(fleet, 0.0, 0.0, -1.0)[2]
     # SoC headroom allows 0.3*0.95*2/0.1 = 5.7 MW; the 1 MW limit binds
     assert hi == pytest.approx(1.0)
 
@@ -156,21 +152,21 @@ def test_feasible_interval_power_limited():
 def test_feasible_interval_soc_limited():
     fleet = one_battery(0.5, 3600.0, capacity=2.0, eta_d=1.0, soc_min=0.45,
                         discharge_limit=1.0)
-    _, hi = book(fleet, 0.0, 0.0, -1.0)[2]
+    hi = book(fleet, 0.0, 0.0, -1.0)[2]
     assert hi == pytest.approx(0.1)
     # and the charge side: (0.8 - 0.5) * 2 / (0.95 * 1 h) = 0.63 MW
     fleet = one_battery(0.5, 3600.0, capacity=2.0, eta_c=0.95,
                         charge_limit=1.0)
-    _, hi = book(fleet, 0.0, 0.0, 1.0)[2]
+    hi = book(fleet, 0.0, 0.0, 1.0)[2]
     assert hi == pytest.approx(0.3 * 2.0 / 0.95)
 
 
 def test_project_clamps_and_zeroes():
-    assert project((1.5, 0.0), (0.0, 1.0), 1) == (1.0, 0.0)
-    assert project((0.4, 0.0), (0.0, 1.0), 1) == (0.4, 0.0)
-    assert project((0.0, 0.7), (0.0, 1.0), 1) == (0.0, 0.0)
-    assert project((0.3, 0.0), (0.0, 1.0), 0) == (0.0, 0.0)
-    assert project((0.0, 0.7), (0.0, 0.5), 0) == (0.0, 0.5)
+    assert project((1.5, 0.0), 1.0, 1) == (1.0, 0.0)
+    assert project((0.4, 0.0), 1.0, 1) == (0.4, 0.0)
+    assert project((0.0, 0.7), 1.0, 1) == (0.0, 0.0)
+    assert project((0.3, 0.0), 1.0, 0) == (0.0, 0.0)
+    assert project((0.0, 0.7), 0.5, 0) == (0.0, 0.5)
 
 
 def test_project_idempotent():
@@ -178,11 +174,11 @@ def test_project_idempotent():
     for _ in range(100):
         u = (float(rng.uniform(0, 3)), float(rng.uniform(0, 3)))
         mode = int(rng.integers(0, 2))
-        box = (0.0, float(rng.uniform(0, 2)))
-        once = project(u, box, mode)
+        hi = float(rng.uniform(0, 2))
+        once = project(u, hi, mode)
         # one-sided: discharge (mode 1) zeroes c, charge (mode 0) zeroes d
         assert once[mode] == 0.0
-        assert project(once, box, mode) == once
+        assert project(once, hi, mode) == once
 
 
 def test_project_is_nearest_feasible_point():
@@ -193,7 +189,7 @@ def test_project_is_nearest_feasible_point():
         u_d, u_c = float(rng.uniform(0, 3)), float(rng.uniform(0, 3))
         mode = int(rng.integers(0, 2))
         hi = float(rng.uniform(0.1, 2))
-        best_d, best_c = project((u_d, u_c), (0.0, hi), mode)
+        best_d, best_c = project((u_d, u_c), hi, mode)
         grid = np.arange(0.0, hi + 1e-9, 1e-3)
         if mode == 1:
             dists = (grid - u_d) ** 2 + u_c**2
@@ -226,11 +222,11 @@ def test_battery_never_leaves_soc_box_under_projected_decisions():
         mode = int(rng.integers(0, 2))
         # a negative share discharges: the box is the mode's for the
         # booked SoC
-        soc, got, box = book(fleet, *pair, -1.0 if mode else 1.0)
+        soc, got, hi = book(fleet, *pair, -1.0 if mode else 1.0)
         assert got == mode
         assert p.soc_min <= soc <= p.soc_max
         u = float(rng.uniform(0, 2))
-        pair = project((u, u), box, mode)
+        pair = project((u, u), hi, mode)
         assert pair[0] * pair[1] == 0.0
 
 
@@ -245,8 +241,8 @@ def test_fleet_wiring():
         assert b.aging is AGING
     # twins book the same pairs with the reference's own copies of the
     # helpers. apply_all books each battery's pending pair before it
-    # plans, so the mode, box, cost model and gradient it returns follow
-    # the booked SoC and residues
+    # plans, so the mode, box and cost model of each plan it returns
+    # follow the booked SoC and residues
     twins = [Battery(b.soc, b.terms) for b in fleet.batteries]
     u, moved = [(0.0, 0.0)] * 3, 0
     for shares, want_modes, pending in (
@@ -257,19 +253,19 @@ def test_fleet_wiring():
         ([-2.0, 2.0, 2.0], [1, 0, 0], None),
     ):
         before = [b.soc for b in fleet.batteries]
-        modes, boxes, models, grads = fleet.apply_all(u, shares)
-        assert modes == want_modes == [b.mode for b in fleet.batteries]
-        for b, twin, mode, box, model, grad, (d, c), soc in zip(
-                fleet.batteries, twins, modes, boxes, models, grads, u,
-                before):
+        plans = fleet.apply_all(u, shares)
+        assert ([plan.mode for plan in plans] == want_modes
+                == [b.mode for b in fleet.batteries])
+        for b, twin, plan, (d, c), soc in zip(fleet.batteries, twins, plans,
+                                              u, before):
             reference.book(twin, d, c, p, tau)
             assert (b.soc, b.residues, b.lifetime_loss) == (
                 twin.soc, twin.residues, twin.lifetime_loss)
-            assert box == reference.feasible_interval(twin.soc, mode, p, tau)
+            mode, hi = plan[:2]
+            box = reference.feasible_interval(twin.soc, mode, p, tau)
+            assert (0.0, hi) == box
             moved += box != reference.feasible_interval(soc, mode, p, tau)
-            assert model == reference.interval_cost(twin.residues, b.terms)
-            # at the booked pair
-            assert grad == cost_gradient(model, d, c)
+            assert plan[2:] == reference.interval_cost(twin.residues, b.terms)
         u = pending
     # the first battery's discharge box sits on its SoC limit, so the
     # booked SoC moved it; the third booking closed a cycle on the last

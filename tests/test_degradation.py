@@ -12,7 +12,8 @@ from orra.degradation import (
     rainflow_step,
     total_loss,
 )
-from orra.scenario import FleetConfig
+from orra.optimizer import OrraOptimizer
+from orra.scenario import FleetConfig, OptimizerConfig
 from rainflow_reference import rainflow_batch, turning_points
 
 
@@ -123,15 +124,20 @@ def test_residue_stack_invariants_hold_along_random_walk():
 
 def booked(stack, pair=(0.0, 0.0), tau=0.1, **params):
     """Book pair on a one-battery fleet whose residue stack is stack, its
-    SoC on the stack's top, in the box [0, 1]: the battery, and the cost
-    model and gradient Fleet.apply_all returns for it. An idle pair leaves
-    the stack as it is."""
+    SoC on the stack's top, in the box [0, 1]: the battery, the plan
+    Fleet.apply_all returns for it, and the gradient of the plan's cost
+    that OrraOptimizer.iterate prices at the booked pair, read from the
+    saddle direction of a zero dual. An idle pair leaves the stack as it
+    is."""
     fleet = Fleet(FleetConfig(initial_soc=(stack[-1],), soc_min=0.0,
                               soc_max=1.0, **params), tau)
     b = fleet.batteries[0]
     b.residues = stack
-    _, _, (model,), (grad,) = fleet.apply_all([pair], [0.0])
-    return b, model, grad
+    (model,) = fleet.apply_all([pair], [0.0])
+    opt = OrraOptimizer(np.ones((1, 1)), OptimizerConfig())
+    _, info = opt.iterate([pair], [model], [0.0], 0.0, fleet.soc, [])
+    ((s_d, s_c),) = info["s"]
+    return b, model, (s_d, -s_c)
 
 
 def test_open_half_direction():

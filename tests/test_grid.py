@@ -20,7 +20,12 @@ from orra.grid import (
     scenario_fluctuation,
 )
 from orra.scenario import GridConfig
-from plant_reference import frr_response, scenario_step_load, state_of
+from plant_reference import (
+    frr_response,
+    scenario_step_load,
+    set_state,
+    state_of,
+)
 
 NAN, INF = float("nan"), float("inf")
 GRID = GridConfig()  # the shipped plant, droop included
@@ -51,7 +56,7 @@ def hold_frequency(grid, command, steps, dt=DT):
     """
     cmd = tuple(float(c) for c in command)
     rest = (0.0,) * len(cmd)
-    plant = Plant(grid, dt, du_gov=(cmd, rest))
+    plant = set_state(Plant(grid, dt), du_gov=(cmd, rest))
     for _ in range(steps):
         grid_step(plant, 0.0, (0.0, 0.0), [sum(plant.p_m[0])])
         state = state_of(plant)
@@ -165,7 +170,7 @@ def test_swing_equation_bookkeeping():
 
 
 def test_instability_is_named():
-    plant = Plant(GRID, DT, df=(NAN, 0.0))
+    plant = set_state(Plant(GRID, DT), df=(NAN, 0.0))
     with pytest.raises(GridInstabilityError) as err:
         grid_step(plant, 0.0, (0.0, 0.0), [0.0] * 10)
     assert "df" in str(err.value)
@@ -182,9 +187,10 @@ def test_finite_divergence_is_named():
     # ends (area 1's droop load pulls df back); inside it the interval runs
     for df in ((2 * DF_LIMIT, 0.0), (0.0, -DF_LIMIT - 1)):
         with pytest.raises(GridInstabilityError) as err:
-            grid_step(Plant(GRID, DT, df=df), 0.0, (0.0, 0.0), [0.0])
+            grid_step(set_state(Plant(GRID, DT), df=df), 0.0, (0.0, 0.0),
+                      [0.0])
         assert abs(err.value.value) >= DF_LIMIT
-    plant = Plant(GRID, DT, df=(0.9 * DF_LIMIT, -0.9 * DF_LIMIT))
+    plant = set_state(Plant(GRID, DT), df=(0.9 * DF_LIMIT, -0.9 * DF_LIMIT))
     grid_step(plant, 0.0, (0.0, 0.0), [0.0])
     assert max(map(abs, plant.df)) < DF_LIMIT
 
@@ -208,8 +214,8 @@ def random_grid(rng, alike=False):
 
 
 def random_state(rng, grid, alike=False):
-    """A state off rest, as Plant keywords; with `alike`, each area's
-    generators alike."""
+    """A state off rest, by group name as `set_state` takes it; with
+    `alike`, each area's generators alike."""
     n = len(grid.inv_droops)
 
     def rows(scale):
@@ -276,12 +282,12 @@ def test_kernel_matches_per_step_reference(monkeypatch):
     seen = {}
     routes = spy_routes(monkeypatch)
     for _ in range(40):
-        # half the plants run alike units, from an alike state
+        # half the plants run alike units, put into an alike state
         alike = bool(rng.integers(2))
         grid = random_grid(rng, alike)
         dt = float(rng.choice([0.005, 0.01, 0.02]))
         state = random_state(rng, grid, alike)
-        plant = Plant(grid, dt, **state)
+        plant = set_state(Plant(grid, dt), **state)
         for _ in range(15):
             steps = int(rng.integers(1, 13))
             p_bess = rng.uniform(-2.0, 2.0)
@@ -339,46 +345,13 @@ def test_alike_units_match_the_reference(n, monkeypatch):
     assert state["p_m"][0][0] != 0.0  # the step moved the generators
 
 
-def test_units_differing_in_a_zero_sign_take_the_per_unit_loop(
-        monkeypatch):
-    # a zero AGC error slews each command by -0.0, so a -0.0 command stays
-    # -0.0 and a 0.0 one 0.0: integrating the first unit for all three
-    # would give the others its sign
-    routes = spy_routes(monkeypatch)
-    rest = (0.0,) * 3
-    plant = Plant(GRID, DT, du_gov=((0.0, -0.0, 0.0), rest))
-    state, expect = run_both(plant, GRID, 150, agc=(0.0, 0.0))
-    assert routes == ["units"] * 150
-    assert state_bits(state) == state_bits(expect)
-    assert str(state["du_gov"][0]) == "(0.0, -0.0, 0.0)"
-
-
-def test_a_plant_keeps_the_route_its_start_state_chose(monkeypatch):
-    # a nonzero error makes the -0.0 command alike after one step; the
-    # plant chose the per-unit loop when it was built and keeps it, which
-    # holds the units alike in the same bits
-    routes = spy_routes(monkeypatch)
-    rest = (0.0,) * 3
-    plant = Plant(GRID, DT, du_gov=((0.0, -0.0, 0.0), rest))
-    state, expect = run_both(plant, GRID, 150)
-    assert routes == ["units"] * 150
-    assert state_bits(state) == state_bits(expect)
-    assert len({struct.pack("d", u) for u in state["du_gov"][0]}) == 1
-
-
-def test_a_nan_unit_takes_the_per_unit_loop(monkeypatch):
-    # the NaN valve reaches no other unit within one plant step, so both
-    # routes name the valves; integrating an alike unit would raise nothing
-    routes = spy_routes(monkeypatch)
-    rest = (0.0,) * 3
-    state = {**state_of(Plant(GRID, DT)), "gov": ((0.0, NAN, 0.0), rest)}
-    with pytest.raises(GridInstabilityError) as want:
-        ref.grid_step(ref.RefState.from_state(state), 0.2, (-0.4, 0.3), 5.0,
-                      GRID, DT)
-    with pytest.raises(GridInstabilityError) as got:
-        grid_step(Plant(GRID, DT, **state), 0.2, (-0.4, 0.3), [5.0])
-    assert routes == ["units"]
-    assert got.value.name == want.value.name == "gov"
+def test_units_are_alike_exactly_when_every_droop_is_equal():
+    # droops are positive and finite, so equal values, 20 and 20.0 among
+    # them, are one droop
+    for droops, alike in (((20.0,), True), ((20, 20.0, 20), True),
+                          ((20.0, 20.0, 22.0), False),
+                          ((18.0, 20.0, 22.0), False)):
+        assert Plant(GridConfig(inv_droops=droops), DT).alike is alike
 
 
 def test_distinct_droops_take_the_per_unit_loop(monkeypatch):
@@ -408,9 +381,10 @@ def test_non_finite_values_raise_at_interval_end(steps, field, where, bad):
     if field == "agc":
         agc[where] = bad
     elif field == "gov":
-        gov = [list(row) for row in state["gov"]]
-        gov[where][1] = bad
-        state["gov"] = tuple(map(tuple, gov))
+        # every unit of the area, as the plant's alike units hold it
+        gov = list(state["gov"])
+        gov[where] = (bad,) * len(gov[where])
+        state["gov"] = tuple(gov)
     else:
         df = list(state["df"])
         df[where] = bad
@@ -421,9 +395,9 @@ def test_non_finite_values_raise_at_interval_end(steps, field, where, bad):
         expect = ref.RefState.from_state(state)
         for load in loads:
             expect = ref.grid_step(expect, 0.3, agc, load, grid, DT)
-    # ... and the kernel, on a plant built from that state, at its end
+    # ... and the kernel, on a plant put into that state, at its end
     with pytest.raises(GridInstabilityError) as err:
-        grid_step(Plant(grid, DT, **state), 0.3, agc, loads)
+        grid_step(set_state(Plant(grid, DT), **state), 0.3, agc, loads)
     assert err.value.name in ("df", "du_gov", "gov", "p_m", "p_fr", "p_tie")
 
 

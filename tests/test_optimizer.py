@@ -23,14 +23,18 @@ GAINS = OptimizerConfig(t_max=600)
 
 
 def quad_aging(theta_b, mu0=0.0, g_d=0.0, big_theta=0.0, b=2.0):
+    """The plan of an agent that discharges on the box [0, 1]."""
     return IntervalCost(
-        mu0=mu0, g_d=g_d, g_c=0.0, theta_b=theta_b, big_theta=big_theta, b=b
+        mode=1, hi=1.0, mu0=mu0, g_d=g_d, g_c=0.0, theta_b=theta_b,
+        big_theta=big_theta, b=b,
     )
 
 
-# a cost of zero everywhere, for agents whose cost the test does not read
-FLAT = IntervalCost(mu0=0.0, g_d=0.0, g_c=0.0, theta_b=0.0, big_theta=0.0,
-                    b=2.0)
+def flat(mode=1, hi=1.0):
+    """The plan of an agent with a cost of zero everywhere, for agents
+    whose cost the test does not read."""
+    return IntervalCost(mode=mode, hi=hi, mu0=0.0, g_d=0.0, g_c=0.0,
+                        theta_b=0.0, big_theta=0.0, b=2.0)
 
 
 def fleet_weights():
@@ -57,12 +61,19 @@ def test_gradient_s_shifts_both_coordinates():
 def primal_steps(u, s, kappa, intervals, modes):
     """Every agent's primal step and projection as `iterate` takes them:
     agents that mix with no one, from a zero dual, at the stage's first
-    gain kappa, with gradients that make s their saddle direction."""
+    gain kappa, with costs whose slope at u makes s their saddle
+    direction along the active coordinate: an aging term of exponent 1
+    on a depth that stays positive, with no wear term. intervals holds
+    each agent's box [0, hi]."""
     n = len(u)
     opt = OrraOptimizer(np.eye(n), OptimizerConfig(kappa0=kappa))
-    grads = [(s_d, -s_c) for s_d, s_c in s]
-    u_next, _ = opt.iterate(u, grads, [0.0] * n, 0.0, intervals, modes,
-                            [FLAT] * n, soc(n), [])
+    plans = [IntervalCost(mode, hi, 1.0, float(mode == 1), float(mode == 0),
+                          0.0, s_d if mode == 1 else -s_c, 1.0)
+             for mode, (_, hi), (s_d, s_c) in zip(
+                 np.asarray(modes).tolist(), np.asarray(intervals).tolist(),
+                 np.asarray(s).tolist())]
+    u_next, _ = opt.iterate(np.asarray(u).tolist(), plans, [0.0] * n, 0.0,
+                            soc(n), [])
     return np.array(u_next)
 
 
@@ -81,14 +92,14 @@ def test_primal_update_step_and_projection():
 
 
 def test_primal_step_ties_and_nan_follow_numpy_clip():
-    # signed zeros against 0.0 and -0.0 box ends in both modes; a NaN
-    # passes the projection, as it passes numpy's clip, and so reaches the
-    # tracker, which ends the run
+    # signed zeros against the 0.0 floor and 0.0 and -0.0 box tops in
+    # both modes; a NaN passes the projection, as it passes numpy's clip,
+    # and so reaches the tracker, which ends the run
     values = (-0.0, 0.0, 0.3)
-    cases = [(x, lo, hi, mode) for x in values for lo in (-0.0, 0.0)
-             for hi in (-0.0, 0.0, 0.3) for mode in (0, 1)]
+    cases = [(x, hi, mode) for x in values for hi in (-0.0, 0.0, 0.3)
+             for mode in (0, 1)]
     u = np.array([[x, x] for x, *_ in cases])
-    boxes = np.array([[lo, hi] for _, lo, hi, _ in cases])
+    boxes = np.array([[0.0, hi] for _, hi, _ in cases])
     modes = np.array([mode for *_, mode in cases])
     s = np.zeros_like(u)
     want = primal_update(u, s, 0.0, boxes, modes)
@@ -150,13 +161,9 @@ def test_zero_aie_is_a_fixed_point():
     w = fleet_weights()
     opt = OrraOptimizer(w, GAINS)
     n = w.shape[0]
-    u = np.zeros((n, 2))
-    intervals = np.tile([0.0, 1.0], (n, 1))
-    modes = np.ones(n, dtype=int)
+    u = [(0.0, 0.0)] * n
     for _ in range(50):
-        grads = np.zeros((n, 2))  # flat cost at the origin
-        u, info = opt.iterate(u, grads, np.zeros(n), 0.0, intervals, modes,
-                              [FLAT] * n, soc(n), [])
+        u, info = opt.iterate(u, [flat()] * n, [0.0] * n, 0.0, soc(n), [])
         assert np.allclose(u, 0.0)
         assert np.allclose(info["lam"], 0.0)
         assert info["bound"] == pytest.approx(0.0)
@@ -167,14 +174,10 @@ def test_identical_agents_stay_symmetric():
     w = metropolis_weights(2, ((0, 1),))
     opt = OrraOptimizer(w, GAINS)
     models = [quad_aging(0.2), quad_aging(0.2)]
-    u = np.zeros((2, 2))
-    intervals = np.tile([0.0, 1.0], (2, 1))
-    modes = np.ones(2, dtype=int)
-    aie = np.array([-0.3, -0.3])
+    u = [(0.0, 0.0)] * 2
+    aie = [-0.3, -0.3]
     for _ in range(200):
-        grads = np.array([cost_gradient(m, *ui) for m, ui in zip(models, u)])
-        u, _ = opt.iterate(u, grads, aie, 0.0, intervals, modes, models,
-                           soc(2), [])
+        u, _ = opt.iterate(u, models, aie, 0.0, soc(2), [])
         assert u[0] == pytest.approx(u[1], abs=1e-12)
 
 
@@ -191,22 +194,18 @@ def run_static_stage(steps=600):
         quad_aging(0.2, mu0=0.05, g_d=0.3, big_theta=0.8, b=2.2),
     ]
     aie = np.array([-0.10, -0.14, -0.12, -0.11, -0.13])
-    intervals = np.tile([0.0, 1.0], (n, 1))
-    modes = np.ones(n, dtype=int)
-    u = np.zeros((n, 2))
+    u = [(0.0, 0.0)] * n
     infos = []
     for _ in range(steps):
-        grads = np.array([cost_gradient(m, *ui) for m, ui in zip(models, u)])
-        u, info = opt.iterate(u, grads, aie, 0.0, intervals, modes, models,
-                              soc(n), [])
+        u, info = opt.iterate(u, models, aie.tolist(), 0.0, soc(n), [])
         infos.append(info)
-    return np.array(u), infos, models, aie, intervals, modes
+    return np.array(u), infos, models, aie
 
 
 def test_static_stage_converges_to_oracle():
-    u, infos, models, aie, intervals, modes = run_static_stage()
+    u, infos, models, aie = run_static_stage()
     target = -aie.sum()
-    sol = centralized_solve(models, modes, intervals, target)
+    sol = centralized_solve(models, target)
 
     # aggregate balance decays below 2% of the initial error within the stage
     viol = [abs(np.sum(i["h"])) for i in infos]
@@ -242,15 +241,11 @@ def test_frequency_spike_restarts_stage_and_clips_dual():
     n = w.shape[0]
     opt = OrraOptimizer(w, GAINS)
     models = [quad_aging(0.2)] * n
-    aie = np.full(n, -0.12)
-    intervals = np.tile([0.0, 1.0], (n, 1))
-    modes = np.ones(n, dtype=int)
-    u = np.zeros((n, 2))
+    aie = [-0.12] * n
+    u = [(0.0, 0.0)] * n
     for k in range(80):
-        grads = np.array([cost_gradient(m, *ui) for m, ui in zip(models, u)])
         df = 0.08 if k == 50 else 0.0
-        u, info = opt.iterate(u, grads, aie, df, intervals, modes, models,
-                              soc(n), [])
+        u, info = opt.iterate(u, models, aie, df, soc(n), [])
         if k == 50:
             assert info["reset"]
             assert info["stage"] == 1
@@ -266,12 +261,12 @@ def test_a_dual_bound_past_a_float_ends_the_run():
     # instead of logging it
     n = 5
     opt = OrraOptimizer(fleet_weights(), OptimizerConfig(gamma=1e308))
-    u, boxes, modes = [(0.0, 0.0)] * n, [(0.0, 1.0)] * n, [1] * n
+    u = [(0.0, 0.0)] * n
     with pytest.raises(FloatingPointError) as err:
         for _ in range(1000):
             row = []
-            u, info = opt.iterate(u, [(0.0, 0.0)] * n, [-0.5] * n, 0.0, boxes,
-                                  modes, [FLAT] * n, soc(n), row)
+            u, info = opt.iterate(u, [flat()] * n, [-0.5] * n, 0.0, soc(n),
+                                  row)
             assert np.isfinite(row).all() and np.isfinite(info["lam"]).all()
     assert "dual bound" in str(err.value)
     assert "optimizer.gamma 1e+308" in str(err.value)
@@ -288,21 +283,20 @@ def random_instance(rng):
             edges.append(e)
     w = metropolis_weights(n, edges)
     modes = np.array([int(m) for m in rng.integers(0, 2, size=n)])
-    models = []
+    costs = []
     for m in modes:
         g = float(rng.uniform(0.05, 0.4))
-        models.append(
-            IntervalCost(
-                mu0=float(rng.uniform(0.0, 0.3)),
-                g_d=g if m == 1 else 0.0,
-                g_c=g if m == 0 else 0.0,
-                theta_b=float(rng.uniform(0.1, 0.5)),
-                big_theta=float(rng.uniform(0.0, 1.5)),
-                b=float(rng.uniform(1.5, 2.3)),
-            )
-        )
+        costs.append(dict(
+            mu0=float(rng.uniform(0.0, 0.3)),
+            g_d=g if m == 1 else 0.0,
+            g_c=g if m == 0 else 0.0,
+            theta_b=float(rng.uniform(0.1, 0.5)),
+            big_theta=float(rng.uniform(0.0, 1.5)),
+            b=float(rng.uniform(1.5, 2.3)),
+        ))
     hi = rng.uniform(0.4, 1.0, size=n)
-    intervals = np.stack([np.zeros(n), hi], axis=1)
+    plans = [IntervalCost(mode=m, hi=h, **cost)
+             for m, h, cost in zip(modes.tolist(), hi.tolist(), costs)]
     signs = np.where(modes == 1, 1.0, -1.0)
     agg_lo = float(np.where(signs > 0, 0.0, -hi).sum())
     agg_hi = float(np.where(signs > 0, hi, 0.0).sum())
@@ -312,14 +306,14 @@ def random_instance(rng):
     T = int(rng.integers(10, 51))
     targets = base + np.cumsum(rng.uniform(-1, 1, size=T + 1)) * 0.02 * span
     targets = np.clip(targets, mid - span, mid + span)
-    return w, modes, models, intervals, targets
+    return w, plans, targets
 
 
 def test_regret_bounds_on_random_instances():
     rng = np.random.default_rng(17)
     failures = []
     for trial in range(100):
-        w, modes, models, intervals, targets = random_instance(rng)
+        w, models, targets = random_instance(rng)
         n = w.shape[0]
         T = len(targets) - 1
         opt = OrraOptimizer(w, GAINS)
@@ -333,14 +327,9 @@ def test_regret_bounds_on_random_instances():
         nu = None
         for t in range(T + 1):
             aie = np.full(n, -targets[t] / n)
-            sol = centralized_solve(
-                models, modes, intervals, targets[t], nu_hint=nu
-            )
+            sol = centralized_solve(models, targets[t], nu_hint=nu)
             nu = sol.nu
             u_star = np.array(sol.u)
-            grads = np.array(
-                [cost_gradient(m, *ui) for m, ui in zip(models, u)]
-            )
             fd = sum(m.value(ui[0], ui[1]) for m, ui in zip(models, u))
             fo = sum(
                 m.value(us[0], us[1]) for m, us in zip(models, u_star)
@@ -349,8 +338,7 @@ def test_regret_bounds_on_random_instances():
             rows["ustar"].append(u_star)
             rows["fd"].append(fd)
             rows["fo"].append(fo)
-            u, info = opt.iterate(u, grads, aie, 0.0, intervals, modes,
-                                  models, soc(n), [])
+            u, info = opt.iterate(u, models, aie.tolist(), 0.0, soc(n), [])
             for key, name in (
                 ("s", "s"), ("lam", "lam"), ("lamx", "lam_mixed"),
                 ("y", "y"), ("yx", "y_mixed"),
@@ -373,7 +361,7 @@ def test_regret_bounds_on_random_instances():
             gamma=gamma, dist_costs=rows["fd"], oracle_costs=rows["fo"],
             **args,
         )
-        B_u = float(intervals[:, 1].max())
+        B_u = max(m.hi for m in models)
         c2 = lemma2_check(
             np.array(rows["u"]), np.array(rows["ustar"]),
             np.array(rows["kap"]), B_u,
@@ -388,15 +376,15 @@ def bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
 
 
-def reference_cells(u_next, info, shares, modes, boxes, models, soc):
+def reference_cells(u_next, info, shares, plans, soc):
     """The trace cells of one iterate, from the reference's u_next and log,
     priced with IntervalCost as the runner priced them agent by agent:
     (row, fleet net injection, fleet cost)."""
     u_next = np.asarray(u_next).tolist()
     agents, tail, interior = [], [], []
     f_dist = p_bess = 0.0
-    for i, ((d, c), mode, (lo, hi), m) in enumerate(
-            zip(u_next, modes, boxes, models)):
+    for i, ((d, c), m) in enumerate(zip(u_next, plans)):
+        mode, lo, hi = m.mode, 0.0, m.hi
         f_dist += m.value(d, c)
         g_d, g_c = cost_gradient(m, d, c)
         p_bess += d - c
@@ -410,12 +398,14 @@ def reference_cells(u_next, info, shares, modes, boxes, models, soc):
     return row, p_bess, f_dist
 
 
-def random_cost(rng, mode):
-    """A frozen-residue cost: the mode's coordinate deepens the open half
-    cycle, or, at a fresh start, either does; sometimes none is open."""
+def random_cost(rng, mode, hi):
+    """The plan of an agent in mode on the box [0, hi] with a frozen-residue
+    cost: the mode's coordinate deepens the open half cycle, or, at a
+    fresh start, either does; sometimes none is open."""
     g = rng.uniform(0.05, 0.4, 2).tolist()
     fresh = rng.random() < 0.2
     return IntervalCost(
+        mode=mode, hi=hi,
         mu0=float(rng.choice([0.0, rng.uniform(0.0, 0.3)])),
         g_d=g[0] if mode == 1 or fresh else 0.0,
         g_c=g[1] if mode == 0 or fresh else 0.0,
@@ -441,7 +431,7 @@ def test_iterate_matches_vector_reference_bit_for_bit():
         # those also have flat costs, so they sit at the origin and every
         # reset clips the dual to a zero cap
         zero_shares = case % 5 == 0
-        flat = case % 10 == 0
+        flat_costs = case % 10 == 0
         # the others' first call sets the tracker from a nonzero start
         u = rng.uniform(0.0, 0.6, (n, 2)) * (not zero_shares)
         u = [(float(d), float(c)) for d, c in u]
@@ -450,19 +440,19 @@ def test_iterate_matches_vector_reference_bit_for_bit():
             # boxes narrow enough, and steps long enough, that both ends clip
             hi = rng.choice([0.0, 0.05, 0.3, 1.0], n).tolist()
             boxes = [(0.0, h) for h in hi]
-            grads = rng.normal(0.0, 2.0, (n, 2)) * (not flat)
-            grads = [(float(g_d), float(g_c)) for g_d, g_c in grads]
             shares = ([0.0] * n if zero_shares
                       else (rng.normal(0.0, 0.3, n)
                             * (rng.random(n) < 0.8)).tolist())
             df = float(rng.choice([0.0, 0.01, -0.06, 0.2]))
-            models = [random_cost(rng, mode) for mode in modes]
+            plans = [flat(mode, h) if flat_costs else random_cost(rng, mode, h)
+                     for mode, h in zip(modes, hi)]
+            # the reference takes each cost's slope at the booked pair
+            grads = [cost_gradient(m, d, c) for m, (d, c) in zip(plans, u)]
             socs = rng.uniform(0.2, 0.8, n).tolist()
             stage_t = opt.t
             u_ref, info_ref = ref.iterate(u, grads, shares, df, boxes, modes)
             row = []
-            u, info = opt.iterate(u, grads, shares, df, boxes, modes, models,
-                                  socs, row)
+            u, info = opt.iterate(u, plans, shares, df, socs, row)
             if info["reset"]:
                 resets["t_max" if stage_t >= sched.t_max else "df"] += 1
             assert bits(u) == bits(u_ref)
@@ -472,7 +462,7 @@ def test_iterate_matches_vector_reference_bit_for_bit():
             for key, value in info_ref.items():
                 assert bits(info[key]) == bits(value), key
             want, p_bess, f_dist = reference_cells(
-                u_ref, info_ref, shares, modes, boxes, models, socs)
+                u_ref, info_ref, shares, plans, socs)
             assert bits(row) == bits(want)
             assert bits([info["p_bess"], info["f_dist"]]) == bits(
                 [p_bess, f_dist])

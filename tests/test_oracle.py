@@ -22,16 +22,18 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def quad(theta_b):
-    """Pure quadratic interval cost, no aging term."""
-    return IntervalCost(
+    """Pure quadratic interval cost, no aging term, as a plan's cost
+    fields."""
+    return dict(
         mu0=0.0, g_d=0.0, g_c=0.0, theta_b=theta_b, big_theta=0.0, b=2.0
     )
 
 
 def aging_model(rng, mode):
-    """Random strictly convex cost with an active aging slope."""
+    """Random strictly convex cost with an active aging slope, as a plan's
+    cost fields."""
     g = rng.uniform(0.05, 0.6)
-    return IntervalCost(
+    return dict(
         mu0=rng.uniform(0.0, 0.5),
         g_d=g if mode == 1 else 0.0,
         g_c=g if mode == 0 else 0.0,
@@ -41,40 +43,50 @@ def aging_model(rng, mode):
     )
 
 
+def plans(costs, modes, boxes):
+    """Each agent's IntervalCost plan, from its cost fields, its mode and
+    its box (0, hi), on Python numbers; None when a box starts off 0,
+    which no plan carries."""
+    if any(lo != 0.0 for lo, _ in boxes):
+        return None
+    return [IntervalCost(int(mode), float(hi), **cost)
+            for cost, mode, (_, hi) in zip(costs, modes, boxes)]
+
+
 def active(sol):
     """Each agent's power on its active coordinate: the row sums of the
     (d, c) pairs, whose inactive coordinate is exactly 0.0."""
     return np.array(sol.u).sum(axis=1)
 
 
-def active_slopes(models, modes, sol):
+def active_slopes(models, sol):
     """Each agent's cost slope along its active coordinate."""
     return np.array([
-        cost_gradient(m, d, c)[0 if mode == 1 else 1]
-        for m, mode, (d, c) in zip(models, modes, sol.u)
+        cost_gradient(m, d, c)[0 if m.mode == 1 else 1]
+        for m, (d, c) in zip(models, sol.u)
     ])
 
 
 def test_zero_target_idle_fleet():
     # zero net demand, costs minimized at the origin: nobody moves
-    models = [quad(0.1), quad(0.3), quad(0.2)]
-    boxes = [(0.0, 1.0)] * 3
-    sol = centralized_solve(models, [1, 1, 1], boxes, 0.0)
+    models = plans([quad(0.1), quad(0.3), quad(0.2)], [1, 1, 1],
+                   [(0.0, 1.0)] * 3)
+    sol = centralized_solve(models, 0.0)
     assert np.allclose(active(sol), 0.0, atol=1e-9)
     assert sol.residual <= 1e-6
 
 
 def test_two_identical_agents_split_evenly():
-    models = [quad(0.1), quad(0.1)]
-    sol = centralized_solve(models, [1, 1], [(0.0, 1.0)] * 2, 1.0)
+    models = plans([quad(0.1), quad(0.1)], [1, 1], [(0.0, 1.0)] * 2)
+    sol = centralized_solve(models, 1.0)
     assert sol.u == [(pytest.approx(0.5, abs=1e-9), 0.0)] * 2
 
 
 def test_heterogeneous_matches_brute_force():
-    models = [quad(0.1), quad(0.25), quad(0.4)]
     boxes = [(0.0, 0.8), (0.0, 1.0), (0.0, 0.6)]
+    models = plans([quad(0.1), quad(0.25), quad(0.4)], [1, 1, 1], boxes)
     target = 1.2
-    sol = centralized_solve(models, [1, 1, 1], boxes, target)
+    sol = centralized_solve(models, target)
     q_bf, achieved, _ = brute_force_solve(models, [1, 1, 1], boxes, target)
     assert abs(achieved - target) <= 5e-4
     assert np.abs(active(sol) - q_bf).max() <= 2e-3
@@ -84,14 +96,13 @@ def test_interior_marginals_equalized():
     rng = np.random.default_rng(7)
     for _ in range(20):
         n = rng.integers(2, 6)
-        modes = [1] * n
-        models = [aging_model(rng, 1) for _ in range(n)]
-        boxes = [(0.0, 5.0)] * n
+        models = plans([aging_model(rng, 1) for _ in range(n)], [1] * n,
+                       [(0.0, 5.0)] * n)
         target = float(rng.uniform(0.5, 2.0))
-        sol = centralized_solve(models, modes, boxes, target)
+        sol = centralized_solve(models, target)
         assert sol.residual <= 1e-6
         level = -sol.nu  # shared slope for discharge agents
-        q, marginals = active(sol), active_slopes(models, modes, sol)
+        q, marginals = active(sol), active_slopes(models, sol)
         interior = (q > 1e-9) & (q < 5.0 - 1e-9)
         assert interior.any()
         if interior.sum() > 1:
@@ -104,12 +115,11 @@ def test_interior_marginals_equalized():
 
 def test_mixed_modes_marginals_against_multiplier():
     rng = np.random.default_rng(11)
-    models = [aging_model(rng, 1), aging_model(rng, 0), aging_model(rng, 1)]
-    modes = [1, 0, 1]
-    boxes = [(0.0, 4.0)] * 3
-    sol = centralized_solve(models, modes, boxes, 0.7)
+    costs = [aging_model(rng, 1), aging_model(rng, 0), aging_model(rng, 1)]
+    models = plans(costs, [1, 0, 1], [(0.0, 4.0)] * 3)
+    sol = centralized_solve(models, 0.7)
     signs = np.array([1.0, -1.0, 1.0])
-    q, marginals = active(sol), active_slopes(models, modes, sol)
+    q, marginals = active(sol), active_slopes(models, sol)
     interior = (q > 1e-9) & (q < 4.0 - 1e-9)
     assert interior.any()
     # stationarity: active-coordinate slope equals -nu * sign off the corners
@@ -121,16 +131,17 @@ def test_random_instances_match_brute_force():
     for _ in range(30):
         n = int(rng.integers(2, 5))
         modes = [int(m) for m in rng.integers(0, 2, size=n)]
-        models = [aging_model(rng, m) for m in modes]
+        costs = [aging_model(rng, m) for m in modes]
         boxes = []
         interior = []
         for _i in range(n):
             hi = float(rng.uniform(0.2, 1.0))
             boxes.append((0.0, hi))
             interior.append(float(rng.uniform(0.1, 0.9)) * hi)
+        models = plans(costs, modes, boxes)
         signs = np.array([1.0 if m == 1 else -1.0 for m in modes])
         target = round(float((signs * np.array(interior)).sum()), 3)
-        sol = centralized_solve(models, modes, boxes, target)
+        sol = centralized_solve(models, target)
         q_bf, achieved, total_bf = brute_force_solve(
             models, modes, boxes, target
         )
@@ -141,24 +152,23 @@ def test_random_instances_match_brute_force():
 
 def test_warm_start_agrees_with_cold():
     rng = np.random.default_rng(5)
-    models = [aging_model(rng, 1) for _ in range(4)]
-    boxes = [(0.0, 1.0)] * 4
-    cold = centralized_solve(models, [1] * 4, boxes, 1.5)
-    warm = centralized_solve(
-        models, [1] * 4, boxes, 1.5, nu_hint=cold.nu * 1.01
-    )
+    models = plans([aging_model(rng, 1) for _ in range(4)], [1] * 4,
+                   [(0.0, 1.0)] * 4)
+    cold = centralized_solve(models, 1.5)
+    warm = centralized_solve(models, 1.5, nu_hint=cold.nu * 1.01)
     # the search stops on the aggregate residual, so different start
     # points may disagree per coordinate up to the solve tolerance
     assert np.abs(active(cold) - active(warm)).max() <= 1e-6
-    far = centralized_solve(models, [1] * 4, boxes, 1.5, nu_hint=-50.0)
+    far = centralized_solve(models, 1.5, nu_hint=-50.0)
     assert np.abs(active(cold) - active(far)).max() <= 1e-6
 
 
 def fresh_model(rng):
     """Fresh-start cost: no open half cycle, either move opens one, and
-    b in (1, 2), so marginal' grows without bound as mu approaches 0."""
+    b in (1, 2), so marginal' grows without bound as mu approaches 0; as a
+    plan's cost fields."""
     g = rng.uniform(0.05, 0.6)
-    return IntervalCost(
+    return dict(
         mu0=0.0, g_d=g, g_c=g, theta_b=rng.uniform(0.05, 0.5),
         big_theta=rng.uniform(0.5, 3.0), b=rng.uniform(1.05, 1.95),
     )
@@ -169,11 +179,12 @@ def test_newton_solve_matches_nested_bisection():
     for k in range(120):
         n = int(rng.integers(2, 7))
         modes = [int(m) for m in rng.integers(0, 2, size=n)]
-        models = [
+        costs = [
             fresh_model(rng) if rng.random() < 0.5 else aging_model(rng, m)
             for m in modes
         ]
         boxes = [(0.0, float(rng.uniform(0.05, 1.2))) for _ in range(n)]
+        models = plans(costs, modes, boxes)
         signs = np.array([1.0 if m == 1 else -1.0 for m in modes])
         his = np.array([b[1] for b in boxes])
         agg_lo = float(-his[signs < 0].sum())
@@ -186,7 +197,7 @@ def test_newton_solve_matches_nested_bisection():
             models, modes, boxes, target, on_infeasible="clamp"
         )
         for hint in (None, nu_ref * 1.02 + 1e-3, -50.0, 80.0):
-            sol = centralized_solve(models, modes, boxes, target, hint)
+            sol = centralized_solve(models, target, hint)
             assert sol.clamped == clamped_ref
             assert np.abs(active(sol) - q_ref).max() <= 1e-6
             assert sol.residual <= 1e-7
@@ -194,7 +205,9 @@ def test_newton_solve_matches_nested_bisection():
 
 def branch_cases():
     """Hand-built instances for each branch of the per-agent solve and the
-    multiplier search, as (models, modes, boxes, target)."""
+    multiplier search, as (costs, modes, boxes, target). The cases whose
+    boxes start at 0.1 are kept for `pinned_cases`, whose fixture holds
+    them; no plan carries them."""
     rng = np.random.default_rng(59)
 
     def pick(mode):
@@ -212,7 +225,7 @@ def branch_cases():
     cases.append((models[:3:2], [1, 0], [(0.0, 0.0)] * 2, 0.3))
     # a hair from the limit: a subnormal mu with b near 1 overflows
     # mu^(b-2), so marginal' is infinite there
-    near_one = IntervalCost(
+    near_one = dict(
         mu0=0.0, g_d=1.0, g_c=1.0, theta_b=0.2, big_theta=2.0, b=1.01
     )
     cases.append(
@@ -235,7 +248,7 @@ def branch_cases():
     # fresh starts: mu0 = 0 with both g_d and g_c nonzero
     modes = [1, 0, 1, 0]
     models = [fresh_model(rng) for _ in modes]
-    assert all(m.mu0 == 0 and m.g_d and m.g_c for m in models)
+    assert all(m["mu0"] == 0 and m["g_d"] and m["g_c"] for m in models)
     boxes = [(0.0, float(rng.uniform(0.1, 1.0))) for _ in modes]
     cases += [(models, modes, boxes, t) for t in (-0.3, 0.05, 0.4)]
     # mixed modes with a zero target: idle at the origin, or, with boxes
@@ -250,13 +263,16 @@ def branch_cases():
 
 
 def test_newton_solve_matches_bisection_on_branch_cases():
-    for models, modes, boxes, target in branch_cases():
+    for costs, modes, boxes, target in branch_cases():
+        models = plans(costs, modes, boxes)
+        if models is None:
+            continue
         q_ref, _, clamped_ref = bisection_solve(
             models, modes, boxes, target, on_infeasible="clamp"
         )
         # hints far beyond +-nu_max are clipped into the bracket
         for hint in (None, -1e6, 1e6):
-            sol = centralized_solve(models, modes, boxes, target, hint)
+            sol = centralized_solve(models, target, hint)
             assert sol.clamped == clamped_ref
             assert np.abs(active(sol) - q_ref).max() <= 1e-6
             assert sol.residual <= 1e-7
@@ -264,19 +280,22 @@ def test_newton_solve_matches_bisection_on_branch_cases():
 
 def test_inactive_coordinate_is_exact_zero():
     # the benchmark's regret check tests the inactive coordinate with != 0
-    for models, modes, boxes, target in branch_cases():
-        u = np.array(centralized_solve(models, modes, boxes, target).u)
+    for costs, modes, boxes, target in branch_cases():
+        models = plans(costs, modes, boxes)
+        if models is None:
+            continue
+        u = np.array(centralized_solve(models, target).u)
         discharge = np.array(modes) == 1
         assert (u[discharge, 1] == 0.0).all()
         assert (u[~discharge, 0] == 0.0).all()
 
 
 def pinned_cases():
-    """Seeded solver inputs, as (models, modes, boxes, target, nu_hint):
+    """Seeded solver inputs, as (costs, modes, boxes, target, nu_hint):
     the branch cases, then 1-8 agents in one or both modes, with boxes
     that may sit off zero and targets inside the achievable range, on
     either end and beyond it. Every third case starts cold, the others
-    from a near or a far hint; every other case passes its modes, boxes,
+    from a near or a far hint; every other case holds its modes, boxes,
     target and hint as numpy values."""
     rng = np.random.default_rng(28)
     base = branch_cases()
@@ -310,9 +329,11 @@ def pinned_cases():
 
 
 def test_centralized_solve_matches_pinned_bits():
-    """The solver's outputs on `pinned_cases`, bit for bit. The fixture
-    was written by this snippet, run from the repository root with
-    PYTHONPATH=src:tests:
+    """The solver's outputs on `pinned_cases` whose boxes all start at 0,
+    bit for bit, each case's plans built on Python numbers. The fixture
+    holds every case: it was written, when the solver took each agent's
+    model, mode and (lo, hi) box, by this snippet, run from the
+    repository root with PYTHONPATH=src:tests:
 
         import numpy as np
         from orra.oracle import centralized_solve
@@ -332,8 +353,13 @@ def test_centralized_solve_matches_pinned_bits():
     cases = pinned_cases()
     assert want["n"].tolist() == [len(case[0]) for case in cases]
     rows = np.cumsum([0, *want["n"]])
-    for i, case in enumerate(cases):
-        sol = centralized_solve(*case)
+    solved = 0
+    for i, (costs, modes, boxes, target, hint) in enumerate(cases):
+        models = plans(costs, modes, boxes)
+        if models is None:
+            continue
+        sol = centralized_solve(models, target, hint)
+        solved += 1
         u = np.array(sol.u, dtype=float)
         assert u.tobytes() == want["u"][rows[i]:rows[i + 1]].tobytes(), i
         for key in ("nu", "residual", "target"):
@@ -341,16 +367,16 @@ def test_centralized_solve_matches_pinned_bits():
             assert type(got) is float, (i, key)
             assert np.float64(got).tobytes() == want[key][i].tobytes(), (i, key)
         assert sol.clamped is bool(want["clamped"][i]), i
+    assert solved == 40
 
 
 def test_infeasible_target_clamps_on_request():
-    models = [quad(0.1), quad(0.1)]
-    boxes = [(0.0, 1.0)] * 2
     for modes, target, end, u in (
         ([1, 1], 3.0, 2.0, [(1.0, 0.0)] * 2),  # discharging, range [0, 2]
         ([0, 0], 0.5, 0.0, [(0.0, 0.0)] * 2),  # charging only, [-2, 0]
     ):
-        sol = centralized_solve(models, modes, boxes, target)
+        models = plans([quad(0.1), quad(0.1)], modes, [(0.0, 1.0)] * 2)
+        sol = centralized_solve(models, target)
         assert sol.clamped
         assert sol.target == pytest.approx(end)
         assert np.array(sol.u) == pytest.approx(np.array(u), abs=1e-9)
@@ -358,10 +384,11 @@ def test_infeasible_target_clamps_on_request():
 
 def test_wear_term_required():
     flat = IntervalCost(
-        mu0=0.0, g_d=0.0, g_c=0.0, theta_b=0.0, big_theta=1.0, b=2.0
+        mode=1, hi=1.0, mu0=0.0, g_d=0.0, g_c=0.0, theta_b=0.0,
+        big_theta=1.0, b=2.0,
     )
     with pytest.raises(ValueError):
-        centralized_solve([flat], [1], [(0.0, 1.0)], 0.5)
+        centralized_solve([flat], 0.5)
 
 
 def test_dynamic_regret_values():
