@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, insort
-
-import numpy as np
+from functools import lru_cache
+from math import fsum
+from operator import mul
 
 COND_LIMIT = 1e12  # largest Gram condition number a fit accepts
 # The load-time probe packs at most this many samples. By eigenvalue
@@ -49,37 +50,188 @@ def aie_shares(sigma, p_tie, d_prime, df, du_cg, pm_cg, correction) -> list:
             for s in sigma]
 
 
-def gaussian_basis(x, xi):
-    """exp(-xi * x^2), the interpolation kernel."""
-    return np.exp(-xi * np.square(x))
+def gaussian_basis(x, xi) -> float:
+    """exp(-xi * x^2), the interpolation kernel, on Python floats: a
+    square past a float's range is a kernel of exactly 0, never an
+    overflow."""
+    return math.exp(-xi * (x * x))
 
 
-def build_gram(sample_df, xi):
-    """Kernel matrix over sample locations; rejects exact duplicates."""
-    xs = np.asarray(sample_df, dtype=float)
-    with np.errstate(over="ignore"):  # see RbfSurrogate.evaluate
-        diff = xs[:, None] - xs[None, :]
-        if (np.abs(diff) + np.eye(len(xs)) == 0).any():
-            raise InfillViolationError("duplicate sample locations")
-        return gaussian_basis(diff, xi)
+def build_gram(sample_df, xi) -> list:
+    """Kernel matrix over sample locations, as rows of floats; rejects
+    exact duplicates."""
+    xs = [float(x) for x in sample_df]
+    if len(set(xs)) < len(xs):
+        raise InfillViolationError("duplicate sample locations")
+    return [[gaussian_basis(a - b, xi) for b in xs] for a in xs]
 
 
-def fit_weights(gram, S):
-    """Solve the interpolation system; fails loudly when near-singular."""
-    gram = np.asarray(gram, dtype=float)
-    cond = np.linalg.cond(gram)
-    if cond > COND_LIMIT:
-        raise IllConditioningError(
-            f"gram condition number {cond:.3e} exceeds {COND_LIMIT:.0e}; "
-            "infill distance too small for this kernel width"
-        )
-    return np.linalg.solve(gram.T, np.asarray(S, dtype=float))
+class Cholesky:
+    """The factor L of a Gram matrix G = L L^T, built row by row.
+
+    Row i of L depends only on rows 0..i of G. So `extend` grows a factor
+    of G's leading rows to all of them, `drop` refactors the rows after a
+    removed sample, and either way the factor holds the bits that factoring
+    the whole of G gives. Every dot product is a `math.fsum` of the rounded
+    products, the same on any platform.
+    """
+
+    def __init__(self) -> None:
+        self.low = []
+
+    def extend(self, gram) -> bool:
+        """Factor the rows of gram past those held; False, with the rows
+        before it kept, at the first pivot that is not positive, where G is
+        not positive definite in floating point."""
+        low = self.low
+        for i in range(len(low), len(gram)):
+            g = gram[i]
+            row = []
+            for j, lj in enumerate(low):
+                row.append((float(g[j]) - fsum(map(mul, row, lj))) / lj[j])
+            pivot = float(g[i]) - fsum(map(mul, row, row))
+            if not pivot > 0.0:
+                return False
+            row.append(math.sqrt(pivot))
+            low.append(row)
+        return True
+
+    def drop(self, k: int, gram) -> None:
+        """Refactor G's rows from k on, once sample k is gone from gram."""
+        del self.low[k:]
+        self.extend(gram)
+
+    def condition_bound(self, gram) -> float:
+        """An upper bound on G's 2-norm condition number: Gershgorin's
+        bound on its largest eigenvalue, the largest absolute row sum,
+        times trace(G^-1) = ||L^-1||_F^2 >= 1/lambda_min. Row i of L^-1 is
+        x_ij = -(sum over j <= k < i of l_ik x_kj) / l_ii, with column j
+        of L^-1 holding x_kj for k = j..i-1."""
+        cols, norms = [], []
+        for i, row in enumerate(self.low):
+            d = row[i]
+            inv = [-fsum(map(mul, row[j:i], col)) / d
+                   for j, col in enumerate(cols)]
+            inv.append(1.0 / d)
+            for col, x in zip(cols, inv):
+                col.append(x)
+            cols.append([inv[-1]])
+            norms.append(fsum(map(mul, inv, inv)))
+        return max(fsum(map(abs, g)) for g in gram) * fsum(norms)
+
+    def _back(self, z) -> list:
+        """x with L^T x = z, by back substitution on the rows held."""
+        low = self.low
+        x = []  # x_n-1 first
+        for i in range(len(z) - 1, -1, -1):
+            below = [row[i] for row in low[:i:-1]]
+            x.append((z[i] - fsum(map(mul, below, x))) / low[i][i])
+        return x[::-1]
+
+    def solve(self, b) -> list:
+        """x with G x = b: L z = b forward, then L^T x = z backward."""
+        z = []
+        for row, v in zip(self.low, b):
+            z.append((float(v) - fsum(map(mul, row, z))) / row[-1])
+        return self._back(z)
 
 
+def condition_number(gram) -> float:
+    """The 2-norm condition number lambda_max / lambda_min of a symmetric
+    matrix given as rows, on Python floats; inf unless every eigenvalue is
+    positive. Householder reduction to tridiagonal form, then bisection on
+    Sturm counts for the two extreme eigenvalues."""
+    a = [[float(v) for v in row] for row in gram]
+    n = len(a)
+    diag, off = [], []
+    for k in range(n - 2):
+        x = [a[i][k] for i in range(k + 1, n)]
+        norm = math.sqrt(fsum(map(mul, x, x)))
+        diag.append(a[k][k])
+        if norm == 0.0:  # the column is already reduced
+            off.append(0.0)
+            continue
+        alpha = -math.copysign(norm, x[0])
+        off.append(alpha)
+        x[0] -= alpha
+        scale = math.sqrt(fsum(map(mul, x, x)))
+        v = [t / scale for t in x]
+        # A <- H A H with H = I - 2 v v^T, on the trailing block
+        block = [a[i][k + 1:] for i in range(k + 1, n)]
+        p = [fsum(map(mul, r, v)) for r in block]
+        kv = fsum(map(mul, v, p))
+        q = [pi - kv * vi for pi, vi in zip(p, v)]
+        for i, (vi, qi) in enumerate(zip(v, q)):
+            r = a[k + 1 + i]
+            r[k + 1:] = [rj - 2.0 * (vi * qj + qi * vj)
+                         for rj, vj, qj in zip(r[k + 1:], v, q)]
+    if n >= 2:
+        diag.append(a[n - 2][n - 2])
+        off.append(a[n - 1][n - 2])
+    if n:
+        diag.append(a[n - 1][n - 1])
+    off2 = [e * e for e in off]
+
+    def below(x) -> int:
+        """How many eigenvalues lie below x (Sturm count)."""
+        count, q = 0, 1.0
+        for i, d in enumerate(diag):
+            q = d - x - (off2[i - 1] / q if i else 0.0)
+            if q == 0.0:
+                q = -sys.float_info.min
+            count += q < 0.0
+        return count
+
+    if not n or below(0.0):
+        return math.inf
+    bounds = [abs(e) for e in off] + [0.0]
+    hi = max(d + b + (bounds[i - 1] if i else 0.0)
+             for i, (d, b) in enumerate(zip(diag, bounds)))
+
+    def eigenvalue(k: int) -> float:
+        """Eigenvalue k, counting up from 0, between 0 and hi."""
+        lo, up = 0.0, hi
+        while True:
+            mid = 0.5 * (lo + up)
+            if not lo < mid < up:
+                return up
+            if below(mid) > k:
+                up = mid
+            else:
+                lo = mid
+
+    smallest = eigenvalue(0)
+    return eigenvalue(n - 1) / smallest if smallest > 0.0 else math.inf
+
+
+def fit_weights(gram, S, factor: Cholesky | None = None) -> list:
+    """Solve the interpolation system gram w = S by Cholesky; fails loudly
+    when near-singular. `factor`, a Cholesky of gram's leading rows that a
+    caller keeps between fits, is extended in place; without one, gram is
+    factored whole. The fit is accepted when its `condition_bound` is
+    within COND_LIMIT, and else on the condition number itself: as the
+    bound is never below the condition number, the verdict is the
+    condition number's."""
+    factor = Cholesky() if factor is None else factor
+    cond = math.inf
+    if factor.extend(gram):
+        cond = factor.condition_bound(gram)
+        if cond > COND_LIMIT:
+            cond = condition_number(gram)
+        if cond <= COND_LIMIT:
+            return factor.solve(S)
+    raise IllConditioningError(
+        f"gram condition number {cond:.3e} exceeds {COND_LIMIT:.0e}; "
+        "infill distance too small for this kernel width"
+    )
+
+
+@lru_cache(maxsize=64)
 def packed_condition(xi, d_min, m) -> float:
     """Condition number of the Gram matrix of m samples spaced d_min apart,
-    the tightest packing the infill rule admits."""
-    return float(np.linalg.cond(build_gram(float(d_min) * np.arange(m), xi)))
+    the tightest packing the infill rule admits. A pure function of its
+    three numbers, so each setting is factored once per process."""
+    return condition_number(build_gram([d_min * k for k in range(m)], xi))
 
 
 class RbfSurrogate:
@@ -89,41 +241,36 @@ class RbfSurrogate:
     1/Hz^2, the infill distance rbf_d_min, Hz, and the sample cap
     rbf_max_samples. Samples are admitted only when at least d_min away
     from every stored location, which keeps the kernel matrix well
-    conditioned. Samples are stored in arrival order. When full, the
-    oldest sample that is not a boundary point (min or max location) is
-    evicted so the covered span is preserved, which takes room for three
-    samples.
+    conditioned. Samples are stored in arrival order, and so are the rows
+    of the Gram matrix and of its Cholesky factor, which each refit extends
+    by the rows it lacks. When full, the oldest sample that is not a
+    boundary point (min or max location) is evicted so the covered span is
+    preserved, which takes room for three samples.
     """
 
     def __init__(self, aie) -> None:
-        self.xi, self.d_min = aie.rbf_xi, aie.rbf_d_min
+        self.xi, self.d_min = float(aie.rbf_xi), float(aie.rbf_d_min)
         self.max_samples = aie.rbf_max_samples
         self.sample_df, self.sample_dP = [], []
         self.weights = None
-        # sample_df as an array, and in ascending order for infill_decide
-        self.locations, self.by_location = np.empty(0), []
-        # on Python floats, so an overflow reads 0.0 and numpy never warns
-        xi, d_min = float(self.xi), float(self.d_min)
-        if math.exp(-xi * d_min * d_min) == 0.0:
+        # sample_df in ascending order, for infill_decide
+        self.by_location = []
+        self.gram, self.factor = [], Cholesky()
+        if gaussian_basis(self.d_min, self.xi) == 0.0:
             raise ValueError(
-                f"rbf_xi {self.xi} with rbf_d_min {self.d_min}: samples "
-                "spaced rbf_d_min apart have no kernel overlap, so the "
-                "surrogate corrects nothing between them"
+                f"rbf_xi {aie.rbf_xi} with rbf_d_min {aie.rbf_d_min}: "
+                "samples spaced rbf_d_min apart have no kernel overlap, so "
+                "the surrogate corrects nothing between them"
             )
         # a probe, not a proof: fit_weights still checks every refit
         m = min(self.max_samples, PROBE_MAX_SAMPLES)
         cond = packed_condition(self.xi, self.d_min, m)
         if not cond <= COND_LIMIT:
             raise ValueError(
-                f"rbf_xi {self.xi} with rbf_d_min {self.d_min}: {m} samples "
-                f"spaced rbf_d_min apart give a gram condition number of "
-                f"{cond:.3e}, above {COND_LIMIT:.0e}"
+                f"rbf_xi {aie.rbf_xi} with rbf_d_min {aie.rbf_d_min}: {m} "
+                f"samples spaced rbf_d_min apart give a gram condition "
+                f"number of {cond:.3e}, above {COND_LIMIT:.0e}"
             )
-        # d^2 and xi * d^2 are finite for |d| <= radius, with room for
-        # rounding: a df within reach, radius less the largest |sample|,
-        # overflows nothing in evaluate
-        self.radius = math.sqrt(sys.float_info.max / max(xi, 1.0)) / 2
-        self.reach = self.radius
 
     @property
     def m(self) -> int:
@@ -150,35 +297,39 @@ class RbfSurrogate:
         if self.m >= self.max_samples:
             self._evict()
         df = float(df)
+        # the new Gram row and column, one kernel each (x - df is -(df - x)
+        # exactly, so the matrix is symmetric bit for bit)
+        row = [gaussian_basis(df - x, self.xi) for x in self.sample_df]
+        for g, k in zip(self.gram, row):
+            g.append(k)
+        row.append(1.0)
+        self.gram.append(row)
         self.sample_df.append(df)
         self.sample_dP.append(float(dP))
-        xs = self.by_location
-        insort(xs, df)
-        self.locations = np.array(self.sample_df)
-        self.reach = self.radius - max(-xs[0], xs[-1])
+        insort(self.by_location, df)
         self.refit()
 
     def _evict(self) -> None:
-        lo = int(np.argmin(self.locations))
-        hi = int(np.argmax(self.locations))
-        victim = next(i for i in range(self.m) if i not in (lo, hi))
+        ends = self.by_location[0], self.by_location[-1]
+        victim = next(i for i, x in enumerate(self.sample_df)
+                      if x not in ends)
         self.by_location.remove(self.sample_df[victim])
-        for seq in (self.sample_df, self.sample_dP):
+        for seq in (self.sample_df, self.sample_dP, self.gram):
             seq.pop(victim)
+        for g in self.gram:
+            del g[victim]
+        self.factor.drop(victim, self.gram)
 
     def refit(self) -> None:
-        gram = build_gram(self.locations, self.xi)
-        self.weights = fit_weights(gram, self.sample_dP)
+        self.weights = fit_weights(self.gram, self.sample_dP, self.factor)
 
     def evaluate(self, df):
-        """Interpolated frequency-responsive correction at df (0 when empty)."""
-        if not self.sample_df:
-            return 0.0
-        if abs(df) <= self.reach:  # nothing overflows (see __init__)
-            return float(gaussian_basis(df - self.locations, self.xi)
-                         @ self.weights)
-        # a distance or its square past a float's range is a kernel of
-        # exactly 0, its limit: a diverging plant's df is no warning here
-        with np.errstate(over="ignore"):
-            basis = gaussian_basis(df - self.locations, self.xi)
-        return float(basis @ self.weights)
+        """Interpolated frequency-responsive correction at df (0 when
+        empty): the weighted kernels summed in sample order."""
+        xi, total = self.xi, 0.0
+        # gaussian_basis, inline: a call per kernel makes a 24-sample
+        # evaluation about a quarter slower, and it runs every interval
+        for x, w in zip(self.sample_df, self.weights or ()):
+            d = df - x
+            total += w * math.exp(-xi * (d * d))
+        return total

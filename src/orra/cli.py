@@ -16,30 +16,30 @@ from .bess import SocViolationError
 from .grid import GridInstabilityError
 from .scenario import (ConfigError, FleetConfig, ScenarioConfig,
                        run_scenario, verify_trace)
-from .studies import (
-    export_ablation_curves,
-    export_fluctuation_curves,
-    export_step_event_curves,
-    nadir,
-    run_ablation,
-    run_regret_study,
-    settle_time,
-)
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
 def cmd_run(args) -> int:
+    # the studies are imported by the commands that use them, and read the
+    # record's columns as floats: neither run nor validate loads numpy
+    from .studies import nadir, settle_time
+
     config = ScenarioConfig.from_json(args.config)
     result = run_scenario(config, out_dir=args.out, oracle_every=args.oracle)
+    (time,), (df1, _), (p_bess,) = (result.columns(name)
+                                    for name in ("time", "df", "p_bess"))
     print(f"trace: {result.trace_path}")
     print(
-        f"nadir {nadir(result.df[:, 0]):+.4f} Hz; "
-        f"settle {settle_time(result.time, result.df[:, 0]):.1f} s; "
-        f"final fleet power {result.p_bess[-1]:+.4f} MW"
+        f"nadir {nadir(df1):+.4f} Hz; "
+        f"settle {settle_time(time, df1):.1f} s; "
+        f"final fleet power {p_bess[-1]:+.4f} MW"
     )
     if args.curves:
+        from .studies import (export_fluctuation_curves,
+                              export_step_event_curves)
+
         if config.kind == "step":
             paths = export_step_event_curves(result, args.out)
         else:
@@ -50,6 +50,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_ablation(args) -> int:
+    from .studies import export_ablation_curves, run_ablation
+
     config = ScenarioConfig.from_json(args.config)
     results, summaries = run_ablation(config, out_dir=args.out)
     for s in summaries:
@@ -66,6 +68,8 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_regret(args) -> int:
+    from .studies import export_step_event_curves, run_regret_study
+
     config = ScenarioConfig.from_json(args.config)
     result, report = run_regret_study(
         config, args.horizons, out_dir=args.out

@@ -8,8 +8,6 @@ contracts every agent's value toward the network average.
 """
 from __future__ import annotations
 
-import numpy as np
-
 DEFAULT_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3))
 
 
@@ -26,10 +24,12 @@ def default_edges(n: int = 5) -> tuple:
     return tuple((i, (i + 1) % n) for i in range(n)) if n > 1 else ()
 
 
-def metropolis_weights(n: int, edges) -> np.ndarray:
-    """Metropolis-Hastings weight matrix of the graph on vertices 0..n-1.
+def metropolis_weights(n: int, edges) -> list:
+    """Metropolis-Hastings weight matrix of the graph on vertices 0..n-1,
+    as n rows of n floats.
 
-    w_ij = 1 / (1 + max(deg_i, deg_j)) on edges, w_ii absorbs the remainder.
+    w_ij = 1 / (1 + max(deg_i, deg_j)) on edges, w_ii absorbs the remainder:
+    1.0 less the row's off-diagonal weights summed in column order.
     An edge may be listed more than once, in either order. Raises
     TopologyError at the first self loop or out-of-range edge, and then when
     the graph is disconnected.
@@ -50,10 +50,13 @@ def metropolis_weights(n: int, edges) -> np.ndarray:
             frontier.append(j)
     if len(reached) < n:
         raise TopologyError("graph is disconnected")
-    w = np.zeros((n, n))
+    w = [[0.0] * n for _ in range(n)]
     for i, near in enumerate(adj):
+        row = w[i]
         for j in near:
-            w[i, j] = 1.0 / (1.0 + max(len(near), len(adj[j])))
-    for i in range(n):
-        w[i, i] = 1.0 - w[i].sum()
+            row[j] = 1.0 / (1.0 + max(len(near), len(adj[j])))
+        total = 0.0
+        for v in row:
+            total += v
+        row[i] = 1.0 - total
     return w

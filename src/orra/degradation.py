@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 HOURS_PER_SECOND = 1.0 / 3600.0
 
 
@@ -130,7 +128,10 @@ def cost_terms(capacity, eta_c, eta_d, theta_a, theta_b, tau) -> CostTerms:
 
 
 def total_loss(events) -> float:
-    """Summed lifetime loss of a collection of cycle events."""
-    depths = np.array([e.depth for e in events])
-    counts = np.array([e.n_cyc for e in events])
-    return float(((counts / 2.0) * AGING.a * depths**AGING.b).sum())
+    """Summed lifetime loss of a collection of cycle events, added one by
+    one from 0.0 in event order."""
+    a, b = AGING
+    total = 0.0
+    for depth, n_cyc in events:
+        total += n_cyc / 2.0 * a * depth**b
+    return total

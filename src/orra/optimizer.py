@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
 
 def check_schedule(o) -> None:
     """Refuse the exponents of optimizer config section `o` outside the
@@ -47,20 +45,44 @@ def schedule_step(t: int, df: float, o):
 @dataclass
 class OrraOptimizer:
     """Stateful wrapper: schedule, dual clipping, and per-iteration logs,
-    with the gains, stage cap and gamma of optimizer config `config`."""
+    with the gains, stage cap and gamma of optimizer config `config`.
 
-    weights: np.ndarray
+    `weights` holds the mixing weights as rows. Agent i mixes a vector over
+    itself and its neighbours, the j with a nonzero w_ij, in one fixed
+    order: w_ii * x_i first, then each neighbour's term in ascending j,
+    summed one by one (Metropolis averaging, Xiao & Boyd 2004).
+    """
+
+    weights: list
     config: object
 
     def __post_init__(self):
         check_schedule(self.config)
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.lam = [0.0] * self.weights.shape[0]
+        self.weights = [[float(w) for w in row] for row in self.weights]
+        self.mix = [
+            (row[i], tuple((j, w) for j, w in enumerate(row)
+                           if w != 0.0 and j != i))
+            for i, row in enumerate(self.weights)
+        ]
+        self.lam = [0.0] * len(self.weights)
         self.y = None
         self.h_prev = None
         self.t = 0
         self.b_y = 0.0
         self.stage = 0
+
+    def mixed(self, lam, y) -> tuple:
+        """Each agent's mix of the duals lam and of the trackers y over
+        itself and its neighbours."""
+        lam_mixed, y_mixed = [], []
+        for (w_ii, near), lam_i, y_i in zip(self.mix, lam, y):
+            total_lam, total_y = w_ii * lam_i, w_ii * y_i
+            for j, w in near:
+                total_lam += w * lam[j]
+                total_y += w * y[j]
+            lam_mixed.append(total_lam)
+            y_mixed.append(total_y)
+        return lam_mixed, y_mixed
 
     def iterate(self, u, plans, aie_shares, df, soc, row):
         """Advance every agent one control interval; returns (u_next, info).
@@ -99,11 +121,7 @@ class OrraOptimizer:
                         for v in self.lam]
         bound = o.gamma * self.b_y * kappa / eps
 
-        # numpy's matrix product, not a Python sum: the two round
-        # differently, and the product is what the trace was pinned with.
-        # ndarray.dot takes the same BLAS product as @, with less dispatch
-        lam_mixed = self.weights.dot(self.lam).tolist()
-        y_mixed = self.weights.dot(self.y).tolist()
+        lam_mixed, y_mixed = self.mixed(self.lam, self.y)
         leak, gk, b_y = 1.0 - eps, o.gamma * kappa, self.b_y
         f_dist = p_bess = 0.0
         u_next, s, lam_next, h_new, y_next, interior = [], [], [], [], [], []

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from math import fsum
+from numbers import Real
 
 
 class IncompleteTraceError(ValueError):
@@ -161,9 +161,8 @@ def centralized_solve(
 
 
 def dynamic_regret(dist_costs, oracle_costs, T=None) -> float:
-    """Cumulative cost gap of the online trajectory against the oracle."""
-    dist_costs = np.asarray(dist_costs, dtype=float)
-    oracle_costs = np.asarray(oracle_costs, dtype=float)
+    """Cumulative cost gap of the online trajectory against the oracle,
+    on Python floats (one correctly rounded sum)."""
     if T is None:
         T = len(dist_costs)
     if len(dist_costs) < T or len(oracle_costs) < T:
@@ -171,27 +170,43 @@ def dynamic_regret(dist_costs, oracle_costs, T=None) -> float:
             f"need {T} logged steps, have {len(dist_costs)} distributed "
             f"and {len(oracle_costs)} oracle entries"
         )
-    window = slice(0, T)
-    if not (
-        np.isfinite(dist_costs[window]).all()
-        and np.isfinite(oracle_costs[window]).all()
-    ):
+    gaps = [float(d) - float(o)
+            for d, o in zip(dist_costs[:T], oracle_costs[:T])]
+    if not all(map(math.isfinite, gaps)):
         raise IncompleteTraceError("non-finite cost entries in the window")
-    return float((dist_costs[window] - oracle_costs[window]).sum())
+    return fsum(gaps)
 
 
-def _stacked_norms(x):
-    """Euclidean norm over all agents (and coordinates) per time row."""
-    flat = x.reshape(x.shape[0], -1)
-    return np.linalg.norm(flat, axis=1)
+def _flat(row) -> list:
+    """One logged row, one entry per agent, each a number or that agent's
+    (d, c) pair, as one list of floats: all agents, and each agent's
+    coordinates, in order."""
+    return [float(v) for entry in row
+            for v in ((entry,) if isinstance(entry, Real) else entry)]
+
+
+def _sq(x) -> float:
+    """The squared Euclidean norm of a flat row."""
+    return fsum(v * v for v in x)
+
+
+def _norm(x) -> float:
+    return math.sqrt(_sq(x))
+
+
+def _minus(x, y) -> list:
+    return [a - b for a, b in zip(x, y)]
 
 
 def _telescoped_distance(u, u_star, kappa) -> float:
     """Sum over rows t < T of (|u_t - u*_t|^2 - |u_{t+1} - u*_t|^2) /
-    (2 kappa_t), the primal-distance term both certificates bound."""
-    du = _stacked_norms(u[:-1] - u_star[:-1]) ** 2
-    du_next = _stacked_norms(u[1:] - u_star[:-1]) ** 2
-    return float(((du - du_next) / (2 * kappa[:-1])).sum())
+    (2 kappa_t), the primal-distance term both certificates bound; each
+    argument holds flat rows."""
+    return fsum(
+        (_sq(_minus(u[t], u_star[t])) - _sq(_minus(u[t + 1], u_star[t])))
+        / (2 * kappa[t])
+        for t in range(len(u) - 1)
+    )
 
 
 @dataclass
@@ -221,66 +236,62 @@ def lemma1_check(
     Row layout: index r holds iteration r quantities; rows 0..T-1 form the
     summed window and row T supplies the (t+1) lookaheads. The second term
     uses the 1/(2*gamma*kappa_t) factor the telescoping derivation yields.
+    Each argument is a sequence of rows (lists or arrays), one entry per
+    agent (a number or a (d, c) pair); every sum is on Python floats.
     """
-    u = np.asarray(u, dtype=float)
-    u_star = np.asarray(u_star, dtype=float)
-    s = np.asarray(s, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    lam_mixed = np.asarray(lam_mixed, dtype=float)
-    y = np.asarray(y, dtype=float)
-    y_mixed = np.asarray(y_mixed, dtype=float)
-    kappa = np.asarray(kappa, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    T = u.shape[0] - 1
+    u, u_star, s, lam, lam_mixed, y, y_mixed = (
+        [_flat(row) for row in x]
+        for x in (u, u_star, s, lam, lam_mixed, y, y_mixed)
+    )
+    kappa = [float(k) for k in kappa]
+    eps = [float(e) for e in eps]
+    T = len(u) - 1
     if T < 1:
         raise ValueError("need at least two logged rows")
-    n = u.shape[1]
+    n = len(lam[0])
 
-    lam_bar = lam.mean(axis=1, keepdims=True) * np.ones((1, n))
-    y_bar = y.mean(axis=1, keepdims=True) * np.ones((1, n))
+    # each row's network average, one entry per agent
+    lam_bar = [[fsum(row) / n] * n for row in lam]
+    y_bar = [[fsum(row) / n] * n for row in y]
+    window = range(T)
 
     t1 = _telescoped_distance(u, u_star, kappa)
-
-    nl = _stacked_norms(lam_bar) ** 2
-    t2 = float(((nl[:-1] - nl[1:]) / (2 * gamma * kappa[:-1])).sum())
-
-    t3 = float((kappa[:-1] / 2 * _stacked_norms(s[:-1]) ** 2).sum())
-
-    drift = gamma * kappa[:-1, None] * y_mixed[:-1] - eps[:-1, None] * lam_bar[:-1]
-    t4 = float((_stacked_norms(drift) ** 2 / (2 * gamma * kappa[:-1])).sum())
-
-    t5 = float(
-        (
-            _stacked_norms(lam_bar[:-1])
-            * _stacked_norms(y_mixed[:-1] - y_bar[:-1])
-        ).sum()
+    nl = [_sq(row) for row in lam_bar]
+    t2 = fsum((nl[t] - nl[t + 1]) / (2 * gamma * kappa[t]) for t in window)
+    t3 = fsum(kappa[t] / 2 * _sq(s[t]) for t in window)
+    t4 = fsum(
+        _sq([gamma * kappa[t] * ym - eps[t] * lb
+             for ym, lb in zip(y_mixed[t], lam_bar[t])])
+        / (2 * gamma * kappa[t])
+        for t in window
     )
-    t6 = float(
-        (
-            2
-            * _stacked_norms(u[:-1])
-            * _stacked_norms(lam_mixed[:-1] - lam_bar[:-1])
-        ).sum()
-    )
+    t5 = fsum(math.sqrt(nl[t]) * _norm(_minus(y_mixed[t], y_bar[t]))
+              for t in window)
+    t6 = fsum(2 * _norm(u[t]) * _norm(_minus(lam_mixed[t], lam_bar[t]))
+              for t in window)
 
     lhs = dynamic_regret(dist_costs, oracle_costs, T)
-    rhs = t1 + t2 + t3 + t4 + t5 + t6
-    return BoundCheck(lhs, rhs, lhs <= rhs + CERT_TOL, (t1, t2, t3, t4, t5, t6))
+    terms = (t1, t2, t3, t4, t5, t6)
+    rhs = fsum(terms)
+    return BoundCheck(lhs, rhs, lhs <= rhs + CERT_TOL, terms)
 
 
 def lemma2_check(u, u_star, kappa, B_u) -> BoundCheck:
-    """Check the telescoped primal-distance sum against its path bound."""
-    u = np.asarray(u, dtype=float)
-    u_star = np.asarray(u_star, dtype=float)
-    kappa = np.asarray(kappa, dtype=float)
-    T = u.shape[0] - 1
+    """Check the telescoped primal-distance sum against its path bound.
+
+    u and u_star are sequences of rows, one entry per agent (a number or a
+    (d, c) pair); every sum is on Python floats."""
+    n = len(u[0])
+    u, u_star = [_flat(row) for row in u], [_flat(row) for row in u_star]
+    kappa = [float(k) for k in kappa]
+    T = len(u) - 1
     if T < 1:
         raise ValueError("need at least two logged rows")
-    if (np.diff(kappa[: T + 1][:-1]) > 1e-12).any():
+    if any(kappa[t + 1] - kappa[t] > 1e-12 for t in range(T - 1)):
         raise ValueError("stepsizes must be non-increasing over the window")
-    n = u.shape[1]
     s_T = _telescoped_distance(u, u_star, kappa)
-    v_T = float((_stacked_norms(u_star[1:] - u_star[:-1]) / kappa[:-1]).sum())
+    v_T = fsum(_norm(_minus(u_star[t + 1], u_star[t])) / kappa[t]
+               for t in range(T))
     bound = 2 * n * B_u**2 / kappa[T - 1] + 2 * n * B_u * v_T
     return BoundCheck(s_T, bound, s_T <= bound + CERT_TOL, (v_T,))
 
@@ -295,19 +306,23 @@ class SlopeFit:
 
 
 def regret_slope(horizons, reg_values) -> SlopeFit:
-    """Least-squares exponent of regret growth on log axes.
+    """Least-squares exponent of regret growth on log axes, in closed form:
+    the covariance of log T and log R over the variance of log T.
 
     Nonpositive regret values are excluded (and reported); the decade-span
     flag records whether the usable points justify a sublinearity verdict.
     """
-    horizons = np.asarray(horizons, dtype=float)
-    reg_values = np.asarray(reg_values, dtype=float)
-    keep = reg_values > 0
-    excluded = tuple(int(h) for h in horizons[~keep])
-    ts = horizons[keep]
-    rs = reg_values[keep]
+    pairs = [(float(h), float(r)) for h, r in zip(horizons, reg_values)]
+    excluded = tuple(int(h) for h, r in pairs if not r > 0)
+    ts = [h for h, r in pairs if r > 0]
+    rs = [r for _, r in pairs if r > 0]
     if len(ts) < 2:
         raise ValueError("need at least two positive regret points to fit")
-    slope = float(np.polyfit(np.log(ts), np.log(rs), 1)[0])
-    spans_decade = bool(ts.max() / ts.min() >= 10.0 and len(ts) >= 4)
+    xs, ys = [math.log(t) for t in ts], [math.log(r) for r in rs]
+    mx, my = fsum(xs) / len(xs), fsum(ys) / len(ys)
+    sxx = fsum((x - mx) ** 2 for x in xs)
+    if not sxx > 0:
+        raise ValueError("need at least two distinct horizons to fit")
+    slope = fsum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+    spans_decade = max(ts) / min(ts) >= 10.0 and len(ts) >= 4
     return SlopeFit(slope, len(ts), spans_decade, slope < 1.0, excluded)

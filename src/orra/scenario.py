@@ -17,14 +17,14 @@ from __future__ import annotations
 import json
 import mmap
 import os
+import struct
 import sys
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field, fields
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
-
-import numpy as np
 
 from .aie import RbfSurrogate, aie_shares, compute_ace
 from .bess import Fleet, check_soc_box
@@ -459,21 +459,32 @@ class OptimizerLog(Sequence):
                 for key, col in self._columns}
 
 
+# the numpy views of a RunResult, built together on first access
+VIEWS = frozenset(["table", "s", "interior", "f_oracle", "u_star", "infos",
+                   *(f.source for f in TRACE_SPEC)])
+
+
 class RunResult:
     """One scenario run, recorded in place one control interval per row.
 
-    `table` (T, W) holds the whole record as floats, in anonymous shared
-    memory, so a forked process can record the run. Its leading columns
-    are the trace's, in `trace_columns` order; then come the untraced `s`,
-    the optimizer's saddle direction, and `interior`, 1 where dispatch sits
+    The record is one (rows, width) table of floats in anonymous shared
+    memory, so a forked process can record the run; `ScenarioRunner.step`
+    fills a row with `pack_row`, and the trace writer reads `cells`, the
+    table's flat memoryview, row after row. Its leading columns are the
+    trace's, in `trace_columns` order; then come the untraced `s`, the
+    optimizer's saddle direction, and `interior`, 1 where dispatch sits
     strictly inside its mode box, each agent by agent; then, when the
-    reference is solved, `f_oracle` and `u_star`, its solution. Each
-    TRACE_SPEC field is an array named by its source (`marginals` is the
-    active-coordinate cost slope at the applied u) that views its columns
-    of the table, as do `s`, `interior`, `f_oracle` and `u_star`, the
+    reference is solved, `f_oracle` and `u_star`, its solution.
+    `columns(name)` reads a group as Python floats.
+
+    The first read of `table` or of a named array imports numpy and builds
+    them all as views of the one table: each TRACE_SPEC field is an array
+    named by its source (`marginals` is the active-coordinate cost slope at
+    the applied u), as are `s`, `interior`, `f_oracle` and `u_star`, the
     int and bool fields among them as whole-number floats. `infos` reads
     the optimizer log back from those views as one dict per interval when
-    the fleet takes part.
+    the fleet takes part. Without the reference, `f_oracle` and `u_star`
+    are None.
     """
 
     def __init__(self, config: ScenarioConfig, fleet: Fleet, surrogate,
@@ -487,22 +498,59 @@ class RunResult:
         # anonymous shared memory, zero-filled: a process forked after this
         # writes its rows where this one reads them
         try:
-            shared = mmap.mmap(-1, rows * width * 8)
+            self.shared = mmap.mmap(-1, rows * width * 8)
         except (OverflowError, OSError) as err:
             raise ConfigError(f"cannot hold the record of {rows:.3g} "
                               f"control intervals: {err}") from err
-        self.table = np.frombuffer(shared, dtype=float).reshape(rows, width)
-        for f in TRACE_SPEC:
-            cols = self.table[:, where[f.column]]
-            setattr(self, f.source, cols if f.per else cols[:, 0])
-        self.s = self.table[:, w:w + 2 * n].reshape(rows, n, 2)
-        self.interior = self.table[:, w + 2 * n:w + 3 * n]
-        reference = self.table[:, w + 3 * n:]
-        self.f_oracle = reference[:, 0] if oracle else None
-        self.u_star = reference[:, 1:].reshape(rows, n, 2) if oracle else None
-        self.infos = OptimizerLog(self)
+        self.cells = memoryview(self.shared).cast("d")
+        self.rows, self.width, self.oracle = rows, width, oracle
+        # packs one whole row of floats (ints and bools as their values)
+        # into the table at a byte offset
+        self.pack_row = struct.Struct(f"{width}d").pack_into
+        # each group's table columns; s and u_star hold (d, c) per agent
+        self.layout = {f.source: range(*where[f.column].indices(w))
+                       for f in TRACE_SPEC}
+        self.layout["s"] = range(w, w + 2 * n)
+        self.layout["interior"] = range(w + 2 * n, w + 3 * n)
+        if oracle:
+            self.layout["f_oracle"] = range(w + 3 * n, w + 3 * n + 1)
+            self.layout["u_star"] = range(w + 3 * n + 1, width)
+        else:
+            self.f_oracle = self.u_star = None
         self.trace_path = None
         self.oracle_clamped = 0
+
+    def columns(self, name: str) -> list:
+        """The columns of group `name`, each a list of Python floats."""
+        return [self.cells[k::self.width].tolist() for k in self.layout[name]]
+
+    def __getattr__(self, name):
+        # called only for an attribute not yet set: the views
+        if name not in VIEWS:
+            raise AttributeError(name)
+        self._build_views()
+        return self.__dict__[name]
+
+    def _build_views(self) -> None:
+        import numpy as np
+
+        rows, n = self.rows, self.config.fleet.n
+        self.table = table = np.frombuffer(self.shared, dtype=float).reshape(
+            rows, self.width)
+
+        def view(name):
+            cols = self.layout[name]
+            return table[:, cols.start:cols.stop:cols.step]
+
+        for f in TRACE_SPEC:
+            setattr(self, f.source, view(f.source) if f.per
+                    else view(f.source)[:, 0])
+        self.s = view("s").reshape(rows, n, 2)
+        self.interior = view("interior")
+        if self.oracle:
+            self.f_oracle = view("f_oracle")[:, 0]
+            self.u_star = view("u_star").reshape(rows, n, 2)
+        self.infos = OptimizerLog(self)
 
     @property
     def stages(self) -> list:
@@ -510,8 +558,8 @@ class RunResult:
         stages; none when the fleet sits out."""
         if not self.config.bess_enabled:
             return []
-        ids = self.stage
-        starts = [0] + (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist()
+        ids = self.columns("stage")[0]
+        starts = [0] + [k for k in range(1, len(ids)) if ids[k] != ids[k - 1]]
         ends = starts[1:] + [len(ids)]
         return [(int(ids[lo]), lo, hi) for lo, hi in zip(starts, ends)]
 
@@ -597,21 +645,21 @@ class ScenarioRunner:
         for u, p in zip(plant.du_gov[0], p_m):
             du_cg += u
             pm_cg += p
-        if cfg.signal == "AIE":
+        aie = cfg.signal == "AIE"
+        if aie:
             if self.surrogate.infill_decide(df1):
                 # responsive loads report in load convention: an injection
                 # shows up as a negative load deviation
                 self.surrogate.add_sample(df1, -responsive_load(df1, cfg.grid))
             shares = aie_shares(self.sigma, p_tie, self.d_prime, df1,
                                 du_cg, pm_cg, self.surrogate.evaluate(df1))
-            agc1 = 0.0  # sequential, like the generator sums above
-            for a in shares:
-                agc1 += a
-            self.agc1 = agc1
         else:
             ace = compute_ace(p_tie, self.bias, df1)
             shares = [s * ace for s in self.sigma]
-            self.agc1 = float(ace)
+        total = 0.0  # sequential, like the generator sums above
+        for a in shares:
+            total += a
+        self.agc1 = total if aie else float(ace)
 
         # row k describes the interval starting at this boundary: the state
         # just sampled plus the dispatch that covers [t, t+tau), its cells
@@ -620,13 +668,15 @@ class ScenarioRunner:
         row = [t0 + tau, df1, df2, p_tie, self.disturbance(t0 + tau), 0.0,
                pm_cg, *p_m, self.agc1,
                0 if self.surrogate is None else self.surrogate.m]
-        table = self.result.table
+        rec = self.result
+        at = 8 * k * rec.width  # the row's byte offset
         if not enabled:
             # a fleet that sits out leaves its columns at zero
             for share, soc_i in zip(shares, self.fleet.soc):
                 row += (share, 0.0, 0.0, 0.0, soc_i, 0.0, 0.0, 0.0, 0.0, 0.0,
                         0.0)
-            table[k, :len(row)] = row
+            row += [0.0] * (rec.width - len(row))
+            rec.pack_row(rec.shared, at, *row)
             return
 
         # book the pending decision, then plan the coming interval
@@ -635,19 +685,21 @@ class ScenarioRunner:
             self.u, plans, shares, df1, self.fleet.soc, row)
         row[5] = self.p_bess = info["p_bess"]
         if self.oracle_every:
-            sol = centralized_solve(plans, -float(np.sum(shares)),
-                                    nu_hint=self.nu_hint)
+            sol = centralized_solve(plans, -total, nu_hint=self.nu_hint)
             self.nu_hint = sol.nu
-            row.append(sum(m.value(d, c) for m, (d, c) in zip(plans, sol.u)))
+            f_oracle = 0.0
+            for m, (d, c) in zip(plans, sol.u):
+                f_oracle += m.value(d, c)
+            row.append(f_oracle)
             row += chain.from_iterable(sol.u)
-            self.result.oracle_clamped += int(sol.clamped)
-        table[k] = row
+            rec.oracle_clamped += int(sol.clamped)
+        rec.pack_row(rec.shared, at, *row)
 
     def run(self, out_dir: str | None = None, write_trace: bool = True):
         # an unusable output directory fails here, before the first step
         out = resolve_out_dir(out_dir) if write_trace else None
         rec = self.result
-        for k in range(len(rec.time)):
+        for k in range(rec.rows):
             self.step(k)
         if write_trace:
             rec.trace_path = write_trace_csv(rec, out)
@@ -669,25 +721,38 @@ def write_trace_csv(result: RunResult, out_dir: str) -> str:
     cfg = result.config
     header, _ = trace_columns(cfg.fleet.n, len(cfg.grid.inv_droops))
     path = os.path.join(out_dir, f"{cfg.name}.csv")
-    table = result.table[:, :len(header)]
-    bits = table.view(np.uint64)
-    varying = [j for j in range(len(header))
-               if (bits[:, j] != bits[0, j]).any()]
-    cells = ["%.12g" % v for v in table[0].tolist()]
+    cells, width, w = result.cells, result.width, len(header)
+    bits = cells.cast("B").cast("Q")
+    varying = []
+    for j in range(w):
+        column = bits[j::width].tobytes()
+        if column != column[:8] * result.rows:
+            varying.append(j)
+    line = ["%.12g" % v for v in cells[:w].tolist()]
     for j in varying:
-        cells[j] = "%.12g"
-    row = ",".join(cells) + "\n"
+        line[j] = "%.12g"
+    line = ",".join(line) + "\n"
+
+    def block(rows: int):
+        """Formats the `rows` rows that start at a cell offset, in one
+        `%` of the block's varying cells."""
+        cut = rows * width
+        picks = [r * width + j for r in range(rows) for j in varying]
+        pick = (itemgetter(*picks) if len(picks) > 1
+                else lambda values: tuple(values[k] for k in picks))
+        text = line * rows
+        return lambda at: text % pick(cells[at:at + cut].tolist())
+
+    full, rest = divmod(result.rows, TRACE_BLOCK)
+    step = TRACE_BLOCK * width
     with open(path, "w") as fh:
         fh.write(f"# schema: {TRACE_SCHEMA}\n" + ",".join(header) + "\n")
-        for lo in range(0, len(table), TRACE_BLOCK):
-            block = table[lo:lo + TRACE_BLOCK, varying].tolist()
-            fh.writelines(row % tuple(r) for r in block)
+        fh.writelines(map(block(TRACE_BLOCK), range(0, full * step, step)))
+        if rest:
+            fh.write(block(rest)(full * step))
     return path
 
 
-# arithmetic on an infinite or huge cell (inf - inf, a step past a float's
-# range) gives a NaN or inf that a check reports: numpy need not warn
-@np.errstate(invalid="ignore", over="ignore")
 def verify_trace(path: str, soc_min: float = FleetConfig.soc_min,
                  soc_max: float = FleetConfig.soc_max) -> dict:
     """Check a written trace against the row-level invariants.
@@ -708,105 +773,112 @@ def verify_trace(path: str, soc_min: float = FleetConfig.soc_min,
         check_soc_box(soc_min, soc_max)
     except ValueError as err:
         raise ConfigError(f"SoC box [{soc_min}, {soc_max}]: {err}") from err
-    report = {"trace": path, "rows": 0, "checks": {}, "passed": True}
+    import numpy as np  # a run never reads its trace back as an array
 
-    def record(name, ok, detail=""):
-        report["checks"][name] = {"ok": bool(ok), "detail": detail}
-        if not ok:
-            report["passed"] = False
+    # arithmetic on an infinite or huge cell (inf - inf, a step past a
+    # float's range) gives a NaN or inf that a check reports: numpy need
+    # not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        report = {"trace": path, "rows": 0, "checks": {}, "passed": True}
 
-    try:
-        with open(path) as fh:
-            schema, header = fh.readline(), fh.readline()
-            if not header:
-                raise ValueError("no schema and header lines")
-            schema = schema.rstrip("\n")
-            header = header.rstrip("\n").split(",")
-            # an empty body is reported as no rows below, not warned about
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if data.size and data.shape[1] != len(header):
-            raise ValueError(f"{data.shape[1]} cells a row, {len(header)} names")
-    except ValueError as err:
-        record("parse", False, str(err))
+        def record(name, ok, detail=""):
+            report["checks"][name] = {"ok": bool(ok), "detail": detail}
+            if not ok:
+                report["passed"] = False
+
+        try:
+            with open(path) as fh:
+                schema, header = fh.readline(), fh.readline()
+                if not header:
+                    raise ValueError("no schema and header lines")
+                schema = schema.rstrip("\n")
+                header = header.rstrip("\n").split(",")
+                # an empty body is reported as no rows below, not warned about
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if data.size and data.shape[1] != len(header):
+                raise ValueError(
+                    f"{data.shape[1]} cells a row, {len(header)} names")
+        except ValueError as err:
+            record("parse", False, str(err))
+            return report
+        record("parse", True)
+        report["rows"] = len(data)
+        record("schema", schema == f"# schema: {TRACE_SCHEMA}", schema)
+        n = sum(1 for c in header if c.startswith("soc_"))
+        n_cg = sum(1 for c in header if c.startswith("p_m_cg"))
+        expected, where = trace_columns(n, n_cg)
+        record(
+            "columns",
+            header == expected and n > 0,  # every config has a fleet
+            f"{len(header)} columns, {n} agents, {n_cg} generators",
+        )
+        if not report["checks"]["columns"]["ok"] or not len(data):
+            record("rows_present", bool(len(data)))
+            return report
+        col = lambda stem: data[:, where[stem]]
+
+        def holds(name, ok, detail=""):
+            """Record whether the (T,) or (T, m) mask ok holds in every row; a
+            failure names the first row where it does not."""
+            bad = np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1))
+            record(name, bad.size == 0,
+                   f"first violation at row {bad[0]}" if bad.size else detail)
+
+        # each row against the one before it; the first has none
+        first = np.ones(1, dtype=bool)
+        holds("finite", np.isfinite(data))
+        # each time step against the trace's typical one, the median of its
+        # finite steps, so a bad first step is named at row 1 and a NaN time
+        # moves no reference: the middle value or the mean of the two, as
+        # np.median takes it, without its import of numpy.ma
+        steps = np.diff(col("time")[:, 0])
+        finite = steps[np.isfinite(steps)]
+        n, half = finite.size, finite.size // 2
+        part = np.partition(finite, (half - 1, half)) if n > 1 else finite
+        typical = (part[half] if n % 2 else (part[half - 1] + part[half]) / 2
+                   if n else np.nan)
+        holds("uniform_time",
+              np.concatenate([first, (steps > 0) & np.isclose(
+                  steps, typical, rtol=0, atol=1e-9)]),
+              f"step {typical:.6g} s" if steps.size else "single row")
+        soc = col("soc")
+        holds("soc_bounds", ~((soc < soc_min - 1e-9) | (soc > soc_max + 1e-9)))
+        d, c, aie = col("d"), col("c"), col("aie")
+        holds("one_sided_dispatch", ~((d > 0) & (c > 0)))
+        holds("mode_codes", np.isin(col("mode"), (0.0, 1.0)))
+        lam = np.abs(col("lam")).max(axis=1)
+        bound = col("dual_bound")[:, 0]
+        active = bound > 0
+        holds("multiplier_bound", ~active | (lam <= bound + 1e-9),
+              f"{int(active.sum())} bounded rows")
+
+        # the trace's own accounting: each total against its parts in the same
+        # row. %.12g moves a cell by at most 5e-12 of its magnitude, so a total
+        # and its parts, each printed, differ by at most 5e-12 of their summed
+        # magnitudes; twice that leaves room for the sums' own rounding
+        def balanced(name, total, parts):
+            gap = np.abs(total - parts.sum(axis=-1))
+            holds(name, gap <= TRACE_RTOL * (np.abs(total)
+                                             + np.abs(parts).sum(axis=-1)))
+
+        balanced("p_bess_sum", col("p_bess")[:, 0], np.hstack([d, -c]))
+        balanced("p_m_total_sum", col("p_m_total")[:, 0], col("p_m_cg"))
+        balanced("signal_total_sum", col("signal_total")[:, 0], aie)
+        if not (d.any() or c.any() or col("lam").any()):
+            # the fleet sat out: its optimizer columns hold zeros
+            for name in ("h_balance", "stage_count", "stage_clock"):
+                record(name, True, "skipped: fleet off")
+            return report
+        balanced("h_balance", col("h"), np.stack([d, -c, aie], axis=2))
+        reset, stage = col("reset")[:, 0], col("stage")[:, 0]
+        t_opt = col("t_opt")[:, 0]
+        holds("stage_count",
+              np.concatenate([first, stage[1:] == stage[:-1] + reset[1:]]))
+        holds("stage_clock", np.concatenate([first, t_opt[1:] == np.where(
+            reset[1:] != 0, 0.0, t_opt[:-1] + 1)]))
         return report
-    record("parse", True)
-    report["rows"] = len(data)
-    record("schema", schema == f"# schema: {TRACE_SCHEMA}", schema)
-    n = sum(1 for c in header if c.startswith("soc_"))
-    n_cg = sum(1 for c in header if c.startswith("p_m_cg"))
-    expected, where = trace_columns(n, n_cg)
-    record(
-        "columns",
-        header == expected and n > 0,  # every config has a fleet
-        f"{len(header)} columns, {n} agents, {n_cg} generators",
-    )
-    if not report["checks"]["columns"]["ok"] or not len(data):
-        record("rows_present", bool(len(data)))
-        return report
-    col = lambda stem: data[:, where[stem]]
-
-    def holds(name, ok, detail=""):
-        """Record whether the (T,) or (T, m) mask ok holds in every row; a
-        failure names the first row where it does not."""
-        bad = np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1))
-        record(name, bad.size == 0,
-               f"first violation at row {bad[0]}" if bad.size else detail)
-
-    # each row against the one before it; the first has none
-    first = np.ones(1, dtype=bool)
-    holds("finite", np.isfinite(data))
-    # each time step against the trace's typical one, the median of its
-    # finite steps, so a bad first step is named at row 1 and a NaN time
-    # moves no reference: the middle value or the mean of the two, as
-    # np.median takes it, without its import of numpy.ma
-    steps = np.diff(col("time")[:, 0])
-    finite = steps[np.isfinite(steps)]
-    n, half = finite.size, finite.size // 2
-    part = np.partition(finite, (half - 1, half)) if n > 1 else finite
-    typical = (part[half] if n % 2 else (part[half - 1] + part[half]) / 2
-               if n else np.nan)
-    holds("uniform_time",
-          np.concatenate([first, (steps > 0) & np.isclose(
-              steps, typical, rtol=0, atol=1e-9)]),
-          f"step {typical:.6g} s" if steps.size else "single row")
-    soc = col("soc")
-    holds("soc_bounds", ~((soc < soc_min - 1e-9) | (soc > soc_max + 1e-9)))
-    d, c, aie = col("d"), col("c"), col("aie")
-    holds("one_sided_dispatch", ~((d > 0) & (c > 0)))
-    holds("mode_codes", np.isin(col("mode"), (0.0, 1.0)))
-    lam = np.abs(col("lam")).max(axis=1)
-    bound = col("dual_bound")[:, 0]
-    active = bound > 0
-    holds("multiplier_bound", ~active | (lam <= bound + 1e-9),
-          f"{int(active.sum())} bounded rows")
-
-    # the trace's own accounting: each total against its parts in the same
-    # row. %.12g moves a cell by at most 5e-12 of its magnitude, so a total
-    # and its parts, each printed, differ by at most 5e-12 of their summed
-    # magnitudes; twice that leaves room for the sums' own rounding
-    def balanced(name, total, parts):
-        gap = np.abs(total - parts.sum(axis=-1))
-        holds(name, gap <= TRACE_RTOL * (np.abs(total)
-                                         + np.abs(parts).sum(axis=-1)))
-
-    balanced("p_bess_sum", col("p_bess")[:, 0], np.hstack([d, -c]))
-    balanced("p_m_total_sum", col("p_m_total")[:, 0], col("p_m_cg"))
-    balanced("signal_total_sum", col("signal_total")[:, 0], aie)
-    if not (d.any() or c.any() or col("lam").any()):
-        # the fleet sat out: its optimizer columns hold zeros
-        for name in ("h_balance", "stage_count", "stage_clock"):
-            record(name, True, "skipped: fleet off")
-        return report
-    balanced("h_balance", col("h"), np.stack([d, -c, aie], axis=2))
-    reset, stage = col("reset")[:, 0], col("stage")[:, 0]
-    t_opt = col("t_opt")[:, 0]
-    holds("stage_count",
-          np.concatenate([first, stage[1:] == stage[:-1] + reset[1:]]))
-    holds("stage_clock", np.concatenate([first, t_opt[1:] == np.where(
-        reset[1:] != 0, 0.0, t_opt[:-1] + 1)]))
-    return report
 
 
 def run_scenario(

@@ -4,16 +4,18 @@ Everything here consumes a finished RunResult (or drives runs itself) and
 reduces it to the artifacts a study needs: summary metrics, tidy CSVs,
 static SVG charts, and machine-checkable reports.  Each figure is one list
 of (CSV column, legend label, values) series that both its CSV and its
-chart are written from; each report is written by `_write_json`.
+chart are written from; each report is written by `_write_json`. The
+summaries and reports read the record's columns as Python floats; only
+the curve exports import numpy.
 """
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, replace
-
-import numpy as np
+from math import fsum
 
 from .oracle import dynamic_regret, lemma1_check, lemma2_check, regret_slope
 from .scenario import (
@@ -49,28 +51,26 @@ def settle_time(t, df) -> float:
     spans at least one sample, however long the interval.  Returns 0.0
     when the band is never left and inf when the signal never settles.
     """
-    t = np.asarray(t, dtype=float)
-    df = np.asarray(df, dtype=float)
-    adf = np.abs(df)
-    above = np.nonzero(adf >= SETTLE_BAND)[0]
-    if len(above) == 0:
+    t = list(map(float, t))
+    adf = [abs(float(v)) for v in df]
+    first = next((i for i, a in enumerate(adf) if a >= SETTLE_BAND), None)
+    if first is None:
         return 0.0
     if len(t) < 2:
-        return float("inf")
+        return math.inf
     n = max(1, int(round(SETTLE_WINDOW / (t[1] - t[0]))))
-    ok = adf < SETTLE_BAND
     run = 0
-    for i in range(above[0], len(ok)):
-        run = run + 1 if ok[i] else 0
+    for i in range(first, len(adf)):
+        run = run + 1 if adf[i] < SETTLE_BAND else 0
         if run >= n:
-            return float(t[i - n + 1])
-    return float("inf")
+            return t[i - n + 1]
+    return math.inf
 
 
 def nadir(df) -> float:
-    """Deepest frequency excursion, signed."""
-    df = np.asarray(df, dtype=float)
-    return float(df[np.argmax(np.abs(df))])
+    """Deepest frequency excursion, signed: the first of the largest
+    magnitude."""
+    return max(map(float, df), key=abs)
 
 
 @dataclass
@@ -177,16 +177,17 @@ def run_ablation(config: ScenarioConfig, out_dir: str | None = None):
     summaries = []
     for (signal, bess), runner in zip(ARMS, runners):
         results[(signal, bess)] = result = runner.result
+        df1 = result.columns("df")[0]
+        signal_total = result.columns("signal_total")[0]
         summaries.append(
             ArmSummary(
                 signal=signal,
                 bess_enabled=bess,
                 trace_path=result.trace_path,
-                nadir_hz=nadir(result.df[:, 0]),
-                settle_s=settle_time(result.time, result.df[:, 0]),
-                signal_rms=float(
-                    np.sqrt(np.mean(result.signal_total**2))
-                ),
+                nadir_hz=nadir(df1),
+                settle_s=settle_time(result.columns("time")[0], df1),
+                signal_rms=math.sqrt(
+                    fsum(v * v for v in signal_total) / len(signal_total)),
             )
         )
     _write_json(out, f"{config.name}_ablation", [asdict(s) for s in summaries])
@@ -205,24 +206,38 @@ def stage_lemma_checks(result: RunResult, gamma: float) -> list:
     Needs a run recorded with the per-interval reference solution; every
     stage with at least two iterations is checked.
     """
-    if result.u_star is None:
+    if not result.oracle:
         raise ValueError("run must log the per-interval reference solution")
-    u = np.stack([result.d, result.c], axis=2)
+
+    def rows(name):
+        """The named group's columns side by side, one tuple per row."""
+        return list(zip(*result.columns(name)))
+
+    def pairs(name):
+        """Each row of a group that holds (d, c) per agent, as n pairs."""
+        return [list(zip(row[0::2], row[1::2])) for row in rows(name)]
+
+    # one entry per agent in every row: a number, or its (d, c) pair
+    u = [list(zip(d, c)) for d, c in zip(rows("d"), rows("c"))]
+    u_star, s = pairs("u_star"), pairs("s")
+    lam, lam_mixed = rows("lam"), rows("lam_mixed")
+    y, y_mixed = rows("y"), rows("y_mixed")
+    (kappa,), (eps,) = result.columns("kappa"), result.columns("eps")
+    (f_dist,), (f_oracle,) = (result.columns("f_dist"),
+                              result.columns("f_oracle"))
     out = []
     for sid, lo, hi in result.stages:
         if hi - lo < 2:
             continue
-        kap = result.kappa[lo:hi]
+        kap = kappa[lo:hi]
         chk1 = lemma1_check(
-            u[lo:hi], result.u_star[lo:hi], result.s[lo:hi],
-            result.lam[lo:hi], result.lam_mixed[lo:hi], result.y[lo:hi],
-            result.y_mixed[lo:hi], kap, result.eps[lo:hi], gamma,
-            result.f_dist[lo:hi], result.f_oracle[lo:hi],
+            u[lo:hi], u_star[lo:hi], s[lo:hi], lam[lo:hi],
+            lam_mixed[lo:hi], y[lo:hi], y_mixed[lo:hi], kap, eps[lo:hi],
+            gamma, f_dist[lo:hi], f_oracle[lo:hi],
         )
-        b_u = float(
-            np.linalg.norm(u[lo:hi].reshape(hi - lo, -1), axis=1).max()
-        )
-        chk2 = lemma2_check(u[lo:hi], result.u_star[lo:hi], kap, b_u)
+        b_u = max(math.sqrt(fsum(v * v for pair in row for v in pair))
+                  for row in u[lo:hi])
+        chk2 = lemma2_check(u[lo:hi], u_star[lo:hi], kap, b_u)
         out.append(
             {
                 "stage": int(sid),
@@ -236,19 +251,20 @@ def stage_lemma_checks(result: RunResult, gamma: float) -> list:
 
 def stage_cost_gaps(result: RunResult, min_len: int = 1) -> list:
     """Final-quarter average cost gap against the reference, per stage."""
-    if result.f_oracle is None:
+    if not result.oracle:
         raise ValueError("run must log the per-interval reference cost")
+    (f_dist,), (f_oracle,) = (result.columns("f_dist"),
+                              result.columns("f_oracle"))
+    (time,) = result.columns("time")
     out = []
     for sid, lo, hi in result.stages:
         ln = hi - lo
         if ln < min_len:
             continue
         q = max(1, ln // 4)
-        window = slice(hi - q, hi)
-        gap = float(
-            np.abs(result.f_dist[window] - result.f_oracle[window]).mean()
-        )
-        ref = float(result.f_oracle[window].mean())
+        window = range(hi - q, hi)
+        gap = fsum(abs(f_dist[k] - f_oracle[k]) for k in window) / q
+        ref = fsum(f_oracle[k] for k in window) / q
         if ref > 0:
             ratio = gap / ref
         else:
@@ -257,7 +273,7 @@ def stage_cost_gaps(result: RunResult, min_len: int = 1) -> list:
             {
                 "stage": int(sid),
                 "length": ln,
-                "start_s": float(result.time[lo]),
+                "start_s": time[lo],
                 "gap_avg": gap,
                 "oracle_avg": ref,
                 "ratio": ratio,
@@ -291,10 +307,10 @@ def run_regret_study(
     stages = result.stages
     sid, lo, hi = max(stages, key=lambda st: st[2] - st[1])
     usable = [h for h in horizons if h <= hi - lo]
-    regs = [
-        dynamic_regret(result.f_dist[lo:hi], result.f_oracle[lo:hi], T=h)
-        for h in usable
-    ]
+    (f_dist,), (f_oracle,) = (result.columns("f_dist"),
+                              result.columns("f_oracle"))
+    regs = [dynamic_regret(f_dist[lo:hi], f_oracle[lo:hi], T=h)
+            for h in usable]
     try:
         fit = regret_slope(usable, regs)
         fit_entry = asdict(fit)
@@ -307,7 +323,7 @@ def run_regret_study(
         "stage_count": len(stages),
         "longest_stage": {
             "stage": int(sid),
-            "start_s": float(result.time[lo]),
+            "start_s": result.columns("time")[0][lo],
             "length": hi - lo,
         },
         "regret": [
@@ -343,6 +359,8 @@ _PALETTE = (
 
 
 def _write_csv(out: str, stem: str, t, series: list) -> str:
+    import numpy as np
+
     path = os.path.join(out, f"{stem}.csv")
     rows = np.column_stack([t] + [y for _, _, y in series])
     header = ",".join(["time_s"] + [column for column, _, _ in series])
@@ -352,10 +370,12 @@ def _write_csv(out: str, stem: str, t, series: list) -> str:
     return path
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
+def _ticks(lo: float, hi: float, count: int = 5) -> list:
+    """count evenly spaced ticks from lo to hi, both ends included."""
     if hi <= lo:
         hi = lo + 1.0
-    return np.linspace(lo, hi, count)
+    step = (hi - lo) / (count - 1)
+    return [lo + k * step for k in range(count - 1)] + [hi]
 
 
 def svg_line_chart(
@@ -363,6 +383,8 @@ def svg_line_chart(
 ) -> str:
     """Write `<stem>.svg`, a fixed-size line chart of (column, label,
     values) series against time; returns its path."""
+    import numpy as np
+
     x = np.asarray(t, dtype=float)
     width, height = 860, 420
     left, right, top, bottom = 64, 16, 36, 44

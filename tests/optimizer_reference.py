@@ -4,8 +4,11 @@
 expressions over (n,) and (n, 2) arrays, and `VectorOptimizer` wraps them
 with the schedule, the dual clip and the log, exactly as the package did
 before `OrraOptimizer.iterate` moved to one loop per agent on plain
-floats. The loop keeps the same float operations in the same order, so
-the two must agree bit for bit.
+floats. The gossip mix is `mix`, each agent's sum in the one fixed order
+the package defines (itself, then its neighbours in ascending order), not
+a matrix product, whose rounding depends on the BLAS kernel. The loop
+keeps the same float operations in the same order, so the two must agree
+bit for bit.
 
 Kept deliberately separate from the package's loop so the two routes
 share no update code; only the scalar stage schedule is shared.
@@ -73,6 +76,19 @@ def tracking_update(y_mixed, h_new, h_prev) -> np.ndarray:
     )
 
 
+def mix(weights, x) -> np.ndarray:
+    """Each agent i's Metropolis mix of x: w_ii * x_i, then w_ij * x_j for
+    every other j with a nonzero weight, in ascending j, added one by one."""
+    out = np.empty(len(x))
+    for i, row in enumerate(weights):
+        total = row[i] * x[i]
+        for j, w in enumerate(row):
+            if j != i and w != 0.0:
+                total += w * x[j]
+        out[i] = total
+    return out
+
+
 def orra_iteration(
     u, grads, aie_shares, lam, y, h_prev, weights, kappa, eps, gamma,
     intervals, modes,
@@ -83,8 +99,8 @@ def orra_iteration(
     advanced dual, tracker, and constraint memory.
     """
     weights = np.asarray(weights, dtype=float)
-    lam_mixed = weights @ np.asarray(lam, dtype=float)
-    y_mixed = weights @ np.asarray(y, dtype=float)
+    lam_mixed = mix(weights, np.asarray(lam, dtype=float))
+    y_mixed = mix(weights, np.asarray(y, dtype=float))
     s = gradient_s(grads, lam_mixed)
     u_next = primal_update(u, s, kappa, intervals, modes)
     lam_next = dual_update(lam_mixed, y_mixed, kappa, eps, gamma)

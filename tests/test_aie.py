@@ -4,8 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from orra import aie
 from orra.aie import (
     COND_LIMIT,
+    PROBE_MAX_SAMPLES,
+    Cholesky,
     IllConditioningError,
     InfillViolationError,
     RbfSurrogate,
@@ -17,7 +20,7 @@ from orra.aie import (
     packed_condition,
 )
 from orra.grid import responsive_load
-from orra.scenario import AieConfig, GridConfig
+from orra.scenario import AieConfig, GridConfig, ScenarioConfig
 
 
 def test_compute_ace_values():
@@ -95,11 +98,11 @@ def test_gaussian_basis_values():
 
 def test_build_gram_structure():
     assert np.allclose(build_gram([0.02], 100.0), [[1.0]])
-    g = build_gram([0.0, 0.1], 100.0)
+    g = np.array(build_gram([0.0, 0.1], 100.0))
     assert g[0, 1] == pytest.approx(np.exp(-1))
     rng = np.random.default_rng(6)
     xs = np.cumsum(rng.uniform(0.01, 0.05, size=6))
-    g = build_gram(xs, 300.0)
+    g = np.array(build_gram(xs, 300.0))
     assert np.allclose(g, g.T)
     assert np.allclose(np.diag(g), 1.0)
 
@@ -123,7 +126,8 @@ def test_fit_weights_interpolates_random_samples():
         g = build_gram(xs, 3000.0)
         w = fit_weights(g, vals)
         for x, v in zip(xs, vals):
-            pred = float(gaussian_basis(x - xs, 3000.0) @ w)
+            pred = float(np.array([gaussian_basis(x - y, 3000.0)
+                                   for y in xs]) @ w)
             assert pred == pytest.approx(v, abs=1e-8)
 
 
@@ -216,6 +220,114 @@ def test_load_time_probe_rejects_unconditionable_settings():
                                rbf_max_samples=10**9))
 
 
+def test_a_second_config_with_the_same_settings_factors_nothing(monkeypatch):
+    # the probe is a pure function of (rbf_xi, rbf_d_min, m): each setting
+    # is factored once, however many configs and surrogates share it
+    packed_condition.cache_clear()
+    factored = []
+    real_condition, real_extend = aie.condition_number, Cholesky.extend
+
+    def condition(gram):
+        factored.append(len(gram))
+        return real_condition(gram)
+
+    def extend(self, gram):
+        factored.append(len(gram))
+        return real_extend(self, gram)
+
+    monkeypatch.setattr(aie, "condition_number", condition)
+    monkeypatch.setattr(Cholesky, "extend", extend)
+    settings = AieConfig(rbf_xi=2500.0, rbf_d_min=0.008)
+    ScenarioConfig(aie=settings)
+    assert factored == [24]
+    ScenarioConfig(name="other", aie=AieConfig(rbf_xi=2500.0, rbf_d_min=0.008))
+    RbfSurrogate(settings)
+    assert factored == [24]
+    # another cap is another packing
+    RbfSurrogate(AieConfig(rbf_xi=2500.0, rbf_d_min=0.008, rbf_max_samples=9))
+    assert factored == [24, 9]
+
+
+def test_float_condition_number_matches_numpys():
+    # the probe's settings: three kernel widths, neighbour overlaps
+    # exp(-xi d_min^2) from 0.999 to 0.007, and packings of 3 to 48 samples
+    # (128 on three settings); the kernel overlaps set the condition
+    # number, from about 1 to past 1e19
+    grid = [(xi, (p / xi) ** 0.5, m) for xi in (1.0, 3000.0, 1e6)
+            for p in (1e-3, 3e-3, 0.01, 0.02, 0.03, 0.05, 0.1, 0.147, 0.3,
+                      1.0, 5.0)
+            for m in (3, 12, 24, 48)]
+    grid += [(3000.0, (p / 3000.0) ** 0.5, PROBE_MAX_SAMPLES)
+             for p in (0.05, 0.147, 1.0)]
+    # settings whose condition number numpy puts at 0.98, 0.995, 1.005 and
+    # 1.02 times COND_LIMIT, for 12, 24 and 48 samples
+    grid += [(3000.0, d, m) for m, ds in (
+        (12, (0.0033792341840499463, 0.0033769185263546895,
+              0.0033753980231441025, 0.003373142267000308)),
+        (24, (0.004811001159760353, 0.004809148990652837,
+              0.004807939737055867, 0.004806138895614569)),
+        (48, (0.005268937187496737, 0.005267401649835075,
+              0.005266391593620346, 0.0052648962175379415)),
+    ) for d in ds]
+    compared = 0
+    for xi, d_min, m in grid:
+        got = packed_condition(xi, d_min, m)
+        want = float(np.linalg.cond(np.array(
+            build_gram([d_min * k for k in range(m)], xi))))
+        # both are backward stable: each smallest eigenvalue is off by
+        # about eps times the largest, so the relative gap grows with the
+        # condition number; past 1e14 neither has a digit to compare
+        if want <= 1e14:
+            assert abs(got - want) <= max(1e-13, 1e-15 * want) * want, (
+                xi, d_min, m, got, want)
+            compared += 1
+        # the verdicts agree but within 0.1% of the limit
+        if not COND_LIMIT / 1.001 <= want <= COND_LIMIT * 1.001:
+            assert (got <= COND_LIMIT) == (want <= COND_LIMIT), (
+                xi, d_min, m, got, want)
+    assert compared >= 90
+
+
+def test_a_fit_past_the_bound_is_judged_on_the_condition_number():
+    # 24 samples whose condition number is 0.98 and 1.02 times the limit:
+    # the cheap bound exceeds the limit on both, so the condition number
+    # itself decides
+    for d_min, accepted in ((0.004811001159760353, True),
+                            (0.004806138895614569, False)):
+        gram = build_gram([d_min * k for k in range(24)], 3000.0)
+        factor = Cholesky()
+        assert factor.extend(gram)
+        assert factor.condition_bound(gram) > COND_LIMIT
+        if accepted:
+            w = fit_weights(gram, [1.0] * 24)
+            assert np.allclose(np.array(gram) @ w, 1.0, atol=1e-3)
+        else:
+            with pytest.raises(IllConditioningError,
+                               match=r"condition number 1\.02"):
+                fit_weights(gram, [1.0] * 24)
+
+
+def test_the_condition_bound_holds_through_adds_and_evictions():
+    # the kept factor's bound is the largest absolute row sum times
+    # trace(G^-1), after every added sample and every eviction, and it is
+    # never below the condition number
+    s = RbfSurrogate(AieConfig(rbf_max_samples=8))
+    rng = np.random.default_rng(5)
+    evicted = 0
+    for _ in range(400):
+        df = float(rng.normal(0.0, 0.05))
+        if s.infill_decide(df):
+            evicted += s.m == s.max_samples
+            s.add_sample(df, float(rng.normal()))
+            g = np.array(s.gram)
+            want = (np.abs(g).sum(axis=1).max()
+                    * float(np.trace(np.linalg.inv(g))))
+            assert s.factor.condition_bound(s.gram) == pytest.approx(
+                want, rel=1e-9)
+            assert want >= float(np.linalg.cond(g)) * (1 - 1e-9)
+    assert evicted > 10
+
+
 def test_load_time_probe_rejects_a_kernel_without_overlap():
     # exp(-xi d_min^2) is 0: the probe would see an identity Gram matrix
     for xi, d_min in ((3000.0, 1e300), (1e300, 0.007), (10**300, 10**300)):
@@ -271,10 +383,10 @@ def test_off_sample_accuracy_on_sectional_droop():
 
 
 class ScanSurrogate(RbfSurrogate):
-    """The surrogate as it was before it kept its sample locations as an
-    array and a sorted list: the infill test scans every sample, eviction
-    converts the sample list, and every evaluation converts it again and
-    enters np.errstate. Kept here as the reference."""
+    """The surrogate without its kept state: the infill test scans every
+    sample, eviction scans for the extremes, every refit factors the whole
+    Gram matrix afresh, and every evaluation sums the weighted kernels in
+    sample order. Kept here as the reference."""
 
     def infill_decide(self, df) -> bool:
         if not self.sample_df:
@@ -296,18 +408,17 @@ class ScanSurrogate(RbfSurrogate):
                                    self.sample_dP)
 
     def evaluate(self, df):
-        if not self.sample_df:
-            return 0.0
-        with np.errstate(over="ignore"):
-            basis = gaussian_basis(df - np.asarray(self.sample_df), self.xi)
-        return float(basis @ self.weights)
+        total = 0.0
+        for x, w in zip(self.sample_df, self.weights or ()):
+            total += w * gaussian_basis(df - x, self.xi)
+        return total
 
 
 def test_surrogate_matches_the_full_scan_bit_for_bit():
     # 6000 draws over four settings fill each cap and evict; late in each
-    # run far locations join, ±1e308 among them, so evaluation leaves the
-    # reach where it can skip np.errstate. Draws one d_min from a stored
-    # sample test the infill threshold itself
+    # run far locations join, ±1e308 among them, whose kernels underflow
+    # to 0 and whose squared distances overflow without a warning. Draws
+    # one d_min from a stored sample test the infill threshold itself
     rng = np.random.default_rng(29)
     far = (1e308, -1e308, 5e307, -1e160, 1e154, 1.3e152, -1e152, 1e150)
     for xi, d_min, cap, scale in ((3000.0, 0.007, 24, 0.05),
@@ -316,7 +427,7 @@ def test_surrogate_matches_the_full_scan_bit_for_bit():
                                   (1e-3, 30.0, 12, 200.0)):
         cfg = AieConfig(rbf_xi=xi, rbf_d_min=d_min, rbf_max_samples=cap)
         fast, scan = RbfSurrogate(cfg), ScanSurrogate(cfg)
-        evictions, near = [], 0
+        evictions = []
 
         def checked_evict(evict=fast._evict):
             evict()
@@ -341,18 +452,17 @@ def test_surrogate_matches_the_full_scan_bit_for_bit():
                     fast.add_sample(df, dP)
                     scan.add_sample(df, dP)
                     assert fast.by_location == sorted(fast.sample_df)
-                    assert (fast.locations.tobytes()
-                            == np.array(fast.sample_df).tobytes())
+                    # the kept factor is the fresh one's, bit for bit
+                    assert (np.array(fast.weights).tobytes()
+                            == np.array(scan.weights).tobytes())
                 for x in (df, float(rng.normal(0.0, scale)),
                           float(rng.choice(far))):
-                    near += abs(x) <= fast.reach
                     values.append((fast.evaluate(x), scan.evaluate(x)))
         assert all(got == want for got, want in decisions)
         assert sum(got for got, _ in decisions) > cap
         assert evictions and all(evictions)
         assert fast.sample_df == scan.sample_df
         assert fast.sample_dP == scan.sample_dP
-        assert fast.weights.tobytes() == scan.weights.tobytes()
         got, want = np.array(values).T
         assert got.tobytes() == want.tobytes()
-        assert 0 < near < len(values)  # both routes of evaluate were taken
+        assert np.isfinite(got).all()

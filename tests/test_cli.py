@@ -7,6 +7,8 @@ import os
 import pickle
 import pkgutil
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -282,6 +284,25 @@ def test_run_writes_trace_and_curves(cfg_path, tmp_path, capsys):
     assert (out / "fig5a.csv").exists()
     assert (out / "fig5b.svg").exists()
     assert "nadir" in printed
+
+
+def test_run_and_validate_load_no_numpy(cfg_path, tmp_path):
+    # the studies load per command and the printed line reads float
+    # columns; --oracle takes the same path
+    code = (
+        "import sys\n"
+        "from orra.cli import main\n"
+        f"status = [main(['validate', {cfg_path!r}]), main(['run', "
+        f"{cfg_path!r}, '--oracle', '--out', {str(tmp_path)!r}])]\n"
+        "print(status, 'numpy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(
+                             os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    lines = out.stdout.splitlines()
+    assert lines[-1] == "[0, 0] False"
+    assert lines[-2].startswith("nadir -0.0")
+    assert (tmp_path / "clirun.csv").exists()
 
 
 def test_out_dir_env_fallback(cfg_path, tmp_path, monkeypatch):

@@ -2,7 +2,13 @@
 import numpy as np
 import pytest
 
-from orra.comm_graph import TopologyError, default_edges, metropolis_weights
+from orra.comm_graph import TopologyError, default_edges
+from orra.comm_graph import metropolis_weights as weight_rows
+
+
+def metropolis_weights(n, edges) -> np.ndarray:
+    """The weights' rows, read as a matrix."""
+    return np.array(weight_rows(n, edges))
 
 
 def check_doubly_stochastic(w: np.ndarray, tol: float = 1e-9) -> bool:
@@ -21,6 +27,16 @@ def check_doubly_stochastic(w: np.ndarray, tol: float = 1e-9) -> bool:
 def neighbors(w, i):
     """The vertices that vertex i mixes with: its off-diagonal weights."""
     return [j for j in np.flatnonzero(w[i]) if j != i]
+
+
+def test_weights_are_plain_rows_of_floats():
+    # no array type: a config loads and a run mixes without numpy
+    for n, edges in ((5, default_edges()), (1, []), (3, [(0, 1), (1, 2)])):
+        rows = weight_rows(n, edges)
+        assert type(rows) is list and len(rows) == n
+        for row in rows:
+            assert type(row) is list and len(row) == n
+            assert all(type(v) is float for v in row)
 
 
 def test_default_topology_is_five_agent_ring_with_chord():

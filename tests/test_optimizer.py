@@ -38,7 +38,7 @@ def flat(mode=1, hi=1.0):
 
 
 def fleet_weights():
-    return metropolis_weights(5, default_edges())
+    return np.array(metropolis_weights(5, default_edges()))
 
 
 def soc(n):
@@ -281,7 +281,7 @@ def random_instance(rng):
     for e in extra:
         if rng.random() < 0.4:
             edges.append(e)
-    w = metropolis_weights(n, edges)
+    w = np.array(metropolis_weights(n, edges))
     modes = np.array([int(m) for m in rng.integers(0, 2, size=n)])
     costs = []
     for m in modes:

@@ -11,6 +11,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
+from orra.oracle import lemma1_check, lemma2_check
 from orra.scenario import (
     ConfigError,
     FleetConfig,
@@ -192,6 +193,48 @@ def test_importing_the_studies_starts_no_process_machinery():
     assert out.stdout.strip() == "False"
 
 
+ENTRY = """
+import os, sys
+from dataclasses import replace
+from orra.scenario import ScenarioConfig, run_scenario
+from orra.studies import run_ablation, run_regret_study
+
+entry, configs, out = sys.argv[1:]
+step = replace(ScenarioConfig.from_json(os.path.join(configs,
+                                                     "step_event.json")),
+               duration=20.0)
+if entry == "scenario":
+    fluct = ScenarioConfig.from_json(os.path.join(configs, "fluctuation.json"))
+    records = [run_scenario(replace(fluct, duration=60.0), out_dir=out)]
+elif entry == "regret":
+    records = [run_regret_study(step, [10, 20, 50], out_dir=out)[0]]
+else:
+    if entry == "ablation_forked":  # two CPUs: the arms run forked
+        os.sched_getaffinity = lambda pid: {0, 1}
+    else:  # one CPU: the arms run in process
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    records = list(run_ablation(step, out_dir=out)[0].values())
+print("numpy" in sys.modules)
+# the first array read loads numpy and views the table the run filled
+soc = records[-1].soc
+print("numpy" in sys.modules,
+      soc.tolist() == [list(row) for row in zip(*records[-1].columns("soc"))],
+      soc.shape)
+"""
+
+
+@pytest.mark.parametrize("entry", ["scenario", "ablation_forked",
+                                   "ablation_one_cpu", "regret"])
+def test_each_entry_point_returns_without_numpy(entry, tmp_path):
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    out = subprocess.run(
+        [sys.executable, "-c", ENTRY, entry, configs, str(tmp_path)],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    rows = 600 if entry == "scenario" else 200
+    assert out.stdout.splitlines() == ["False", f"True True ({rows}, 5)"]
+
+
 def test_stage_checks_on_short_run(short_oracle_run):
     cfg, result = short_oracle_run
     checks = stage_lemma_checks(result, cfg.optimizer.gamma)
@@ -203,6 +246,39 @@ def test_stage_checks_on_short_run(short_oracle_run):
     assert {g["stage"] for g in gaps} == {s for s, _, _ in result.stages}
     for g in gaps:
         assert g["ratio"] >= 0.0
+
+
+def test_stage_checks_match_the_lemmas_on_the_record_arrays(short_oracle_run):
+    # the report reads the record's columns; each stage's certificates are
+    # the lemmas' own on the record's (T, n, 2) and (T, n) arrays, so the
+    # lemma-2 bound counts the agents, not their coordinates
+    cfg, result = short_oracle_run
+    u = np.stack([result.d, result.c], axis=2)
+    checks = stage_lemma_checks(result, cfg.optimizer.gamma)
+    long_stages = [st for st in result.stages if st[2] - st[1] >= 2]
+    assert len(checks) == len(long_stages) > 0
+    for check, (_, lo, hi) in zip(checks, long_stages):
+        b_u = float(np.linalg.norm(u[lo:hi].reshape(hi - lo, -1),
+                                   axis=1).max())
+        want2 = lemma2_check(u[lo:hi], result.u_star[lo:hi],
+                             result.kappa[lo:hi], b_u)
+        want1 = lemma1_check(
+            u[lo:hi], result.u_star[lo:hi], result.s[lo:hi],
+            result.lam[lo:hi], result.lam_mixed[lo:hi], result.y[lo:hi],
+            result.y_mixed[lo:hi], result.kappa[lo:hi], result.eps[lo:hi],
+            cfg.optimizer.gamma, result.f_dist[lo:hi],
+            result.f_oracle[lo:hi],
+        )
+        for got, want in ((check["lemma1"], want1),
+                          (check["lemma2"], want2)):
+            assert got.lhs == want.lhs
+            assert got.rhs == pytest.approx(want.rhs, rel=1e-12)
+            assert got.terms == pytest.approx(want.terms, rel=1e-12)
+        n = cfg.fleet.n
+        v_T = want2.terms[0]
+        assert want2.rhs == pytest.approx(
+            2 * n * b_u**2 / result.kappa[hi - 2] + 2 * n * b_u * v_T,
+            rel=1e-12)
 
 
 def test_stage_checks_need_oracle_logs():
