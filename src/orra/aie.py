@@ -66,74 +66,55 @@ def build_gram(sample_df, xi) -> list:
     return [[gaussian_basis(a - b, xi) for b in xs] for a in xs]
 
 
-class Cholesky:
-    """The factor L of a Gram matrix G = L L^T, built row by row.
+def cholesky(gram) -> list | None:
+    """The rows of the factor L of a Gram matrix G = L L^T; None at the
+    first pivot that is not positive, where G is not positive definite in
+    floating point. Every dot product is a `math.fsum` of the rounded
+    products, the same on any platform."""
+    low = []
+    for i, g in enumerate(gram):
+        row = []
+        for j, lj in enumerate(low):
+            row.append((float(g[j]) - fsum(map(mul, row, lj))) / lj[j])
+        pivot = float(g[i]) - fsum(map(mul, row, row))
+        if not pivot > 0.0:
+            return None
+        row.append(math.sqrt(pivot))
+        low.append(row)
+    return low
 
-    Row i of L depends only on rows 0..i of G. So `extend` grows a factor
-    of G's leading rows to all of them, `drop` refactors the rows after a
-    removed sample, and either way the factor holds the bits that factoring
-    the whole of G gives. Every dot product is a `math.fsum` of the rounded
-    products, the same on any platform.
-    """
 
-    def __init__(self) -> None:
-        self.low = []
+def condition_bound(low, gram) -> float:
+    """An upper bound on G's 2-norm condition number, from its rows and
+    the rows of its factor L: Gershgorin's bound on its largest
+    eigenvalue, the largest absolute row sum, times trace(G^-1) =
+    ||L^-1||_F^2 >= 1/lambda_min. Row i of L^-1 is
+    x_ij = -(sum over j <= k < i of l_ik x_kj) / l_ii, with column j
+    of L^-1 holding x_kj for k = j..i-1."""
+    cols, norms = [], []
+    for i, row in enumerate(low):
+        d = row[i]
+        inv = [-fsum(map(mul, row[j:i], col)) / d
+               for j, col in enumerate(cols)]
+        inv.append(1.0 / d)
+        for col, x in zip(cols, inv):
+            col.append(x)
+        cols.append([inv[-1]])
+        norms.append(fsum(map(mul, inv, inv)))
+    return max(fsum(map(abs, g)) for g in gram) * fsum(norms)
 
-    def extend(self, gram) -> bool:
-        """Factor the rows of gram past those held; False, with the rows
-        before it kept, at the first pivot that is not positive, where G is
-        not positive definite in floating point."""
-        low = self.low
-        for i in range(len(low), len(gram)):
-            g = gram[i]
-            row = []
-            for j, lj in enumerate(low):
-                row.append((float(g[j]) - fsum(map(mul, row, lj))) / lj[j])
-            pivot = float(g[i]) - fsum(map(mul, row, row))
-            if not pivot > 0.0:
-                return False
-            row.append(math.sqrt(pivot))
-            low.append(row)
-        return True
 
-    def drop(self, k: int, gram) -> None:
-        """Refactor G's rows from k on, once sample k is gone from gram."""
-        del self.low[k:]
-        self.extend(gram)
-
-    def condition_bound(self, gram) -> float:
-        """An upper bound on G's 2-norm condition number: Gershgorin's
-        bound on its largest eigenvalue, the largest absolute row sum,
-        times trace(G^-1) = ||L^-1||_F^2 >= 1/lambda_min. Row i of L^-1 is
-        x_ij = -(sum over j <= k < i of l_ik x_kj) / l_ii, with column j
-        of L^-1 holding x_kj for k = j..i-1."""
-        cols, norms = [], []
-        for i, row in enumerate(self.low):
-            d = row[i]
-            inv = [-fsum(map(mul, row[j:i], col)) / d
-                   for j, col in enumerate(cols)]
-            inv.append(1.0 / d)
-            for col, x in zip(cols, inv):
-                col.append(x)
-            cols.append([inv[-1]])
-            norms.append(fsum(map(mul, inv, inv)))
-        return max(fsum(map(abs, g)) for g in gram) * fsum(norms)
-
-    def _back(self, z) -> list:
-        """x with L^T x = z, by back substitution on the rows held."""
-        low = self.low
-        x = []  # x_n-1 first
-        for i in range(len(z) - 1, -1, -1):
-            below = [row[i] for row in low[:i:-1]]
-            x.append((z[i] - fsum(map(mul, below, x))) / low[i][i])
-        return x[::-1]
-
-    def solve(self, b) -> list:
-        """x with G x = b: L z = b forward, then L^T x = z backward."""
-        z = []
-        for row, v in zip(self.low, b):
-            z.append((float(v) - fsum(map(mul, row, z))) / row[-1])
-        return self._back(z)
+def solve(low, b) -> list:
+    """x with G x = b, given the rows of G's factor L: L z = b forward,
+    then L^T x = z backward."""
+    z = []
+    for row, v in zip(low, b):
+        z.append((float(v) - fsum(map(mul, row, z))) / row[-1])
+    x = []  # x_n-1 first
+    for i in range(len(z) - 1, -1, -1):
+        below = [row[i] for row in low[:i:-1]]
+        x.append((z[i] - fsum(map(mul, below, x))) / low[i][i])
+    return x[::-1]
 
 
 def condition_number(gram) -> float:
@@ -204,22 +185,20 @@ def condition_number(gram) -> float:
     return eigenvalue(n - 1) / smallest if smallest > 0.0 else math.inf
 
 
-def fit_weights(gram, S, factor: Cholesky | None = None) -> list:
+def fit_weights(gram, S) -> list:
     """Solve the interpolation system gram w = S by Cholesky; fails loudly
-    when near-singular. `factor`, a Cholesky of gram's leading rows that a
-    caller keeps between fits, is extended in place; without one, gram is
-    factored whole. The fit is accepted when its `condition_bound` is
+    when near-singular. The fit is accepted when its `condition_bound` is
     within COND_LIMIT, and else on the condition number itself: as the
     bound is never below the condition number, the verdict is the
     condition number's."""
-    factor = Cholesky() if factor is None else factor
+    low = cholesky(gram)
     cond = math.inf
-    if factor.extend(gram):
-        cond = factor.condition_bound(gram)
+    if low is not None:
+        cond = condition_bound(low, gram)
         if cond > COND_LIMIT:
             cond = condition_number(gram)
         if cond <= COND_LIMIT:
-            return factor.solve(S)
+            return solve(low, S)
     raise IllConditioningError(
         f"gram condition number {cond:.3e} exceeds {COND_LIMIT:.0e}; "
         "infill distance too small for this kernel width"
@@ -241,11 +220,10 @@ class RbfSurrogate:
     1/Hz^2, the infill distance rbf_d_min, Hz, and the sample cap
     rbf_max_samples. Samples are admitted only when at least d_min away
     from every stored location, which keeps the kernel matrix well
-    conditioned. Samples are stored in arrival order, and so are the rows
-    of the Gram matrix and of its Cholesky factor, which each refit extends
-    by the rows it lacks. When full, the oldest sample that is not a
-    boundary point (min or max location) is evicted so the covered span is
-    preserved, which takes room for three samples.
+    conditioned. Samples are stored in arrival order, and each refit
+    factors the Gram matrix of the samples afresh. When full, the oldest
+    sample that is not a boundary point (min or max location) is evicted
+    so the covered span is preserved, which takes room for three samples.
     """
 
     def __init__(self, aie) -> None:
@@ -255,7 +233,6 @@ class RbfSurrogate:
         self.weights = None
         # sample_df in ascending order, for infill_decide
         self.by_location = []
-        self.gram, self.factor = [], Cholesky()
         if gaussian_basis(self.d_min, self.xi) == 0.0:
             raise ValueError(
                 f"rbf_xi {aie.rbf_xi} with rbf_d_min {aie.rbf_d_min}: "
@@ -297,31 +274,18 @@ class RbfSurrogate:
         if self.m >= self.max_samples:
             self._evict()
         df = float(df)
-        # the new Gram row and column, one kernel each (x - df is -(df - x)
-        # exactly, so the matrix is symmetric bit for bit)
-        row = [gaussian_basis(df - x, self.xi) for x in self.sample_df]
-        for g, k in zip(self.gram, row):
-            g.append(k)
-        row.append(1.0)
-        self.gram.append(row)
         self.sample_df.append(df)
         self.sample_dP.append(float(dP))
         insort(self.by_location, df)
-        self.refit()
+        self.weights = fit_weights(build_gram(self.sample_df, self.xi),
+                                   self.sample_dP)
 
     def _evict(self) -> None:
         ends = self.by_location[0], self.by_location[-1]
         victim = next(i for i, x in enumerate(self.sample_df)
                       if x not in ends)
-        self.by_location.remove(self.sample_df[victim])
-        for seq in (self.sample_df, self.sample_dP, self.gram):
-            seq.pop(victim)
-        for g in self.gram:
-            del g[victim]
-        self.factor.drop(victim, self.gram)
-
-    def refit(self) -> None:
-        self.weights = fit_weights(self.gram, self.sample_dP, self.factor)
+        self.by_location.remove(self.sample_df.pop(victim))
+        self.sample_dP.pop(victim)
 
     def evaluate(self, df):
         """Interpolated frequency-responsive correction at df (0 when

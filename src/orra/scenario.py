@@ -695,14 +695,13 @@ class ScenarioRunner:
             rec.oracle_clamped += int(sol.clamped)
         rec.pack_row(rec.shared, at, *row)
 
-    def run(self, out_dir: str | None = None, write_trace: bool = True):
+    def run(self, out_dir: str | None = None):
         # an unusable output directory fails here, before the first step
-        out = resolve_out_dir(out_dir) if write_trace else None
+        out = resolve_out_dir(out_dir)
         rec = self.result
         for k in range(rec.rows):
             self.step(k)
-        if write_trace:
-            rec.trace_path = write_trace_csv(rec, out)
+        rec.trace_path = write_trace_csv(rec, out)
         return rec
 
 

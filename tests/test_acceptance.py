@@ -42,36 +42,37 @@ def report(num, ok, detail):
 
 
 @pytest.fixture(scope="session")
-def cs1():
+def cs1(tmp_path_factory):
     """Step event with the centralized reference solved every interval."""
-    cfg = ScenarioConfig()
-    return ScenarioRunner(cfg, oracle_every=True).run(write_trace=False)
+    out = str(tmp_path_factory.mktemp("cs1"))
+    return ScenarioRunner(ScenarioConfig(), oracle_every=True).run(out)
 
 
 @pytest.fixture(scope="session")
-def cs1_timed():
+def cs1_timed(tmp_path_factory):
     """Plain step event, wall-clock measured."""
-    cfg = ScenarioConfig()
+    out = str(tmp_path_factory.mktemp("cs1_timed"))
     t0 = time.perf_counter()
-    result = ScenarioRunner(cfg).run(write_trace=False)
+    result = ScenarioRunner(ScenarioConfig()).run(out)
     return result, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
-def arms():
+def arms(tmp_path_factory):
     out = {}
     for signal, bess in ARMS:
         cfg = ScenarioConfig(signal=signal, bess_enabled=bess)
-        out[(signal, bess)] = ScenarioRunner(cfg).run(write_trace=False)
+        out[(signal, bess)] = ScenarioRunner(cfg).run(
+            str(tmp_path_factory.mktemp(f"{signal}_{bess}")))
     return out
 
 
 @pytest.fixture(scope="session")
-def cs2():
+def cs2(tmp_path_factory):
     cfg = ScenarioConfig(
         name="case_study_2", kind="fluctuation", duration=1800.0
     )
-    return ScenarioRunner(cfg).run(write_trace=False)
+    return ScenarioRunner(cfg).run(str(tmp_path_factory.mktemp("cs2")))
 
 
 def test_criterion_01_energy_neutral_withdrawal(cs1_timed):

@@ -8,13 +8,14 @@ from orra import aie
 from orra.aie import (
     COND_LIMIT,
     PROBE_MAX_SAMPLES,
-    Cholesky,
     IllConditioningError,
     InfillViolationError,
     RbfSurrogate,
     aie_shares,
     build_gram,
+    cholesky,
     compute_ace,
+    condition_bound,
     fit_weights,
     gaussian_basis,
     packed_condition,
@@ -135,6 +136,13 @@ def test_fit_weights_raises_on_ill_conditioning():
     g = build_gram([0.0, 1e-9], 3000.0)
     with pytest.raises(IllConditioningError):
         fit_weights(g, [1.0, 1.0])
+    # a second pivot of exactly 0 and one below 0: the factor stops there,
+    # and the fit fails with an infinite condition number
+    for g in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]):
+        assert cholesky(g) is None
+        with pytest.raises(IllConditioningError,
+                           match=r"condition number inf "):
+            fit_weights(g, [1.0, 1.0])
 
 
 def test_infill_decide_thresholds():
@@ -225,18 +233,18 @@ def test_a_second_config_with_the_same_settings_factors_nothing(monkeypatch):
     # is factored once, however many configs and surrogates share it
     packed_condition.cache_clear()
     factored = []
-    real_condition, real_extend = aie.condition_number, Cholesky.extend
+    real_condition, real_cholesky = aie.condition_number, aie.cholesky
 
     def condition(gram):
         factored.append(len(gram))
         return real_condition(gram)
 
-    def extend(self, gram):
+    def factor(gram):
         factored.append(len(gram))
-        return real_extend(self, gram)
+        return real_cholesky(gram)
 
     monkeypatch.setattr(aie, "condition_number", condition)
-    monkeypatch.setattr(Cholesky, "extend", extend)
+    monkeypatch.setattr(aie, "cholesky", factor)
     settings = AieConfig(rbf_xi=2500.0, rbf_d_min=0.008)
     ScenarioConfig(aie=settings)
     assert factored == [24]
@@ -295,9 +303,9 @@ def test_a_fit_past_the_bound_is_judged_on_the_condition_number():
     for d_min, accepted in ((0.004811001159760353, True),
                             (0.004806138895614569, False)):
         gram = build_gram([d_min * k for k in range(24)], 3000.0)
-        factor = Cholesky()
-        assert factor.extend(gram)
-        assert factor.condition_bound(gram) > COND_LIMIT
+        low = cholesky(gram)
+        assert low is not None
+        assert condition_bound(low, gram) > COND_LIMIT
         if accepted:
             w = fit_weights(gram, [1.0] * 24)
             assert np.allclose(np.array(gram) @ w, 1.0, atol=1e-3)
@@ -308,9 +316,9 @@ def test_a_fit_past_the_bound_is_judged_on_the_condition_number():
 
 
 def test_the_condition_bound_holds_through_adds_and_evictions():
-    # the kept factor's bound is the largest absolute row sum times
-    # trace(G^-1), after every added sample and every eviction, and it is
-    # never below the condition number
+    # the bound on the Gram of the surrogate's samples is the largest
+    # absolute row sum times trace(G^-1), after every added sample and
+    # every eviction, and it is never below the condition number
     s = RbfSurrogate(AieConfig(rbf_max_samples=8))
     rng = np.random.default_rng(5)
     evicted = 0
@@ -319,10 +327,11 @@ def test_the_condition_bound_holds_through_adds_and_evictions():
         if s.infill_decide(df):
             evicted += s.m == s.max_samples
             s.add_sample(df, float(rng.normal()))
-            g = np.array(s.gram)
+            gram = build_gram(s.sample_df, s.xi)
+            g = np.array(gram)
             want = (np.abs(g).sum(axis=1).max()
                     * float(np.trace(np.linalg.inv(g))))
-            assert s.factor.condition_bound(s.gram) == pytest.approx(
+            assert condition_bound(cholesky(gram), gram) == pytest.approx(
                 want, rel=1e-9)
             assert want >= float(np.linalg.cond(g)) * (1 - 1e-9)
     assert evicted > 10
@@ -383,10 +392,10 @@ def test_off_sample_accuracy_on_sectional_droop():
 
 
 class ScanSurrogate(RbfSurrogate):
-    """The surrogate without its kept state: the infill test scans every
-    sample, eviction scans for the extremes, every refit factors the whole
-    Gram matrix afresh, and every evaluation sums the weighted kernels in
-    sample order. Kept here as the reference."""
+    """The surrogate without its sorted locations: the infill test scans
+    every sample, eviction scans for the extremes, and every evaluation
+    sums the weighted kernels in sample order. Kept here as the
+    reference."""
 
     def infill_decide(self, df) -> bool:
         if not self.sample_df:
@@ -452,7 +461,6 @@ def test_surrogate_matches_the_full_scan_bit_for_bit():
                     fast.add_sample(df, dP)
                     scan.add_sample(df, dP)
                     assert fast.by_location == sorted(fast.sample_df)
-                    # the kept factor is the fresh one's, bit for bit
                     assert (np.array(fast.weights).tobytes()
                             == np.array(scan.weights).tobytes())
                 for x in (df, float(rng.normal(0.0, scale)),

@@ -26,9 +26,9 @@ def short_config(**kw):
     return ScenarioConfig(**kw)
 
 
-def test_zero_disturbance_trace_is_all_zero():
+def test_zero_disturbance_trace_is_all_zero(tmp_path):
     cfg = short_config(duration=10.0, step_mw=0.0)
-    r = ScenarioRunner(cfg).run(write_trace=False)
+    r = ScenarioRunner(cfg).run(str(tmp_path))
     for arr in (r.df, r.p_tie, r.p_bess, r.p_m_total, r.signal_total,
                 r.d, r.c, r.marginals, r.f_dist):
         assert np.all(arr == 0.0)
@@ -109,21 +109,21 @@ def test_config_round_trip(tmp_path):
         ScenarioConfig.from_dict({"aie": {"mode_direction": -1}})
 
 
-def test_step_event_qualitative_shape():
+def test_step_event_qualitative_shape(tmp_path):
     # fleet covers the step fast, then hands the energy back: powers rise
     # well above zero and die away by the end of the run
-    r = ScenarioRunner(ScenarioConfig()).run(write_trace=False)
+    r = ScenarioRunner(ScenarioConfig()).run(str(tmp_path))
     assert r.p_bess.max() > 4.0
     assert abs(r.p_bess[-1]) < 0.05
     assert np.abs(r.d[-1] - r.c[-1]).max() < 1e-3
 
 
-def test_ace_mode_matches_logged_measurements():
+def test_ace_mode_matches_logged_measurements(tmp_path):
     from orra.aie import compute_ace
 
     cfg = short_config(signal="ACE")
     rn = ScenarioRunner(cfg)
-    r = rn.run(write_trace=False)
+    r = rn.run(str(tmp_path))
     assert rn.surrogate is None
     bias = cfg.grid.bias
     expect = np.array(
@@ -132,9 +132,9 @@ def test_ace_mode_matches_logged_measurements():
     assert np.allclose(r.signal_total, expect, atol=1e-12)
 
 
-def test_disabled_fleet_stays_idle():
+def test_disabled_fleet_stays_idle(tmp_path):
     cfg = short_config(bess_enabled=False)
-    r = ScenarioRunner(cfg).run(write_trace=False)
+    r = ScenarioRunner(cfg).run(str(tmp_path))
     assert np.all(r.d == 0.0) and np.all(r.c == 0.0)
     assert np.all(r.p_bess == 0.0)
     assert len(r.infos) == 0 and r.stages == []
@@ -144,7 +144,8 @@ def test_disabled_fleet_stays_idle():
 
 @pytest.mark.parametrize("bess_enabled", [True, False],
                          ids=["fleet_on", "fleet_off"])
-def test_fleet_books_every_decision_but_the_last(monkeypatch, bess_enabled):
+def test_fleet_books_every_decision_but_the_last(monkeypatch, bess_enabled,
+                                                 tmp_path):
     # interval k books the pair decided at interval k-1, idle at k = 0,
     # battery by battery in agent order; the last decision is never
     # booked, and a fleet that sits out books nothing
@@ -157,7 +158,7 @@ def test_fleet_books_every_decision_but_the_last(monkeypatch, bess_enabled):
 
     monkeypatch.setattr(Fleet, "apply_all", spy)
     cfg = short_config(duration=15.0, bess_enabled=bess_enabled)
-    r = ScenarioRunner(cfg).run(write_trace=False)
+    r = ScenarioRunner(cfg).run(str(tmp_path))
     n = cfg.fleet.n
     decided = [(0.0, 0.0)] * n + list(zip(r.d[:-1].ravel().tolist(),
                                           r.c[:-1].ravel().tolist()))
@@ -168,7 +169,7 @@ def test_fleet_books_every_decision_but_the_last(monkeypatch, bess_enabled):
     assert r.d.any() == bess_enabled  # the booked pairs are not all idle
 
 
-def test_infos_rebuild_the_optimizer_log(monkeypatch):
+def test_infos_rebuild_the_optimizer_log(monkeypatch, tmp_path):
     # a short step run whose frequency spike restarts the stage
     logged = []
     real_iterate = OrraOptimizer.iterate
@@ -179,7 +180,7 @@ def test_infos_rebuild_the_optimizer_log(monkeypatch):
         return u_next, info
 
     monkeypatch.setattr(OrraOptimizer, "iterate", spy)
-    r = ScenarioRunner(short_config(duration=15.0)).run(write_trace=False)
+    r = ScenarioRunner(short_config(duration=15.0)).run(str(tmp_path))
     assert len(r.infos) == len(logged) == len(r.time)
     assert sum(info["reset"] for info in logged) >= 2
     for k, want in enumerate(logged):
@@ -206,9 +207,11 @@ def test_infos_rebuild_the_optimizer_log(monkeypatch):
     ("step", {"signal": "ACE"}, False),
     ("step", {"bess_enabled": False}, False),
 ], ids=["step_oracle", "fluctuation", "ace", "fleet_off"])
-def test_step_matches_the_pass_by_pass_reference(kind, change, oracle):
+def test_step_matches_the_pass_by_pass_reference(kind, change, oracle,
+                                                 tmp_path):
     cfg = short_config(kind=kind, duration=60.0, **change)
-    runs = [runner(cfg, oracle_every=oracle).run(write_trace=False)
+    runs = [runner(cfg, oracle_every=oracle).run(
+                str(tmp_path / runner.__name__))
             for runner in (ScenarioRunner, ReferenceRunner)]
     got, want = (r.table for r in runs)
     assert got.shape == want.shape
@@ -230,7 +233,7 @@ def test_step_matches_the_pass_by_pass_reference(kind, change, oracle):
     ("fluctuation", {"fluct_hold": 0.25}, 22),
 ], ids=["step", "step_off_grid", "fluctuation"])
 def test_every_plant_step_sees_the_profile_at_its_time(kind, change, mixed,
-                                                       monkeypatch):
+                                                       monkeypatch, tmp_path):
     # a hold window that is not a whole number of intervals, and steps
     # that land inside an interval, so the load changes between plant
     # steps of one interval
@@ -249,7 +252,7 @@ def test_every_plant_step_sees_the_profile_at_its_time(kind, change, mixed,
 
     monkeypatch.setattr(scenario, "grid_step", spy_grid)
     monkeypatch.setattr(scenario, "scenario_fluctuation", spy_draw)
-    r = ScenarioRunner(cfg).run(write_trace=False)
+    r = ScenarioRunner(cfg).run(str(tmp_path))
 
     def direct(t):
         if kind == "step":
@@ -271,7 +274,7 @@ def test_every_plant_step_sees_the_profile_at_its_time(kind, change, mixed,
         assert windows == list(range(45))
 
 
-def test_zero_mean_reserve_provision_over_30_minutes(monkeypatch):
+def test_zero_mean_reserve_provision_over_30_minutes(monkeypatch, tmp_path):
     # Zero-mean duty that the plant can actually follow: antithetic
     # segment pairs make the profile average exactly zero at every scale,
     # and the 1.6 MW segment-to-segment swing stays well inside what the
@@ -297,7 +300,7 @@ def test_zero_mean_reserve_provision_over_30_minutes(monkeypatch):
 
     monkeypatch.setattr(scenario, "scenario_fluctuation",
                         lambda t, *draw: antithetic(t))
-    r = ScenarioRunner(cfg).run(write_trace=False)
+    r = ScenarioRunner(cfg).run(str(tmp_path))
     assert np.array_equal(r.dist, [antithetic(t) for t in r.time])
     sig = r.signal_total
     assert abs(sig.mean()) <= 0.05 * sig.std()
@@ -316,7 +319,7 @@ def test_run_scenario_writes_trace(tmp_path):
 
 def test_record_is_one_table_written_without_a_copy(tmp_path):
     cfg = short_config(duration=60.0)
-    r = ScenarioRunner(cfg).run(write_trace=False)
+    r = ScenarioRunner(cfg).run(str(tmp_path))
     rows, n = cfg.intervals, cfg.fleet.n
     views = [f.source for f in scenario.TRACE_SPEC]
     for name in views + ["s", "interior"]:
@@ -356,7 +359,7 @@ def test_trace_bytes_are_savetxts(case, tmp_path):
     # what it writes is what np.savetxt writes of the same table
     cfg = short_config(duration=0.1 if case == "one_row" else 20.0,
                        bess_enabled=case != "fleet_off")
-    r = ScenarioRunner(cfg).run(write_trace=False)
+    r = ScenarioRunner(cfg).run(str(tmp_path))
     header, where = scenario.trace_columns(cfg.fleet.n,
                                            len(cfg.grid.inv_droops))
     table = r.table[:, :len(header)]
@@ -388,9 +391,9 @@ def test_trace_bytes_are_savetxts(case, tmp_path):
         assert lines[-2].split(",")[header.index("kappa")] == "0.3"
 
 
-def test_reference_solution_views_the_table():
+def test_reference_solution_views_the_table(tmp_path):
     cfg = short_config(duration=12.0)
-    r = ScenarioRunner(cfg, oracle_every=True).run(write_trace=False)
+    r = ScenarioRunner(cfg, oracle_every=True).run(str(tmp_path))
     for name in ("f_oracle", "u_star"):
         assert np.shares_memory(getattr(r, name), r.table), name
     assert r.u_star.shape == (cfg.intervals, cfg.fleet.n, 2)

@@ -281,9 +281,9 @@ def test_stage_checks_match_the_lemmas_on_the_record_arrays(short_oracle_run):
             rel=1e-12)
 
 
-def test_stage_checks_need_oracle_logs():
+def test_stage_checks_need_oracle_logs(tmp_path):
     r = ScenarioRunner(ScenarioConfig(name="x", duration=2.0)).run(
-        write_trace=False
+        str(tmp_path)
     )
     with pytest.raises(ValueError):
         stage_lemma_checks(r, 10.0)
@@ -369,7 +369,7 @@ def test_curve_exports(short_oracle_run, tmp_path):
 
     plain = ScenarioRunner(
         ScenarioConfig(name="plain", duration=10.0)
-    ).run(write_trace=False)
+    ).run(str(tmp_path / "runs"))
     assert plain.f_oracle is None
     out = str(tmp_path / "plain")
     check_artifacts(export_step_event_curves(plain, out), out, plain, fig5)
@@ -377,7 +377,7 @@ def test_curve_exports(short_oracle_run, tmp_path):
 
     fl = ScenarioRunner(
         ScenarioConfig(name="fl", kind="fluctuation", duration=10.0)
-    ).run(write_trace=False)
+    ).run(str(tmp_path / "runs"))
     out = str(tmp_path / "fl")
     check_artifacts(export_fluctuation_curves(fl, out), out, fl, [
         ("fig7.csv", ["time_s", "net_load_mw", "fleet_power_mw"]
